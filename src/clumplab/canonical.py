@@ -16,6 +16,7 @@ or the minimum weighted degree.  Every rewrite is logged and re-audited.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import AbstractSet
 
 from .core import (
     Clump,
@@ -57,12 +58,11 @@ class TransformLog:
 @dataclass
 class CanonicalReport:
     violations: list[tuple[int, str]]
-    pattern_violations: list[int]  # layer indices i where (L_i, L_{i+1}) is off-pattern
     k: int
 
     @property
     def passes(self) -> bool:
-        return not self.violations and not self.pattern_violations
+        return not self.violations
 
 
 def _to_layers(graph: WeightedClumpGraph) -> Layers:
@@ -83,30 +83,37 @@ def _snapshot(layers: Layers) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 # -- property checks -----------------------------------------------------
 
-# consecutive-pair shapes allowed for k = 3: (c(i), c(i+1), shared colors)
-_PATTERNS_K3 = {
-    (1, 1, 0),
-    (1, 2, 0),
-    (2, 1, 0),
-    (2, 2, 1),
-    (2, 3, 2),
-    (3, 2, 2),
-    (3, 3, 3),
-}
+
+def pair_violations(k: int, a: AbstractSet[int], b: AbstractSet[int]) -> list[str]:
+    """The properties among (i), (ii) and the pair part of (iii) that
+    consecutive layer color sets a, b break.  For k = 3 the pairs that
+    break none are exactly the seven shapes (c(i), c(i+1), shared):
+    (1,1,0), (1,2,0), (2,1,0), (2,2,1), (2,3,2), (3,2,2), (3,3,3)."""
+    ca, cb = len(a), len(b)
+    out: list[str] = []
+    if ca == 1 and cb > k - 1:
+        out.append("i")
+    if len(a | b) != min(k, ca + cb):
+        out.append("ii")
+    if ca == k and cb < 2:
+        out.append("iii")
+    return out
+
+
+def is_canonical_pair(k: int, a: AbstractSet[int], b: AbstractSet[int]) -> bool:
+    """Whether consecutive layer color sets a, b may appear in a canonical graph."""
+    return not pair_violations(k, a, b)
 
 
 def _violations(k: int, layers: Layers) -> list[tuple[int, str]]:
     D = len(layers) - 1
     out: list[tuple[int, str]] = []
     for i in range(D):
-        ci, cj = len(layers[i]), len(layers[i + 1])
-        if ci == 1 and cj > k - 1:
-            out.append((i, "i"))
-        union = len(set(layers[i]) | set(layers[i + 1]))
-        if union != min(k, ci + cj):
-            out.append((i, "ii"))
-        if ci == k and (i < 2 or cj < 2):
-            out.append((i, "iii"))
+        bad = pair_violations(k, layers[i].keys(), layers[i + 1].keys())
+        if i < 2 and len(layers[i]) == k and "iii" not in bad:
+            bad.append("iii")
+        for prop in bad:
+            out.append((i, prop))
     if len(layers[D]) == k and D < 2:
         out.append((D, "iii"))
     for i in range(D + 1):
@@ -119,17 +126,10 @@ def _violations(k: int, layers: Layers) -> list[tuple[int, str]]:
 
 
 def check_canonical(graph: WeightedClumpGraph) -> CanonicalReport:
-    """Evaluate canonical properties (i)-(iv); for k = 3 also match every
-    consecutive layer pair against the seven admissible color-set shapes."""
-    layers = _to_layers(graph)
-    violations = _violations(graph.k, layers)
-    pattern_bad: list[int] = []
-    if graph.k == 3:
-        for i in range(len(layers) - 1):
-            a, b = set(layers[i]), set(layers[i + 1])
-            if (len(a), len(b), len(a & b)) not in _PATTERNS_K3:
-                pattern_bad.append(i)
-    return CanonicalReport(violations=violations, pattern_violations=pattern_bad, k=graph.k)
+    """Evaluate canonical properties (i)-(iv).  Every consecutive layer
+    pair is held to pair_violations, so for k = 3 this also confines the
+    pairs to the seven admissible color-set shapes."""
+    return CanonicalReport(violations=_violations(graph.k, _to_layers(graph)), k=graph.k)
 
 
 # -- rewrites ------------------------------------------------------------

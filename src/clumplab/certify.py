@@ -54,7 +54,7 @@ def dual_certificate(graph: WeightedClumpGraph, k: int | None = None) -> DualCer
         raise ValueError(f"k={k} does not match the graph's color count {graph.k}")
     report = check_canonical(graph)
     if not report.passes:
-        raise ValueError(f"graph is not canonical: {report.violations or report.pattern_violations}")
+        raise ValueError(f"graph is not canonical: {report.violations}")
     layer_total = Fraction(k - 1, 3 * k - 4)
     u: dict[ClumpKey, Fraction] = {}
     totals: list[Fraction] = []

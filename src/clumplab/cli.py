@@ -29,7 +29,11 @@ from .core import (
 
 
 def _default_slack() -> int:
-    return int(os.environ.get("CLUMPLAB_SLACK", sieve.DEFAULT_SLACK))
+    raw = os.environ.get("CLUMPLAB_SLACK", sieve.DEFAULT_SLACK)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"CLUMPLAB_SLACK must be an integer, got {raw!r}") from None
 
 
 def _read_graph(path: str) -> WeightedClumpGraph:
@@ -342,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (serialize.SchemaError, ValueError, canonical.CanonicalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -307,12 +307,12 @@ def blow_up_diameter(graph: WeightedClumpGraph) -> int:
 
     Copies of one clump share their neighborhood, so the distance between
     distinct blown-up vertices is the clump-graph distance when the clumps
-    differ and 2 when they coincide (weight >= 2).  A pair of clumps that
-    are i and j layers deep satisfies dist <= (j - i) + 2, because every
-    clump can walk back one layer per step and fix up the endpoint within
-    two extra steps.  Hence only pairs spanning at least D - 1 layers can
-    exceed the trivial lower bound D, and BFS from the first and last two
-    layers decides the diameter exactly.  Cross-checked against
+    differ and 2 when they coincide (weight >= 2).  Every clump of layer
+    j >= 1 has a neighbor in layer j - 1, so a clump of layer j walks back
+    to layer i in j - i steps, and one more step reaches any other clump
+    of layer i: dist <= j - i + 1.  Only pairs from layer 0 to layer D can
+    therefore exceed D, and those are at least D apart, so BFS from the
+    clumps of layer 0 decides the diameter exactly.  Cross-checked against
     diameter(blow_up(...)) in the tests.
     """
     num_clumps = sum(len(layer) for layer in graph.layers)
@@ -321,19 +321,12 @@ def blow_up_diameter(graph: WeightedClumpGraph) -> int:
         if only.weight >= 2:
             raise ValueError("two copies of an isolated clump are disconnected")
         return 0
-    d_index = graph.diameter_index
-    boundary_layers = {0, 1, d_index - 1, d_index} & set(range(d_index + 1))
     best = 2 if any(c.weight >= 2 for c in graph.clumps()) else 1
-    span_cap = d_index  # pairs within this span cannot beat span + 2 <= D
-    for i in boundary_layers:
-        for c in graph.layers[i]:
-            dist = _clump_bfs(graph, (c.layer, c.color))
-            if len(dist) != num_clumps:
-                raise ValueError("clump graph is disconnected")
-            best = max(best, max(dist.values()))
-    # interior pairs are bounded by span + 2; make sure that cannot win
-    if d_index >= 2 and span_cap - 2 + 2 > best:
-        best = max(best, d_index)  # root eccentricity is exactly D
+    for c in graph.layers[0]:
+        dist = _clump_bfs(graph, (c.layer, c.color))
+        if len(dist) != num_clumps:
+            raise ValueError("clump graph is disconnected")
+        best = max(best, max(dist.values()))
     return best
 
 

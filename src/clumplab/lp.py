@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 
+from .canonical import is_canonical_pair
 from .core import Clump, WeightedClumpGraph, blow_up_diameter
 
 Row = tuple[list[Fraction], str, Fraction]  # coefficients, sense, rhs
@@ -359,9 +360,6 @@ class SearchResult:
     complete: bool
 
 
-# admissible consecutive color-set shapes for three colors
-_PAIR_SHAPES = {(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 1), (2, 3, 2), (3, 2, 2), (3, 3, 3)}
-
 _SUBSETS = [frozenset(s) for r in (1, 2, 3) for s in itertools.combinations(range(3), r)]
 
 
@@ -374,22 +372,12 @@ def _pattern_sequences(depth: int) -> "list[list[frozenset[int]]]":
         if len(seq) == depth + 1:
             out.append(list(seq))
             return
-        i = len(seq) - 1
         for nxt in _SUBSETS:
-            a, b = seq[-1], nxt
-            if (len(a), len(b), len(a & b)) not in _PAIR_SHAPES:
-                continue
-            if len(b) == 3 and i + 1 < 2:
-                continue  # a full layer must sit at index 2 or later
-            extend(seq + [nxt])
+            if is_canonical_pair(3, seq[-1], nxt):
+                extend(seq + [nxt])
 
     extend([frozenset({0})])
-    # a full layer not in final position must be followed by >= 2 clumps
-    return [
-        seq
-        for seq in out
-        if all(len(seq[i]) < 3 or len(seq[i + 1]) >= 2 for i in range(len(seq) - 1))
-    ]
+    return out
 
 
 def extremal_search(delta: int, d_max: int, n_budget: int, k: int = 3) -> SearchResult:

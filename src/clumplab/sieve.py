@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .canonical import is_canonical_pair
 from .core import LayerProfile
 
 DEFAULT_SLACK = 12
@@ -80,24 +81,11 @@ class GlobalStats:
     delta: int
 
 
-# consecutive-pair shapes of canonical 3-colored profiles, as
-# (c(i), c(i+1), shared color count)
-_PAIR_SHAPES = {
-    (1, 1, 0),
-    (1, 2, 0),
-    (2, 1, 0),
-    (2, 2, 1),
-    (2, 3, 2),
-    (3, 2, 2),
-    (3, 3, 3),
-}
-
-
 def _require_canonical_patterns(profile: LayerProfile) -> None:
     for i in range(profile.diameter_index):
         a, b = profile.colors[i], profile.colors[i + 1]
-        shape = (len(a), len(b), len(a & b))
-        if shape not in _PAIR_SHAPES:
+        if not is_canonical_pair(3, a, b):
+            shape = (len(a), len(b), len(a & b))
             raise ValueError(
                 f"layer pair ({i}, {i + 1}) has color shape {shape}, which no "
                 f"canonical 3-colored profile produces"

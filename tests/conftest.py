@@ -8,21 +8,23 @@ from clumplab.core import WeightedClumpGraph, make_clump_graph, min_weighted_deg
 
 
 def random_layered_graph(rng: random.Random, k: int = 3, max_depth: int = 12,
-                         max_weight: int = 6) -> WeightedClumpGraph:
-    """A random rooted k-colorable layered weighted graph (not canonical)."""
-    depth = rng.randint(0, max_depth)
-    layers = [[(rng.randrange(k), 1)]]
-    prev = {layers[0][0][0]}
-    for _ in range(depth):
+                         max_weight: int = 6, rooted: bool = True) -> WeightedClumpGraph:
+    """A random k-colorable layered weighted graph (not canonical).  A rooted
+    graph starts from one weight-1 clump, an unrooted one from a random layer."""
+
+    def next_layer(prev: set[int]) -> list[tuple[int, int]]:
         while True:
             cols = [c for c in range(k) if rng.random() < 0.55]
             if len(prev) == 1:
                 cols = [c for c in cols if c not in prev]
             if cols:
-                break
-        layers.append([(c, rng.randint(1, max_weight)) for c in cols])
-        prev = set(cols)
-    return make_clump_graph(k, layers)
+                return [(c, rng.randint(1, max_weight)) for c in cols]
+
+    depth = rng.randint(0, max_depth)
+    layers = [[(rng.randrange(k), 1)]] if rooted else [next_layer(set())]
+    for _ in range(depth):
+        layers.append(next_layer({c for c, _ in layers[-1]}))
+    return make_clump_graph(k, layers, rooted=rooted)
 
 
 def canonical_pair(graph: WeightedClumpGraph) -> tuple[WeightedClumpGraph, int]:

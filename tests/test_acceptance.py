@@ -101,7 +101,7 @@ def test_4_canonicalization_randomized():
         assert out.diameter_index == g.diameter_index
         assert min_weighted_degree(out) >= delta
         report = check_canonical(out)
-        assert report.passes, (report.violations, report.pattern_violations)
+        assert report.passes, report.violations
 
 
 def test_5_duality_certificates(corpus_by_k):

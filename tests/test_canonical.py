@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from clumplab.canonical import (
     bfs_relayer,
     canonicalize,
     check_canonical,
+    is_canonical_pair,
     resolve_k1_violation,
 )
 from clumplab.constructions import counterexample_graph, eppt_odd
@@ -43,6 +45,21 @@ def test_full_palette_too_early_fails_iii():
     )
     report = check_canonical(g)
     assert (1, "iii") in report.violations
+
+
+def test_k3_pair_grammar_is_the_seven_shapes():
+    subsets = [
+        frozenset(s) for r in (1, 2, 3) for s in itertools.combinations(range(3), r)
+    ]
+    accepted = {
+        (len(a), len(b), len(a & b))
+        for a in subsets
+        for b in subsets
+        if is_canonical_pair(3, a, b)
+    }
+    assert accepted == {
+        (1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 1), (2, 3, 2), (3, 2, 2), (3, 3, 3)
+    }
 
 
 def test_canonicalize_fixpoint_on_canonical_input():

@@ -160,6 +160,12 @@ def test_slack_env_override(monkeypatch, tmp_path, capsys):
     assert args.slack == 7
 
 
+def test_bad_slack_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("CLUMPLAB_SLACK", "abc")
+    assert main(["lp", "epsz"]) == 2
+    assert capsys.readouterr().err.startswith("error: CLUMPLAB_SLACK")
+
+
 def test_schema_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

@@ -134,10 +134,13 @@ def test_export_edge_list_header():
     assert lines[1:] == ["0 1", "1 2"]
 
 
+@pytest.mark.parametrize("rooted", [True, False], ids=["rooted", "unrooted"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9))
-def test_random_graph_invariants(seed):
-    g = random_layered_graph(random.Random(seed), max_depth=6, max_weight=4)
+def test_random_graph_invariants(k, rooted, seed):
+    g = random_layered_graph(random.Random(seed), k=k, max_depth=6, max_weight=4,
+                             rooted=rooted)
     prof = layer_profile(g)
     s = blow_up(g)
     assert sum(prof.ell) == prof.n == s.n
@@ -146,7 +149,13 @@ def test_random_graph_invariants(seed):
         for _ in range(c.weight):
             assert s.degree(v) == weighted_degree(g, c.layer, c.color)
             v += 1
-    assert blow_up_diameter(g) == diameter(s)
+    try:
+        expected = diameter(s)
+    except ValueError:  # one clump of weight >= 2: isolated copies
+        with pytest.raises(ValueError):
+            blow_up_diameter(g)
+    else:
+        assert blow_up_diameter(g) == expected
 
 
 def test_min_weighted_degree_matches_scan():

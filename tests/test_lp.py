@@ -9,6 +9,7 @@ from clumplab.core import make_clump_graph
 from clumplab.lp import (
     EPSZ_RHS,
     RationalLP,
+    _pattern_sequences,
     build_epsz_lp,
     dual_polytope_vertices,
     extremal_search,
@@ -181,6 +182,11 @@ def test_min_order_infeasible_topology():
     # never reach degree 2
     with pytest.raises(ValueError):
         min_order_lp(g, 2)
+
+
+def test_pattern_sequence_counts():
+    counts = [len(_pattern_sequences(d)) for d in range(1, 7)]
+    assert counts == [3, 10, 35, 126, 460, 1691]
 
 
 def test_extremal_search_small_frontier():

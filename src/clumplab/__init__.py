@@ -12,7 +12,6 @@ from .core import (
     blow_up_diameter,
     diameter,
     layer_profile,
-    make_clump_graph,
     min_weighted_degree,
     weighted_degree,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "blow_up_diameter",
     "diameter",
     "layer_profile",
-    "make_clump_graph",
     "min_weighted_degree",
     "weighted_degree",
     "__version__",

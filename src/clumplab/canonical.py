@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import AbstractSet
 
 from .core import (
-    Clump,
     SimpleGraph,
     WeightedClumpGraph,
     bfs_distances,
@@ -40,8 +39,6 @@ class CanonicalizationError(Exception):
 class RewriteEntry:
     rule: str
     layer: int
-    before: tuple[tuple[tuple[int, int], ...], ...]
-    after: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass
@@ -70,15 +67,7 @@ def _to_layers(graph: WeightedClumpGraph) -> Layers:
 
 
 def _to_graph(k: int, layers: Layers) -> WeightedClumpGraph:
-    built = [
-        [Clump(layer=i, color=color, weight=w) for color, w in sorted(layer.items())]
-        for i, layer in enumerate(layers)
-    ]
-    return WeightedClumpGraph(k, built, rooted=True)
-
-
-def _snapshot(layers: Layers) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(tuple(sorted(layer.items())) for layer in layers)
+    return WeightedClumpGraph(k, [layer.items() for layer in layers])
 
 
 # -- property checks -----------------------------------------------------
@@ -287,7 +276,7 @@ def canonicalize(
     layers = _to_layers(graph)
     log = TransformLog()
     cap = 4 * len(layers) * k
-    current = graph
+    result = graph
     while True:
         todo = _violations(k, layers)
         if not todo:
@@ -299,7 +288,6 @@ def canonicalize(
         # repair in property order, smallest layer first
         todo.sort(key=lambda v: ({"ii": 0, "iii": 1, "iv": 2, "i": 3}[v[1]], v[0]))
         i, prop = todo[0]
-        before = _snapshot(layers)
         if prop == "ii":
             rule = _fix_shared_color(k, layers, i)
         elif prop == "iii":
@@ -310,13 +298,11 @@ def canonicalize(
             raise CanonicalizationError(
                 f"layer {i}: single followed by a full-palette layer"
             )
-        nxt = _to_graph(k, layers)
-        _audit(current, nxt, delta)
-        current = nxt
-        log.entries.append(
-            RewriteEntry(rule=rule, layer=i, before=before, after=_snapshot(layers))
-        )
-    return current, log
+        # building the graph revalidates its structure after every rewrite
+        result = _to_graph(k, layers)
+        _audit(graph, result, delta)
+        log.entries.append(RewriteEntry(rule=rule, layer=i))
+    return result, log
 
 
 # -- relayering a plain graph -------------------------------------------

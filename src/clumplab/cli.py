@@ -349,7 +349,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (serialize.SchemaError, ValueError, canonical.CanonicalizationError) as exc:
+    except (ValueError, OSError, canonical.CanonicalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil
 
-from .core import Clump, WeightedClumpGraph
+from .core import WeightedClumpGraph
 
 
 def _greedy_colors(clump_counts: list[int], k: int) -> list[list[int]]:
@@ -29,13 +29,8 @@ def _greedy_colors(clump_counts: list[int], k: int) -> list[list[int]]:
 
 
 def _assemble(k: int, weight_lists: list[list[int]]) -> WeightedClumpGraph:
-    counts = [len(w) for w in weight_lists]
-    colors = _greedy_colors(counts, k)
-    layers = [
-        [Clump(layer=i, color=c, weight=w) for c, w in zip(colors[i], weight_lists[i])]
-        for i in range(len(weight_lists))
-    ]
-    return WeightedClumpGraph(k, layers, rooted=True)
+    colors = _greedy_colors([len(w) for w in weight_lists], k)
+    return WeightedClumpGraph(k, [zip(c, w) for c, w in zip(colors, weight_lists)])
 
 
 # -- periodic counterexample family -------------------------------------
@@ -129,10 +124,8 @@ def eppt_odd(r: int, delta: int, diam: int) -> WeightedClumpGraph:
     layers = []
     for i, weights in enumerate(weight_lists):
         base = 0 if i % 2 == 0 else r
-        layers.append(
-            [Clump(layer=i, color=base + j, weight=w) for j, w in enumerate(weights)]
-        )
-    return WeightedClumpGraph(2 * r, layers, rooted=True)
+        layers.append([(base + j, w) for j, w in enumerate(weights)])
+    return WeightedClumpGraph(2 * r, layers)
 
 
 def eppt_even(r: int, delta: int, diam: int) -> WeightedClumpGraph:
@@ -151,17 +144,15 @@ def eppt_even(r: int, delta: int, diam: int) -> WeightedClumpGraph:
     if diam < 2:
         raise ValueError(f"diam={diam} must be at least 2")
     interior = (r + 1) * delta // divisor
-    layers = [[Clump(layer=0, color=r, weight=1)]]
+    layers = [[(r, 1)]]
     for i in range(1, diam + 1):
         count = r if i % 2 == 1 else r - 1
         # both last layers carry weight delta; the thin final layer alone
         # cannot give its neighbors enough degree
         weight = delta if i in (1, diam - 1, diam) else interior
         base = 0 if i % 2 == 1 else r
-        layers.append(
-            [Clump(layer=i, color=base + j, weight=weight) for j in range(count)]
-        )
-    return WeightedClumpGraph(2 * r - 1, layers, rooted=True)
+        layers.append([(base + j, weight) for j in range(count)])
+    return WeightedClumpGraph(2 * r - 1, layers)
 
 
 # -- the coefficient-gap identity ---------------------------------------

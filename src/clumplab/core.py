@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 
 class ClumpGraphError(ValueError):
@@ -51,21 +52,25 @@ class LayerProfile:
             return self.clump_counts[i]
         return 0
 
-    def is_single(self, i: int) -> bool:
-        return self.count_at(i) == 1
-
     @property
     def singles(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.clump_counts) if c == 1)
 
 
 class WeightedClumpGraph:
-    """A k-colored, layered, weighted clump graph with derived adjacency."""
+    """A k-colored, layered, weighted clump graph with derived adjacency.
 
-    def __init__(self, k: int, layers: Sequence[Sequence[Clump]], rooted: bool = True):
+    layers[i] holds the (color, weight) pairs of layer i in any order,
+    the shape of the JSON wire format; each becomes a Clump of layer i.
+    """
+
+    def __init__(
+        self, k: int, layers: Iterable[Iterable[tuple[int, int]]], rooted: bool = True
+    ):
         self.k = k
         self.layers = tuple(
-            tuple(sorted(layer, key=lambda c: c.color)) for layer in layers
+            tuple(Clump(i, c, w) for c, w in sorted(layer, key=itemgetter(0)))
+            for i, layer in enumerate(layers)
         )
         self.rooted = rooted
         self._validate()
@@ -82,10 +87,6 @@ class WeightedClumpGraph:
                 raise ClumpGraphError(f"layer {i} is empty")
             seen: set[int] = set()
             for c in layer:
-                if c.layer != i:
-                    raise ClumpGraphError(
-                        f"clump {c} stored in layer {i} carries layer index {c.layer}"
-                    )
                 if not 0 <= c.color < self.k:
                     raise ClumpGraphError(
                         f"layer {i}: color {c.color} outside [0, {self.k})"
@@ -126,12 +127,6 @@ class WeightedClumpGraph:
         for layer in self.layers:
             yield from layer
 
-    def clump_at(self, layer: int, color: int) -> Clump:
-        for c in self.layers[layer]:
-            if c.color == color:
-                return c
-        raise KeyError((layer, color))
-
     def has_clump(self, layer: int, color: int) -> bool:
         if not 0 <= layer <= self.diameter_index:
             return False
@@ -163,19 +158,6 @@ class WeightedClumpGraph:
     def __repr__(self) -> str:
         shape = [len(layer) for layer in self.layers]
         return f"WeightedClumpGraph(k={self.k}, layers={shape}, n={self.total_weight})"
-
-
-def make_clump_graph(
-    k: int,
-    layers: Sequence[Sequence[tuple[int, int]]],
-    rooted: bool = True,
-) -> WeightedClumpGraph:
-    """Build a validated clump graph from (color, weight) pairs per layer."""
-    built = [
-        [Clump(layer=i, color=color, weight=weight) for color, weight in layer]
-        for i, layer in enumerate(layers)
-    ]
-    return WeightedClumpGraph(k, built, rooted=rooted)
 
 
 def weighted_degree(graph: WeightedClumpGraph, layer: int, color: int) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .canonical import is_canonical_pair
-from .core import Clump, WeightedClumpGraph, blow_up_diameter
+from .core import WeightedClumpGraph, blow_up_diameter
 
 Row = tuple[list[Fraction], str, Fraction]  # coefficients, sense, rhs
 
@@ -56,7 +56,7 @@ def simplex_solve(lp: RationalLP) -> LPSolution:
     """Dense two-phase simplex, Bland's rule throughout.
 
     At optimality the returned dual vector satisfies y . b = value
-    exactly (asserted); infeasible and unbounded programs are reported
+    exactly (checked); infeasible and unbounded programs are reported
     as statuses, not exceptions.
     """
     n = len(lp.c)
@@ -182,7 +182,8 @@ def simplex_solve(lp: RationalLP) -> LPSolution:
 
     reported = value if lp.maximize else -value
     dual_value = sum(yi * row[2] for yi, row in zip(y, lp.rows))
-    assert dual_value == reported, "strong duality violated"
+    if dual_value != reported:
+        raise ArithmeticError("strong duality violated")
     return LPSolution("optimal", reported, x, y)
 
 
@@ -395,11 +396,7 @@ def extremal_search(delta: int, d_max: int, n_budget: int, k: int = 3) -> Search
     complete = True
     for depth in range(1, d_max + 1):
         for seq in _pattern_sequences(depth):
-            layers = [
-                [Clump(layer=i, color=c, weight=1) for c in sorted(cols)]
-                for i, cols in enumerate(seq)
-            ]
-            topology = WeightedClumpGraph(3, layers, rooted=True)
+            topology = WeightedClumpGraph(3, [[(c, 1) for c in cols] for cols in seq])
             try:
                 result = min_order_lp(topology, delta)
             except ValueError:
@@ -408,14 +405,10 @@ def extremal_search(delta: int, d_max: int, n_budget: int, k: int = 3) -> Search
                 complete = False
                 continue
             assert result.int_value is not None and result.weights is not None
-            built = [
-                [
-                    Clump(layer=i, color=c, weight=result.weights[(i, c)])
-                    for c in sorted(cols)
-                ]
-                for i, cols in enumerate(seq)
-            ]
-            graph = WeightedClumpGraph(3, built, rooted=True)
+            weights = result.weights
+            graph = WeightedClumpGraph(
+                3, [[(c, weights[(i, c)]) for c in cols] for i, cols in enumerate(seq)]
+            )
             if blow_up_diameter(graph) != depth:
                 continue
             order = result.int_value

@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .core import ClumpGraphError, WeightedClumpGraph, make_clump_graph
+from .core import ClumpGraphError, WeightedClumpGraph
 
 
 class SchemaError(ValueError):
@@ -57,7 +57,8 @@ def parse_clump_json(text: str | bytes, rooted: bool = True) -> WeightedClumpGra
         if field not in data:
             raise SchemaError(f"missing field {field!r}")
     k = data["k"]
-    if not isinstance(k, int) or k < 2:
+    # type(), not isinstance(): JSON true parses to a bool, an int subclass
+    if type(k) is not int or k < 2:
         raise SchemaError(f'field "k" must be an integer >= 2, got {k!r}')
     layers = data["layers"]
     if not isinstance(layers, list):
@@ -73,7 +74,7 @@ def parse_clump_json(text: str | bytes, rooted: bool = True) -> WeightedClumpGra
             for field in ("color", "weight"):
                 if field not in entry:
                     raise SchemaError(f"layers[{i}][{j}] missing field {field!r}")
-                if not isinstance(entry[field], int):
+                if type(entry[field]) is not int:
                     raise SchemaError(
                         f"layers[{i}][{j}].{field} must be an integer, "
                         f"got {entry[field]!r}"
@@ -81,7 +82,7 @@ def parse_clump_json(text: str | bytes, rooted: bool = True) -> WeightedClumpGra
             row.append((entry["color"], entry["weight"]))
         parsed.append(row)
     try:
-        return make_clump_graph(k, parsed, rooted=rooted)
+        return WeightedClumpGraph(k, parsed, rooted=rooted)
     except ClumpGraphError as exc:
         raise SchemaError(str(exc)) from exc
 

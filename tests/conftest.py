@@ -4,7 +4,7 @@ import pytest
 
 from clumplab.canonical import canonicalize
 from clumplab.constructions import counterexample_graph, eppt_odd
-from clumplab.core import WeightedClumpGraph, make_clump_graph, min_weighted_degree
+from clumplab.core import WeightedClumpGraph, min_weighted_degree
 
 
 def random_layered_graph(rng: random.Random, k: int = 3, max_depth: int = 12,
@@ -24,7 +24,7 @@ def random_layered_graph(rng: random.Random, k: int = 3, max_depth: int = 12,
     layers = [[(rng.randrange(k), 1)]] if rooted else [next_layer(set())]
     for _ in range(depth):
         layers.append(next_layer({c for c, _ in layers[-1]}))
-    return make_clump_graph(k, layers, rooted=rooted)
+    return WeightedClumpGraph(k, layers, rooted=rooted)
 
 
 def canonical_pair(graph: WeightedClumpGraph) -> tuple[WeightedClumpGraph, int]:

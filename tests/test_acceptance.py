@@ -20,9 +20,9 @@ from clumplab.constructions import (
     eppt_odd,
 )
 from clumplab.core import (
+    WeightedClumpGraph,
     blow_up_diameter,
     layer_profile,
-    make_clump_graph,
     min_weighted_degree,
     weighted_degree,
 )
@@ -165,7 +165,7 @@ def test_7_sieve_suite(corpus_k3):
             assert abs(value - limit) <= Fraction(1, p)
 
 
-def _no_single_chain(depth: int, w: int) -> "make_clump_graph":
+def _no_single_chain(depth: int, w: int) -> "WeightedClumpGraph":
     """A canonical 3-colored graph whose interior layers are all doubles:
     consecutive layers share exactly one color."""
     pairs = [(1, 2), (2, 0), (0, 1)]
@@ -174,7 +174,7 @@ def _no_single_chain(depth: int, w: int) -> "make_clump_graph":
         a, b = pairs[(i - 1) % 3]
         weight = 4 * w if i in (1, depth) else w
         layers.append([(a, weight), (b, weight)])
-    return make_clump_graph(3, layers)
+    return WeightedClumpGraph(3, layers)
 
 
 def test_8_no_interior_singles_bound(corpus_k3):

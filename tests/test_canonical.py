@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clumplab import canonical
 from clumplab.canonical import (
     CanonicalizationError,
     bfs_relayer,
@@ -15,10 +16,11 @@ from clumplab.canonical import (
 )
 from clumplab.constructions import counterexample_graph, eppt_odd
 from clumplab.core import (
+    ClumpGraphError,
     SimpleGraph,
+    WeightedClumpGraph,
     blow_up,
     layer_profile,
-    make_clump_graph,
     min_weighted_degree,
     weighted_degree,
 )
@@ -32,7 +34,7 @@ def test_family_is_canonical():
 
 
 def test_heavy_clump_between_singles_fails_iv():
-    g = make_clump_graph(3, [[(0, 1)], [(1, 2)], [(2, 2)], [(0, 2)]])
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 2)], [(2, 2)], [(0, 2)]])
     report = check_canonical(g)
     assert any(prop == "iv" for _, prop in report.violations)
 
@@ -40,11 +42,48 @@ def test_heavy_clump_between_singles_fails_iv():
 def test_full_palette_too_early_fails_iii():
     # a rooted graph cannot reach a full palette at layer 1, so use an
     # unrooted fragment
-    g = make_clump_graph(
+    g = WeightedClumpGraph(
         3, [[(0, 1), (1, 1)], [(0, 1), (1, 1), (2, 1)], [(1, 2), (2, 2)]], rooted=False
     )
     report = check_canonical(g)
     assert (1, "iii") in report.violations
+
+
+def _empty_last_layer(layers):
+    layers[-1].clear()
+
+
+def _add_a_unit(layers):
+    layers[-1][min(layers[-1])] += 1
+
+
+def _starve_last_layer(layers):
+    layers[-2][min(layers[-2])] -= 1
+    layers[1][min(layers[1])] += 1
+
+
+@pytest.mark.parametrize("corrupt, error, match", [
+    (_empty_last_layer, ClumpGraphError, "layer 3 is empty"),
+    (_add_a_unit, CanonicalizationError, "rewrite changed the total weight"),
+    (_starve_last_layer, CanonicalizationError,
+     "rewrite dropped the minimum weighted degree"),
+])
+def test_every_rewrite_is_validated_and_audited(monkeypatch, corrupt, error, match):
+    # (iv) fires first here; a faulty rewrite must be caught at its own step
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 2)], [(2, 2)], [(0, 2)]])
+    rewrite = canonical._fix_duplicate_weight
+    steps = []
+
+    def faulty(k, layers, i):
+        steps.append(i)
+        rule = rewrite(k, layers, i)
+        corrupt(layers)
+        return rule
+
+    monkeypatch.setattr(canonical, "_fix_duplicate_weight", faulty)
+    with pytest.raises(error, match=match):
+        canonicalize(g, 2)
+    assert steps == [1]
 
 
 def test_k3_pair_grammar_is_the_seven_shapes():
@@ -72,7 +111,7 @@ def test_canonicalize_fixpoint_on_canonical_input():
 def test_move_clump_resolution():
     # full palette at i = 3 followed by a single whose color also sits in
     # L_3; L_1 is multicolored, so the clump moves back without recoloring
-    g = make_clump_graph(
+    g = WeightedClumpGraph(
         3,
         [
             [(0, 1)],
@@ -94,7 +133,7 @@ def test_move_clump_resolution():
 def _redistribution_instance(weights):
     # shape X | YZ | XYZ | X with X = 0, Y = 1, Z = 2
     x1, y2, z2, x3, y3, z3, x4 = weights
-    return make_clump_graph(
+    return WeightedClumpGraph(
         3,
         [
             [(0, x1)],
@@ -156,7 +195,7 @@ def test_canonicalize_preserves_blow_up_size(seed):
 
 
 def test_canonicalize_rejects_degree_misdeclaration():
-    g = make_clump_graph(3, [[(0, 1)], [(1, 1)]])
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)]])
     with pytest.raises(CanonicalizationError):
         canonicalize(g, delta=5)
 

@@ -10,8 +10,8 @@ from clumplab.certify import (
 )
 from clumplab.constructions import counterexample_graph
 from clumplab.core import (
+    WeightedClumpGraph,
     blow_up_diameter,
-    make_clump_graph,
     min_weighted_degree,
     weighted_degree,
 )
@@ -29,7 +29,7 @@ def test_thin_layer_weights():
 def test_full_layer_split_weights():
     # L_2 = {0, 1, 2} between singles misses one color on each side; the
     # dominating clump gets 1/5 and the other two get 1/10
-    g = make_clump_graph(
+    g = WeightedClumpGraph(
         3,
         [
             [(0, 1)],
@@ -66,7 +66,7 @@ def test_certificates_feasible_on_corpus(corpus_by_k):
 
 
 def test_noncanonical_input_rejected():
-    g = make_clump_graph(3, [[(0, 1)], [(1, 2)], [(2, 2)], [(0, 2)]])
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 2)], [(2, 2)], [(0, 2)]])
     with pytest.raises(ValueError):
         dual_certificate(g)
 

@@ -36,6 +36,18 @@ def test_small_k_rejected():
         parse_clump_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("field", ["k", "color", "weight"])
+def test_boolean_is_not_an_integer(field):
+    layers = [[{"color": 0, "weight": 1}], [{"color": 1, "weight": 2}]]
+    payload = {"k": 3, "layers": layers}
+    if field == "k":
+        payload["k"] = True
+    else:
+        layers[1][0][field] = True
+    with pytest.raises(SchemaError, match=f"{field}.* must be an integer.*got True"):
+        parse_clump_json(json.dumps(payload))
+
+
 def test_rational_round_trip():
     for value in (Fraction(5, 2), Fraction(-3, 7), Fraction(4)):
         assert parse_rational(format_rational(value)) == value
@@ -83,9 +95,9 @@ def test_verify_pass_and_fail(tmp_path, capsys):
 
 
 def test_canonicalize_command(tmp_path):
-    from clumplab.core import make_clump_graph
+    from clumplab.core import WeightedClumpGraph
 
-    g = make_clump_graph(3, [[(0, 1)], [(1, 2)], [(2, 2)], [(0, 2)], [(1, 2)]])
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 2)], [(2, 2)], [(0, 2)], [(1, 2)]])
     path = _write_graph(tmp_path, g)
     out_path = str(tmp_path / "canon.json")
     log_path = str(tmp_path / "log.json")
@@ -164,6 +176,17 @@ def test_bad_slack_env_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("CLUMPLAB_SLACK", "abc")
     assert main(["lp", "epsz"]) == 2
     assert capsys.readouterr().err.startswith("error: CLUMPLAB_SLACK")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--in", "{tmp}/missing.json", "--delta", "2"],
+    ["generate", "counterexample", "--s", "1", "--delta", "5", "--p", "2",
+     "--out", "{tmp}/missing-dir/g.json"],
+])
+def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, args):
+    assert main([a.format(tmp=tmp_path) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

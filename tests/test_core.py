@@ -8,12 +8,12 @@ from clumplab.constructions import counterexample_block, counterexample_graph
 from clumplab.core import (
     ClumpGraphError,
     SimpleGraph,
+    WeightedClumpGraph,
     blow_up,
     blow_up_diameter,
     diameter,
     export_edge_list,
     layer_profile,
-    make_clump_graph,
     min_weighted_degree,
     weighted_degree,
 )
@@ -22,34 +22,44 @@ from conftest import random_layered_graph
 
 
 def test_single_root_is_valid():
-    g = make_clump_graph(3, [[(0, 1)]])
+    g = WeightedClumpGraph(3, [[(0, 1)]])
     assert g.diameter_index == 0
     assert g.total_weight == 1
 
 
 def test_unreachable_clump_rejected():
     with pytest.raises(ClumpGraphError):
-        make_clump_graph(3, [[(0, 1)], [(0, 2)]])
+        WeightedClumpGraph(3, [[(0, 1)], [(0, 2)]])
 
 
 def test_duplicate_color_rejected():
     with pytest.raises(ClumpGraphError):
-        make_clump_graph(3, [[(0, 1)], [(1, 2), (1, 1)]])
+        WeightedClumpGraph(3, [[(0, 1)], [(1, 2), (1, 1)]])
 
 
 def test_color_out_of_range_rejected():
     with pytest.raises(ClumpGraphError):
-        make_clump_graph(3, [[(3, 1)]])
+        WeightedClumpGraph(3, [[(3, 1)]])
 
 
 def test_rooted_needs_unit_root():
     with pytest.raises(ClumpGraphError):
-        make_clump_graph(3, [[(0, 2)]])
-    make_clump_graph(3, [[(0, 2)]], rooted=False)
+        WeightedClumpGraph(3, [[(0, 2)]])
+    WeightedClumpGraph(3, [[(0, 2)]], rooted=False)
+
+
+def test_layers_take_pairs_in_any_order():
+    rows = [[(0, 1)], [(2, 3), (1, 2)], [(2, 2), (0, 1)]]
+    graph = WeightedClumpGraph(3, [sorted(row) for row in rows])
+    assert WeightedClumpGraph(3, rows).layers == graph.layers
+    items = [dict(row).items() for row in rows]
+    assert WeightedClumpGraph(3, items).layers == graph.layers
+    clumps = [[(c.layer, c.color, c.weight) for c in layer] for layer in graph.layers]
+    assert clumps == [[(0, 0, 1)], [(1, 1, 2), (1, 2, 3)], [(2, 0, 1), (2, 2, 2)]]
 
 
 def test_weighted_degree_isolated_root():
-    g = make_clump_graph(3, [[(0, 1)]])
+    g = WeightedClumpGraph(3, [[(0, 1)]])
     assert weighted_degree(g, 0, 0) == 0
 
 
@@ -62,7 +72,7 @@ def test_weighted_degree_block_root():
 
 
 def test_blow_up_unit_weights_matches_clump_adjacency():
-    g = make_clump_graph(3, [[(0, 1)], [(1, 1), (2, 1)], [(0, 1)]])
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1), (2, 1)], [(0, 1)]])
     s = blow_up(g)
     assert s.n == 4
     degrees = [s.degree(v) for v in range(s.n)]

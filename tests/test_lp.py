@@ -1,11 +1,14 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import clumplab
 from clumplab.constructions import counterexample_graph
-from clumplab.core import make_clump_graph
+from clumplab.core import WeightedClumpGraph
 from clumplab.lp import (
     EPSZ_RHS,
     RationalLP,
@@ -157,13 +160,13 @@ def test_dual_polytope_and_perturbation():
 
 
 def test_min_order_two_clumps():
-    g = make_clump_graph(3, [[(0, 1)], [(1, 1)]], rooted=False)
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)]], rooted=False)
     result = min_order_lp(g, 3)
     assert result.lp_value == 6 and result.int_value == 6
 
 
 def test_min_order_path_of_three():
-    g = make_clump_graph(3, [[(0, 1)], [(1, 1)], [(0, 1)]], rooted=False)
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]], rooted=False)
     result = min_order_lp(g, 2)
     assert result.int_value == 4
     assert result.weights is not None
@@ -177,7 +180,7 @@ def test_min_order_family_topology():
 
 
 def test_min_order_infeasible_topology():
-    g = make_clump_graph(3, [[(0, 1)], [(1, 1)]])
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)]])
     # the rooted graph pins the root to weight 1, so the second clump can
     # never reach degree 2
     with pytest.raises(ValueError):
@@ -204,3 +207,28 @@ def test_extremal_search_budget_flag():
 def test_extremal_search_rejects_other_k():
     with pytest.raises(ValueError):
         extremal_search(delta=2, d_max=2, n_budget=10, k=4)
+
+
+def _narrows_optional(test: ast.expr) -> bool:
+    """`x is not None`, or an `and` of such tests."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        return all(_narrows_optional(v) for v in test.values)
+    return (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.IsNot)
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+    )
+
+
+def test_source_asserts_only_narrow_optionals():
+    # python -O strips asserts, so a real check must raise instead
+    src = Path(clumplab.__file__).parent
+    checks = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert) and not _narrows_optional(node.test)
+    ]
+    assert checks == []

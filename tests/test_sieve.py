@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from clumplab.constructions import counterexample_block, counterexample_graph
-from clumplab.core import layer_profile, make_clump_graph
+from clumplab.core import WeightedClumpGraph, layer_profile
 from clumplab.sieve import (
     check_aggregates,
     clamp_profile,
@@ -69,7 +69,7 @@ def test_aggregates_pass_with_default_slack(corpus_k3):
 
 
 def test_noncanonical_profile_rejected():
-    g = make_clump_graph(
+    g = WeightedClumpGraph(
         3, [[(0, 1)], [(1, 1), (2, 1)], [(1, 1), (2, 1)]], rooted=True
     )
     # the (2, 2) pair shares both colors, which no canonical graph produces

@@ -30,9 +30,7 @@ Layers = list[dict[int, int]]
 
 
 class CanonicalizationError(Exception):
-    def __init__(self, message: str, log: "TransformLog | None" = None):
-        super().__init__(message)
-        self.log = log
+    """A rewrite failed, broke an invariant, or hit the iteration cap."""
 
 
 @dataclass
@@ -55,7 +53,6 @@ class TransformLog:
 @dataclass
 class CanonicalReport:
     violations: list[tuple[int, str]]
-    k: int
 
     @property
     def passes(self) -> bool:
@@ -118,7 +115,7 @@ def check_canonical(graph: WeightedClumpGraph) -> CanonicalReport:
     """Evaluate canonical properties (i)-(iv).  Every consecutive layer
     pair is held to pair_violations, so for k = 3 this also confines the
     pairs to the seven admissible color-set shapes."""
-    return CanonicalReport(violations=_violations(graph.k, _to_layers(graph)), k=graph.k)
+    return CanonicalReport(violations=_violations(graph.k, _to_layers(graph)))
 
 
 # -- rewrites ------------------------------------------------------------
@@ -283,7 +280,7 @@ def canonicalize(
             break
         if len(log) >= cap:
             raise CanonicalizationError(
-                f"iteration cap {cap} exceeded; applied {log.rules()}", log
+                f"iteration cap {cap} exceeded; applied {log.rules()}"
             )
         # repair in property order, smallest layer first
         todo.sort(key=lambda v: ({"ii": 0, "iii": 1, "iv": 2, "i": 3}[v[1]], v[0]))

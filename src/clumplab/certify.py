@@ -38,7 +38,7 @@ class DualCertificate:
         return sum(self.u.values(), Fraction(0))
 
 
-def dual_certificate(graph: WeightedClumpGraph, k: int | None = None) -> DualCertificate:
+def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
     """The uniform-by-layer dual weights for a canonical graph.
 
     Layers of fewer than k clumps share (k-1)/(3k-4) evenly.  A layer of
@@ -46,12 +46,9 @@ def dual_certificate(graph: WeightedClumpGraph, k: int | None = None) -> DualCer
     they see everything next door) get 1/(3k-4) and the rest get
     correspondingly less, keeping the layer total at (k-1)/(3k-4).
     """
-    if k is None:
-        k = graph.k
+    k = graph.k
     if k < 3:
         raise ValueError(f"k={k} must be at least 3")
-    if k != graph.k:
-        raise ValueError(f"k={k} does not match the graph's color count {graph.k}")
     report = check_canonical(graph)
     if not report.passes:
         raise ValueError(f"graph is not canonical: {report.violations}")

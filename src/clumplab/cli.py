@@ -100,7 +100,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         print(f"objective {serialize.format_rational(report.objective)}")
         print(f"worst-slack {serialize.format_rational(report.worst_slack)}")
         return 0 if report.feasible else 1
-    cert = certify.dual_certificate(graph, args.k)
+    cert = certify.dual_certificate(graph)
     print(f"feasible {'yes' if cert.feasible else 'no'}")
     print(f"u-tilde {serialize.format_rational(cert.u_tilde)}")
     print(f"objective {serialize.format_rational(cert.objective)}")
@@ -171,7 +171,7 @@ def _cmd_lp(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    result = lp.extremal_search(args.delta, args.dmax, args.budget, k=args.k)
+    result = lp.extremal_search(args.delta, args.dmax, args.budget)
     for depth in sorted(result.frontier):
         print(f"D {depth} min-n {result.frontier[depth]}")
     print(f"best-phi {serialize.format_rational(result.best_phi)}")
@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cer = sub.add_parser("certify", help="build or verify a packing certificate")
     cer.add_argument("--in", dest="infile", required=True)
-    cer.add_argument("--k", type=int, default=None)
     cer.add_argument("--delta", type=int, default=None)
     cer.add_argument("--weights", default=None)
     cer.add_argument("--dump", default=None)
@@ -328,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     lp_min.set_defaults(func=_cmd_lp)
 
     sea = sub.add_parser("search", help="minimum orders over canonical patterns")
-    sea.add_argument("--k", type=int, default=3)
     sea.add_argument("--delta", type=int, required=True)
     sea.add_argument("--dmax", type=int, required=True)
     sea.add_argument("--budget", type=int, default=60)

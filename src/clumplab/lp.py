@@ -52,81 +52,76 @@ class LPSolution:
         return out
 
 
+def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """Scale row r to a 1 in column c and clear column c from every other row."""
+    inv = Fraction(1) / rows[r][c]
+    rows[r] = pivot_row = [v * inv for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            f = row[c]
+            rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+
+
+_SLACK = {"<=": 1, ">=": -1, "==": 0}  # slack coefficient per sense
+
+
 def simplex_solve(lp: RationalLP) -> LPSolution:
     """Dense two-phase simplex, Bland's rule throughout.
 
-    At optimality the returned dual vector satisfies y . b = value
-    exactly (checked); infeasible and unbounded programs are reported
-    as statuses, not exceptions.
+    The tableau's last row holds the reduced costs c_j - c_B B^-1 A_j of
+    the current phase, kept up to date by every pivot; the duals are read
+    off it.  At optimality the returned dual vector satisfies y . b =
+    value exactly (checked); infeasible and unbounded programs are
+    reported as statuses, not exceptions.
     """
     n = len(lp.c)
     m = len(lp.rows)
     obj = [Fraction(c) if lp.maximize else -Fraction(c) for c in lp.c]
 
-    # normalize rows to nonnegative rhs, remembering the flips
-    table: list[list[Fraction]] = []
-    senses: list[str] = []
-    row_sign: list[int] = []
-    rhs: list[Fraction] = []
-    for coeffs, sense, b in lp.rows:
-        if b < 0:
-            coeffs = [-a for a in coeffs]
-            b = -b
-            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-            row_sign.append(-1)
-        else:
-            row_sign.append(1)
-        table.append(list(coeffs))
-        senses.append(sense)
-        rhs.append(b)
-
-    # slack / surplus / artificial columns
-    ncols = n
+    # rows with a negative rhs are negated, which swaps <= and >=; then
+    # every inequality gets a slack column (+1 or -1) and every row
+    # without a +1 slack an artificial one, all slacks first
+    row_sign = [-1 if b < 0 else 1 for _, _, b in lp.rows]
+    slack = [s * _SLACK[sense] for s, (_, sense, _) in zip(row_sign, lp.rows)]
     slack_col = [-1] * m
     art_col = [-1] * m
-    for i, sense in enumerate(senses):
-        if sense in ("<=", ">="):
+    ncols = n
+    for i in range(m):
+        if slack[i]:
             slack_col[i] = ncols
             ncols += 1
-    for i, sense in enumerate(senses):
-        if sense in (">=", "=="):
+    for i in range(m):
+        if slack[i] != 1:
             art_col[i] = ncols
             ncols += 1
-    tab = [[Fraction(0)] * (ncols + 1) for _ in range(m)]
-    basis = [-1] * m
-    for i in range(m):
-        for j in range(n):
-            tab[i][j] = table[i][j]
-        if slack_col[i] >= 0:
-            tab[i][slack_col[i]] = Fraction(1 if senses[i] == "<=" else -1)
+    tab: list[list[Fraction]] = []
+    for i, (coeffs, _, b) in enumerate(lp.rows):
+        row = [row_sign[i] * a for a in coeffs] + [Fraction(0)] * (ncols - n)
+        row.append(row_sign[i] * b)
+        if slack[i]:
+            row[slack_col[i]] = Fraction(slack[i])
         if art_col[i] >= 0:
-            tab[i][art_col[i]] = Fraction(1)
-            basis[i] = art_col[i]
-        else:
-            basis[i] = slack_col[i]
-        tab[i][ncols] = rhs[i]
+            row[art_col[i]] = Fraction(1)
+        tab.append(row)
+    tab.append([Fraction(0)] * (ncols + 1))  # reduced costs
+    # the column that started as +e_i: the artificial when the row has one
+    unit_col = [a if a >= 0 else s for a, s in zip(art_col, slack_col)]
+    basis = list(unit_col)
     artificials = {c for c in art_col if c >= 0}
 
-    def pivot(r: int, c: int) -> None:
-        inv = Fraction(1) / tab[r][c]
-        tab[r] = [v * inv for v in tab[r]]
-        for i in range(m):
-            if i != r and tab[i][c]:
-                f = tab[i][c]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
-        basis[r] = c
+    def price(costs: list[Fraction]) -> None:
+        z = costs + [Fraction(0)]
+        for i, b in enumerate(basis):
+            f = z[b]
+            if f:
+                z = [a - f * t for a, t in zip(z, tab[i])]
+        tab[m] = z
 
-    def optimize(costs: list[Fraction], banned: set[int]) -> str:
+    def optimize(banned: set[int]) -> str:
         while True:
-            cb = [costs[b] for b in basis]
-            entering = -1
-            for j in range(ncols):
-                if j in banned or j in basis:
-                    continue
-                reduced = costs[j] - sum(cb[i] * tab[i][j] for i in range(m))
-                if reduced > 0:
-                    entering = j
-                    break
+            # Bland: the first improving column; basic columns price at 0
+            z = tab[m]
+            entering = next((j for j in range(ncols) if z[j] > 0 and j not in banned), -1)
             if entering < 0:
                 return "optimal"
             leaving, best = -1, None
@@ -139,28 +134,26 @@ def simplex_solve(lp: RationalLP) -> LPSolution:
                         leaving, best = i, ratio
             if leaving < 0:
                 return "unbounded"
-            pivot(leaving, entering)
+            _pivot(tab, leaving, entering)
+            basis[leaving] = entering
 
     if artificials:
-        phase1 = [Fraction(0)] * ncols
-        for c in artificials:
-            phase1[c] = Fraction(-1)
-        optimize(phase1, set())
-        if any(basis[i] in artificials and tab[i][ncols] != 0 for i in range(m)):
+        price([Fraction(-1) if j in artificials else Fraction(0) for j in range(ncols)])
+        optimize(set())
+        # the phase-1 row's rhs is the total left on basic artificials
+        if tab[m][ncols] != 0:
             return LPSolution("infeasible", None, None, None)
         # drive lingering zero-level artificials out of the basis
         for i in range(m):
             if basis[i] in artificials:
                 for j in range(ncols):
                     if j not in artificials and tab[i][j] != 0:
-                        pivot(i, j)
+                        _pivot(tab, i, j)
+                        basis[i] = j
                         break
 
-    costs = [Fraction(0)] * ncols
-    for j in range(n):
-        costs[j] = obj[j]
-    status = optimize(costs, artificials)
-    if status == "unbounded":
+    price(obj + [Fraction(0)] * (ncols - n))
+    if optimize(artificials) == "unbounded":
         return LPSolution("unbounded", None, None, None)
 
     x = [Fraction(0)] * n
@@ -169,16 +162,9 @@ def simplex_solve(lp: RationalLP) -> LPSolution:
             x[b] = tab[i][ncols]
     value = sum(o * v for o, v in zip(obj, x))
 
-    # dual values read off the initial identity columns
-    cb = [costs[b] for b in basis]
-    y = [Fraction(0)] * m
+    # unit columns cost 0, so their reduced cost is -(c_B B^-1)_i
     obj_sign = 1 if lp.maximize else -1
-    for i in range(m):
-        # the column that started as +e_i: the artificial one when the
-        # row has it, else the slack
-        col = art_col[i] if art_col[i] >= 0 else slack_col[i]
-        y_norm = sum(cb[r] * tab[r][col] for r in range(m))
-        y[i] = obj_sign * row_sign[i] * y_norm
+    y = [-obj_sign * s * tab[m][col] for s, col in zip(row_sign, unit_col)]
 
     reported = value if lp.maximize else -value
     dual_value = sum(yi * row[2] for yi, row in zip(y, lp.rows))
@@ -217,12 +203,7 @@ def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fra
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+        _pivot(aug, col, col)
     return [aug[r][d] for r in range(d)]
 
 
@@ -272,10 +253,6 @@ class MinOrderResult:
 ILP_CLUMP_LIMIT = 40
 
 
-def _neighbor_keys(graph: WeightedClumpGraph, layer: int, color: int) -> list[tuple[int, int]]:
-    return [(c.layer, c.color) for c in graph.neighbors(layer, color)]
-
-
 def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
     """Minimum total weight putting every clump's weighted degree at or
     above delta, with all weights >= 1 and the root pinned to 1.
@@ -296,7 +273,7 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
     lp = RationalLP(maximize=False, c=[Fraction(1)] * len(variables))
     feasible_rows = True
     for key in keys:
-        nbrs = _neighbor_keys(topology, *key)
+        nbrs = [(c.layer, c.color) for c in topology.neighbors(*key)]
         coeffs = [Fraction(0)] * len(variables)
         for nb in nbrs:
             if nb in index:
@@ -381,7 +358,7 @@ def _pattern_sequences(depth: int) -> "list[list[frozenset[int]]]":
     return out
 
 
-def extremal_search(delta: int, d_max: int, n_budget: int, k: int = 3) -> SearchResult:
+def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
     """Smallest blow-up order per diameter over canonical 3-colored layer
     topologies, via the minimum-order program on every pattern sequence.
 
@@ -389,8 +366,6 @@ def extremal_search(delta: int, d_max: int, n_budget: int, k: int = 3) -> Search
     its layer count are skipped; orders above n_budget are pruned and
     mark the result incomplete.
     """
-    if k != 3:
-        raise ValueError("the pattern grammar is specific to three colors")
     frontier: dict[int, int] = {}
     best_phi = Fraction(0)
     complete = True

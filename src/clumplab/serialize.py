@@ -109,6 +109,11 @@ def parse_dual_weights(text: str | bytes) -> dict[tuple[int, int], Fraction]:
         for field in ("layer", "color", "value"):
             if field not in entry:
                 raise SchemaError(f"u[{j}] missing field {field!r}")
+        for field in ("layer", "color"):
+            if type(entry[field]) is not int:
+                raise SchemaError(
+                    f"u[{j}].{field} must be an integer, got {entry[field]!r}"
+                )
         key = (entry["layer"], entry["color"])
         if key in out:
             raise SchemaError(f"u[{j}] duplicates clump {key}")

@@ -53,7 +53,6 @@ class AggregateResult:
 class SieveReport:
     windows: list[Window]
     aggregates: list[AggregateResult]
-    slack_c: int
 
     @property
     def passes(self) -> bool:
@@ -159,7 +158,7 @@ def window_inequalities(
         windows.append(Window("three-layer", i, case, lhs, rhs))
 
     aggregates = _aggregates(profile, delta, slack_c)
-    return SieveReport(windows=windows, aggregates=aggregates, slack_c=slack_c)
+    return SieveReport(windows=windows, aggregates=aggregates)
 
 
 def _aggregates(profile: LayerProfile, delta: int, slack_c: int) -> list[AggregateResult]:

@@ -124,6 +124,18 @@ def test_certify_command(tmp_path, capsys):
     assert "feasible yes" in out
 
 
+@pytest.mark.parametrize("field, value", [("layer", [0]), ("layer", "0"), ("color", True)])
+def test_dual_weight_keys_must_be_integers(tmp_path, capsys, field, value):
+    path = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
+    entry = {"layer": 0, "color": 0, "value": "1/5"}
+    entry[field] = value
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"u": [entry]}))
+    assert main(["certify", "--in", path, "--weights", str(weights)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: u[0].{field} must be an integer, got {value!r}\n"
+
+
 def test_sieve_command(tmp_path, capsys):
     path = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
     report = str(tmp_path / "report.json")
@@ -136,9 +148,11 @@ def test_sieve_command(tmp_path, capsys):
 
 def test_lp_commands(tmp_path, capsys):
     assert main(["lp", "epsz"]) == 0
-    out = capsys.readouterr().out
-    assert "optimum 57/23" in out
-    assert "vertex 57/23 0 13/23 17/23 6/23" in out
+    assert capsys.readouterr().out == (
+        "optimum 57/23\n"
+        "vertex 57/23 0 13/23 17/23 6/23\n"
+        "dual 3/23 0 3/46 3/46 1/46\n"
+    )
     path = _write_graph(tmp_path, counterexample_graph(1, 4, 1))
     assert main(["lp", "min-order", "--in", path, "--delta", "4"]) == 0
     out = capsys.readouterr().out
@@ -149,6 +163,15 @@ def test_search_command(capsys):
     assert main(["search", "--delta", "2", "--dmax", "2", "--budget", "12"]) == 0
     out = capsys.readouterr().out
     assert "D 1 min-n 3" in out and "D 2 min-n 4" in out
+    assert main(["search", "--delta", "2", "--dmax", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "D 1 min-n 3\n"
+        "D 2 min-n 4\n"
+        "D 3 min-n 6\n"
+        "D 4 min-n 7\n"
+        "best-phi 8/7\n"
+        "complete yes\n"
+    )
 
 
 def test_suite_command(tmp_path, capsys):

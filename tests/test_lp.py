@@ -82,9 +82,14 @@ def test_global_program_optimum():
     assert sum(a * b for a, b in zip(sol.y, EPSZ_RHS)) == Fraction(57, 23)
 
 
+def _satisfies(lhs: Fraction, sense: str, rhs: Fraction) -> bool:
+    return {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[sense]
+
+
 def _vertex_enumeration_optimum(lp: RationalLP) -> Fraction | None:
     """Brute-force oracle: maximum of the objective over all vertices of
-    {x >= 0, rows}, assuming the optimum is attained at a vertex."""
+    {x >= 0, rows}, assuming the optimum is attained at a vertex; None
+    when no vertex is feasible."""
     n = len(lp.c)
     cons = [(list(coeffs), rhs) for coeffs, _, rhs in lp.rows]
     for j in range(n):
@@ -110,8 +115,9 @@ def _vertex_enumeration_optimum(lp: RationalLP) -> Fraction | None:
         x = solve(list(combo))
         if x is None or any(v < 0 for v in x):
             continue
-        if any(
-            sum(a * v for a, v in zip(coeffs, x)) > rhs for coeffs, _, rhs in lp.rows
+        if not all(
+            _satisfies(sum(a * v for a, v in zip(coeffs, x)), sense, rhs)
+            for coeffs, sense, rhs in lp.rows
         ):
             continue
         value = sum(c * v for c, v in zip(lp.c, x))
@@ -121,21 +127,39 @@ def _vertex_enumeration_optimum(lp: RationalLP) -> Fraction | None:
 
 
 def test_simplex_matches_vertex_enumeration():
+    # mixed senses and negative right-hand sides exercise phase 1, row
+    # negation and artificial drive-out; the box keeps every program
+    # bounded, so no feasible vertex means infeasible
     rng = random.Random(4)
-    for _ in range(25):
+    statuses = []
+    for _ in range(150):
         n = rng.randint(2, 4)
-        lp = RationalLP(True, [Fraction(rng.randint(1, 5)) for _ in range(n)])
+        lp = RationalLP(True, [Fraction(rng.randint(-2, 5)) for _ in range(n)])
         for _ in range(rng.randint(1, 4)):
             lp.add_row(
-                [Fraction(rng.randint(0, 4)) for _ in range(n)],
-                "<=",
-                Fraction(rng.randint(1, 9)),
+                [Fraction(rng.randint(-1, 4)) for _ in range(n)],
+                rng.choice(["<=", "<=", ">=", "=="]),
+                Fraction(rng.randint(-3, 9)),
             )
+        if rng.random() < 0.2:  # a redundant equation leaves an artificial basic
+            coeffs, _, rhs = lp.rows[0]
+            lp.add_row([2 * a for a in coeffs], "==", 2 * rhs)
         for j in range(n):  # box to keep everything bounded
             lp.add_row([1 if i == j else 0 for i in range(n)], "<=", 10)
         sol = simplex_solve(lp)
+        statuses.append(sol.status)
+        best = _vertex_enumeration_optimum(lp)
+        if best is None:
+            assert sol.status == "infeasible"
+            continue
         assert sol.status == "optimal"
-        assert sol.value == _vertex_enumeration_optimum(lp)
+        assert sol.value == best
+        # dual feasibility: y_i >= 0 on <= rows, <= 0 on >= rows, A^T y >= c
+        for yi, (_, sense, _) in zip(sol.y, lp.rows):
+            assert {"<=": 1, ">=": -1, "==": 0}[sense] * yi >= 0
+        for j in range(n):
+            assert sum(yi * row[0][j] for yi, row in zip(sol.y, lp.rows)) >= lp.c[j]
+    assert statuses.count("optimal") >= 50 and statuses.count("infeasible") >= 20
     assert _vertex_enumeration_optimum(build_epsz_lp()) == Fraction(57, 23)
 
 
@@ -202,11 +226,6 @@ def test_extremal_search_small_frontier():
 def test_extremal_search_budget_flag():
     result = extremal_search(delta=5, d_max=2, n_budget=4)
     assert not result.complete
-
-
-def test_extremal_search_rejects_other_k():
-    with pytest.raises(ValueError):
-        extremal_search(delta=2, d_max=2, n_budget=10, k=4)
 
 
 def _narrows_optional(test: ast.expr) -> bool:

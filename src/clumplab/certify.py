@@ -87,6 +87,9 @@ def verify_packing(graph: WeightedClumpGraph, u: dict[ClumpKey, Fraction]) -> Pa
     for c in graph.clumps():
         if (c.layer, c.color) not in u:
             raise ValueError(f"no dual weight for clump {(c.layer, c.color)}")
+    unknown = u.keys() - {(c.layer, c.color) for c in graph.clumps()}
+    if unknown:
+        raise ValueError(f"dual weight for clump {min(unknown)}, which is not in the graph")
     for key, value in u.items():
         if value < 0:
             raise ValueError(f"negative dual weight at {key}")
@@ -101,18 +104,11 @@ def verify_packing(graph: WeightedClumpGraph, u: dict[ClumpKey, Fraction]) -> Pa
     )
 
 
-def bound_from_certificate(
-    cert: DualCertificate, n: int, delta: int, big_c: Fraction | int = 1
-) -> Fraction:
-    """Diameter bound (1/u_tilde)(n/delta) + C implied by a feasible
+def bound_from_certificate(cert: DualCertificate, n: int, delta: int) -> Fraction:
+    """Diameter bound (1/u_tilde)(n/delta) + 1 implied by a feasible
     certificate whose every layer total reaches u_tilde."""
     if not cert.feasible:
         raise ValueError("certificate is infeasible")
     if any(t < cert.u_tilde for t in cert.layer_totals):
         raise ValueError("some layer total falls short of u_tilde")
-    return Fraction(1, 1) / cert.u_tilde * Fraction(n, delta) + big_c
-
-
-def bound_coefficient(k: int) -> Fraction:
-    """(3k-4)/(k-1), i.e. 3 - 1/(k-1): the n/delta coefficient at k colors."""
-    return Fraction(3 * k - 4, k - 1)
+    return Fraction(1, 1) / cert.u_tilde * Fraction(n, delta) + 1

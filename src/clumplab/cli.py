@@ -3,16 +3,15 @@ canonicalization, certificates, the sieve, LPs, the pattern search, and
 a CSV suite runner.
 
 Every subcommand is deterministic and exits 0 exactly when all requested
-checks pass.  The aggregate slack constant defaults to the CLUMPLAB_SLACK
-environment variable (fallback 12).
+checks pass.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -28,21 +27,13 @@ from .core import (
 )
 
 
-def _default_slack() -> int:
-    raw = os.environ.get("CLUMPLAB_SLACK", sieve.DEFAULT_SLACK)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CLUMPLAB_SLACK must be an integer, got {raw!r}") from None
-
-
 def _read_graph(path: str) -> WeightedClumpGraph:
     with open(path, "rb") as fh:
         return serialize.parse_clump_json(fh.read())
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write_text(path: str, text: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
@@ -240,18 +231,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         "sieve_total",
         "status",
     ]
-    out = sys.stdout
-    close = False
-    if args.csv and args.csv != "-":
-        out = open(args.csv, "w", newline="", encoding="utf-8")
-        close = True
-    try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if close:
-            out.close()
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_text(args.csv, out.getvalue())
     # the conjectured-coefficient sign change for the r = 2 family
     for r in (2,):
         threshold = constructions.coefficient_threshold(r)
@@ -313,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sie = sub.add_parser("sieve", help="run the 3-color window inequalities")
     sie.add_argument("--in", dest="infile", required=True)
     sie.add_argument("--delta", type=int, required=True)
-    sie.add_argument("--slack", type=int, default=_default_slack())
+    sie.add_argument("--slack", type=int, default=sieve.DEFAULT_SLACK)
     sie.add_argument("--report", default=None)
     sie.set_defaults(func=_cmd_sieve)
 
@@ -336,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sui.add_argument("--s-values", default="1,2")
     sui.add_argument("--delta-span", type=int, default=4)
     sui.add_argument("--p-values", default="1,2,3")
-    sui.add_argument("--slack", type=int, default=_default_slack())
+    sui.add_argument("--slack", type=int, default=sieve.DEFAULT_SLACK)
     sui.add_argument("--csv", default="-")
     sui.set_defaults(func=_cmd_suite)
 

@@ -16,6 +16,7 @@ from math import ceil, floor
 
 from .canonical import is_canonical_pair
 from .core import WeightedClumpGraph, blow_up_diameter
+from .sieve import GLOBAL_PROGRAM
 
 Row = tuple[list[Fraction], str, Fraction]  # coefficients, sense, rhs
 
@@ -175,22 +176,13 @@ def simplex_solve(lp: RationalLP) -> LPSolution:
 
 # -- the five-variable global program ------------------------------------
 
-# variables (phi, mu, psi, alpha1, alpha2)
-EPSZ_MATRIX = [
-    [0, 1, 0, 1, 1],
-    [0, 0, 3, 0, 0],
-    [12, 4, 0, -2, -1],
-    [3, 0, 1, -1, -1],
-    [1, 0, -3, 3, 0],
-]
-EPSZ_RHS = [1, 2, 28, 7, 3]
-
 
 def build_epsz_lp() -> RationalLP:
-    """Maximize phi over the five normalized profile statistics."""
+    """Maximize phi over (phi, mu, psi, alpha1, alpha2) subject to the
+    rows of sieve.GLOBAL_PROGRAM."""
     lp = RationalLP(maximize=True, c=[Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)])
-    for row, b in zip(EPSZ_MATRIX, EPSZ_RHS):
-        lp.add_row(row, "<=", b)
+    for _, coeffs, rhs in GLOBAL_PROGRAM:
+        lp.add_row(list(coeffs), "<=", rhs)
     return lp
 
 
@@ -208,13 +200,12 @@ def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fra
 
 
 def dual_polytope_vertices() -> list[tuple[Fraction, ...]]:
-    """Vertices of {y >= 0 : y A >= (1,0,0,0,0)} for the global program."""
-    d = 5
-    # constraints as a . y >= b
-    cons: list[tuple[list[Fraction], Fraction]] = []
-    for j in range(d):
-        col = [Fraction(EPSZ_MATRIX[i][j]) for i in range(d)]
-        cons.append((col, Fraction(1 if j == 0 else 0)))
+    """Vertices of {y >= 0 : y A >= c}, the dual of build_epsz_lp()."""
+    program = build_epsz_lp()
+    matrix = [coeffs for coeffs, _, _ in program.rows]
+    d = len(matrix)
+    # constraints as coeffs . y >= b
+    cons = [([row[j] for row in matrix], cj) for j, cj in enumerate(program.c)]
     for i in range(d):
         e = [Fraction(0)] * d
         e[i] = Fraction(1)

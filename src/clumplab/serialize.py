@@ -46,7 +46,7 @@ def dump_clump_json(graph: WeightedClumpGraph) -> str:
     return json.dumps(graph_to_dict(graph), indent=2, sort_keys=True) + "\n"
 
 
-def parse_clump_json(text: str | bytes, rooted: bool = True) -> WeightedClumpGraph:
+def parse_clump_json(text: str | bytes) -> WeightedClumpGraph:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -82,7 +82,7 @@ def parse_clump_json(text: str | bytes, rooted: bool = True) -> WeightedClumpGra
             row.append((entry["color"], entry["weight"]))
         parsed.append(row)
     try:
-        return WeightedClumpGraph(k, parsed, rooted=rooted)
+        return WeightedClumpGraph(k, parsed)
     except ClumpGraphError as exc:
         raise SchemaError(str(exc)) from exc
 

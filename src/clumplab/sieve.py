@@ -6,7 +6,9 @@ from below by a multiple of the minimum degree; which bound applies
 depends on where the single-clump layers sit.  The per-window forms are
 exact.  Summing them over the whole profile yields two aggregate bounds
 that carry boundary terms, absorbed here into a configurable additive
-slack of slack_c * delta.
+slack of slack_c * delta.  GLOBAL_PROGRAM holds the five normalized
+constraints on the global statistics; check_aggregates evaluates them,
+and `lp` maximizes phi over them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,16 @@ from .core import LayerProfile
 
 DEFAULT_SLACK = 12
 
+# The global program over (phi, mu, psi, alpha1, alpha2): each row is
+# (name, coefficients, rhs) for coefficients . stats <= rhs.
+GLOBAL_PROGRAM: tuple[tuple[str, tuple[int, ...], int], ...] = (
+    ("mass", (0, 1, 0, 1, 1), 1),
+    ("psi", (0, 0, 3, 0, 0), 2),
+    ("pair", (12, 4, 0, -2, -1), 28),
+    ("triple", (3, 0, 1, -1, -1), 7),
+    ("partition", (1, 0, -3, 3, 0), 3),
+)
+
 
 @dataclass(frozen=True)
 class Window:
@@ -28,10 +40,6 @@ class Window:
     case: str
     lhs: Fraction
     rhs: Fraction
-
-    @property
-    def slack(self) -> Fraction:
-        return self.lhs - self.rhs
 
     @property
     def passes(self) -> bool:
@@ -73,10 +81,7 @@ class GlobalStats:
     alpha2: Fraction
     phi: Fraction
     psi: Fraction
-    s: int  # number of singular triplets
-    singles: frozenset[int]
     n: int
-    diameter_index: int
     delta: int
 
 
@@ -206,17 +211,13 @@ def global_stats(profile: LayerProfile, delta: int) -> GlobalStats:
             alpha1 += Fraction(profile.ell[i], n)
         elif flanking == 1:
             alpha2 += Fraction(profile.ell[i], n)
-    s = singular_triplet_count(profile)
     return GlobalStats(
         mu=mu,
         alpha1=alpha1,
         alpha2=alpha2,
         phi=Fraction(D * delta, n),
-        psi=Fraction(delta * s, n),
-        s=s,
-        singles=singles,
+        psi=Fraction(delta * singular_triplet_count(profile), n),
         n=n,
-        diameter_index=D,
         delta=delta,
     )
 
@@ -224,16 +225,12 @@ def global_stats(profile: LayerProfile, delta: int) -> GlobalStats:
 def check_aggregates(
     stats: GlobalStats, slack_c: int = DEFAULT_SLACK
 ) -> dict[str, bool]:
-    """The five normalized constraints, each allowed slack_c * delta / n."""
+    """The rows of GLOBAL_PROGRAM, each allowed slack_c * delta / n."""
     eps = Fraction(slack_c * stats.delta, stats.n)
-    phi, mu, psi = stats.phi, stats.mu, stats.psi
-    a1, a2 = stats.alpha1, stats.alpha2
+    x = (stats.phi, stats.mu, stats.psi, stats.alpha1, stats.alpha2)
     return {
-        "mass": mu + a1 + a2 <= 1 + eps,
-        "psi": 3 * psi <= 2 + eps,
-        "pair": 12 * phi + 4 * mu - 2 * a1 - a2 <= 28 + eps,
-        "triple": 3 * phi + psi - a1 - a2 <= 7 + eps,
-        "partition": phi - 3 * psi + 3 * a1 <= 3 + eps,
+        name: sum(a * v for a, v in zip(coeffs, x)) <= rhs + eps
+        for name, coeffs, rhs in GLOBAL_PROGRAM
     }
 
 

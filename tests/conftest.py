@@ -34,6 +34,13 @@ def canonical_pair(graph: WeightedClumpGraph) -> tuple[WeightedClumpGraph, int]:
 
 
 @pytest.fixture(scope="session")
+def psi_graph() -> WeightedClumpGraph:
+    """n = 8 with two singular triplets: at delta = 3, psi = 3/4 and the
+    psi row 3 * psi <= 2 needs slack."""
+    return WeightedClumpGraph(3, [[(0, 1)], [(1, 2), (2, 1)], [(0, 1), (1, 2)], [(2, 1)]])
+
+
+@pytest.fixture(scope="session")
 def corpus_k3() -> list[tuple[WeightedClumpGraph, int]]:
     """Canonical 3-colored graphs with their minimum degrees."""
     out = []

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from clumplab.certify import (
-    bound_coefficient,
     bound_from_certificate,
     dual_certificate,
     verify_packing,
@@ -99,13 +98,6 @@ def test_weak_duality():
         weighted_degree(g, c.layer, c.color) >= delta for c in g.clumps()
     )
     assert delta * cert.objective <= g.total_weight
-
-
-def test_bound_values_and_coefficients():
-    assert bound_coefficient(3) == Fraction(5, 2)
-    assert bound_coefficient(4) == Fraction(8, 3)
-    for k in range(3, 9):
-        assert bound_coefficient(k) == 3 - Fraction(1, k - 1)
 
 
 def test_diameter_below_bound_on_corpus(corpus_by_k):

@@ -1,7 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import clumplab
 from clumplab.cli import main
 from clumplab.constructions import counterexample_graph, eppt_odd
 from clumplab.serialize import (
@@ -136,6 +139,20 @@ def test_dual_weight_keys_must_be_integers(tmp_path, capsys, field, value):
     assert err == f"error: u[0].{field} must be an integer, got {value!r}\n"
 
 
+def test_dual_weight_on_unknown_clump_exits_2(tmp_path, capsys):
+    path = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
+    weights = tmp_path / "u.json"
+    assert main(["certify", "--in", path, "--dump", str(weights)]) == 0
+    payload = json.loads(weights.read_text())
+    payload["u"].append({"layer": 99, "color": 0, "value": "100"})
+    weights.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["certify", "--in", path, "--weights", str(weights)]) == 2
+    assert capsys.readouterr().err == (
+        "error: dual weight for clump (99, 0), which is not in the graph\n"
+    )
+
+
 def test_sieve_command(tmp_path, capsys):
     path = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
     report = str(tmp_path / "report.json")
@@ -187,18 +204,26 @@ def test_suite_command(tmp_path, capsys):
     assert all(row.endswith("pass") for row in rows[1:])
 
 
-def test_slack_env_override(monkeypatch, tmp_path, capsys):
-    from clumplab.cli import build_parser
+def test_slack_env_is_ignored(monkeypatch, tmp_path, capsys, psi_graph):
+    path = _write_graph(tmp_path, psi_graph)
+    assert main(["sieve", "--in", path, "--delta", "3", "--slack", "0"]) == 1
+    assert "constraint psi fail" in capsys.readouterr().out
+    monkeypatch.setenv("CLUMPLAB_SLACK", "0")
+    assert main(["sieve", "--in", path, "--delta", "3"]) == 0
+    assert "constraint psi pass" in capsys.readouterr().out
 
-    monkeypatch.setenv("CLUMPLAB_SLACK", "7")
-    args = build_parser().parse_args(["sieve", "--in", "x", "--delta", "2"])
-    assert args.slack == 7
 
-
-def test_bad_slack_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("CLUMPLAB_SLACK", "abc")
-    assert main(["lp", "epsz"]) == 2
-    assert capsys.readouterr().err.startswith("error: CLUMPLAB_SLACK")
+def test_source_reads_no_environment():
+    # every setting is a command-line option; nothing ambient changes a result
+    src = Path(clumplab.__file__).parent
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        or isinstance(node, ast.alias) and node.name in ("environ", "getenv")
+    ]
+    assert reads == []
 
 
 @pytest.mark.parametrize("args", [

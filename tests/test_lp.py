@@ -10,7 +10,6 @@ import clumplab
 from clumplab.constructions import counterexample_graph
 from clumplab.core import WeightedClumpGraph
 from clumplab.lp import (
-    EPSZ_RHS,
     RationalLP,
     _pattern_sequences,
     build_epsz_lp,
@@ -20,6 +19,7 @@ from clumplab.lp import (
     perturbation_bound,
     simplex_solve,
 )
+from clumplab.sieve import GLOBAL_PROGRAM
 
 
 def test_single_variable():
@@ -79,7 +79,7 @@ def test_global_program_optimum():
         Fraction(6, 23),
     ]
     assert sol.tight_rows(build_epsz_lp()) == [0, 2, 3, 4]
-    assert sum(a * b for a, b in zip(sol.y, EPSZ_RHS)) == Fraction(57, 23)
+    assert sum(a * b for a, (_, _, b) in zip(sol.y, GLOBAL_PROGRAM)) == Fraction(57, 23)
 
 
 def _satisfies(lhs: Fraction, sense: str, rhs: Fraction) -> bool:
@@ -167,7 +167,7 @@ def test_dual_polytope_and_perturbation():
     vertices = dual_polytope_vertices()
     assert vertices
     assert min(
-        sum(a * b for a, b in zip(v, EPSZ_RHS)) for v in vertices
+        sum(a * b for a, (_, _, b) in zip(v, GLOBAL_PROGRAM)) for v in vertices
     ) == Fraction(57, 23)
     eps = Fraction(1, 1000)
     bound = perturbation_bound(eps)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from clumplab.constructions import counterexample_block, counterexample_graph
 from clumplab.core import WeightedClumpGraph, layer_profile
 from clumplab.sieve import (
+    GlobalStats,
     check_aggregates,
     clamp_profile,
     def_partition,
@@ -129,10 +131,25 @@ def test_clamp_never_breaks_a_window(corpus_k3):
             assert not (w1.passes and not w2.passes)
 
 
-def test_aggregate_slack_matters():
-    # at zero slack the pair aggregate genuinely fails on a long family
-    stats = global_stats(_family_profile(6), 4)
-    strict = check_aggregates(stats, slack_c=0)
-    relaxed = check_aggregates(stats, slack_c=12)
-    assert all(relaxed.values())
-    assert strict["mass"]  # the mass constraint carries no error term
+def test_aggregate_slack_matters(psi_graph):
+    # at zero slack the psi row genuinely fails: 3 * psi = 9/4 > 2
+    stats = global_stats(layer_profile(psi_graph), 3)
+    assert stats.psi == Fraction(3, 4)
+    assert check_aggregates(stats, slack_c=0)["psi"] is False
+    assert all(check_aggregates(stats, slack_c=12).values())
+
+
+def test_global_optimum_meets_every_row():
+    # the optimum lp epsz reports; at slack 0, n and delta do not matter
+    stats = GlobalStats(
+        mu=Fraction(0),
+        alpha1=Fraction(17, 23),
+        alpha2=Fraction(6, 23),
+        phi=Fraction(57, 23),
+        psi=Fraction(13, 23),
+        n=23,
+        delta=1,
+    )
+    assert all(check_aggregates(stats, 0).values())
+    raised = replace(stats, phi=stats.phi + Fraction(1, 1000))
+    assert not all(check_aggregates(raised, 0).values())

@@ -107,6 +107,8 @@ def verify_packing(graph: WeightedClumpGraph, u: dict[ClumpKey, Fraction]) -> Pa
 def bound_from_certificate(cert: DualCertificate, n: int, delta: int) -> Fraction:
     """Diameter bound (1/u_tilde)(n/delta) + 1 implied by a feasible
     certificate whose every layer total reaches u_tilde."""
+    if delta < 1:
+        raise ValueError(f"delta={delta} must be positive")
     if not cert.feasible:
         raise ValueError("certificate is infeasible")
     if any(t < cert.u_tilde for t in cert.layer_totals):

@@ -95,7 +95,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     print(f"feasible {'yes' if cert.feasible else 'no'}")
     print(f"u-tilde {serialize.format_rational(cert.u_tilde)}")
     print(f"objective {serialize.format_rational(cert.objective)}")
-    if args.delta:
+    if args.delta is not None:
         n = graph.total_weight
         bound = certify.bound_from_certificate(cert, n, args.delta)
         print(f"diameter-bound {serialize.format_rational(bound)}")

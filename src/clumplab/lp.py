@@ -253,10 +253,19 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
     and bound on the most fractional variable; rounding the LP vertex
     up stays feasible, which seeds the incumbent.
     """
+    _, root = _relax(topology, delta)
+    return _refine(topology, delta, root)
+
+
+def _min_order_program(
+    topology: WeightedClumpGraph, delta: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]], RationalLP]:
+    """Every clump, the clumps whose weight is free, and the covering
+    program over the free weights; ValueError when no weighting can
+    reach the degree bound."""
     if delta < 1:
         raise ValueError(f"delta={delta} must be positive")
     keys = [(c.layer, c.color) for c in topology.clumps()]
-    num = len(keys)
     root = keys[0] if topology.rooted else None
     variables = [key for key in keys if key != root]
     index = {key: j for j, key in enumerate(variables)}
@@ -275,24 +284,35 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
         lp.add_row(coeffs, ">=", need)
     if not feasible_rows:
         raise ValueError("topology cannot reach the degree bound")
+    return keys, variables, lp
 
+
+def _relax(topology: WeightedClumpGraph, delta: int) -> tuple[Fraction, LPSolution]:
+    """The minimum order over fractional weights, with the optimal
+    solution of the program that _refine starts from."""
+    keys, _, lp = _min_order_program(topology, delta)
     sol = simplex_solve(lp)
     if sol.status != "optimal":
         raise ValueError(f"minimum-order program is {sol.status}")
-    assert sol.value is not None and sol.x is not None
-    lp_value = num + sol.value
-    if num > ILP_CLUMP_LIMIT:
+    assert sol.value is not None
+    return len(keys) + sol.value, sol
+
+
+def _refine(topology: WeightedClumpGraph, delta: int, root: LPSolution) -> MinOrderResult:
+    """Integer optimum by branch and bound from the relaxation's optimal
+    solution root, so the root program is never solved again."""
+    keys, variables, lp = _min_order_program(topology, delta)
+    assert root.value is not None and root.x is not None
+    lp_value = len(keys) + root.value
+    if len(keys) > ILP_CLUMP_LIMIT:
         return MinOrderResult(lp_value=lp_value, int_value=None, weights=None)
 
-    incumbent = sum(ceil(v) for v in sol.x)
-    best_x = [Fraction(ceil(v)) for v in sol.x]
+    incumbent = sum(ceil(v) for v in root.x)
+    best_x = [Fraction(ceil(v)) for v in root.x]
     extra: list[Row] = []
 
-    def branch() -> None:
+    def branch(s: LPSolution) -> None:
         nonlocal incumbent, best_x
-        probe = RationalLP(maximize=False, c=list(lp.c))
-        probe.rows = list(lp.rows) + list(extra)
-        s = simplex_solve(probe)
         if s.status != "optimal":
             return
         assert s.value is not None and s.x is not None
@@ -309,14 +329,16 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
         unit = [Fraction(1 if jj == j else 0) for jj in range(len(variables))]
         for sense, bound in (("<=", floor(s.x[j])), (">=", floor(s.x[j]) + 1)):
             extra.append((list(unit), sense, Fraction(bound)))
-            branch()
+            probe = RationalLP(maximize=False, c=list(lp.c))
+            probe.rows = list(lp.rows) + list(extra)
+            branch(simplex_solve(probe))
             extra.pop()
 
-    branch()
+    branch(root)
     weights = {key: 1 for key in keys}
     for key, v in zip(variables, best_x):
         weights[key] = 1 + int(v)
-    return MinOrderResult(lp_value=lp_value, int_value=num + incumbent, weights=weights)
+    return MinOrderResult(lp_value=lp_value, int_value=len(keys) + incumbent, weights=weights)
 
 
 # -- extremal search over canonical pattern sequences --------------------
@@ -349,27 +371,55 @@ def _pattern_sequences(depth: int) -> "list[list[frozenset[int]]]":
     return out
 
 
+def _unit_topology(seq: list[frozenset[int]]) -> WeightedClumpGraph:
+    return WeightedClumpGraph(3, [[(c, 1) for c in cols] for cols in seq])
+
+
 def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
     """Smallest blow-up order per diameter over canonical 3-colored layer
     topologies, via the minimum-order program on every pattern sequence.
 
-    Topologies whose optimal weighting realizes a diameter other than
-    its layer count are skipped; orders above n_budget are pruned and
-    mark the result incomplete.
+    Each depth runs in two stages.  Stage 1 solves every sequence's
+    minimum-order relaxation once: a sequence that cannot reach the
+    degree bound is skipped, and one whose LP value exceeds n_budget is
+    dropped and marks the result incomplete.  Stage 2 walks the
+    survivors in ascending LP value and refines each from its stage-1
+    solution by branch and bound, so no LP is solved twice.  Topologies
+    whose optimal weighting realizes a diameter other than the depth are
+    skipped.  The walk stops at the first topology whose rounded-up LP
+    value reaches the order already found at this depth, and the result
+    is still exact:
+
+    - any integer order is at least ceil(lp_value), so no topology from
+      there on can lower the depth's order;
+    - the frontier keeps the minimum order per depth;
+    - best_phi at each depth comes from that depth's minimum order.
     """
+    if delta < 1:
+        raise ValueError(f"delta={delta} must be positive")
+    if d_max < 1:
+        raise ValueError(f"d_max={d_max} must be positive")
     frontier: dict[int, int] = {}
     best_phi = Fraction(0)
     complete = True
     for depth in range(1, d_max + 1):
+        # a survivor keeps only its root solution: _refine rebuilds the
+        # program without a pivot, and holding every program costs memory
+        survivors: list[tuple[Fraction, list[frozenset[int]], LPSolution]] = []
         for seq in _pattern_sequences(depth):
-            topology = WeightedClumpGraph(3, [[(c, 1) for c in cols] for cols in seq])
             try:
-                result = min_order_lp(topology, delta)
+                lp_value, root = _relax(_unit_topology(seq), delta)
             except ValueError:
                 continue
-            if result.lp_value > n_budget:
+            if lp_value > n_budget:
                 complete = False
                 continue
+            survivors.append((lp_value, seq, root))
+        survivors.sort(key=lambda item: item[0])
+        for lp_value, seq, root in survivors:
+            if depth in frontier and ceil(lp_value) >= frontier[depth]:
+                break
+            result = _refine(_unit_topology(seq), delta, root)
             assert result.int_value is not None and result.weights is not None
             weights = result.weights
             graph = WeightedClumpGraph(

@@ -115,6 +115,8 @@ def window_inequalities(
     three-layer over 1 <= i <= D-1; out-of-range layers weigh 0.  The
     one-layer bound applies to layers of one or two clumps only.
     """
+    if delta < 1:
+        raise ValueError(f"delta={delta} must be positive")
     _require_canonical_patterns(profile)
     D = profile.diameter_index
     singles = profile.singles
@@ -198,6 +200,8 @@ def _aggregates(profile: LayerProfile, delta: int, slack_c: int) -> list[Aggrega
 
 
 def global_stats(profile: LayerProfile, delta: int) -> GlobalStats:
+    if delta < 1:
+        raise ValueError(f"delta={delta} must be positive")
     D = profile.diameter_index
     n = profile.n
     singles = profile.singles

@@ -42,7 +42,9 @@ def psi_graph() -> WeightedClumpGraph:
 
 @pytest.fixture(scope="session")
 def corpus_k3() -> list[tuple[WeightedClumpGraph, int]]:
-    """Canonical 3-colored graphs with their minimum degrees."""
+    """Canonical 3-colored graphs with their minimum degrees, all >= 1:
+    the sieve is stated for delta >= 1 and rejects less, so a random
+    draw of a lone clump (minimum degree 0) is left out."""
     out = []
     for delta in (2, 4, 5):
         for p in (1, 2):
@@ -50,7 +52,7 @@ def corpus_k3() -> list[tuple[WeightedClumpGraph, int]]:
     rng = random.Random(20240817)
     for _ in range(40):
         out.append(canonical_pair(random_layered_graph(rng)))
-    return out
+    return [(graph, delta) for graph, delta in out if delta >= 1]
 
 
 @pytest.fixture(scope="session")

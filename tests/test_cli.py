@@ -237,6 +237,19 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, args):
     assert err.startswith("error: ") and "missing" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["sieve", "--in", "{graph}", "--delta", "0"],
+    ["sieve", "--in", "{graph}", "--delta", "-2"],
+    ["certify", "--in", "{graph}", "--delta", "0"],
+    ["search", "--delta", "0", "--dmax", "2"],
+    ["search", "--delta", "2", "--dmax", "0"],
+])
+def test_nonpositive_delta_or_dmax_exits_2(tmp_path, capsys, args):
+    graph = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
+    assert main([a.format(graph=graph) for a in args]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_schema_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import clumplab
+from clumplab import lp
 from clumplab.constructions import counterexample_graph
-from clumplab.core import WeightedClumpGraph
+from clumplab.core import WeightedClumpGraph, blow_up_diameter
 from clumplab.lp import (
     RationalLP,
     _pattern_sequences,
@@ -197,6 +199,28 @@ def test_min_order_path_of_three():
     assert sorted(result.weights.values()) == [1, 1, 2]
 
 
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Wrap lp.<name> with a call counter; the list holds the count."""
+    calls = [0]
+    inner = getattr(lp, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(lp, name, counted)
+    return calls
+
+
+def test_min_order_integral_root_is_solved_once(monkeypatch):
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]], rooted=False)
+    _, root = lp._relax(g, 2)
+    assert all(v.denominator == 1 for v in root.x)
+    calls = _count_calls(monkeypatch, "simplex_solve")
+    min_order_lp(g, 2)
+    assert calls == [1]
+
+
 def test_min_order_family_topology():
     g = counterexample_graph(1, 4, 1)
     result = min_order_lp(g, 4)
@@ -226,6 +250,72 @@ def test_extremal_search_small_frontier():
 def test_extremal_search_budget_flag():
     result = extremal_search(delta=5, d_max=2, n_budget=4)
     assert not result.complete
+
+
+def _reference_search(delta, d_max, n_budget, outcomes):
+    """extremal_search as it was before the LP-order prune: min_order_lp
+    and the diameter check on every pattern sequence.  outcomes memoizes
+    each sequence's (lp_value, order, diameter), or None when the
+    program is infeasible, across calls; none of it depends on the
+    budget."""
+    frontier = {}
+    best_phi = Fraction(0)
+    complete = True
+    for depth in range(1, d_max + 1):
+        for seq in _pattern_sequences(depth):
+            key = (delta, tuple(seq))
+            if key not in outcomes:
+                topology = WeightedClumpGraph(3, [[(c, 1) for c in cols] for cols in seq])
+                try:
+                    result = min_order_lp(topology, delta)
+                except ValueError:
+                    outcomes[key] = None
+                    continue
+                weights = result.weights
+                graph = WeightedClumpGraph(
+                    3, [[(c, weights[(i, c)]) for c in cols] for i, cols in enumerate(seq)]
+                )
+                outcomes[key] = (result.lp_value, result.int_value, blow_up_diameter(graph))
+            if outcomes[key] is None:
+                continue
+            lp_value, order, diameter = outcomes[key]
+            if lp_value > n_budget:
+                complete = False
+                continue
+            if diameter != depth:
+                continue
+            if depth not in frontier or order < frontier[depth]:
+                frontier[depth] = order
+            best_phi = max(best_phi, Fraction(depth * delta, order))
+    return frontier, best_phi, complete
+
+
+def test_extremal_search_matches_reference():
+    # depths are independent, so d_max = 3 covers every d_max <= 3, and
+    # d_max = 4 covers d_max = 3 at delta = 2, 3; each budget below 60
+    # drops some sequences, and 8 and 12 equal the frontier they reach
+    points = [(2, 4, 60), (3, 4, 60)]
+    points += [(delta, 3, 60) for delta in (1, 4, 5, 6, 7, 8)]
+    points += [(2, 4, 5), (3, 3, 8), (5, 3, 12)]
+    outcomes = {}
+    for delta, d_max, n_budget in points:
+        result = extremal_search(delta, d_max, n_budget)
+        expected = _reference_search(delta, d_max, n_budget, outcomes)
+        assert (result.frontier, result.best_phi, result.complete) == expected
+        assert result.complete == (n_budget == 60)
+
+
+def test_extremal_search_prunes_by_lp_order(monkeypatch):
+    golden = json.loads(
+        (Path(__file__).parents[1] / "bench" / "golden.json").read_text()
+    )["search"]["5,4"]
+    sequences = sum(len(_pattern_sequences(depth)) for depth in range(1, 5))
+    calls = _count_calls(monkeypatch, "blow_up_diameter")
+    result = extremal_search(5, 4, 60)
+    assert 4 * calls[0] < sequences == 174
+    assert {str(d): n for d, n in result.frontier.items()} == golden["frontier"]
+    assert result.best_phi == Fraction(golden["best_phi"])
+    assert result.complete == golden["complete"]
 
 
 def _narrows_optional(test: ast.expr) -> bool:

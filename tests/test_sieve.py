@@ -131,6 +131,11 @@ def test_clamp_never_breaks_a_window(corpus_k3):
             assert not (w1.passes and not w2.passes)
 
 
+def test_global_stats_rejects_nonpositive_delta(psi_graph):
+    with pytest.raises(ValueError, match="delta=0 must be positive"):
+        global_stats(layer_profile(psi_graph), 0)
+
+
 def test_aggregate_slack_matters(psi_graph):
     # at zero slack the psi row genuinely fails: 3 * psi = 9/4 > 2
     stats = global_stats(layer_profile(psi_graph), 3)

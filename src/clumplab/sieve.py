@@ -4,16 +4,37 @@ layer profiles, and the normalized global statistics they feed.
 Each window inequality bounds a short run of consecutive layer weights
 from below by a multiple of the minimum degree; which bound applies
 depends on where the single-clump layers sit.  The per-window forms are
-exact.  Summing them over the whole profile yields two aggregate bounds
-that carry boundary terms, absorbed here into a configurable additive
-slack of slack_c * delta.  GLOBAL_PROGRAM holds the five normalized
-constraints on the global statistics; check_aggregates evaluates them,
-and `lp` maximizes phi over them.
+exact.  GLOBAL_PROGRAM holds the five normalized constraints on the
+global statistics (phi, mu, psi, alpha1, alpha2); check_aggregates
+evaluates them, each row allowed slack_c * delta / n for the boundary
+terms, and `lp` maximizes phi over them.  window_inequalities returns the
+one verdict: a profile passes when every window and every row passes.
+
+Summing the windows over the whole profile gives two profile-wide
+bounds, and neither needs a check of its own:
+
+- pair-sum, 4n + slack_c * delta + (for each non-single layer i, ell(i)/3
+  per non-single neighbor and ell(i)/2 per single neighbor) >= 2 D delta,
+  follows from the two-layer windows when slack_c >= 0.  Their D rhs add
+  up to 2 D delta.  Over those windows a layer is an outer term at most
+  twice, with coefficient 1, and an inner term at most twice: a single
+  with coefficient 1, so 4 in all, its pair-sum coefficient; a non-single
+  with 3/2 next to a single and 4/3 otherwise, so at most
+  2 + (4/3 or 3/2) + (4/3 or 3/2), never more than its pair-sum
+  coefficient 4 + (1/3 or 1/2) + (1/3 or 1/2).  So pair-sum fails only
+  when some two-layer window fails.
+- triple-sum, 7n + slack_c * delta + E >= 3 D delta + s delta, where s is
+  singular_triplet_count and E sums ell(i) over the non-single layers
+  0 <= i <= D next to a single, follows from the `triple` row.  That row
+  times n reads 3 D delta + s delta <= 7n + slack_c * delta
+  + n (alpha1 + alpha2), and n (alpha1 + alpha2) sums ell(i) over the
+  2-clump layers 1 <= i <= D-1 next to a single.  Property (i) and the
+  (iii) pair rule keep every 3-clump layer away from the singles, so E is
+  that sum plus the nonnegative terms of layers 0 and D.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,34 +68,6 @@ class Window:
 
 
 @dataclass(frozen=True)
-class AggregateResult:
-    name: str
-    lhs: Fraction  # includes the slack term
-    rhs: Fraction
-
-    @property
-    def passes(self) -> bool:
-        return self.lhs >= self.rhs
-
-
-@dataclass
-class SieveReport:
-    windows: list[Window]
-    aggregates: list[AggregateResult]
-
-    @property
-    def passes(self) -> bool:
-        return all(w.passes for w in self.windows) and all(
-            a.passes for a in self.aggregates
-        )
-
-    def failures(self) -> list[Window | AggregateResult]:
-        return [w for w in self.windows if not w.passes] + [
-            a for a in self.aggregates if not a.passes
-        ]
-
-
-@dataclass(frozen=True)
 class GlobalStats:
     mu: Fraction
     alpha1: Fraction
@@ -83,6 +76,20 @@ class GlobalStats:
     psi: Fraction
     n: int
     delta: int
+
+
+@dataclass
+class SieveReport:
+    """The sieve verdict on one profile: its windows, its global
+    statistics and the GLOBAL_PROGRAM rows they meet (check_aggregates)."""
+
+    windows: list[Window]
+    stats: GlobalStats
+    rows: dict[str, bool]
+
+    @property
+    def passes(self) -> bool:
+        return all(w.passes for w in self.windows) and all(self.rows.values())
 
 
 def _require_canonical_patterns(profile: LayerProfile) -> None:
@@ -109,7 +116,8 @@ def singular_triplet_count(profile: LayerProfile) -> int:
 def window_inequalities(
     profile: LayerProfile, delta: int, slack_c: int = DEFAULT_SLACK
 ) -> SieveReport:
-    """Instantiate every applicable window inequality on the profile.
+    """Instantiate every applicable window inequality on the profile, and
+    check the GLOBAL_PROGRAM rows on its global statistics.
 
     One-layer windows run over 0 <= i <= D, two-layer over 0 <= i < D,
     three-layer over 1 <= i <= D-1; out-of-range layers weigh 0.  The
@@ -164,39 +172,8 @@ def window_inequalities(
         case = "".join("s" if flag else "m" for flag in pattern)
         windows.append(Window("three-layer", i, case, lhs, rhs))
 
-    aggregates = _aggregates(profile, delta, slack_c)
-    return SieveReport(windows=windows, aggregates=aggregates)
-
-
-def _aggregates(profile: LayerProfile, delta: int, slack_c: int) -> list[AggregateResult]:
-    """The two profile-wide bounds obtained by summing the windows."""
-    D = profile.diameter_index
-    n = profile.n
-    singles = profile.singles
-    ell = profile.ell_at
-    slack = Fraction(slack_c * delta)
-
-    pair_lhs = Fraction(4 * n) + slack
-    for i in range(D + 1):
-        if i in singles:
-            continue
-        for j in (i - 1, i + 1):
-            if 0 <= j <= D and j not in singles:
-                pair_lhs += Fraction(ell(i), 3)
-        if i + 1 in singles:
-            pair_lhs += Fraction(ell(i), 2)
-        if i - 1 in singles:
-            pair_lhs += Fraction(ell(i), 2)
-    pair = AggregateResult("pair-sum", pair_lhs, Fraction(2 * D * delta))
-
-    s = singular_triplet_count(profile)
-    triple_lhs = Fraction(7 * n) + slack
-    for i in range(D + 1):
-        if i not in singles and (i - 1 in singles or i + 1 in singles):
-            triple_lhs += Fraction(ell(i))
-    triple = AggregateResult("triple-sum", triple_lhs, Fraction(3 * delta * D + s * delta))
-
-    return [pair, triple]
+    stats = global_stats(profile, delta)
+    return SieveReport(windows, stats, check_aggregates(stats, slack_c))
 
 
 def global_stats(profile: LayerProfile, delta: int) -> GlobalStats:
@@ -236,35 +213,3 @@ def check_aggregates(
         name: sum(a * v for a, v in zip(coeffs, x)) <= rhs + eps
         for name, coeffs, rhs in GLOBAL_PROGRAM
     }
-
-
-def def_partition(
-    profile: LayerProfile,
-) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """Split the layer indices three ways: two-clump layers flanked by
-    singles on both sides, the layers adjacent to those, and the rest."""
-    D = profile.diameter_index
-    singles = profile.singles
-    flanked = frozenset(
-        i
-        for i in range(1, D)
-        if profile.count_at(i) == 2 and i - 1 in singles and i + 1 in singles
-    )
-    adjacent = frozenset(
-        itertools.chain.from_iterable((i - 1, i + 1) for i in flanked)
-    ) - flanked
-    rest = frozenset(range(D + 1)) - flanked - adjacent
-    return flanked, adjacent, rest
-
-
-def clamp_profile(profile: LayerProfile, delta: int) -> LayerProfile:
-    """Cap every layer weight at 3 * delta, the reduction that loses no
-    generality for the diameter bound."""
-    ell = tuple(min(w, 3 * delta) for w in profile.ell)
-    return LayerProfile(
-        ell=ell,
-        clump_counts=profile.clump_counts,
-        colors=profile.colors,
-        n=sum(ell),
-        diameter_index=profile.diameter_index,
-    )

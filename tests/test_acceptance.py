@@ -144,12 +144,12 @@ def test_7_sieve_suite(corpus_k3):
         for p in (1, 2, 3):
             prof = layer_profile(counterexample_graph(1, delta, p))
             report = window_inequalities(prof, delta, slack_c=12)
-            assert report.passes, report.failures()
+            assert report.passes, report
             assert all(check_aggregates(global_stats(prof, delta), 12).values())
     for graph, delta in corpus_k3:
         prof = layer_profile(graph)
         report = window_inequalities(prof, delta, slack_c=12)
-        assert report.passes, report.failures()
+        assert report.passes, report
         assert all(check_aggregates(global_stats(prof, delta), 12).values())
     limits = (
         Fraction(7, 13),

@@ -157,10 +157,25 @@ def test_sieve_command(tmp_path, capsys):
     path = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
     report = str(tmp_path / "report.json")
     assert main(["sieve", "--in", path, "--delta", "4", "--report", report]) == 0
-    out = capsys.readouterr().out
-    assert "windows 39/39 pass" in out
+    assert capsys.readouterr().out == (
+        "windows 39/39 pass\n"
+        "constraint mass pass\n"
+        "constraint psi pass\n"
+        "constraint pair pass\n"
+        "constraint triple pass\n"
+        "constraint partition pass\n"
+        "mu 1/2\n"
+        "alpha1 1/2\n"
+        "alpha2 0\n"
+        "psi 4/7\n"
+        "phi 13/7\n"
+    )
     payload = json.load(open(report))
-    assert all(w["pass"] for w in payload["windows"])
+    assert list(payload) == ["windows", "constraints"]
+    assert len(payload["windows"]) == 39 and all(w["pass"] for w in payload["windows"])
+    assert payload["constraints"] == dict.fromkeys(
+        ("mass", "psi", "pair", "triple", "partition"), True
+    )
 
 
 def test_lp_commands(tmp_path, capsys):
@@ -247,7 +262,9 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, args):
 def test_nonpositive_delta_or_dmax_exits_2(tmp_path, capsys, args):
     graph = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
     assert main([a.format(graph=graph) for a in args]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

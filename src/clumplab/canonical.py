@@ -236,17 +236,6 @@ def _fix_duplicate_weight(k: int, layers: Layers, i: int) -> str:
     return f"{note}recolor-duplicate({color}->{free})@{i}"
 
 
-def resolve_k1_violation(
-    graph: WeightedClumpGraph, i: int, delta: int
-) -> WeightedClumpGraph:
-    """Public single-step form of the property (iii) repair."""
-    layers = _to_layers(graph)
-    _resolve_k1(graph.k, layers, i)
-    out = _to_graph(graph.k, layers)
-    _audit(graph, out, delta)
-    return out
-
-
 def _audit(before: WeightedClumpGraph, after: WeightedClumpGraph, delta: int) -> None:
     if after.total_weight != before.total_weight:
         raise CanonicalizationError("rewrite changed the total weight")

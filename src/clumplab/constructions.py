@@ -180,9 +180,3 @@ def coefficient_gap(r: int, delta: int) -> Fraction:
         ((2 * r - 1) * delta + 2 * r - 3) * (2 * r * r - 1),
     )
 
-
-def coefficient_gap_direct(r: int, delta: int) -> Fraction:
-    """The same gap as the literal difference of the two coefficients."""
-    achieved = Fraction((6 * r - 5) * delta, (2 * r - 1) * delta + 2 * r - 3)
-    conjectured = Fraction(2 * (r - 1) * (3 * r + 2), 2 * r * r - 1)
-    return achieved - conjectured

@@ -1,10 +1,13 @@
 """Exact rational linear programming for the small dense programs that
 arise here: a two-phase simplex with Bland's rule, the five-variable
-global program and its dual-polytope sensitivity bound, the per-topology
+global program and the vertices of its dual polytope, the per-topology
 minimum-order program with a branch-and-bound integer refinement, and a
 pattern-sequence search for extremal layer profiles.
 
-Everything is fractions.Fraction; no floating point.
+Programs go in and solutions come out as fractions.Fraction.  Inside,
+the simplex tableau and the elimination behind the dual polytope are
+Python ints over one positive common denominator, updated by
+fraction-free (Bareiss) pivots.  There is no floating point.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from .canonical import is_canonical_pair
 from .core import WeightedClumpGraph, blow_up_diameter
@@ -44,23 +47,42 @@ class LPSolution:
     x: list[Fraction] | None
     y: list[Fraction] | None  # dual values per original row
 
-    def tight_rows(self, lp: RationalLP) -> list[int]:
-        assert self.x is not None
-        out = []
-        for i, (coeffs, _, rhs) in enumerate(lp.rows):
-            if sum(a * v for a, v in zip(coeffs, self.x)) == rhs:
-                out.append(i)
-        return out
+
+def _integer_row(values: list[Fraction]) -> tuple[list[int], int]:
+    """values times the lcm of their denominators, and that lcm."""
+    scale = 1
+    for v in values:
+        if v.denominator != 1:
+            scale = lcm(scale, v.denominator)
+    if scale == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
-    """Scale row r to a 1 in column c and clear column c from every other row."""
-    inv = Fraction(1) / rows[r][c]
-    rows[r] = pivot_row = [v * inv for v in rows[r]]
+def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """One fraction-free (Bareiss) pivot on rows[r][c]; returns the new
+    common denominator.
+
+    The true matrix is rows / d before and rows / p after, p the pivot:
+    row i becomes (row_i * p - row_i[c] * row_r) / d, which Sylvester's
+    identity makes an exact division, and row r stays.  A negative p
+    negates every row (folded into the pivot row here), so the
+    denominator stays positive.
+    """
+    pivot_row = rows[r]
+    p = pivot_row[c]
+    if p < 0:
+        rows[r] = pivot_row = [-a for a in pivot_row]
+        p = -p
     for i, row in enumerate(rows):
-        if i != r and row[c]:
-            f = row[c]
-            rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
+        elif p != d:
+            rows[i] = [a * p // d for a in row]
+    return p
 
 
 _SLACK = {"<=": 1, ">=": -1, "==": 0}  # slack coefficient per sense
@@ -69,15 +91,22 @@ _SLACK = {"<=": 1, ">=": -1, "==": 0}  # slack coefficient per sense
 def simplex_solve(lp: RationalLP) -> LPSolution:
     """Dense two-phase simplex, Bland's rule throughout.
 
-    The tableau's last row holds the reduced costs c_j - c_B B^-1 A_j of
-    the current phase, kept up to date by every pivot; the duals are read
-    off it.  At optimality the returned dual vector satisfies y . b =
-    value exactly (checked); infeasible and unbounded programs are
-    reported as statuses, not exceptions.
+    The tableau holds Python ints.  Each row is scaled by the lcm of its
+    own denominators, with its slack and artificial entries left at +-1,
+    so the starting basis is the identity; from then on the true tableau
+    is tab / d for one common denominator d > 0 (see _pivot).  Bland's
+    choices are those of the rational tableau, because scaling a row or a
+    column by a positive factor keeps every ratio order and every
+    reduced-cost sign.  Fractions appear only in the input and the result.
+
+    The last row holds the reduced costs c_j - c_B B^-1 A_j of the
+    current phase, scaled likewise and kept up to date by every pivot;
+    the duals are read off it.  At optimality the returned dual vector
+    satisfies y . b = value exactly (checked); infeasible and unbounded
+    programs are reported as statuses, not exceptions.
     """
     n = len(lp.c)
     m = len(lp.rows)
-    obj = [Fraction(c) if lp.maximize else -Fraction(c) for c in lp.c]
 
     # rows with a negative rhs are negated, which swaps <= and >=; then
     # every inequality gets a slack column (+1 or -1) and every row
@@ -95,51 +124,70 @@ def simplex_solve(lp: RationalLP) -> LPSolution:
         if slack[i] != 1:
             art_col[i] = ncols
             ncols += 1
-    tab: list[list[Fraction]] = []
+    tab: list[list[int]] = []
+    row_scale = []
     for i, (coeffs, _, b) in enumerate(lp.rows):
-        row = [row_sign[i] * a for a in coeffs] + [Fraction(0)] * (ncols - n)
-        row.append(row_sign[i] * b)
+        ints, scale = _integer_row([*coeffs, b])
+        if row_sign[i] < 0:
+            ints = [-a for a in ints]
+        row = ints[:n] + [0] * (ncols - n) + ints[n:]
         if slack[i]:
-            row[slack_col[i]] = Fraction(slack[i])
+            row[slack_col[i]] = slack[i]
         if art_col[i] >= 0:
-            row[art_col[i]] = Fraction(1)
+            row[art_col[i]] = 1
         tab.append(row)
-    tab.append([Fraction(0)] * (ncols + 1))  # reduced costs
+        row_scale.append(scale)
+    tab.append([0] * (ncols + 1))  # reduced costs
+    d = 1
     # the column that started as +e_i: the artificial when the row has one
     unit_col = [a if a >= 0 else s for a, s in zip(art_col, slack_col)]
     basis = list(unit_col)
     artificials = {c for c in art_col if c >= 0}
 
-    def price(costs: list[Fraction]) -> None:
-        z = costs + [Fraction(0)]
+    def price(costs: list[int]) -> None:
+        z = [d * cost for cost in costs] + [0]
         for i, b in enumerate(basis):
-            f = z[b]
+            f = costs[b]
             if f:
                 z = [a - f * t for a, t in zip(z, tab[i])]
         tab[m] = z
 
     def optimize(banned: set[int]) -> str:
+        nonlocal d
         while True:
             # Bland: the first improving column; basic columns price at 0
             z = tab[m]
             entering = next((j for j in range(ncols) if z[j] > 0 and j not in banned), -1)
             if entering < 0:
                 return "optimal"
-            leaving, best = -1, None
+            # the least ratio rhs / entry over positive entries, compared
+            # by cross-multiplication; ties go to the smallest basic column
+            leaving, best_rhs, best_entry = -1, 0, 1
             for i in range(m):
-                if tab[i][entering] > 0:
-                    ratio = tab[i][ncols] / tab[i][entering]
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leaving]
-                    ):
-                        leaving, best = i, ratio
+                entry = tab[i][entering]
+                if entry <= 0:
+                    continue
+                rhs = tab[i][ncols]
+                if leaving >= 0:
+                    lhs, other = rhs * best_entry, best_rhs * entry
+                    if lhs > other or (lhs == other and basis[i] > basis[leaving]):
+                        continue
+                leaving, best_rhs, best_entry = i, rhs, entry
             if leaving < 0:
                 return "unbounded"
-            _pivot(tab, leaving, entering)
+            d = _pivot(tab, leaving, entering, d)
             basis[leaving] = entering
 
     if artificials:
-        price([Fraction(-1) if j in artificials else Fraction(0) for j in range(ncols)])
+        # phase 1 minimizes the sum of the rational tableau's artificials;
+        # column i's artificial carries 1 / row_scale[i] of one, so its
+        # cost is scaled to an integer by the lcm of those scales
+        unit = lcm(*[row_scale[i] for i in range(m) if art_col[i] >= 0])
+        costs = [0] * ncols
+        for i in range(m):
+            if art_col[i] >= 0:
+                costs[art_col[i]] = -(unit // row_scale[i])
+        price(costs)
         optimize(set())
         # the phase-1 row's rhs is the total left on basic artificials
         if tab[m][ncols] != 0:
@@ -149,25 +197,30 @@ def simplex_solve(lp: RationalLP) -> LPSolution:
             if basis[i] in artificials:
                 for j in range(ncols):
                     if j not in artificials and tab[i][j] != 0:
-                        _pivot(tab, i, j)
+                        d = _pivot(tab, i, j, d)
                         basis[i] = j
                         break
 
-    price(obj + [Fraction(0)] * (ncols - n))
+    obj_sign = 1 if lp.maximize else -1
+    costs, obj_scale = _integer_row(lp.c)
+    price([obj_sign * cost for cost in costs] + [0] * (ncols - n))
     if optimize(artificials) == "unbounded":
         return LPSolution("unbounded", None, None, None)
 
     x = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = tab[i][ncols]
-    value = sum(o * v for o, v in zip(obj, x))
+            x[b] = Fraction(tab[i][ncols], d)
+    # the cost row's rhs is -c_B x_B times obj_scale * d
+    reported = Fraction(-obj_sign * tab[m][ncols], obj_scale * d)
 
-    # unit columns cost 0, so their reduced cost is -(c_B B^-1)_i
-    obj_sign = 1 if lp.maximize else -1
-    y = [-obj_sign * s * tab[m][col] for s, col in zip(row_sign, unit_col)]
+    # unit columns cost 0, so their reduced cost is -(c_B B^-1)_i, and
+    # column i's is row_scale[i] times smaller than the rational tableau's
+    y = [
+        Fraction(-obj_sign * s * scale * tab[m][col], obj_scale * d)
+        for s, scale, col in zip(row_sign, row_scale, unit_col)
+    ]
 
-    reported = value if lp.maximize else -value
     dual_value = sum(yi * row[2] for yi, row in zip(y, lp.rows))
     if dual_value != reported:
         raise ArithmeticError("strong duality violated")
@@ -187,16 +240,17 @@ def build_epsz_lp() -> RationalLP:
 
 
 def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination; None when singular."""
+    """Fraction-free Gauss-Jordan elimination; None when singular."""
     d = len(rhs)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    aug = [_integer_row([*row, rhs[i]])[0] for i, row in enumerate(matrix)]
+    den = 1
     for col in range(d):
         piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        _pivot(aug, col, col)
-    return [aug[r][d] for r in range(d)]
+        den = _pivot(aug, col, col, den)
+    return [Fraction(aug[r][d], den) for r in range(d)]
 
 
 def dual_polytope_vertices() -> list[tuple[Fraction, ...]]:
@@ -222,13 +276,6 @@ def dual_polytope_vertices() -> list[tuple[Fraction, ...]]:
         ):
             vertices.add(tuple(y))
     return sorted(vertices)
-
-
-def perturbation_bound(eps: Fraction) -> Fraction:
-    """How far the optimum of the global program can move when every
-    right-hand side shifts by at most eps: max L1 norm over the dual
-    polytope's vertices, times eps."""
-    return max(sum(abs(v) for v in vertex) for vertex in dual_polytope_vertices()) * eps
 
 
 # -- minimum order of a clump topology -----------------------------------
@@ -274,7 +321,7 @@ def _min_order_program(
     feasible_rows = True
     for key in keys:
         nbrs = [(c.layer, c.color) for c in topology.neighbors(*key)]
-        coeffs = [Fraction(0)] * len(variables)
+        coeffs = [0] * len(variables)
         for nb in nbrs:
             if nb in index:
                 coeffs[index[nb]] += 1

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from clumplab.canonical import canonicalize
 from clumplab.constructions import counterexample_graph, eppt_odd
 from clumplab.core import WeightedClumpGraph, min_weighted_degree
+from clumplab.lp import RationalLP
 
 
 def random_layered_graph(rng: random.Random, k: int = 3, max_depth: int = 12,
@@ -25,6 +27,23 @@ def random_layered_graph(rng: random.Random, k: int = 3, max_depth: int = 12,
     for _ in range(depth):
         layers.append(next_layer({c for c, _ in layers[-1]}))
     return WeightedClumpGraph(k, layers, rooted=rooted)
+
+
+def coefficient_gap_direct(r: int, delta: int) -> Fraction:
+    """constructions.coefficient_gap as the literal difference of the
+    achieved and the conjectured coefficient."""
+    achieved = Fraction((6 * r - 5) * delta, (2 * r - 1) * delta + 2 * r - 3)
+    conjectured = Fraction(2 * (r - 1) * (3 * r + 2), 2 * r * r - 1)
+    return achieved - conjectured
+
+
+def tight_rows(lp: RationalLP, x: list[Fraction]) -> list[int]:
+    """Indices of the rows of lp that x meets with equality."""
+    return [
+        i
+        for i, (coeffs, _, rhs) in enumerate(lp.rows)
+        if sum(a * v for a, v in zip(coeffs, x)) == rhs
+    ]
 
 
 def canonical_pair(graph: WeightedClumpGraph) -> tuple[WeightedClumpGraph, int]:

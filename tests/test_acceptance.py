@@ -13,7 +13,6 @@ from clumplab.canonical import canonicalize, check_canonical
 from clumplab.certify import bound_from_certificate, dual_certificate
 from clumplab.constructions import (
     coefficient_gap,
-    coefficient_gap_direct,
     coefficient_threshold,
     counterexample_graph,
     counterexample_order,
@@ -29,7 +28,7 @@ from clumplab.core import (
 from clumplab.lp import build_epsz_lp, extremal_search, simplex_solve
 from clumplab.sieve import check_aggregates, global_stats, window_inequalities
 
-from conftest import random_layered_graph
+from conftest import coefficient_gap_direct, random_layered_graph, tight_rows
 
 
 def test_1_counterexample_family():
@@ -135,7 +134,7 @@ def test_6_global_lp():
     ]
     for coeffs, _, rhs in lp.rows:
         assert sum(a * v for a, v in zip(coeffs, sol.x)) <= rhs
-    assert sol.tight_rows(lp) == [0, 2, 3, 4]
+    assert tight_rows(lp, sol.x) == [0, 2, 3, 4]
     assert time.monotonic() - start < 0.1
 
 

@@ -12,7 +12,6 @@ from clumplab.canonical import (
     canonicalize,
     check_canonical,
     is_canonical_pair,
-    resolve_k1_violation,
 )
 from clumplab.constructions import counterexample_graph, eppt_odd
 from clumplab.core import (
@@ -26,6 +25,15 @@ from clumplab.core import (
 )
 
 from conftest import random_layered_graph
+
+
+def resolve_k1_violation(graph: WeightedClumpGraph, i: int, delta: int) -> WeightedClumpGraph:
+    """One property (iii) repair at layer i, audited like a canonicalize step."""
+    layers = canonical._to_layers(graph)
+    canonical._resolve_k1(graph.k, layers, i)
+    out = canonical._to_graph(graph.k, layers)
+    canonical._audit(graph, out, delta)
+    return out
 
 
 def test_family_is_canonical():

@@ -4,7 +4,6 @@ import pytest
 
 from clumplab.constructions import (
     coefficient_gap,
-    coefficient_gap_direct,
     coefficient_threshold,
     counterexample_block,
     counterexample_graph,
@@ -18,6 +17,8 @@ from clumplab.core import (
     min_weighted_degree,
     weighted_degree,
 )
+
+from conftest import coefficient_gap_direct
 
 
 def test_block_small_even_remainder():

@@ -18,10 +18,11 @@ from clumplab.lp import (
     dual_polytope_vertices,
     extremal_search,
     min_order_lp,
-    perturbation_bound,
     simplex_solve,
 )
 from clumplab.sieve import GLOBAL_PROGRAM
+
+from conftest import tight_rows
 
 
 def test_single_variable():
@@ -80,7 +81,7 @@ def test_global_program_optimum():
         Fraction(17, 23),
         Fraction(6, 23),
     ]
-    assert sol.tight_rows(build_epsz_lp()) == [0, 2, 3, 4]
+    assert tight_rows(build_epsz_lp(), sol.x) == [0, 2, 3, 4]
     assert sum(a * b for a, (_, _, b) in zip(sol.y, GLOBAL_PROGRAM)) == Fraction(57, 23)
 
 
@@ -128,31 +129,60 @@ def _vertex_enumeration_optimum(lp: RationalLP) -> Fraction | None:
     return best
 
 
+def _improving_ray(lp: RationalLP) -> bool:
+    """Brute force: whether some r >= 0 with every row's lhs at r on its
+    side of 0 (a direction of the feasible region) has c . r > 0."""
+    n = len(lp.c)
+    cone = RationalLP(True, list(lp.c))
+    for coeffs, sense, _ in lp.rows:
+        cone.add_row(coeffs, sense, 0)
+    cone.add_row([1] * n, "<=", 1)
+    return _vertex_enumeration_optimum(cone) > 0
+
+
+def _random_rational(rng: random.Random, lo: int, hi: int) -> Fraction:
+    return Fraction(rng.randint(lo, hi), rng.choice([1, 1, 1, 2, 3, 4, 6]))
+
+
+def _random_program(rng: random.Random, n: int, rows: int, maximize: bool = True) -> RationalLP:
+    """Non-integer data, all three senses, negative right-hand sides, and
+    sometimes a multiple of row 0 as an equation, which can leave an
+    artificial basic at level 0 for phase 1 to drive out (often by a
+    negative pivot)."""
+    lp = RationalLP(maximize, [_random_rational(rng, -2, 5) for _ in range(n)])
+    for _ in range(rows):
+        lp.add_row(
+            [_random_rational(rng, -1, 4) for _ in range(n)],
+            rng.choice(["<=", "<=", ">=", "=="]),
+            _random_rational(rng, -3, 9),
+        )
+    if rng.random() < 0.2:
+        coeffs, _, rhs = lp.rows[0]
+        k = rng.choice([Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
+        lp.add_row([k * a for a in coeffs], "==", k * rhs)
+    return lp
+
+
 def test_simplex_matches_vertex_enumeration():
-    # mixed senses and negative right-hand sides exercise phase 1, row
-    # negation and artificial drive-out; the box keeps every program
-    # bounded, so no feasible vertex means infeasible
+    # the first 120 programs are boxed, so no feasible vertex means
+    # infeasible; the rest are not, and the ray oracle separates
+    # unbounded from optimal
     rng = random.Random(4)
     statuses = []
-    for _ in range(150):
+    for trial in range(240):
         n = rng.randint(2, 4)
-        lp = RationalLP(True, [Fraction(rng.randint(-2, 5)) for _ in range(n)])
-        for _ in range(rng.randint(1, 4)):
-            lp.add_row(
-                [Fraction(rng.randint(-1, 4)) for _ in range(n)],
-                rng.choice(["<=", "<=", ">=", "=="]),
-                Fraction(rng.randint(-3, 9)),
-            )
-        if rng.random() < 0.2:  # a redundant equation leaves an artificial basic
-            coeffs, _, rhs = lp.rows[0]
-            lp.add_row([2 * a for a in coeffs], "==", 2 * rhs)
-        for j in range(n):  # box to keep everything bounded
-            lp.add_row([1 if i == j else 0 for i in range(n)], "<=", 10)
+        lp = _random_program(rng, n, rng.randint(1, 4))
+        if trial < 120:
+            for j in range(n):
+                lp.add_row([1 if i == j else 0 for i in range(n)], "<=", 10)
         sol = simplex_solve(lp)
         statuses.append(sol.status)
         best = _vertex_enumeration_optimum(lp)
         if best is None:
             assert sol.status == "infeasible"
+            continue
+        if trial >= 120 and _improving_ray(lp):
+            assert sol.status == "unbounded"
             continue
         assert sol.status == "optimal"
         assert sol.value == best
@@ -161,8 +191,136 @@ def test_simplex_matches_vertex_enumeration():
             assert {"<=": 1, ">=": -1, "==": 0}[sense] * yi >= 0
         for j in range(n):
             assert sum(yi * row[0][j] for yi, row in zip(sol.y, lp.rows)) >= lp.c[j]
-    assert statuses.count("optimal") >= 50 and statuses.count("infeasible") >= 20
+    for status, least in (("optimal", 80), ("infeasible", 40), ("unbounded", 20)):
+        assert statuses.count(status) >= least, (status, statuses.count(status))
     assert _vertex_enumeration_optimum(build_epsz_lp()) == Fraction(57, 23)
+
+
+def _fraction_pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    inv = Fraction(1) / rows[r][c]
+    rows[r] = pivot_row = [v * inv for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            f = row[c]
+            rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+
+
+def _fraction_simplex(lp: RationalLP) -> tuple:
+    """The simplex on a Fraction tableau, as simplex_solve ran before its
+    tableau became integer: the same columns, Bland's rule and phases,
+    kept as the oracle for (status, value, x, y)."""
+    n = len(lp.c)
+    m = len(lp.rows)
+    obj = [Fraction(c) if lp.maximize else -Fraction(c) for c in lp.c]
+    row_sign = [-1 if b < 0 else 1 for _, _, b in lp.rows]
+    slack = [s * {"<=": 1, ">=": -1, "==": 0}[sense] for s, (_, sense, _) in zip(row_sign, lp.rows)]
+    slack_col = [-1] * m
+    art_col = [-1] * m
+    ncols = n
+    for i in range(m):
+        if slack[i]:
+            slack_col[i] = ncols
+            ncols += 1
+    for i in range(m):
+        if slack[i] != 1:
+            art_col[i] = ncols
+            ncols += 1
+    tab = []
+    for i, (coeffs, _, b) in enumerate(lp.rows):
+        row = [row_sign[i] * Fraction(a) for a in coeffs] + [Fraction(0)] * (ncols - n)
+        row.append(row_sign[i] * Fraction(b))
+        if slack[i]:
+            row[slack_col[i]] = Fraction(slack[i])
+        if art_col[i] >= 0:
+            row[art_col[i]] = Fraction(1)
+        tab.append(row)
+    tab.append([Fraction(0)] * (ncols + 1))
+    unit_col = [a if a >= 0 else s for a, s in zip(art_col, slack_col)]
+    basis = list(unit_col)
+    artificials = {c for c in art_col if c >= 0}
+
+    def price(costs):
+        z = costs + [Fraction(0)]
+        for i, b in enumerate(basis):
+            f = z[b]
+            if f:
+                z = [a - f * t for a, t in zip(z, tab[i])]
+        tab[m] = z
+
+    def optimize(banned):
+        while True:
+            z = tab[m]
+            entering = next((j for j in range(ncols) if z[j] > 0 and j not in banned), -1)
+            if entering < 0:
+                return "optimal"
+            leaving, best = -1, None
+            for i in range(m):
+                if tab[i][entering] > 0:
+                    ratio = tab[i][ncols] / tab[i][entering]
+                    if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leaving]
+                    ):
+                        leaving, best = i, ratio
+            if leaving < 0:
+                return "unbounded"
+            _fraction_pivot(tab, leaving, entering)
+            basis[leaving] = entering
+
+    if artificials:
+        price([Fraction(-1) if j in artificials else Fraction(0) for j in range(ncols)])
+        optimize(set())
+        if tab[m][ncols] != 0:
+            return ("infeasible", None, None, None)
+        for i in range(m):
+            if basis[i] in artificials:
+                for j in range(ncols):
+                    if j not in artificials and tab[i][j] != 0:
+                        _fraction_pivot(tab, i, j)
+                        basis[i] = j
+                        break
+    price(obj + [Fraction(0)] * (ncols - n))
+    if optimize(artificials) == "unbounded":
+        return ("unbounded", None, None, None)
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = tab[i][ncols]
+    value = sum(o * v for o, v in zip(obj, x))
+    obj_sign = 1 if lp.maximize else -1
+    y = [-obj_sign * s * tab[m][col] for s, col in zip(row_sign, unit_col)]
+    return ("optimal", value if lp.maximize else -value, x, y)
+
+
+def _same_as_fraction_tableau(lp: RationalLP) -> str:
+    sol = simplex_solve(lp)
+    assert (sol.status, sol.value, sol.x, sol.y) == _fraction_simplex(lp)
+    return sol.status
+
+
+def test_integer_tableau_matches_fraction_tableau():
+    rng = random.Random(8)
+    statuses = [
+        _same_as_fraction_tableau(
+            _random_program(rng, rng.randint(1, 5), rng.randint(1, 5), rng.random() < 0.5)
+        )
+        for _ in range(2000)
+    ]
+    for status in ("optimal", "infeasible", "unbounded"):
+        assert statuses.count(status) >= 200, (status, statuses.count(status))
+    _same_as_fraction_tableau(build_epsz_lp())
+
+
+@pytest.mark.parametrize("delta", [2, 5, 8])
+def test_integer_tableau_matches_fraction_tableau_on_min_order(delta):
+    solved = 0
+    for seq in _pattern_sequences(4):
+        try:
+            _, _, program = lp._min_order_program(lp._unit_topology(seq), delta)
+        except ValueError:
+            continue
+        assert _same_as_fraction_tableau(program) == "optimal"
+        solved += 1
+    assert solved > 0
 
 
 def test_dual_polytope_and_perturbation():
@@ -171,8 +329,10 @@ def test_dual_polytope_and_perturbation():
     assert min(
         sum(a * b for a, (_, _, b) in zip(v, GLOBAL_PROGRAM)) for v in vertices
     ) == Fraction(57, 23)
+    # a shift of at most eps in every rhs moves the optimum by at most
+    # eps times the largest L1 norm over the dual polytope's vertices
     eps = Fraction(1, 1000)
-    bound = perturbation_bound(eps)
+    bound = max(sum(abs(v) for v in vertex) for vertex in vertices) * eps
     rng = random.Random(11)
     for _ in range(12):
         lp = build_epsz_lp()
@@ -290,12 +450,27 @@ def _reference_search(delta, d_max, n_budget, outcomes):
     return frontier, best_phi, complete
 
 
+def _golden_search() -> dict:
+    path = Path(__file__).parents[1] / "bench" / "golden.json"
+    return json.loads(path.read_text())["search"]
+
+
+def _matches_golden(result, golden: dict) -> bool:
+    return (
+        {str(d): n for d, n in result.frontier.items()} == golden["frontier"]
+        and result.best_phi == Fraction(golden["best_phi"])
+        and result.complete == golden["complete"]
+    )
+
+
 def test_extremal_search_matches_reference():
     # depths are independent, so d_max = 3 covers every d_max <= 3, and
-    # d_max = 4 covers d_max = 3 at delta = 2, 3; each budget below 60
-    # drops some sequences, and 8 and 12 equal the frontier they reach
-    points = [(2, 4, 60), (3, 4, 60)]
-    points += [(delta, 3, 60) for delta in (1, 4, 5, 6, 7, 8)]
+    # a larger d_max covers the smaller ones at its delta; each budget
+    # below 60 drops some sequences, and 8 and 12 equal the frontier they
+    # reach; (2, 5) and (5, 4) are bench menu points, also held to golden
+    golden = _golden_search()
+    points = [(2, 5, 60), (3, 4, 60), (5, 4, 60)]
+    points += [(delta, 3, 60) for delta in (1, 4, 6, 7, 8)]
     points += [(2, 4, 5), (3, 3, 8), (5, 3, 12)]
     outcomes = {}
     for delta, d_max, n_budget in points:
@@ -303,19 +478,17 @@ def test_extremal_search_matches_reference():
         expected = _reference_search(delta, d_max, n_budget, outcomes)
         assert (result.frontier, result.best_phi, result.complete) == expected
         assert result.complete == (n_budget == 60)
+        key = f"{delta},{d_max}"
+        if n_budget == 60 and key in golden:
+            assert _matches_golden(result, golden[key])
 
 
 def test_extremal_search_prunes_by_lp_order(monkeypatch):
-    golden = json.loads(
-        (Path(__file__).parents[1] / "bench" / "golden.json").read_text()
-    )["search"]["5,4"]
     sequences = sum(len(_pattern_sequences(depth)) for depth in range(1, 5))
     calls = _count_calls(monkeypatch, "blow_up_diameter")
     result = extremal_search(5, 4, 60)
     assert 4 * calls[0] < sequences == 174
-    assert {str(d): n for d, n in result.frontier.items()} == golden["frontier"]
-    assert result.best_phi == Fraction(golden["best_phi"])
-    assert result.complete == golden["complete"]
+    assert _matches_golden(result, _golden_search()["5,4"])
 
 
 def _narrows_optional(test: ast.expr) -> bool:

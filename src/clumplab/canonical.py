@@ -8,6 +8,9 @@ A rooted k-colored clump graph is canonical when
   (iv)  a layer holding a clump of weight > 1 has
         c(i) + max(c(i-1), c(i+1)) >= k.
 
+Every graph is rooted, so "index >= 2" in (iii) always holds: layer 0 is
+one clump, and layer 1 avoids the root's color.
+
 canonicalize() repairs violations by color switches, clump moves and
 weight redistributions, none of which change the order, the layer count
 or the minimum weighted degree.  Every rewrite is logged and re-audited.
@@ -92,21 +95,17 @@ def is_canonical_pair(k: int, a: AbstractSet[int], b: AbstractSet[int]) -> bool:
 
 
 def _violations(k: int, layers: Layers) -> list[tuple[int, str]]:
+    """The (layer, property) violations of a rooted graph's layers; the
+    root weighs 1, so (iv) starts at layer 1."""
     D = len(layers) - 1
     out: list[tuple[int, str]] = []
     for i in range(D):
-        bad = pair_violations(k, layers[i].keys(), layers[i + 1].keys())
-        if i < 2 and len(layers[i]) == k and "iii" not in bad:
-            bad.append("iii")
-        for prop in bad:
+        for prop in pair_violations(k, layers[i].keys(), layers[i + 1].keys()):
             out.append((i, prop))
-    if len(layers[D]) == k and D < 2:
-        out.append((D, "iii"))
-    for i in range(D + 1):
+    for i in range(1, D + 1):
         if any(w > 1 for w in layers[i].values()):
-            prev = len(layers[i - 1]) if i > 0 else 0
             nxt = len(layers[i + 1]) if i < D else 0
-            if i == 0 or len(layers[i]) + max(prev, nxt) < k:
+            if len(layers[i]) + max(len(layers[i - 1]), nxt) < k:
                 out.append((i, "iv"))
     return out
 
@@ -212,24 +211,17 @@ def _fix_duplicate_weight(k: int, layers: Layers, i: int) -> str:
     """Property (iv) repair: carve a unit off a heavy clump of L_i into a
     clump of a color missing from all three surrounding layers."""
     D = len(layers) - 1
-    around = set(layers[i])
-    if i > 0:
-        around |= set(layers[i - 1])
-    if i < D:
-        around |= set(layers[i + 1])
+    left = set(layers[i - 1]) | set(layers[i])
+    after = set(layers[i + 1]) if i < D else set()
     note = ""
-    if len(around) == k:
-        left = set(layers[i - 1]) | set(layers[i]) if i > 0 else set(layers[i])
-        right = set(layers[i]) | (set(layers[i + 1]) if i < D else set())
+    if len(left | after) == k:
         x = min(c for c in range(k) if c not in left)
-        y = min(c for c in range(k) if c not in right)
+        y = min(c for c in range(k) if c not in set(layers[i]) | after)
         if x != y:
             _switch_colors(layers, x, y, i + 1)
             note = f"switch({x},{y})@{i + 1}..+"
-        around = set(layers[i]) | (set(layers[i - 1]) if i > 0 else set())
-        if i < D:
-            around |= set(layers[i + 1])
-    free = min(c for c in range(k) if c not in around)
+            after = set(layers[i + 1]) if i < D else set()
+    free = min(c for c in range(k) if c not in left | after)
     color = min(c for c, w in sorted(layers[i].items()) if w > 1)
     layers[i][color] -= 1
     layers[i][free] = 1

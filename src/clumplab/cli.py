@@ -40,6 +40,12 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _require_positive_delta(delta: int) -> None:
+    # called before a command prints or writes anything
+    if delta < 1:
+        raise ValueError(f"delta={delta} must be positive")
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.family == "counterexample":
         graph = constructions.counterexample_graph(args.s, args.delta, args.p)
@@ -47,14 +53,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         graph = constructions.eppt_odd(args.r, args.delta, args.diam)
     else:
         graph = constructions.eppt_even(args.r, args.delta, args.diam)
+    # blown up first, so an oversized blow-up writes neither file
+    edges = export_edge_list(blow_up(graph)) if args.export_edges else None
     _write_text(args.out, serialize.dump_clump_json(graph))
-    if args.export_edges:
-        _write_text(args.export_edges, export_edge_list(blow_up(graph)))
+    if edges is not None:
+        _write_text(args.export_edges, edges)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     graph = _read_graph(args.infile)
+    _require_positive_delta(args.delta)
     profile = layer_profile(graph)
     degree = min_weighted_degree(graph)
     report = canonical.check_canonical(graph)
@@ -70,6 +79,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_canonicalize(args: argparse.Namespace) -> int:
     graph = _read_graph(args.infile)
+    _require_positive_delta(args.delta)
     result, log = canonical.canonicalize(graph, args.delta)
     _write_text(args.out, serialize.dump_clump_json(result))
     if args.log:
@@ -91,9 +101,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         print(f"objective {serialize.format_rational(report.objective)}")
         print(f"worst-slack {serialize.format_rational(report.worst_slack)}")
         return 0 if report.feasible else 1
-    if args.delta is not None and args.delta < 1:
-        # checked before the certificate prints, so a bad --delta prints nothing
-        raise ValueError(f"delta={args.delta} must be positive")
+    if args.delta is not None:
+        _require_positive_delta(args.delta)
     cert = certify.dual_certificate(graph)
     print(f"feasible {'yes' if cert.feasible else 'no'}")
     print(f"u-tilde {serialize.format_rational(cert.u_tilde)}")

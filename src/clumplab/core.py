@@ -62,17 +62,16 @@ class WeightedClumpGraph:
 
     layers[i] holds the (color, weight) pairs of layer i in any order,
     the shape of the JSON wire format; each becomes a Clump of layer i.
+    Every graph is rooted: layer 0 is one weight-1 clump, and every later
+    clump has a differently colored clump one layer up.
     """
 
-    def __init__(
-        self, k: int, layers: Iterable[Iterable[tuple[int, int]]], rooted: bool = True
-    ):
+    def __init__(self, k: int, layers: Iterable[Iterable[tuple[int, int]]]):
         self.k = k
         self.layers = tuple(
             tuple(Clump(i, c, w) for c, w in sorted(layer, key=itemgetter(0)))
             for i, layer in enumerate(layers)
         )
-        self.rooted = rooted
         self._validate()
 
     # -- validation ------------------------------------------------------
@@ -96,12 +95,11 @@ class WeightedClumpGraph:
                 if c.weight < 1:
                     raise ClumpGraphError(f"layer {i}: weight {c.weight} < 1")
                 seen.add(c.color)
-        if self.rooted:
-            root_layer = self.layers[0]
-            if len(root_layer) != 1 or root_layer[0].weight != 1:
-                raise ClumpGraphError(
-                    "rooted graph needs a single weight-1 clump in layer 0"
-                )
+        root_layer = self.layers[0]
+        if len(root_layer) != 1 or root_layer[0].weight != 1:
+            raise ClumpGraphError(
+                "rooted graph needs a single weight-1 clump in layer 0"
+            )
         # every clump must be reachable from the previous layer
         for i in range(1, len(self.layers)):
             prev_colors = {c.color for c in self.layers[i - 1]}
@@ -150,10 +148,10 @@ class WeightedClumpGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedClumpGraph):
             return NotImplemented
-        return (self.k, self.layers, self.rooted) == (other.k, other.layers, other.rooted)
+        return (self.k, self.layers) == (other.k, other.layers)
 
     def __hash__(self) -> int:
-        return hash((self.k, self.layers, self.rooted))
+        return hash((self.k, self.layers))
 
     def __repr__(self) -> str:
         shape = [len(layer) for layer in self.layers]
@@ -220,12 +218,30 @@ class SimpleGraph:
         return len(self.adjacency[v])
 
 
+# blow_up peaks near 200 bytes of Python objects per edge (the edge
+# tuple, two adjacency-set entries and two sorted-list slots), so this
+# keeps one blow-up near 200 MB of memory
+MAX_BLOW_UP_EDGES = 1_000_000
+
+
+def blow_up_edge_count(graph: WeightedClumpGraph) -> int:
+    """Edge count of blow_up(graph) without building it: w_u * w_v summed
+    over adjacent clump pairs, each pair seen from both ends."""
+    return sum(c.weight * weighted_degree(graph, c.layer, c.color) for c in graph.clumps()) // 2
+
+
 def blow_up(graph: WeightedClumpGraph) -> SimpleGraph:
     """Expand every clump into `weight` independent copies.
 
     Vertex order is layer-major, then color, then copy index, so exports
-    are byte-for-byte reproducible.
+    are byte-for-byte reproducible.  ValueError, before any edge is built,
+    when the blow-up would have more than MAX_BLOW_UP_EDGES edges.
     """
+    m = blow_up_edge_count(graph)
+    if m > MAX_BLOW_UP_EDGES:
+        raise ValueError(
+            f"blow-up has {m} edges, above the limit of {MAX_BLOW_UP_EDGES}"
+        )
     index: dict[tuple[int, int], range] = {}
     next_id = 0
     for layer in graph.layers:
@@ -271,45 +287,25 @@ def diameter(graph: SimpleGraph) -> int:
     return best
 
 
-def _clump_bfs(graph: WeightedClumpGraph, source: tuple[int, int]) -> dict[tuple[int, int], int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        cur = queue.popleft()
-        for nbr in graph.neighbors(*cur):
-            key = (nbr.layer, nbr.color)
-            if key not in dist:
-                dist[key] = dist[cur] + 1
-                queue.append(key)
-    return dist
-
-
 def blow_up_diameter(graph: WeightedClumpGraph) -> int:
-    """Diameter of blow_up(graph) computed at clump level.
+    """Diameter of blow_up(graph), in closed form: max(D, 2) when some
+    clump weighs at least 2, else D.
 
-    Copies of one clump share their neighborhood, so the distance between
-    distinct blown-up vertices is the clump-graph distance when the clumps
-    differ and 2 when they coincide (weight >= 2).  Every clump of layer
-    j >= 1 has a neighbor in layer j - 1, so a clump of layer j walks back
-    to layer i in j - i steps, and one more step reaches any other clump
-    of layer i: dist <= j - i + 1.  Only pairs from layer 0 to layer D can
-    therefore exceed D, and those are at least D apart, so BFS from the
-    clumps of layer 0 decides the diameter exactly.  Cross-checked against
-    diameter(blow_up(...)) in the tests.
+    - The root's eccentricity is exactly D.  Every clump of layer
+      j >= 1 has a neighbor in layer j - 1, and no edge spans more than
+      one layer, so a clump of layer j is exactly j from the root.
+    - Two clumps in layers 1 <= i <= j are at most j - i + 1 <= D apart:
+      walk back from the layer-j clump to layer i in j - i steps; any
+      other clump of layer i carries another color and is one step on.
+    - Copies of one clump share their neighborhood, so copies of
+      distinct clumps are as far apart as the clumps, and two copies of
+      a heavy clump (weight >= 2, never the root) are 2 apart.
+
+    Validation makes every graph connected, so the blow-up always has a
+    diameter.  Cross-checked against diameter(blow_up(...)) in the tests.
     """
-    num_clumps = sum(len(layer) for layer in graph.layers)
-    if num_clumps == 1:
-        only = graph.layers[0][0]
-        if only.weight >= 2:
-            raise ValueError("two copies of an isolated clump are disconnected")
-        return 0
-    best = 2 if any(c.weight >= 2 for c in graph.clumps()) else 1
-    for c in graph.layers[0]:
-        dist = _clump_bfs(graph, (c.layer, c.color))
-        if len(dist) != num_clumps:
-            raise ValueError("clump graph is disconnected")
-        best = max(best, max(dist.values()))
-    return best
+    heavy = any(c.weight >= 2 for c in graph.clumps())
+    return max(graph.diameter_index, 2 if heavy else 0)
 
 
 def export_edge_list(graph: SimpleGraph) -> str:

@@ -4,10 +4,11 @@ global program and the vertices of its dual polytope, the per-topology
 minimum-order program with a branch-and-bound integer refinement, and a
 pattern-sequence search for extremal layer profiles.
 
-Programs go in and solutions come out as fractions.Fraction.  Inside,
-the simplex tableau and the elimination behind the dual polytope are
-Python ints over one positive common denominator, updated by
-fraction-free (Bareiss) pivots.  There is no floating point.
+Programs go in as ints and Fractions, stored as given; solutions come
+out as fractions.Fraction.  Inside, the simplex tableau and the
+elimination behind the dual polytope are Python ints over one positive
+common denominator, updated by fraction-free (Bareiss) pivots.  There
+is no floating point.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .canonical import is_canonical_pair
 from .core import WeightedClumpGraph, blow_up_diameter
 from .sieve import GLOBAL_PROGRAM
 
-Row = tuple[list[Fraction], str, Fraction]  # coefficients, sense, rhs
+Rational = int | Fraction
+Row = tuple[list[Rational], str, Rational]  # coefficients, sense, rhs
 
 
 @dataclass
@@ -29,15 +31,15 @@ class RationalLP:
     """maximize (or minimize) c.x subject to the rows, x >= 0."""
 
     maximize: bool
-    c: list[Fraction]
+    c: list[Rational]
     rows: list[Row] = field(default_factory=list)
 
-    def add_row(self, coeffs: list[int | Fraction], sense: str, rhs: int | Fraction) -> None:
+    def add_row(self, coeffs: list[Rational], sense: str, rhs: Rational) -> None:
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"unknown sense {sense!r}")
         if len(coeffs) != len(self.c):
             raise ValueError("coefficient count does not match variable count")
-        self.rows.append(([Fraction(a) for a in coeffs], sense, Fraction(rhs)))
+        self.rows.append((list(coeffs), sense, rhs))
 
 
 @dataclass
@@ -48,7 +50,7 @@ class LPSolution:
     y: list[Fraction] | None  # dual values per original row
 
 
-def _integer_row(values: list[Fraction]) -> tuple[list[int], int]:
+def _integer_row(values: list[Rational]) -> tuple[list[int], int]:
     """values times the lcm of their denominators, and that lcm."""
     scale = 1
     for v in values:
@@ -233,13 +235,13 @@ def simplex_solve(lp: RationalLP) -> LPSolution:
 def build_epsz_lp() -> RationalLP:
     """Maximize phi over (phi, mu, psi, alpha1, alpha2) subject to the
     rows of sieve.GLOBAL_PROGRAM."""
-    lp = RationalLP(maximize=True, c=[Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)])
+    lp = RationalLP(maximize=True, c=[1, 0, 0, 0, 0])
     for _, coeffs, rhs in GLOBAL_PROGRAM:
         lp.add_row(list(coeffs), "<=", rhs)
     return lp
 
 
-def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+def _solve_square(matrix: list[list[Rational]], rhs: list[Rational]) -> list[Fraction] | None:
     """Fraction-free Gauss-Jordan elimination; None when singular."""
     d = len(rhs)
     aug = [_integer_row([*row, rhs[i]])[0] for i, row in enumerate(matrix)]
@@ -261,9 +263,9 @@ def dual_polytope_vertices() -> list[tuple[Fraction, ...]]:
     # constraints as coeffs . y >= b
     cons = [([row[j] for row in matrix], cj) for j, cj in enumerate(program.c)]
     for i in range(d):
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        cons.append((e, Fraction(0)))
+        e = [0] * d
+        e[i] = 1
+        cons.append((e, 0))
     vertices: set[tuple[Fraction, ...]] = set()
     for combo in itertools.combinations(range(len(cons)), d):
         mat = [cons[i][0] for i in combo]
@@ -313,11 +315,10 @@ def _min_order_program(
     if delta < 1:
         raise ValueError(f"delta={delta} must be positive")
     keys = [(c.layer, c.color) for c in topology.clumps()]
-    root = keys[0] if topology.rooted else None
-    variables = [key for key in keys if key != root]
+    variables = keys[1:]  # keys[0] is the root, pinned to weight 1
     index = {key: j for j, key in enumerate(variables)}
 
-    lp = RationalLP(maximize=False, c=[Fraction(1)] * len(variables))
+    lp = RationalLP(maximize=False, c=[1] * len(variables))
     feasible_rows = True
     for key in keys:
         nbrs = [(c.layer, c.color) for c in topology.neighbors(*key)]
@@ -373,9 +374,9 @@ def _refine(topology: WeightedClumpGraph, delta: int, root: LPSolution) -> MinOr
                 best_x = list(s.x)
             return
         _, j = min(frac)
-        unit = [Fraction(1 if jj == j else 0) for jj in range(len(variables))]
+        unit = [1 if jj == j else 0 for jj in range(len(variables))]
         for sense, bound in (("<=", floor(s.x[j])), (">=", floor(s.x[j]) + 1)):
-            extra.append((list(unit), sense, Fraction(bound)))
+            extra.append((unit, sense, bound))
             probe = RationalLP(maximize=False, c=list(lp.c))
             probe.rows = list(lp.rows) + list(extra)
             branch(simplex_solve(probe))
@@ -432,10 +433,10 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
     dropped and marks the result incomplete.  Stage 2 walks the
     survivors in ascending LP value and refines each from its stage-1
     solution by branch and bound, so no LP is solved twice.  Topologies
-    whose optimal weighting realizes a diameter other than the depth are
-    skipped.  The walk stops at the first topology whose rounded-up LP
-    value reaches the order already found at this depth, and the result
-    is still exact:
+    of depth 1 whose optimal weighting has a weight >= 2 are skipped:
+    their blow-up diameter is 2, not the depth.  The walk stops at the
+    first topology whose rounded-up LP value reaches the order already
+    found at this depth, and the result is still exact:
 
     - any integer order is at least ceil(lp_value), so no topology from
       there on can lower the depth's order;

@@ -10,9 +10,9 @@ from clumplab.lp import RationalLP
 
 
 def random_layered_graph(rng: random.Random, k: int = 3, max_depth: int = 12,
-                         max_weight: int = 6, rooted: bool = True) -> WeightedClumpGraph:
-    """A random k-colorable layered weighted graph (not canonical).  A rooted
-    graph starts from one weight-1 clump, an unrooted one from a random layer."""
+                         max_weight: int = 6) -> WeightedClumpGraph:
+    """A random k-colorable layered weighted graph (not canonical), grown
+    from a weight-1 root."""
 
     def next_layer(prev: set[int]) -> list[tuple[int, int]]:
         while True:
@@ -23,10 +23,10 @@ def random_layered_graph(rng: random.Random, k: int = 3, max_depth: int = 12,
                 return [(c, rng.randint(1, max_weight)) for c in cols]
 
     depth = rng.randint(0, max_depth)
-    layers = [[(rng.randrange(k), 1)]] if rooted else [next_layer(set())]
+    layers = [[(rng.randrange(k), 1)]]
     for _ in range(depth):
         layers.append(next_layer({c for c, _ in layers[-1]}))
-    return WeightedClumpGraph(k, layers, rooted=rooted)
+    return WeightedClumpGraph(k, layers)
 
 
 def coefficient_gap_direct(r: int, delta: int) -> Fraction:

@@ -48,13 +48,10 @@ def test_heavy_clump_between_singles_fails_iv():
 
 
 def test_full_palette_too_early_fails_iii():
-    # a rooted graph cannot reach a full palette at layer 1, so use an
-    # unrooted fragment
-    g = WeightedClumpGraph(
-        3, [[(0, 1), (1, 1)], [(0, 1), (1, 1), (2, 1)], [(1, 2), (2, 2)]], rooted=False
-    )
-    report = check_canonical(g)
-    assert (1, "iii") in report.violations
+    # (iii) puts a full palette at index >= 2; layer 1 must avoid the
+    # root's color, so a full palette there is not a graph at all
+    with pytest.raises(ClumpGraphError):
+        WeightedClumpGraph(3, [[(0, 1)], [(0, 1), (1, 1), (2, 1)], [(1, 2), (2, 2)]])
 
 
 def _empty_last_layer(layers):
@@ -194,12 +191,20 @@ def test_canonicalize_random_instances_small():
         assert len(log2) == 0 and again == out
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_canonicalize_preserves_blow_up_size(seed):
+    """canonicalize at the default delta, the minimum degree, keeps n, D
+    and delta, yields a canonical graph, and is idempotent."""
     g = random_layered_graph(random.Random(seed), max_depth=8)
+    delta = min_weighted_degree(g)
     out, _ = canonicalize(g)
     assert blow_up(out).n == blow_up(g).n
+    assert out.diameter_index == g.diameter_index
+    assert min_weighted_degree(out) >= delta
+    assert check_canonical(out).passes
+    again, log = canonicalize(out)
+    assert len(log) == 0 and again == out
 
 
 def test_canonicalize_rejects_degree_misdeclaration():

@@ -37,7 +37,6 @@ def test_full_layer_split_weights():
             [(1, 2), (2, 2)],
             [(0, 2)],
         ],
-        rooted=True,
     )
     cert = dual_certificate(g)
     assert cert.u[(2, 0)] == Fraction(1, 5)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import clumplab
+from clumplab import core
 from clumplab.cli import main
 from clumplab.constructions import counterexample_graph, eppt_odd
 from clumplab.serialize import (
@@ -89,6 +90,20 @@ def test_generate_edge_export(tmp_path):
     assert header.split()[0] == "15"
 
 
+def test_oversized_edge_export_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(core, "MAX_BLOW_UP_EDGES", 10)
+    out, edges = tmp_path / "g.json", tmp_path / "g.edges"
+    args = [
+        "generate", "counterexample", "--s", "1", "--delta", "4", "--p", "1",
+        "--out", str(out), "--export-edges", str(edges),
+    ]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: blow-up has 34 edges, above the limit of 10\n"
+    )
+    assert not out.exists() and not edges.exists()
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     path = _write_graph(tmp_path, counterexample_graph(1, 4, 1))
     assert main(["verify", "--in", path, "--delta", "4"]) == 0
@@ -111,9 +126,9 @@ def test_canonicalize_command(tmp_path):
     assert code == 0
     from clumplab.canonical import check_canonical
 
-    result = parse_clump_json(open(out_path).read())
+    result = parse_clump_json(Path(out_path).read_text())
     assert check_canonical(result).passes
-    assert json.load(open(log_path))
+    assert json.loads(Path(log_path).read_text())
 
 
 def test_certify_command(tmp_path, capsys):
@@ -170,7 +185,7 @@ def test_sieve_command(tmp_path, capsys):
         "psi 4/7\n"
         "phi 13/7\n"
     )
-    payload = json.load(open(report))
+    payload = json.loads(Path(report).read_text())
     assert list(payload) == ["windows", "constraints"]
     assert len(payload["windows"]) == 39 and all(w["pass"] for w in payload["windows"])
     assert payload["constraints"] == dict.fromkeys(
@@ -213,7 +228,7 @@ def test_suite_command(tmp_path, capsys):
         "--p-values", "1,2", "--csv", csv_path,
     ])
     assert code == 0
-    rows = open(csv_path).read().splitlines()
+    rows = Path(csv_path).read_text().splitlines()
     assert rows[0].startswith("instance,")
     assert len(rows) == 5  # header + 2 deltas x 2 p values
     assert all(row.endswith("pass") for row in rows[1:])
@@ -258,13 +273,17 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, args):
     ["certify", "--in", "{graph}", "--delta", "0"],
     ["search", "--delta", "0", "--dmax", "2"],
     ["search", "--delta", "2", "--dmax", "0"],
+    ["verify", "--in", "{graph}", "--delta", "0"],
+    ["canonicalize", "--in", "{graph}", "--delta", "-3",
+     "--out", "{tmp}/canon.json", "--log", "{tmp}/log.json"],
 ])
 def test_nonpositive_delta_or_dmax_exits_2(tmp_path, capsys, args):
     graph = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
-    assert main([a.format(graph=graph) for a in args]) == 2
+    assert main([a.format(graph=graph, tmp=tmp_path) for a in args]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

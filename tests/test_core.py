@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clumplab import core
 from clumplab.constructions import counterexample_block, counterexample_graph
 from clumplab.core import (
     ClumpGraphError,
@@ -11,6 +12,7 @@ from clumplab.core import (
     WeightedClumpGraph,
     blow_up,
     blow_up_diameter,
+    blow_up_edge_count,
     diameter,
     export_edge_list,
     layer_profile,
@@ -45,7 +47,8 @@ def test_color_out_of_range_rejected():
 def test_rooted_needs_unit_root():
     with pytest.raises(ClumpGraphError):
         WeightedClumpGraph(3, [[(0, 2)]])
-    WeightedClumpGraph(3, [[(0, 2)]], rooted=False)
+    with pytest.raises(ClumpGraphError):
+        WeightedClumpGraph(3, [[(0, 1), (1, 1)], [(2, 1)]])
 
 
 def test_layers_take_pairs_in_any_order():
@@ -144,28 +147,31 @@ def test_export_edge_list_header():
     assert lines[1:] == ["0 1", "1 2"]
 
 
-@pytest.mark.parametrize("rooted", [True, False], ids=["rooted", "unrooted"])
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5], ids="{}-rooted".format)
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9))
-def test_random_graph_invariants(k, rooted, seed):
-    g = random_layered_graph(random.Random(seed), k=k, max_depth=6, max_weight=4,
-                             rooted=rooted)
+def test_random_graph_invariants(k, seed):
+    g = random_layered_graph(random.Random(seed), k=k, max_depth=6, max_weight=4)
     prof = layer_profile(g)
     s = blow_up(g)
     assert sum(prof.ell) == prof.n == s.n
+    assert blow_up_edge_count(g) == s.m
     v = 0
     for c in g.clumps():
         for _ in range(c.weight):
             assert s.degree(v) == weighted_degree(g, c.layer, c.color)
             v += 1
-    try:
-        expected = diameter(s)
-    except ValueError:  # one clump of weight >= 2: isolated copies
-        with pytest.raises(ValueError):
-            blow_up_diameter(g)
-    else:
-        assert blow_up_diameter(g) == expected
+    assert blow_up_diameter(g) == diameter(s)
+
+
+def test_blow_up_over_the_edge_limit_raises(monkeypatch):
+    g = counterexample_graph(1, 4, 1)
+    m = blow_up(g).m
+    monkeypatch.setattr(core, "MAX_BLOW_UP_EDGES", m)
+    assert blow_up(g).m == m
+    monkeypatch.setattr(core, "MAX_BLOW_UP_EDGES", m - 1)
+    with pytest.raises(ValueError, match=f"blow-up has {m} edges"):
+        blow_up(g)
 
 
 def test_min_weighted_degree_matches_scan():

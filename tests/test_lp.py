@@ -345,14 +345,8 @@ def test_dual_polytope_and_perturbation():
         assert abs(sol.value - Fraction(57, 23)) <= bound
 
 
-def test_min_order_two_clumps():
-    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)]], rooted=False)
-    result = min_order_lp(g, 3)
-    assert result.lp_value == 6 and result.int_value == 6
-
-
 def test_min_order_path_of_three():
-    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]], rooted=False)
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]])
     result = min_order_lp(g, 2)
     assert result.int_value == 4
     assert result.weights is not None
@@ -372,8 +366,18 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
     return calls
 
 
+def test_min_order_two_clumps(monkeypatch):
+    # the two middle clumps split a fractional optimum, so branch and
+    # bound solves at least one program past the relaxation
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1), (2, 1)], [(0, 1)]])
+    calls = _count_calls(monkeypatch, "simplex_solve")
+    result = min_order_lp(g, 5)
+    assert result.lp_value == Fraction(15, 2) and result.int_value == 8
+    assert calls[0] >= 2
+
+
 def test_min_order_integral_root_is_solved_once(monkeypatch):
-    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]], rooted=False)
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]])
     _, root = lp._relax(g, 2)
     assert all(v.denominator == 1 for v in root.x)
     calls = _count_calls(monkeypatch, "simplex_solve")

@@ -79,9 +79,7 @@ def test_aggregates_pass_with_default_slack(corpus_k3):
 
 
 def test_noncanonical_profile_rejected():
-    g = WeightedClumpGraph(
-        3, [[(0, 1)], [(1, 1), (2, 1)], [(1, 1), (2, 1)]], rooted=True
-    )
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1), (2, 1)], [(1, 1), (2, 1)]])
     # the (2, 2) pair shares both colors, which no canonical graph produces
     with pytest.raises(ValueError):
         window_inequalities(layer_profile(g), 2)

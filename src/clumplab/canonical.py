@@ -237,17 +237,13 @@ def _audit(before: WeightedClumpGraph, after: WeightedClumpGraph, delta: int) ->
         raise CanonicalizationError("rewrite dropped the minimum weighted degree")
 
 
-def canonicalize(
-    graph: WeightedClumpGraph, delta: int | None = None
-) -> tuple[WeightedClumpGraph, TransformLog]:
+def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGraph, TransformLog]:
     """Rewrite a rooted clump graph into canonical form.
 
-    delta defaults to the graph's minimum weighted degree.  Rewrites are
-    applied in property order (ii), (iii), (iv), restarting after each
-    one; every step is audited to preserve n, D and min degree >= delta.
+    Rewrites are applied in property order (ii), (iii), (iv), restarting
+    after each one; every step is audited to preserve n, D and min
+    degree >= delta.
     """
-    if delta is None:
-        delta = min_weighted_degree(graph)
     if min_weighted_degree(graph) < delta:
         raise CanonicalizationError(f"input min weighted degree below delta={delta}")
     k = graph.k
@@ -286,19 +282,16 @@ def canonicalize(
 # -- relayering a plain graph -------------------------------------------
 
 
-def bfs_relayer(
-    graph: SimpleGraph, coloring: list[int], k: int | None = None
-) -> WeightedClumpGraph:
-    """Layer a colored graph by BFS from a vertex of maximum eccentricity
-    and collapse each (layer, color) class into one clump."""
+def bfs_relayer(graph: SimpleGraph, coloring: list[int], k: int) -> WeightedClumpGraph:
+    """Layer a graph colored from a palette of k colors by BFS from a
+    vertex of maximum eccentricity and collapse each (layer, color) class
+    into one clump."""
     if len(coloring) != graph.n:
         raise ValueError("coloring length does not match vertex count")
     for u in range(graph.n):
         for v in graph.adjacency[u]:
             if coloring[u] == coloring[v]:
                 raise ValueError(f"edge ({u}, {v}) joins same-colored vertices")
-    if k is None:
-        k = max(coloring) + 1
     best_root, best_ecc = 0, -1
     all_dist: list[int] = []
     for u in range(graph.n):

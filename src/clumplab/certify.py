@@ -31,7 +31,6 @@ class DualCertificate:
     layer_totals: list[Fraction]
     u_tilde: Fraction
     feasible: bool
-    k: int
 
     @property
     def objective(self) -> Fraction:
@@ -75,9 +74,7 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
                 u[(i, c.color)] = heavy if c.color in x_colors else light
         totals.append(sum(u[(i, c.color)] for c in layer))
     feasible = verify_packing(graph, u).feasible
-    return DualCertificate(
-        u=u, layer_totals=totals, u_tilde=layer_total, feasible=feasible, k=k
-    )
+    return DualCertificate(u=u, layer_totals=totals, u_tilde=layer_total, feasible=feasible)
 
 
 def verify_packing(graph: WeightedClumpGraph, u: dict[ClumpKey, Fraction]) -> PackingReport:

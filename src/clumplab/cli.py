@@ -46,6 +46,12 @@ def _require_positive_delta(delta: int) -> None:
         raise ValueError(f"delta={delta} must be positive")
 
 
+def _require_nonnegative(name: str, value: int) -> None:
+    # suite runs the sieve only at k = 3, so its options are checked up front
+    if value < 0:
+        raise ValueError(f"{name}={value} must be nonnegative")
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.family == "counterexample":
         graph = constructions.counterexample_graph(args.s, args.delta, args.p)
@@ -92,7 +98,11 @@ def _cmd_canonicalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    if args.weights and args.dump:
+        raise ValueError("--dump writes a built certificate, so it cannot go with --weights")
     graph = _read_graph(args.infile)
+    if args.delta is not None:
+        _require_positive_delta(args.delta)
     if args.weights:
         with open(args.weights, "rb") as fh:
             u = serialize.parse_dual_weights(fh.read())
@@ -101,8 +111,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         print(f"objective {serialize.format_rational(report.objective)}")
         print(f"worst-slack {serialize.format_rational(report.worst_slack)}")
         return 0 if report.feasible else 1
-    if args.delta is not None:
-        _require_positive_delta(args.delta)
     cert = certify.dual_certificate(graph)
     print(f"feasible {'yes' if cert.feasible else 'no'}")
     print(f"u-tilde {serialize.format_rational(cert.u_tilde)}")
@@ -118,6 +126,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_sieve(args: argparse.Namespace) -> int:
     graph = _read_graph(args.infile)
+    if graph.k != 3:
+        raise ValueError(f"the sieve needs a 3-colored graph, got k={graph.k}")
     report = sieve.window_inequalities(layer_profile(graph), args.delta, args.slack)
     stats = report.stats
     windows_pass = sum(1 for w in report.windows if w.passes)
@@ -225,6 +235,8 @@ def _suite_rows(args: argparse.Namespace) -> tuple[list[dict[str, str]], bool]:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    _require_nonnegative("slack", args.slack)
+    _require_nonnegative("delta_span", args.delta_span)
     rows, all_ok = _suite_rows(args)
     fieldnames = [
         "instance",

@@ -107,6 +107,8 @@ def eppt_odd(r: int, delta: int, diam: int) -> WeightedClumpGraph:
     For r = 1 the next-to-last layer also gets weight delta; without that
     boundary fix the last layer's degree would fall below delta.
     """
+    if delta < 1:
+        raise ValueError(f"delta={delta} must be positive")
     if r < 1:
         raise ValueError(f"r={r} must be at least 1")
     if delta % (3 * r - 1) != 0:
@@ -136,6 +138,8 @@ def eppt_even(r: int, delta: int, diam: int) -> WeightedClumpGraph:
     (minimum weighted degree is 9*delta/8 at r = 2, not delta), so the
     generator is reported on, never asserted tight.
     """
+    if delta < 1:
+        raise ValueError(f"delta={delta} must be positive")
     if r < 2:
         raise ValueError(f"r={r} must be at least 2")
     divisor = (r - 1) * (3 * r + 2)

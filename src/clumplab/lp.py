@@ -1,14 +1,13 @@
 """Exact rational linear programming for the small dense programs that
 arise here: a two-phase simplex with Bland's rule, the five-variable
-global program and the vertices of its dual polytope, the per-topology
-minimum-order program with a branch-and-bound integer refinement, and a
-pattern-sequence search for extremal layer profiles.
+global program, the per-topology minimum-order program with a
+branch-and-bound integer refinement, and a pattern-sequence search for
+extremal layer profiles.
 
 Programs go in as ints and Fractions, stored as given; solutions come
-out as fractions.Fraction.  Inside, the simplex tableau and the
-elimination behind the dual polytope are Python ints over one positive
-common denominator, updated by fraction-free (Bareiss) pivots.  There
-is no floating point.
+out as fractions.Fraction.  Inside, the simplex tableau is Python ints
+over one positive common denominator, updated by fraction-free
+(Bareiss) pivots.  There is no floating point.
 """
 
 from __future__ import annotations
@@ -241,45 +240,6 @@ def build_epsz_lp() -> RationalLP:
     return lp
 
 
-def _solve_square(matrix: list[list[Rational]], rhs: list[Rational]) -> list[Fraction] | None:
-    """Fraction-free Gauss-Jordan elimination; None when singular."""
-    d = len(rhs)
-    aug = [_integer_row([*row, rhs[i]])[0] for i, row in enumerate(matrix)]
-    den = 1
-    for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        den = _pivot(aug, col, col, den)
-    return [Fraction(aug[r][d], den) for r in range(d)]
-
-
-def dual_polytope_vertices() -> list[tuple[Fraction, ...]]:
-    """Vertices of {y >= 0 : y A >= c}, the dual of build_epsz_lp()."""
-    program = build_epsz_lp()
-    matrix = [coeffs for coeffs, _, _ in program.rows]
-    d = len(matrix)
-    # constraints as coeffs . y >= b
-    cons = [([row[j] for row in matrix], cj) for j, cj in enumerate(program.c)]
-    for i in range(d):
-        e = [0] * d
-        e[i] = 1
-        cons.append((e, 0))
-    vertices: set[tuple[Fraction, ...]] = set()
-    for combo in itertools.combinations(range(len(cons)), d):
-        mat = [cons[i][0] for i in combo]
-        rhs = [cons[i][1] for i in combo]
-        y = _solve_square(mat, rhs)
-        if y is None:
-            continue
-        if all(v >= 0 for v in y) and all(
-            sum(a * v for a, v in zip(coeffs, y)) >= b for coeffs, b in cons
-        ):
-            vertices.add(tuple(y))
-    return sorted(vertices)
-
-
 # -- minimum order of a clump topology -----------------------------------
 
 
@@ -447,6 +407,8 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
         raise ValueError(f"delta={delta} must be positive")
     if d_max < 1:
         raise ValueError(f"d_max={d_max} must be positive")
+    if n_budget < 1:
+        raise ValueError(f"n_budget={n_budget} must be positive")
     frontier: dict[int, int] = {}
     best_phi = Fraction(0)
     complete = True

@@ -125,6 +125,8 @@ def window_inequalities(
     """
     if delta < 1:
         raise ValueError(f"delta={delta} must be positive")
+    if slack_c < 0:
+        raise ValueError(f"slack_c={slack_c} must be nonnegative")
     _require_canonical_patterns(profile)
     D = profile.diameter_index
     singles = profile.singles
@@ -206,7 +208,11 @@ def global_stats(profile: LayerProfile, delta: int) -> GlobalStats:
 def check_aggregates(
     stats: GlobalStats, slack_c: int = DEFAULT_SLACK
 ) -> dict[str, bool]:
-    """The rows of GLOBAL_PROGRAM, each allowed slack_c * delta / n."""
+    """The rows of GLOBAL_PROGRAM, each allowed slack_c * delta / n.  A
+    negative slack_c is refused: the pair-sum bound follows from the
+    two-layer windows only for slack_c >= 0 (module docstring)."""
+    if slack_c < 0:
+        raise ValueError(f"slack_c={slack_c} must be nonnegative")
     eps = Fraction(slack_c * stats.delta, stats.n)
     x = (stats.phi, stats.mu, stats.psi, stats.alpha1, stats.alpha2)
     return {

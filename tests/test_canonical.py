@@ -194,16 +194,16 @@ def test_canonicalize_random_instances_small():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_canonicalize_preserves_blow_up_size(seed):
-    """canonicalize at the default delta, the minimum degree, keeps n, D
-    and delta, yields a canonical graph, and is idempotent."""
+    """canonicalize at delta the minimum degree keeps n, D and delta,
+    yields a canonical graph, and is idempotent."""
     g = random_layered_graph(random.Random(seed), max_depth=8)
     delta = min_weighted_degree(g)
-    out, _ = canonicalize(g)
+    out, _ = canonicalize(g, delta)
     assert blow_up(out).n == blow_up(g).n
     assert out.diameter_index == g.diameter_index
     assert min_weighted_degree(out) >= delta
     assert check_canonical(out).passes
-    again, log = canonicalize(out)
+    again, log = canonicalize(out, delta)
     assert len(log) == 0 and again == out
 
 

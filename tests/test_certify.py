@@ -115,7 +115,6 @@ def test_bound_requires_feasibility():
         layer_totals=cert.layer_totals,
         u_tilde=cert.u_tilde,
         feasible=False,
-        k=cert.k,
     )
     with pytest.raises(ValueError):
         bound_from_certificate(broken, 15, 4)

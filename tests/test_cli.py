@@ -1,11 +1,13 @@
 import ast
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
 import clumplab
 from clumplab import core
+from clumplab.certify import dual_certificate
 from clumplab.cli import main
 from clumplab.constructions import counterexample_graph, eppt_odd
 from clumplab.serialize import (
@@ -276,14 +278,80 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, args):
     ["verify", "--in", "{graph}", "--delta", "0"],
     ["canonicalize", "--in", "{graph}", "--delta", "-3",
      "--out", "{tmp}/canon.json", "--log", "{tmp}/log.json"],
+    *(
+        ["generate", family, "--r", "2", "--delta", delta, "--diam", "4",
+         "--out", "{tmp}/e.json"]
+        for family in ("eppt-odd", "eppt-even")
+        for delta in ("0", "-1")
+    ),
 ])
 def test_nonpositive_delta_or_dmax_exits_2(tmp_path, capsys, args):
     graph = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
     assert main([a.format(graph=graph, tmp=tmp_path) for a in args]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
+    bad = "d_max" if args[-2:] == ["--dmax", "0"] else "delta"
+    assert captured.err.startswith(f"error: {bad}=")
+    assert captured.err.endswith(" must be positive\n")
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+
+@pytest.mark.parametrize("args", [
+    ["search", "--delta", "2", "--dmax", "2", "--budget", "0"],
+    ["sieve", "--in", "{graph}", "--delta", "4", "--slack", "-1",
+     "--report", "{tmp}/report.json"],
+    ["suite", "--s-values", "1", "--delta-span", "1", "--p-values", "1",
+     "--slack", "-1", "--csv", "{tmp}/suite.csv"],
+    # k = 5, where the suite never runs the sieve
+    ["suite", "--s-values", "2", "--delta-span", "0", "--p-values", "1",
+     "--slack", "-1", "--csv", "{tmp}/suite.csv"],
+    ["suite", "--s-values", "1", "--delta-span", "-1", "--csv", "{tmp}/suite.csv"],
+    ["certify", "--in", "{graph}", "--weights", "{weights}", "--delta", "0"],
+    ["certify", "--in", "{graph}", "--weights", "{weights}", "--dump", "{tmp}/u.json"],
+])
+def test_rejected_option_exits_2_and_writes_nothing(tmp_path, capsys, args):
+    graph_obj = counterexample_graph(1, 4, 2)
+    graph = _write_graph(tmp_path, graph_obj)
+    weights = tmp_path / "w.json"
+    weights.write_text(dual_weights_to_json(dual_certificate(graph_obj).u))
+    argv = [a.format(graph=graph, weights=weights, tmp=tmp_path) for a in args]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "w.json"]
+
+
+@pytest.mark.parametrize("family", [
+    ["counterexample", "--s", "2", "--delta", "5", "--p", "1"],  # k = 5
+    ["eppt-odd", "--r", "2", "--delta", "5", "--diam", "4"],  # k = 4
+])
+def test_sieve_rejects_graph_not_3_colored(tmp_path, capsys, family):
+    path = str(tmp_path / "g.json")
+    assert main(["generate", *family, "--out", path]) == 0
+    k = parse_clump_json(Path(path).read_text()).k
+    report = tmp_path / "report.json"
+    assert main(["sieve", "--in", path, "--delta", "4", "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the sieve needs a 3-colored graph, got k={k}\n"
+    assert captured.out == ""
+    assert not report.exists()
+
+
+def _readme_cli_lines() -> list[str]:
+    """The clumplab commands of the fenced sh block under ## CLI."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("clumplab ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

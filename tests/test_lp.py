@@ -15,7 +15,6 @@ from clumplab.lp import (
     RationalLP,
     _pattern_sequences,
     build_epsz_lp,
-    dual_polytope_vertices,
     extremal_search,
     min_order_lp,
     simplex_solve,
@@ -89,10 +88,9 @@ def _satisfies(lhs: Fraction, sense: str, rhs: Fraction) -> bool:
     return {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[sense]
 
 
-def _vertex_enumeration_optimum(lp: RationalLP) -> Fraction | None:
-    """Brute-force oracle: maximum of the objective over all vertices of
-    {x >= 0, rows}, assuming the optimum is attained at a vertex; None
-    when no vertex is feasible."""
+def _vertices(lp: RationalLP) -> set[tuple[Fraction, ...]]:
+    """Brute-force oracle: every vertex of {x >= 0, rows}, each the
+    solution of n of the constraints taken as equations."""
     n = len(lp.c)
     cons = [(list(coeffs), rhs) for coeffs, _, rhs in lp.rows]
     for j in range(n):
@@ -113,20 +111,23 @@ def _vertex_enumeration_optimum(lp: RationalLP) -> Fraction | None:
                     mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
         return [mat[r][n] for r in range(n)]
 
-    best = None
+    vertices = set()
     for combo in itertools.combinations(cons, n):
         x = solve(list(combo))
         if x is None or any(v < 0 for v in x):
             continue
-        if not all(
+        if all(
             _satisfies(sum(a * v for a, v in zip(coeffs, x)), sense, rhs)
             for coeffs, sense, rhs in lp.rows
         ):
-            continue
-        value = sum(c * v for c, v in zip(lp.c, x))
-        if best is None or value > best:
-            best = value
-    return best
+            vertices.add(tuple(x))
+    return vertices
+
+
+def _vertex_enumeration_optimum(lp: RationalLP) -> Fraction | None:
+    """Maximum of the objective over _vertices(lp), assuming the optimum
+    is attained at a vertex; None when no vertex is feasible."""
+    return max((sum(c * v for c, v in zip(lp.c, x)) for x in _vertices(lp)), default=None)
 
 
 def _improving_ray(lp: RationalLP) -> bool:
@@ -324,8 +325,21 @@ def test_integer_tableau_matches_fraction_tableau_on_min_order(delta):
 
 
 def test_dual_polytope_and_perturbation():
-    vertices = dual_polytope_vertices()
-    assert vertices
+    # the dual of build_epsz_lp(): {y >= 0 : y A >= c}, minimizing y . b
+    program = build_epsz_lp()
+    dual = RationalLP(False, [rhs for _, _, rhs in program.rows])
+    for j, cj in enumerate(program.c):
+        dual.add_row([coeffs[j] for coeffs, _, _ in program.rows], ">=", cj)
+    vertices = _vertices(dual)
+    F = Fraction
+    assert vertices == {
+        (0, 1, 0, 0, 1),
+        (F(3, 37), F(1, 37), F(3, 37), 0, F(1, 37)),
+        (F(3, 23), 0, F(3, 46), F(3, 46), F(1, 46)),
+        (F(1, 6), 0, F(1, 12), 0, 0),
+        (F(3, 10), 0, 0, F(3, 10), F(1, 10)),
+        (F(1, 3), 0, 0, F(1, 3), 0),
+    }
     assert min(
         sum(a * b for a, (_, _, b) in zip(v, GLOBAL_PROGRAM)) for v in vertices
     ) == Fraction(57, 23)

@@ -132,6 +132,15 @@ def test_aggregate_slack_matters(psi_graph):
     assert all(check_aggregates(stats, slack_c=12).values())
 
 
+def test_negative_slack_is_refused(psi_graph):
+    # the windows imply the pair sum only for slack_c >= 0
+    profile = layer_profile(psi_graph)
+    with pytest.raises(ValueError, match="slack_c=-1 must be nonnegative"):
+        window_inequalities(profile, 3, slack_c=-1)
+    with pytest.raises(ValueError, match="slack_c=-1 must be nonnegative"):
+        check_aggregates(global_stats(profile, 3), slack_c=-1)
+
+
 def test_global_optimum_meets_every_row():
     # the optimum lp epsz reports; at slack 0, n and delta do not matter
     stats = GlobalStats(

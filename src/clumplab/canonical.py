@@ -133,18 +133,25 @@ def _switch_colors(layers: Layers, x: int, y: int, start: int, stop: int | None 
             layer[x] = wy
 
 
+def _free_color(k: int, used: AbstractSet[int]) -> int:
+    """The smallest color of range(k) outside used.  The scan stops at
+    the first free color, so it takes len(used) + 1 steps whatever k is."""
+    for c in range(k):
+        if c not in used:
+            return c
+    raise CanonicalizationError(f"no free color: all {k} colors are in use")
+
+
 def _fix_shared_color(k: int, layers: Layers, i: int) -> str:
     """Property (ii) repair: push a color shared by L_i and L_{i+1} out of
     the tail of the graph, making the pair use one more color."""
     a, b = set(layers[i]), set(layers[i + 1])
-    shared = sorted(a & b)
-    missing = sorted(c for c in range(k) if c not in a | b)
-    if not shared or not missing:
-        raise CanonicalizationError(
-            f"layer pair ({i}, {i + 1}) miscounts colors but offers no switch"
-        )
-    _switch_colors(layers, shared[0], missing[0], i + 1)
-    return f"color-switch({shared[0]},{missing[0]})@{i + 1}.."
+    # (ii) fails only when the pair shares a color: disjoint sets of at
+    # most k colors in all already use c(i) + c(i+1) colors
+    x = min(a & b)
+    y = _free_color(k, a | b)
+    _switch_colors(layers, x, y, i + 1)
+    return f"color-switch({x},{y})@{i + 1}.."
 
 
 def _resolve_k1(k: int, layers: Layers, i: int) -> str:
@@ -153,21 +160,19 @@ def _resolve_k1(k: int, layers: Layers, i: int) -> str:
     if not (len(layers[i]) == k and i + 1 <= D and len(layers[i + 1]) == 1):
         raise CanonicalizationError(f"layer {i} is not a (k, 1) violation")
     (x,) = layers[i + 1].keys()
+    below = set(layers[i - 2])
 
-    if set(layers[i - 2]) != {x}:
-        # move the clump of the follower's color back one layer
+    if below != {x} or len(layers[i - 1]) <= k - 2:
+        # move the clump of the follower's color back one layer; when
+        # L_{i-2} is that color alone, first free a color below for it
+        rule = f"move-clump({x})@{i}"
+        if below == {x}:
+            y = _free_color(k, below | set(layers[i - 1]))
+            _switch_colors(layers, x, y, 0, i - 2)
+            rule = f"switch-below({x},{y})+{rule}"
         w = layers[i].pop(x)
         layers[i - 1][x] = layers[i - 1].get(x, 0) + w
-        return f"move-clump({x})@{i}"
-
-    if len(layers[i - 1]) <= k - 2:
-        # free a color below, then the move above becomes available
-        used = set(layers[i - 2]) | set(layers[i - 1])
-        y = min(c for c in range(k) if c not in used)
-        _switch_colors(layers, x, y, 0, i - 2)
-        w = layers[i].pop(x)
-        layers[i - 1][x] = layers[i - 1].get(x, 0) + w
-        return f"switch-below({x},{y})+move-clump({x})@{i}"
+        return rule
 
     if k != 3:
         raise CanonicalizationError(
@@ -215,13 +220,13 @@ def _fix_duplicate_weight(k: int, layers: Layers, i: int) -> str:
     after = set(layers[i + 1]) if i < D else set()
     note = ""
     if len(left | after) == k:
-        x = min(c for c in range(k) if c not in left)
-        y = min(c for c in range(k) if c not in set(layers[i]) | after)
+        x = _free_color(k, left)
+        y = _free_color(k, set(layers[i]) | after)
         if x != y:
             _switch_colors(layers, x, y, i + 1)
             note = f"switch({x},{y})@{i + 1}..+"
             after = set(layers[i + 1]) if i < D else set()
-    free = min(c for c in range(k) if c not in left | after)
+    free = _free_color(k, left | after)
     color = min(c for c, w in sorted(layers[i].items()) if w > 1)
     layers[i][color] -= 1
     layers[i][free] = 1

@@ -131,29 +131,31 @@ def eppt_odd(r: int, delta: int, diam: int) -> WeightedClumpGraph:
 
 
 def eppt_even(r: int, delta: int, diam: int) -> WeightedClumpGraph:
-    """The (2r-1)-colorable family: r clumps in odd layers, r-1 in even
-    ones, all interior weights (r+1)delta/((r-1)(3r+2)).
-
-    This uniform interior weighting does not make the family degree-tight
-    (minimum weighted degree is 9*delta/8 at r = 2, not delta), so the
-    generator is reported on, never asserted tight.
+    """The (2r-1)-colorable family (Erdos-Pach-Pollack-Tuza): r clumps in
+    odd layers, r-1 in even ones.  Interior clumps weigh
+    (r+1)delta/((r-1)(3r+2)) in even layers and r*delta/((r-1)(3r+2)) in
+    odd ones, the two weights that give every interior clump weighted
+    degree exactly delta.  Two more layers add (2r^2-1)delta/((r-1)(3r+2))
+    vertices, so the diameter grows by the conjectured coefficient
+    2(r-1)(3r+2)/(2r^2-1) per n/delta.
     """
     if delta < 1:
         raise ValueError(f"delta={delta} must be positive")
     if r < 2:
         raise ValueError(f"r={r} must be at least 2")
     divisor = (r - 1) * (3 * r + 2)
-    if (r + 1) * delta % divisor != 0:
-        raise ValueError(f"(r+1)*delta must be divisible by {divisor}")
+    if delta % divisor != 0:
+        raise ValueError(f"delta={delta} must be a multiple of (r-1)(3r+2)={divisor}")
     if diam < 2:
         raise ValueError(f"diam={diam} must be at least 2")
-    interior = (r + 1) * delta // divisor
+    unit = delta // divisor
     layers = [[(r, 1)]]
     for i in range(1, diam + 1):
-        count = r if i % 2 == 1 else r - 1
+        count, weight = (r, r * unit) if i % 2 == 1 else (r - 1, (r + 1) * unit)
         # both last layers carry weight delta; the thin final layer alone
         # cannot give its neighbors enough degree
-        weight = delta if i in (1, diam - 1, diam) else interior
+        if i in (1, diam - 1, diam):
+            weight = delta
         base = 0 if i % 2 == 1 else r
         layers.append([(base + j, weight) for j in range(count)])
     return WeightedClumpGraph(2 * r - 1, layers)

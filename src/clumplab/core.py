@@ -47,11 +47,6 @@ class LayerProfile:
             return self.ell[i]
         return 0
 
-    def count_at(self, i: int) -> int:
-        if 0 <= i <= self.diameter_index:
-            return self.clump_counts[i]
-        return 0
-
     @property
     def singles(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.clump_counts) if c == 1)
@@ -125,20 +120,17 @@ class WeightedClumpGraph:
         for layer in self.layers:
             yield from layer
 
-    def has_clump(self, layer: int, color: int) -> bool:
-        if not 0 <= layer <= self.diameter_index:
-            return False
-        return any(c.color == color for c in self.layers[layer])
-
     def neighbors(self, layer: int, color: int) -> Iterator[Clump]:
-        """Clumps adjacent to (layer, color) under the saturation rule."""
-        if not self.has_clump(layer, color):
+        """Clumps adjacent to (layer, color) under the saturation rule;
+        KeyError when the graph has no such clump."""
+        if not 0 <= layer <= self.diameter_index or all(
+            c.color != color for c in self.layers[layer]
+        ):
             raise KeyError((layer, color))
-        for j in (layer - 1, layer, layer + 1):
-            if 0 <= j <= self.diameter_index:
-                for c in self.layers[j]:
-                    if c.color != color:
-                        yield c
+        for row in self.layers[max(layer - 1, 0):layer + 2]:
+            for c in row:
+                if c.color != color:
+                    yield c
 
     def colors_of_layer(self, i: int) -> frozenset[int]:
         if 0 <= i <= self.diameter_index:

@@ -410,7 +410,6 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
     if n_budget < 1:
         raise ValueError(f"n_budget={n_budget} must be positive")
     frontier: dict[int, int] = {}
-    best_phi = Fraction(0)
     complete = True
     for depth in range(1, d_max + 1):
         # a survivor keeps only its root solution: _refine rebuilds the
@@ -440,6 +439,8 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
             order = result.int_value
             if depth not in frontier or order < frontier[depth]:
                 frontier[depth] = order
-            phi = Fraction(depth * delta, order)
-            best_phi = max(best_phi, phi)
+    best_phi = max(
+        (Fraction(depth * delta, order) for depth, order in frontier.items()),
+        default=Fraction(0),
+    )
     return SearchResult(frontier=frontier, best_phi=best_phi, complete=complete)

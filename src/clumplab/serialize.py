@@ -46,11 +46,29 @@ def dump_clump_json(graph: WeightedClumpGraph) -> str:
     return json.dumps(graph_to_dict(graph), indent=2, sort_keys=True) + "\n"
 
 
-def parse_clump_json(text: str | bytes) -> WeightedClumpGraph:
+def _load(text: str | bytes) -> Any:
+    # a too deeply nested or non-UTF-8 document is bad input like any other
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+
+
+def _check_entry(entry: Any, where: str, fields: tuple[str, ...], ints: tuple[str, ...]) -> None:
+    """entry is an object holding every one of fields, and the ones named
+    in ints are integers, checked by type() as k is."""
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{where} must be an object")
+    for field in fields:
+        if field not in entry:
+            raise SchemaError(f"{where} missing field {field!r}")
+    for field in ints:
+        if type(entry[field]) is not int:
+            raise SchemaError(f"{where}.{field} must be an integer, got {entry[field]!r}")
+
+
+def parse_clump_json(text: str | bytes) -> WeightedClumpGraph:
+    data = _load(text)
     if not isinstance(data, dict):
         raise SchemaError("top level must be an object")
     for field in ("k", "layers"):
@@ -69,16 +87,7 @@ def parse_clump_json(text: str | bytes) -> WeightedClumpGraph:
             raise SchemaError(f"layers[{i}] must be a list")
         row: list[tuple[int, int]] = []
         for j, entry in enumerate(layer):
-            if not isinstance(entry, dict):
-                raise SchemaError(f"layers[{i}][{j}] must be an object")
-            for field in ("color", "weight"):
-                if field not in entry:
-                    raise SchemaError(f"layers[{i}][{j}] missing field {field!r}")
-                if type(entry[field]) is not int:
-                    raise SchemaError(
-                        f"layers[{i}][{j}].{field} must be an integer, "
-                        f"got {entry[field]!r}"
-                    )
+            _check_entry(entry, f"layers[{i}][{j}]", ("color", "weight"), ("color", "weight"))
             row.append((entry["color"], entry["weight"]))
         parsed.append(row)
     try:
@@ -96,24 +105,12 @@ def dual_weights_to_json(u: dict[tuple[int, int], Fraction]) -> str:
 
 
 def parse_dual_weights(text: str | bytes) -> dict[tuple[int, int], Fraction]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
+    data = _load(text)
     if not isinstance(data, dict) or "u" not in data or not isinstance(data["u"], list):
         raise SchemaError('expected an object with a list field "u"')
     out: dict[tuple[int, int], Fraction] = {}
     for j, entry in enumerate(data["u"]):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"u[{j}] must be an object")
-        for field in ("layer", "color", "value"):
-            if field not in entry:
-                raise SchemaError(f"u[{j}] missing field {field!r}")
-        for field in ("layer", "color"):
-            if type(entry[field]) is not int:
-                raise SchemaError(
-                    f"u[{j}].{field} must be an integer, got {entry[field]!r}"
-                )
+        _check_entry(entry, f"u[{j}]", ("layer", "color", "value"), ("layer", "color"))
         key = (entry["layer"], entry["color"])
         if key in out:
             raise SchemaError(f"u[{j}] duplicates clump {key}")

@@ -134,7 +134,7 @@ def window_inequalities(
     windows: list[Window] = []
 
     for i in range(D + 1):
-        c = profile.count_at(i)
+        c = profile.clump_counts[i]
         if c > 2:
             continue
         lhs = Fraction(2 * (ell(i - 1) + ell(i) + ell(i + 1)))
@@ -187,7 +187,7 @@ def global_stats(profile: LayerProfile, delta: int) -> GlobalStats:
     mu = Fraction(sum(profile.ell[i] for i in singles), n)
     alpha1 = alpha2 = Fraction(0)
     for i in range(1, D):
-        if profile.count_at(i) != 2:
+        if profile.clump_counts[i] != 2:
             continue
         flanking = (i - 1 in singles) + (i + 1 in singles)
         if flanking == 2:

@@ -29,12 +29,17 @@ def random_layered_graph(rng: random.Random, k: int = 3, max_depth: int = 12,
     return WeightedClumpGraph(k, layers)
 
 
+def conjectured_coefficient(r: int) -> Fraction:
+    """EPPT's conjectured diameter coefficient 2(r-1)(3r+2)/(2r^2-1) for
+    K_{2r}-free graphs."""
+    return Fraction(2 * (r - 1) * (3 * r + 2), 2 * r * r - 1)
+
+
 def coefficient_gap_direct(r: int, delta: int) -> Fraction:
     """constructions.coefficient_gap as the literal difference of the
     achieved and the conjectured coefficient."""
     achieved = Fraction((6 * r - 5) * delta, (2 * r - 1) * delta + 2 * r - 3)
-    conjectured = Fraction(2 * (r - 1) * (3 * r + 2), 2 * r * r - 1)
-    return achieved - conjectured
+    return achieved - conjectured_coefficient(r)
 
 
 def tight_rows(lp: RationalLP, x: list[Fraction]) -> list[int]:

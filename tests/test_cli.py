@@ -1,12 +1,16 @@
 import ast
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import clumplab
 from clumplab import core
+from clumplab.canonical import check_canonical
 from clumplab.certify import dual_certificate
 from clumplab.cli import main
 from clumplab.constructions import counterexample_graph, eppt_odd
@@ -352,6 +356,100 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
         capsys.readouterr()
+
+
+# runs main() on each argv of the JSON list argv[1], in the working
+# directory, and prints the -O level and [exit code, stdout, stderr] per
+# run as JSON
+_RUN_MAIN = """
+import contextlib, io, json, sys
+from clumplab.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps([sys.flags.optimize, runs]))
+"""
+
+
+def _run_cli_subprocess(argvs, cwd, optimize):
+    src = Path(clumplab.__file__).parents[1]
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _RUN_MAIN, json.dumps(argvs)],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    level, runs = json.loads(proc.stdout)
+    assert level == len(flags)
+    return [tuple(run) for run in runs]
+
+
+def test_cli_under_python_O_matches_in_process(tmp_path, monkeypatch, capsys):
+    # pytest itself cannot run under -O here (its -O warning is an error),
+    # so the README block and three exit-2 checks run in a subprocess
+    readme = [shlex.split(line)[1:] for line in _readme_cli_lines()]
+    argvs = readme + [
+        ["verify", "--in", "g.json", "--delta", "0"],
+        ["generate", "counterexample", "--s", "2", "--delta", "5", "--p", "1",
+         "--out", "k5.json"],
+        ["sieve", "--in", "k5.json", "--delta", "4"],
+        ["search", "--delta", "2", "--dmax", "2", "--budget", "0"],
+    ]
+    (tmp_path / "optimized").mkdir()
+    optimized = _run_cli_subprocess(argvs, tmp_path / "optimized", optimize=True)
+    (tmp_path / "in-process").mkdir()
+    monkeypatch.chdir(tmp_path / "in-process")
+    expected = []
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        expected.append((code, captured.out, captured.err))
+    assert optimized == expected
+    assert [code for code, _, _ in expected] == [0] * len(readme) + [2, 0, 2, 2]
+    files = {
+        p.name: p.read_bytes() for p in sorted((tmp_path / "in-process").iterdir())
+    }
+    assert files == {
+        p.name: p.read_bytes() for p in sorted((tmp_path / "optimized").iterdir())
+    }
+
+
+def test_canonicalize_with_huge_palette_is_fast(tmp_path):
+    # the repairs look for the smallest free color, which takes a few
+    # steps however many colors the graph declares
+    graph = core.WeightedClumpGraph(10**8, [[(0, 1)], [(1, 2), (2, 2)], [(1, 2), (0, 2)]])
+    _write_graph(tmp_path, graph)
+    argv = ["canonicalize", "--in", "g.json", "--delta", "2", "--out", "canon.json"]
+    [(code, _, err)] = _run_cli_subprocess([argv], tmp_path, optimize=False)
+    assert code == 0 and err.startswith("rewrites ")
+    out = parse_clump_json((tmp_path / "canon.json").read_text())
+    assert out.total_weight == graph.total_weight
+    assert out.diameter_index == graph.diameter_index
+    assert core.min_weighted_degree(out) == core.min_weighted_degree(graph)
+    assert check_canonical(out).passes
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--in", "{bad}", "--delta", "2"],
+    ["certify", "--in", "{graph}", "--weights", "{bad}"],
+])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, args):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 100_000)
+    graph = _write_graph(tmp_path, counterexample_graph(1, 4, 1))
+    assert main([a.format(bad=bad, graph=graph) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid JSON: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("parse", [parse_clump_json, parse_dual_weights])
+def test_invalid_utf8_is_a_schema_error(parse):
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        parse(b'{"k": 3, "layers": "\xff"}')
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

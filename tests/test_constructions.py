@@ -18,7 +18,7 @@ from clumplab.core import (
     weighted_degree,
 )
 
-from conftest import coefficient_gap_direct
+from conftest import coefficient_gap_direct, conjectured_coefficient
 
 
 def test_block_small_even_remainder():
@@ -125,15 +125,33 @@ def test_eppt_odd_ratio_increment():
 
 
 def test_eppt_even_literal_weights():
+    # interior weights (r+1)delta/((r-1)(3r+2)) on even layers and
+    # r*delta/((r-1)(3r+2)) on odd ones make the family degree-tight
     g = eppt_even(2, 8, 6)
     assert g.layers[2][0].weight == 3
-    assert [c.weight for c in g.layers[3]] == [3, 3]
-    assert min_weighted_degree(g) >= 8
-    # the construction is not degree-tight: the interior odd layers see
-    # 3(r-1) * interior = 9 = 9 * delta / 8
-    assert min_weighted_degree(g) == 9
-    g = eppt_even(3, 22, 4)
-    assert g.layers[2][0].weight == 4
+    assert [c.weight for c in g.layers[3]] == [2, 2]
+    assert min_weighted_degree(g) == 8
+    g = eppt_even(3, 22, 40)
+    assert [c.weight for c in g.layers[2]] == [4, 4]
+    assert [c.weight for c in g.layers[3]] == [3, 3, 3]
+    assert min_weighted_degree(g) == 22
+    for r, delta, diam in ((2, 16, 7), (4, 42, 41)):
+        assert min_weighted_degree(eppt_even(r, delta, diam)) == delta
+
+
+def test_eppt_even_divisibility_enforced():
+    # (r-1)(3r+2) = 22 divides (r+1)delta = 44 but not delta = 11
+    with pytest.raises(ValueError, match="multiple of"):
+        eppt_even(3, 11, 4)
+
+
+def test_eppt_even_ratio_increment():
+    # two more layers add (2r^2-1)delta/((r-1)(3r+2)) vertices, so the
+    # diameter grows by the conjectured coefficient per n/delta
+    for r, delta in ((2, 8), (3, 22), (4, 42)):
+        n1 = eppt_even(r, delta, 20).total_weight
+        n2 = eppt_even(r, delta, 22).total_weight
+        assert Fraction(2 * delta, n2 - n1) == conjectured_coefficient(r)
 
 
 def test_coefficient_gap_values():

@@ -1,15 +1,28 @@
 """Packing certificates: nonnegative dual weights on clumps whose
 neighborhood sums stay at most 1.  Scaled by the degree bound, their
 total lower-bounds the order of any blow-up, which converts a per-layer
-weight guarantee into a diameter upper bound."""
+weight guarantee into a diameter upper bound.
+
+A clump's neighborhood sum needs no walk over its neighbors:
+
+    sum over neighbors of (i, c) = T(i-1) + T(i) + T(i+1)
+                                   - u(i-1, c) - u(i, c) - u(i+1, c),
+
+with T(j) the total of layer j and absent clumps and layers counting 0
+(core.neighbor_sums proves it from the saturation rule).
+verify_packing scales u to integers over the lcm of its denominators
+and evaluates this for every clump at once with that kernel, the one
+that also gives core's weighted degrees.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .canonical import check_canonical
-from .core import WeightedClumpGraph
+from .core import WeightedClumpGraph, neighbor_sums
 
 ClumpKey = tuple[int, int]  # (layer, color)
 
@@ -18,11 +31,7 @@ ClumpKey = tuple[int, int]  # (layer, color)
 class PackingReport:
     feasible: bool
     objective: Fraction
-    slack: dict[ClumpKey, Fraction]  # 1 - neighbor sum per clump
-
-    @property
-    def worst_slack(self) -> Fraction:
-        return min(self.slack.values())
+    worst_slack: Fraction  # 1 - the largest neighbor sum
 
 
 @dataclass
@@ -79,25 +88,25 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
 
 def verify_packing(graph: WeightedClumpGraph, u: dict[ClumpKey, Fraction]) -> PackingReport:
     """Check the packing constraint: each clump's neighbor weights sum to
-    at most 1.  Exact rational arithmetic throughout."""
-    slack: dict[ClumpKey, Fraction] = {}
+    at most 1.  Exact: the weights are scaled to integers over the lcm
+    of their denominators and summed by core.neighbor_sums."""
     for c in graph.clumps():
         if (c.layer, c.color) not in u:
             raise ValueError(f"no dual weight for clump {(c.layer, c.color)}")
     unknown = u.keys() - {(c.layer, c.color) for c in graph.clumps()}
     if unknown:
         raise ValueError(f"dual weight for clump {min(unknown)}, which is not in the graph")
-    for key, value in u.items():
+    scale = lcm(*{value.denominator for value in u.values()})
+    scaled = {key: value.numerator * (scale // value.denominator) for key, value in u.items()}
+    for key, value in scaled.items():  # scale > 0 keeps each sign
         if value < 0:
             raise ValueError(f"negative dual weight at {key}")
-    for c in graph.clumps():
-        total = sum(
-            u[(nbr.layer, nbr.color)] for nbr in graph.neighbors(c.layer, c.color)
-        )
-        slack[(c.layer, c.color)] = 1 - total
-    objective = sum(u.values(), Fraction(0))
+    rows = [{c.color: scaled[(c.layer, c.color)] for c in layer} for layer in graph.layers]
+    worst = max(max(row.values()) for row in neighbor_sums(rows))
     return PackingReport(
-        feasible=all(s >= 0 for s in slack.values()), objective=objective, slack=slack
+        feasible=worst <= scale,
+        objective=Fraction(sum(scaled.values()), scale),
+        worst_slack=Fraction(scale - worst, scale),
     )
 
 

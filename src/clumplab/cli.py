@@ -52,6 +52,16 @@ def _require_nonnegative(name: str, value: int) -> None:
         raise ValueError(f"{name}={value} must be nonnegative")
 
 
+def _int_list(option: str, text: str) -> list[int]:
+    values: list[int] = []
+    for item in text.split(","):
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise ValueError(f"{option} item {item!r} is not an integer") from None
+    return values
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.family == "counterexample":
         graph = constructions.counterexample_graph(args.s, args.delta, args.p)
@@ -189,8 +199,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _suite_rows(args: argparse.Namespace) -> tuple[list[dict[str, str]], bool]:
     rows: list[dict[str, str]] = []
     all_ok = True
-    s_values = [int(v) for v in args.s_values.split(",")]
-    p_values = [int(v) for v in args.p_values.split(",")]
+    s_values = _int_list("--s-values", args.s_values)
+    p_values = _int_list("--p-values", args.p_values)
     for s in s_values:
         for delta in range(2 * s, 2 * s + args.delta_span + 1):
             for p in p_values:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class ClumpGraphError(ValueError):
@@ -158,10 +158,38 @@ def weighted_degree(graph: WeightedClumpGraph, layer: int, color: int) -> int:
     return sum(c.weight for c in graph.neighbors(layer, color))
 
 
+def neighbor_sums(rows: Sequence[Mapping[int, int]]) -> list[dict[int, int]]:
+    """Each clump's neighbor sum of per-clump integers: rows[i] maps the
+    colors of layer i to their values, and out[i][c] is the total value
+    of the neighbors of clump (i, c).
+
+    The sum is the total of layers i-1, i and i+1, less the entries of
+    color c in those three layers.  Exact under the saturation rule:
+    the neighbors of (i, c) are the clumps of layers i-1..i+1 (those
+    outside 0..D are empty) whose color differs from c.  A layer holds
+    at most one clump per color, so the excluded clumps are exactly the
+    color-c entries of the three rows, (i, c) itself among them, and
+    subtracting them from the three-layer total leaves the neighbors'.
+    weighted_degree, which walks neighbors(), is the oracle for it.
+    """
+    padded: list[Mapping[int, int]] = [{}, *rows, {}]
+    totals = [sum(row.values()) for row in padded]
+    out: list[dict[int, int]] = []
+    for i in range(1, len(padded) - 1):
+        above, row, below = padded[i - 1], padded[i], padded[i + 1]
+        window = totals[i - 1] + totals[i] + totals[i + 1]
+        out.append(
+            {c: window - v - above.get(c, 0) - below.get(c, 0) for c, v in row.items()}
+        )
+    return out
+
+
+def _weight_rows(graph: WeightedClumpGraph) -> list[dict[int, int]]:
+    return [{c.color: c.weight for c in layer} for layer in graph.layers]
+
+
 def min_weighted_degree(graph: WeightedClumpGraph) -> int:
-    return min(
-        weighted_degree(graph, c.layer, c.color) for c in graph.clumps()
-    )
+    return min(min(row.values()) for row in neighbor_sums(_weight_rows(graph)))
 
 
 def layer_profile(graph: WeightedClumpGraph) -> LayerProfile:
@@ -219,7 +247,10 @@ MAX_BLOW_UP_EDGES = 1_000_000
 def blow_up_edge_count(graph: WeightedClumpGraph) -> int:
     """Edge count of blow_up(graph) without building it: w_u * w_v summed
     over adjacent clump pairs, each pair seen from both ends."""
-    return sum(c.weight * weighted_degree(graph, c.layer, c.color) for c in graph.clumps()) // 2
+    rows = _weight_rows(graph)
+    return sum(
+        w * degrees[c] for row, degrees in zip(rows, neighbor_sums(rows)) for c, w in row.items()
+    ) // 2
 
 
 def blow_up(graph: WeightedClumpGraph) -> SimpleGraph:

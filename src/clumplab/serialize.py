@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from .core import ClumpGraphError, WeightedClumpGraph
 
@@ -29,7 +29,7 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(int(p), int(q))
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {text!r}: {exc}") from exc
+        raise SchemaError(f"bad rational {_echo(text)}: {exc}") from exc
 
 
 def graph_to_dict(graph: WeightedClumpGraph) -> dict[str, Any]:
@@ -54,6 +54,39 @@ def _load(text: str | bytes) -> Any:
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
+_ECHO_CHARS = 40
+
+
+def _repr_parts(value: Any) -> Iterator[str]:
+    """repr(value) in pieces, each container's opening bracket before its
+    items, so a reader can stop early on a huge or deeply nested value."""
+    if isinstance(value, list):
+        yield "["
+        for i, item in enumerate(value):
+            yield ", " if i else ""
+            yield from _repr_parts(item)
+        yield "]"
+    elif isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield f"{', ' if i else ''}{key!r}: "
+            yield from _repr_parts(item)
+        yield "}"
+    else:
+        yield repr(value)
+
+
+def _echo(value: Any) -> str:
+    """repr(value) for an error message, cut to _ECHO_CHARS characters
+    plus "…" when longer."""
+    text = ""
+    for part in _repr_parts(value):
+        text += part
+        if len(text) > _ECHO_CHARS:
+            return text[:_ECHO_CHARS] + "…"
+    return text
+
+
 def _check_entry(entry: Any, where: str, fields: tuple[str, ...], ints: tuple[str, ...]) -> None:
     """entry is an object holding every one of fields, and the ones named
     in ints are integers, checked by type() as k is."""
@@ -64,7 +97,7 @@ def _check_entry(entry: Any, where: str, fields: tuple[str, ...], ints: tuple[st
             raise SchemaError(f"{where} missing field {field!r}")
     for field in ints:
         if type(entry[field]) is not int:
-            raise SchemaError(f"{where}.{field} must be an integer, got {entry[field]!r}")
+            raise SchemaError(f"{where}.{field} must be an integer, got {_echo(entry[field])}")
 
 
 def parse_clump_json(text: str | bytes) -> WeightedClumpGraph:
@@ -77,7 +110,7 @@ def parse_clump_json(text: str | bytes) -> WeightedClumpGraph:
     k = data["k"]
     # type(), not isinstance(): JSON true parses to a bool, an int subclass
     if type(k) is not int or k < 2:
-        raise SchemaError(f'field "k" must be an integer >= 2, got {k!r}')
+        raise SchemaError(f'field "k" must be an integer >= 2, got {_echo(k)}')
     layers = data["layers"]
     if not isinstance(layers, list):
         raise SchemaError('field "layers" must be a list')

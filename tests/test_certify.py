@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,6 +16,8 @@ from clumplab.core import (
     min_weighted_degree,
     weighted_degree,
 )
+
+from conftest import random_layered_graph
 
 
 def test_thin_layer_weights():
@@ -118,3 +122,80 @@ def test_bound_requires_feasibility():
     )
     with pytest.raises(ValueError):
         bound_from_certificate(broken, 15, 4)
+
+
+def _fraction_verify_packing(graph, u):
+    """verify_packing as a Fraction sum over neighbors() per clump:
+    (feasible, objective, worst slack)."""
+    for c in graph.clumps():
+        if (c.layer, c.color) not in u:
+            raise ValueError(f"no dual weight for clump {(c.layer, c.color)}")
+    unknown = u.keys() - {(c.layer, c.color) for c in graph.clumps()}
+    if unknown:
+        raise ValueError(f"dual weight for clump {min(unknown)}, which is not in the graph")
+    for key, value in u.items():
+        if value < 0:
+            raise ValueError(f"negative dual weight at {key}")
+    slack = [
+        1 - sum(u[(nbr.layer, nbr.color)] for nbr in graph.neighbors(c.layer, c.color))
+        for c in graph.clumps()
+    ]
+    return min(slack) >= 0, sum(u.values(), Fraction(0)), min(slack)
+
+
+def _report(graph, u):
+    report = verify_packing(graph, u)
+    return report.feasible, report.objective, report.worst_slack
+
+
+def test_verify_packing_matches_fraction_oracle():
+    rng = random.Random(20261018)
+    tight = over = 0
+    for trial in range(300):
+        k = 3 + trial % 3
+        graph = random_layered_graph(rng, k=k, max_depth=10, max_weight=4)
+        u = {
+            (c.layer, c.color): Fraction(rng.choice([0, 0, 1, 2, 3, 5, 7]), rng.choice([1, 2, 3, 4, 6, 9, 10, 12]))
+            for c in graph.clumps()
+        }
+        assert _report(graph, u) == _fraction_verify_packing(graph, u)
+        top = 1 - _fraction_verify_packing(graph, u)[2]
+        if top == 0:
+            continue
+        # rescaled so the largest neighbor sum is exactly 1: worst slack 0
+        u = {key: value / top for key, value in u.items()}
+        assert _report(graph, u) == _fraction_verify_packing(graph, u)
+        assert _report(graph, u)[0] and _report(graph, u)[2] == 0
+        tight += 1
+        # one more 1/lcm on a neighbor of a clump at sum 1: worst slack -1/lcm
+        scale = lcm(*(value.denominator for value in u.values()))
+        for c in graph.clumps():
+            nbrs = list(graph.neighbors(c.layer, c.color))
+            if nbrs and sum(u[(n.layer, n.color)] for n in nbrs) == 1:
+                key = (nbrs[0].layer, nbrs[0].color)
+                u[key] += Fraction(1, scale)
+                break
+        assert _report(graph, u) == _fraction_verify_packing(graph, u)
+        if lcm(*(value.denominator for value in u.values())) == scale:
+            assert _report(graph, u) == (False, sum(u.values()), Fraction(-1, scale))
+            over += 1
+    assert tight >= 200 and over >= 200
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({(0, 0): None, (1, 1): Fraction(-1)}, r"no dual weight for clump \(0, 0\)"),
+    ({(99, 0): Fraction(1), (1, 1): Fraction(-1)},
+     r"dual weight for clump \(99, 0\), which is not in the graph"),
+    ({(1, 2): Fraction(-1, 3), (1, 1): Fraction(-1)}, r"negative dual weight at \(1, 1\)"),
+])
+def test_verify_packing_bad_weight_messages(edit, message):
+    g = counterexample_graph(1, 4, 1)
+    u = {(c.layer, c.color): Fraction(1, 7) for c in g.clumps()}
+    for key, value in edit.items():
+        if value is None:
+            del u[key]
+        else:
+            u[key] = value
+    for check in (verify_packing, _fraction_verify_packing):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(g, u)

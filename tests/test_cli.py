@@ -312,6 +312,11 @@ def test_nonpositive_delta_or_dmax_exits_2(tmp_path, capsys, args):
     ["suite", "--s-values", "1", "--delta-span", "-1", "--csv", "{tmp}/suite.csv"],
     ["certify", "--in", "{graph}", "--weights", "{weights}", "--delta", "0"],
     ["certify", "--in", "{graph}", "--weights", "{weights}", "--dump", "{tmp}/u.json"],
+    *(
+        ["suite", option, bad, "--csv", "{tmp}/suite.csv"]
+        for option in ("--s-values", "--p-values")
+        for bad in (",", "x", "1,", "1,x")
+    ),
 ])
 def test_rejected_option_exits_2_and_writes_nothing(tmp_path, capsys, args):
     graph_obj = counterexample_graph(1, 4, 2)
@@ -324,6 +329,12 @@ def test_rejected_option_exits_2_and_writes_nothing(tmp_path, capsys, args):
     assert captured.err.startswith("error: ")
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "w.json"]
+
+
+@pytest.mark.parametrize("option", ["--s-values", "--p-values"])
+def test_bad_integer_list_names_the_option_and_item(capsys, option):
+    assert main(["suite", option, "1,x,2", "--csv", "-"]) == 2
+    assert capsys.readouterr() == ("", f"error: {option} item 'x' is not an integer\n")
 
 
 @pytest.mark.parametrize("family", [
@@ -444,6 +455,40 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, args):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: invalid JSON: ")
     assert captured.out == ""
+
+
+def test_huge_or_deep_value_gives_a_short_error(tmp_path):
+    # a subprocess, so the 950-deep list parses on a fresh stack
+    entry = '{"k": 3, "layers": [[{"color": %s, "weight": 1}]]}'
+    (tmp_path / "huge.json").write_text(entry % json.dumps("x" * 1_000_000))
+    (tmp_path / "deep.json").write_text(entry % ("[" * 950 + "]" * 950))
+    argvs = [["verify", "--in", name, "--delta", "2"] for name in ("huge.json", "deep.json")]
+    for code, out, err in _run_cli_subprocess(argvs, tmp_path, optimize=False):
+        assert (code, out) == (2, "")
+        assert err.startswith("error: layers[0][0].color must be an integer, got ")
+        assert err.endswith("…\n") and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("value", [
+    "x" * 38, [1, [2.5, None]], {"b": [], "a": "q'\""}, -7.0, None, [], {},
+])
+def test_short_value_is_echoed_whole(value):
+    entry = {"color": value, "weight": 1}
+    with pytest.raises(SchemaError) as exc:
+        parse_clump_json(json.dumps({"k": 3, "layers": [[entry]]}))
+    assert str(exc.value) == f"layers[0][0].color must be an integer, got {value!r}"
+    with pytest.raises(SchemaError) as exc:
+        parse_clump_json(json.dumps({"k": value, "layers": []}))
+    assert str(exc.value) == f'field "k" must be an integer >= 2, got {value!r}'
+
+
+def test_long_value_is_cut_at_40_characters():
+    with pytest.raises(SchemaError) as exc:
+        parse_clump_json(json.dumps({"k": "x" * 39, "layers": []}))
+    assert str(exc.value) == 'field "k" must be an integer >= 2, got ' + repr("x" * 39)[:40] + "…"
+    with pytest.raises(SchemaError) as exc:
+        parse_rational("7" * 30 + "/" + "x" * 9999)
+    assert str(exc.value).startswith("bad rational '" + "7" * 30 + "/" + "x" * 8 + "…: ")
 
 
 @pytest.mark.parametrize("parse", [parse_clump_json, parse_dual_weights])

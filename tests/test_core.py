@@ -17,6 +17,7 @@ from clumplab.core import (
     export_edge_list,
     layer_profile,
     min_weighted_degree,
+    neighbor_sums,
     weighted_degree,
 )
 
@@ -179,3 +180,37 @@ def test_min_weighted_degree_matches_scan():
     assert min_weighted_degree(g) == min(
         weighted_degree(g, c.layer, c.color) for c in g.clumps()
     )
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_neighbor_sums_match_neighbor_walk(k, seed):
+    rng = random.Random(seed)
+    g = random_layered_graph(rng, k=k, max_depth=8, max_weight=5)
+    weights = [{c.color: c.weight for c in layer} for layer in g.layers]
+    degrees = neighbor_sums(weights)
+    assert [sorted(row) for row in degrees] == [sorted(row) for row in weights]
+    for c in g.clumps():  # layer 0 (the root) through layer D
+        assert degrees[c.layer][c.color] == weighted_degree(g, c.layer, c.color)
+    assert min_weighted_degree(g) == min(
+        weighted_degree(g, c.layer, c.color) for c in g.clumps()
+    )
+    assert blow_up_edge_count(g) == blow_up(g).m
+    # any integers, zero and negative ones included, not only weights
+    values = {(c.layer, c.color): rng.randint(-5, 9) for c in g.clumps()}
+    rows = [{c.color: values[(c.layer, c.color)] for c in layer} for layer in g.layers]
+    sums = neighbor_sums(rows)
+    for c in g.clumps():
+        assert sums[c.layer][c.color] == sum(
+            values[(nbr.layer, nbr.color)] for nbr in g.neighbors(c.layer, c.color)
+        )
+
+
+def test_neighbor_sums_root_and_last_layer():
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 2), (2, 3)], [(0, 4), (1, 5)]])
+    degrees = neighbor_sums([{c.color: c.weight for c in layer} for layer in g.layers])
+    # the root sees layer 1; the last layer sees layer 1 and itself
+    assert degrees == [{0: 5}, {1: 3 + 1 + 4, 2: 1 + 2 + 4 + 5}, {0: 2 + 3 + 5, 1: 3 + 4}]
+    assert neighbor_sums([{2: 1}]) == [{2: 0}]
+    assert min_weighted_degree(WeightedClumpGraph(3, [[(2, 1)]])) == 0

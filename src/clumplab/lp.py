@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, lcm
+from typing import AbstractSet, Sequence
 
 from .canonical import is_canonical_pair
 from .core import WeightedClumpGraph, blow_up_diameter
@@ -23,6 +24,7 @@ from .sieve import GLOBAL_PROGRAM
 
 Rational = int | Fraction
 Row = tuple[list[Rational], str, Rational]  # coefficients, sense, rhs
+CoverRow = tuple[list[int], int]  # free-variable indices, need
 
 
 @dataclass
@@ -262,54 +264,110 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
     and bound on the most fractional variable; rounding the LP vertex
     up stays feasible, which seeds the incumbent.
     """
-    _, root = _relax(topology, delta)
-    return _refine(topology, delta, root)
+    keys, program = _min_order_program(topology, delta)
+    return _refine(keys, program, _solve_relaxation(program))
+
+
+def _covering_rows(colors: Sequence[AbstractSet[int]], delta: int) -> list[CoverRow]:
+    """The covering rows of the layer color sets colors: one per clump,
+    layer by layer and by ascending color within a layer, holding the
+    indices of the clump's neighbors among the free weights (every clump
+    after the root, numbered 0, 1, ... in the same order) and its need,
+    delta less its neighbor count.  A clump of weight 1 + v has weighted
+    degree neighbors + the sum of their v, so the row reads
+    sum(v[j] for j in free) >= need.  ValueError when a clump with
+    positive need has no free neighbor: no weighting reaches delta."""
+    # each layer's clumps as (color, free index); the root's index is -1
+    layers: list[list[tuple[int, int]]] = []
+    index = -1
+    for cols in colors:
+        layers.append([(c, index + pos) for pos, c in enumerate(sorted(cols))])
+        index += len(cols)
+    rows: list[CoverRow] = []
+    for i, layer in enumerate(layers):
+        window = [clump for row in layers[max(i - 1, 0):i + 2] for clump in row]
+        for color, _ in layer:
+            free = [j for c, j in window if c != color]
+            need = delta - len(free)
+            if free and free[0] < 0:
+                del free[0]  # the root, first in layer order
+            if need > 0 and not free:
+                raise ValueError("topology cannot reach the degree bound")
+            rows.append((free, need))
+    return rows
+
+
+def _covering_program(rows: list[CoverRow]) -> RationalLP:
+    """Minimize the total free weight subject to the covering rows."""
+    n_free = len(rows) - 1
+    lp = RationalLP(maximize=False, c=[1] * n_free)
+    for free, need in rows:
+        coeffs = [0] * n_free
+        for j in free:
+            coeffs[j] = 1
+        lp.add_row(coeffs, ">=", need)
+    return lp
+
+
+def _order_bounds(rows: list[CoverRow]) -> tuple[int, int]:
+    """Integer bounds lower <= clumps + LP value <= upper on the minimum
+    order of the covering rows, without a pivot.
+
+    lower adds to the clump count the needs of a set of positive-need
+    rows whose free sets are pairwise disjoint, taken greedily by
+    descending need.  Such a set, as y_r = 1 on its rows and 0 elsewhere,
+    is feasible for the dual {y >= 0 : sum of y_r over rows r with
+    j in free_r <= 1 for every j}, because every variable lies in at most
+    one chosen row; its dual objective sum(y_r * need_r) is then at most
+    the LP value by weak duality.
+
+    upper adds the total of v[j] = max(0, the largest need of a row
+    holding j).  That v is a feasible integer weighting: a row with
+    positive need has a free neighbor j (else _covering_rows raised),
+    and v[j] alone covers it; a row with need <= 0 holds for any v >= 0.
+    So upper bounds the LP value and the integer order both.
+    """
+    cover = [0] * (len(rows) - 1)
+    for free, need in rows:
+        for j in free:
+            if need > cover[j]:
+                cover[j] = need
+    lower = 0
+    used: set[int] = set()
+    for free, need in sorted(rows, key=lambda row: -row[1]):
+        if need <= 0:
+            break
+        if used.isdisjoint(free):
+            used.update(free)
+            lower += need
+    return len(rows) + lower, len(rows) + sum(cover)
 
 
 def _min_order_program(
     topology: WeightedClumpGraph, delta: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]], RationalLP]:
-    """Every clump, the clumps whose weight is free, and the covering
-    program over the free weights; ValueError when no weighting can
-    reach the degree bound."""
+) -> tuple[list[tuple[int, int]], RationalLP]:
+    """Every clump as (layer, color), the root first, and the covering
+    program over the free weights, those of the clumps after the root;
+    ValueError when no weighting can reach the degree bound."""
     if delta < 1:
         raise ValueError(f"delta={delta} must be positive")
     keys = [(c.layer, c.color) for c in topology.clumps()]
-    variables = keys[1:]  # keys[0] is the root, pinned to weight 1
-    index = {key: j for j, key in enumerate(variables)}
-
-    lp = RationalLP(maximize=False, c=[1] * len(variables))
-    feasible_rows = True
-    for key in keys:
-        nbrs = [(c.layer, c.color) for c in topology.neighbors(*key)]
-        coeffs = [0] * len(variables)
-        for nb in nbrs:
-            if nb in index:
-                coeffs[index[nb]] += 1
-        need = delta - len(nbrs)
-        if need > 0 and not any(coeffs):
-            feasible_rows = False
-        lp.add_row(coeffs, ">=", need)
-    if not feasible_rows:
-        raise ValueError("topology cannot reach the degree bound")
-    return keys, variables, lp
+    colors = [topology.colors_of_layer(i) for i in range(topology.diameter_index + 1)]
+    return keys, _covering_program(_covering_rows(colors, delta))
 
 
-def _relax(topology: WeightedClumpGraph, delta: int) -> tuple[Fraction, LPSolution]:
-    """The minimum order over fractional weights, with the optimal
-    solution of the program that _refine starts from."""
-    keys, _, lp = _min_order_program(topology, delta)
+def _solve_relaxation(lp: RationalLP) -> LPSolution:
+    """The optimal solution of a covering program, which _refine starts from."""
     sol = simplex_solve(lp)
     if sol.status != "optimal":
         raise ValueError(f"minimum-order program is {sol.status}")
-    assert sol.value is not None
-    return len(keys) + sol.value, sol
+    return sol
 
 
-def _refine(topology: WeightedClumpGraph, delta: int, root: LPSolution) -> MinOrderResult:
-    """Integer optimum by branch and bound from the relaxation's optimal
-    solution root, so the root program is never solved again."""
-    keys, variables, lp = _min_order_program(topology, delta)
+def _refine(keys: list[tuple[int, int]], lp: RationalLP, root: LPSolution) -> MinOrderResult:
+    """Integer optimum of the covering program lp over the clumps keys,
+    by branch and bound from the relaxation's optimal solution root, so
+    the root program is never solved again."""
     assert root.value is not None and root.x is not None
     lp_value = len(keys) + root.value
     if len(keys) > ILP_CLUMP_LIMIT:
@@ -334,7 +392,7 @@ def _refine(topology: WeightedClumpGraph, delta: int, root: LPSolution) -> MinOr
                 best_x = list(s.x)
             return
         _, j = min(frac)
-        unit = [1 if jj == j else 0 for jj in range(len(variables))]
+        unit = [1 if jj == j else 0 for jj in range(len(lp.c))]
         for sense, bound in (("<=", floor(s.x[j])), (">=", floor(s.x[j]) + 1)):
             extra.append((unit, sense, bound))
             probe = RationalLP(maximize=False, c=list(lp.c))
@@ -344,7 +402,7 @@ def _refine(topology: WeightedClumpGraph, delta: int, root: LPSolution) -> MinOr
 
     branch(root)
     weights = {key: 1 for key in keys}
-    for key, v in zip(variables, best_x):
+    for key, v in zip(keys[1:], best_x):
         weights[key] = 1 + int(v)
     return MinOrderResult(lp_value=lp_value, int_value=len(keys) + incumbent, weights=weights)
 
@@ -366,42 +424,70 @@ def _pattern_sequences(depth: int) -> "list[list[frozenset[int]]]":
     """All canonical color-set sequences of depth+1 layers starting from
     a single root layer (root color fixed by symmetry)."""
     out: list[list[frozenset[int]]] = []
+    successors = {a: [b for b in _SUBSETS if is_canonical_pair(3, a, b)] for a in _SUBSETS}
 
     def extend(seq: list[frozenset[int]]) -> None:
         if len(seq) == depth + 1:
             out.append(list(seq))
             return
-        for nxt in _SUBSETS:
-            if is_canonical_pair(3, seq[-1], nxt):
-                extend(seq + [nxt])
+        for nxt in successors[seq[-1]]:
+            extend(seq + [nxt])
 
     extend([frozenset({0})])
     return out
 
 
-def _unit_topology(seq: list[frozenset[int]]) -> WeightedClumpGraph:
-    return WeightedClumpGraph(3, [[(c, 1) for c in cols] for cols in seq])
+def _swap_is_smaller(seq: list[frozenset[int]]) -> bool:
+    """Whether exchanging colors 1 and 2 in seq gives a lexicographically
+    smaller sequence, comparing layers as color bitmasks."""
+    for cols in seq:
+        mask = sum(1 << c for c in cols)
+        swapped = (mask & 1) | (mask & 2) << 1 | (mask & 4) >> 1
+        if swapped != mask:
+            return swapped < mask
+    return False
 
 
 def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
     """Smallest blow-up order per diameter over canonical 3-colored layer
     topologies, via the minimum-order program on every pattern sequence.
 
-    Each depth runs in two stages.  Stage 1 solves every sequence's
-    minimum-order relaxation once: a sequence that cannot reach the
-    degree bound is skipped, and one whose LP value exceeds n_budget is
-    dropped and marks the result incomplete.  Stage 2 walks the
-    survivors in ascending LP value and refines each from its stage-1
-    solution by branch and bound, so no LP is solved twice.  Topologies
-    of depth 1 whose optimal weighting has a weight >= 2 are skipped:
-    their blow-up diameter is 2, not the depth.  The walk stops at the
-    first topology whose rounded-up LP value reaches the order already
-    found at this depth, and the result is still exact:
+    A sequence's order is the clump count plus the minimum of its
+    covering program (_covering_rows).  Each depth is one walk:
 
-    - any integer order is at least ceil(lp_value), so no topology from
-      there on can lower the depth's order;
-    - the frontier keeps the minimum order per depth;
-    - best_phi at each depth comes from that depth's minimum order.
+    - a sequence that cannot reach the degree bound is skipped;
+    - one whose integer lower bound (_order_bounds) exceeds n_budget has
+      an LP value above it, so it is dropped and marks the result
+      incomplete;
+    - one whose upper bound exceeds n_budget has its relaxation solved
+      now, and is dropped, marking the result incomplete, when the LP
+      value exceeds n_budget;
+    - the rest have LP value <= upper <= n_budget and are kept unsolved.
+
+    The kept sequences are walked in ascending lower bound.  The walk
+    stops at the first whose lower bound reaches the order already
+    found at this depth; a sequence before that has its relaxation
+    solved (once), is skipped when the rounded-up LP value reaches that
+    order, and is otherwise refined from that solution by branch and
+    bound.  Topologies of depth 1 whose optimal weighting has a weight
+    >= 2 are skipped: their blow-up diameter is 2, not the depth.  A
+    sequence whose 1 <-> 2 color swap is lexicographically smaller is
+    not visited at all.  The result is that of refining every sequence:
+
+    - any integer order is at least ceil(lp_value), which is at least
+      the lower bound, so no sequence skipped or left past the stop can
+      lower the depth's order; the frontier keeps the minimum order per
+      depth, and best_phi at each depth comes from that minimum;
+    - the budget test reads the LP value or a bound on the right side of
+      it, so complete is unchanged;
+    - the root has color 0, and is_canonical_pair depends only on set
+      sizes, so the swap maps canonical sequences onto canonical ones
+      whose program is the same up to a permutation of rows and
+      variables: the same feasibility, LP value and integer order.  At
+      depth 1 the diameter is 1 exactly when that order is the clump
+      count (every weight 1), and at depth >= 2 it is the depth, so a
+      sequence and its swap also pass or fail the diameter test
+      together.
     """
     if delta < 1:
         raise ValueError(f"delta={delta} must be positive")
@@ -412,23 +498,40 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
     frontier: dict[int, int] = {}
     complete = True
     for depth in range(1, d_max + 1):
-        # a survivor keeps only its root solution: _refine rebuilds the
-        # program without a pivot, and holding every program costs memory
-        survivors: list[tuple[Fraction, list[frozenset[int]], LPSolution]] = []
+        # (lower bound, sequence, covering rows, root solution or None)
+        kept: list[tuple[int, list[frozenset[int]], list[CoverRow], LPSolution | None]] = []
         for seq in _pattern_sequences(depth):
+            if _swap_is_smaller(seq):
+                continue
             try:
-                lp_value, root = _relax(_unit_topology(seq), delta)
+                rows = _covering_rows(seq, delta)
             except ValueError:
                 continue
-            if lp_value > n_budget:
+            lower, upper = _order_bounds(rows)
+            if lower > n_budget:
                 complete = False
                 continue
-            survivors.append((lp_value, seq, root))
-        survivors.sort(key=lambda item: item[0])
-        for lp_value, seq, root in survivors:
-            if depth in frontier and ceil(lp_value) >= frontier[depth]:
+            root = None
+            if upper > n_budget:
+                root = _solve_relaxation(_covering_program(rows))
+                assert root.value is not None
+                if len(rows) + root.value > n_budget:
+                    complete = False
+                    continue
+            kept.append((lower, seq, rows, root))
+        kept.sort(key=lambda item: item[0])
+        for lower, seq, rows, root in kept:
+            best = frontier.get(depth)
+            if best is not None and lower >= best:
                 break
-            result = _refine(_unit_topology(seq), delta, root)
+            program = _covering_program(rows)
+            if root is None:
+                root = _solve_relaxation(program)
+            assert root.value is not None
+            if best is not None and ceil(len(rows) + root.value) >= best:
+                continue
+            keys = [(i, c) for i, cols in enumerate(seq) for c in sorted(cols)]
+            result = _refine(keys, program, root)
             assert result.int_value is not None and result.weights is not None
             weights = result.weights
             graph = WeightedClumpGraph(
@@ -436,9 +539,8 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
             )
             if blow_up_diameter(graph) != depth:
                 continue
-            order = result.int_value
-            if depth not in frontier or order < frontier[depth]:
-                frontier[depth] = order
+            if best is None or result.int_value < best:
+                frontier[depth] = result.int_value
     best_phi = max(
         (Fraction(depth * delta, order) for depth, order in frontier.items()),
         default=Fraction(0),

@@ -7,6 +7,7 @@ Rationals travel as "p/q" strings so nothing is lost to binary floats.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Iterator
 
@@ -29,7 +30,10 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(int(p), int(q))
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {_echo(text)}: {exc}") from exc
+        # int()'s own message repeats the bad item unbounded
+        raise SchemaError(
+            f"bad rational {_echo(text)}: expected an integer or p/q with q != 0"
+        ) from exc
 
 
 def graph_to_dict(graph: WeightedClumpGraph) -> dict[str, Any]:
@@ -52,6 +56,12 @@ def _load(text: str | bytes) -> Any:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        # the one other ValueError: an integer literal longer than the
+        # interpreter's int-to-string digit limit
+        raise SchemaError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 _ECHO_CHARS = 40

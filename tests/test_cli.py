@@ -488,7 +488,26 @@ def test_long_value_is_cut_at_40_characters():
     assert str(exc.value) == 'field "k" must be an integer >= 2, got ' + repr("x" * 39)[:40] + "…"
     with pytest.raises(SchemaError) as exc:
         parse_rational("7" * 30 + "/" + "x" * 9999)
-    assert str(exc.value).startswith("bad rational '" + "7" * 30 + "/" + "x" * 8 + "…: ")
+    message = str(exc.value)
+    assert message.startswith("bad rational '" + "7" * 30 + "/" + "x" * 8 + "…: ")
+    assert len(f"error: {message}\n".encode()) < 120
+
+
+@pytest.mark.parametrize("parse", [parse_clump_json, parse_dual_weights])
+def test_oversized_integer_is_a_schema_error(parse):
+    # past the interpreter's int-to-string digit limit (4300 by default)
+    with pytest.raises(SchemaError) as exc:
+        parse('{"k": %s, "layers": [], "u": []}' % ("1" * 5000))
+    assert str(exc.value) == "invalid JSON: an integer has more than 4300 digits"
+
+
+def test_oversized_integer_exits_2(tmp_path, capsys):
+    bad = tmp_path / "big.json"
+    bad.write_text('{"k": %s, "layers": []}' % ("1" * 5000))
+    assert main(["verify", "--in", str(bad), "--delta", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: invalid JSON: an integer has more than 4300 digits\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("parse", [parse_clump_json, parse_dual_weights])

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clumplab
 from clumplab import lp
@@ -311,17 +313,114 @@ def test_integer_tableau_matches_fraction_tableau():
     _same_as_fraction_tableau(build_epsz_lp())
 
 
+def _unit_topology(seq: list[frozenset[int]]) -> WeightedClumpGraph:
+    return WeightedClumpGraph(3, [[(c, 1) for c in cols] for cols in seq])
+
+
+def _lp_order(seq: list[frozenset[int]], delta: int) -> Fraction:
+    """The sequence's minimum order over fractional weights."""
+    keys, program = lp._min_order_program(_unit_topology(seq), delta)
+    return len(keys) + simplex_solve(program).value
+
+
 @pytest.mark.parametrize("delta", [2, 5, 8])
 def test_integer_tableau_matches_fraction_tableau_on_min_order(delta):
     solved = 0
     for seq in _pattern_sequences(4):
         try:
-            _, _, program = lp._min_order_program(lp._unit_topology(seq), delta)
+            _, program = lp._min_order_program(_unit_topology(seq), delta)
         except ValueError:
             continue
         assert _same_as_fraction_tableau(program) == "optimal"
         solved += 1
     assert solved > 0
+
+
+def _neighbor_program(topology: WeightedClumpGraph, delta: int) -> RationalLP | None:
+    """The covering program built independently of _covering_rows, by
+    walking topology.neighbors(); None when some clump with positive
+    need has no neighbor but the root."""
+    keys = [(c.layer, c.color) for c in topology.clumps()]
+    index = {key: j for j, key in enumerate(keys[1:])}
+    program = RationalLP(False, [1] * len(index))
+    for key in keys:
+        nbrs = [(c.layer, c.color) for c in topology.neighbors(*key)]
+        coeffs = [0] * len(index)
+        for nb in nbrs:
+            if nb in index:
+                coeffs[index[nb]] += 1
+        if delta - len(nbrs) > 0 and not any(coeffs):
+            return None
+        program.add_row(coeffs, ">=", delta - len(nbrs))
+    return program
+
+
+@pytest.mark.parametrize("delta", [1, 2, 5, 8])
+def test_covering_rows_match_the_neighbor_walk(delta):
+    infeasible = 0
+    for depth in range(1, 5):
+        for seq in _pattern_sequences(depth):
+            topology = _unit_topology(seq)
+            oracle = _neighbor_program(topology, delta)
+            if oracle is None:
+                infeasible += 1
+                with pytest.raises(ValueError):
+                    lp._covering_rows(seq, delta)
+                with pytest.raises(ValueError):
+                    lp._min_order_program(topology, delta)
+                continue
+            keys, program = lp._min_order_program(topology, delta)
+            assert keys == [(c.layer, c.color) for c in topology.clumps()]
+            assert (program.c, program.rows) == (oracle.c, oracle.rows)
+            assert lp._covering_program(lp._covering_rows(seq, delta)).rows == oracle.rows
+    assert (infeasible > 0) == (delta > 1)
+
+
+@pytest.mark.parametrize("delta", [2, 5, 8])
+def test_order_bounds_bracket_the_lp_value(delta):
+    checked = 0
+    for depth in range(1, 5):
+        for seq in _pattern_sequences(depth):
+            try:
+                rows = lp._covering_rows(seq, delta)
+            except ValueError:
+                continue
+            lower, upper = lp._order_bounds(rows)
+            assert lower <= _lp_order(seq, delta) <= upper
+            checked += 1
+            if depth <= 3:
+                # upper is an integer weighting, so it bounds the integer order too
+                assert min_order_lp(_unit_topology(seq), delta).int_value <= upper
+    assert checked > 0
+
+
+def _swap(seq):
+    """seq with colors 1 and 2 exchanged."""
+    return [frozenset(-c % 3 for c in cols) for cols in seq]
+
+
+def _key(seq):
+    return tuple(tuple(sorted(cols)) for cols in seq)
+
+
+def test_color_swap_pairs_up_sequences():
+    for depth in range(1, 6):
+        seqs = _pattern_sequences(depth)
+        assert sorted(_key(_swap(seq)) for seq in seqs) == sorted(map(_key, seqs))
+        # the search visits exactly one sequence of each {seq, swap} orbit
+        orbits = {frozenset({_key(seq), _key(_swap(seq))}) for seq in seqs}
+        visited = [seq for seq in seqs if not lp._swap_is_smaller(seq)]
+        assert len(visited) == len(orbits) < len(seqs)
+        assert {frozenset({_key(seq), _key(_swap(seq))}) for seq in visited} == orbits
+    for seq in _pattern_sequences(3):
+        for delta in (2, 5):
+            try:
+                value = _lp_order(seq, delta)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    _lp_order(_swap(seq), delta)
+                continue
+            assert _lp_order(_swap(seq), delta) == value
 
 
 def test_dual_polytope_and_perturbation():
@@ -392,7 +491,7 @@ def test_min_order_two_clumps(monkeypatch):
 
 def test_min_order_integral_root_is_solved_once(monkeypatch):
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]])
-    _, root = lp._relax(g, 2)
+    root = simplex_solve(lp._min_order_program(g, 2)[1])
     assert all(v.denominator == 1 for v in root.x)
     calls = _count_calls(monkeypatch, "simplex_solve")
     min_order_lp(g, 2)
@@ -443,9 +542,8 @@ def _reference_search(delta, d_max, n_budget, outcomes):
         for seq in _pattern_sequences(depth):
             key = (delta, tuple(seq))
             if key not in outcomes:
-                topology = WeightedClumpGraph(3, [[(c, 1) for c in cols] for cols in seq])
                 try:
-                    result = min_order_lp(topology, delta)
+                    result = min_order_lp(_unit_topology(seq), delta)
                 except ValueError:
                     outcomes[key] = None
                     continue
@@ -481,24 +579,52 @@ def _matches_golden(result, golden: dict) -> bool:
     )
 
 
+_OUTCOMES: dict = {}  # _reference_search's memo, shared by the tests below
+
+
 def test_extremal_search_matches_reference():
     # depths are independent, so d_max = 3 covers every d_max <= 3, and
     # a larger d_max covers the smaller ones at its delta; each budget
     # below 60 drops some sequences, and 8 and 12 equal the frontier they
-    # reach; (2, 5) and (5, 4) are bench menu points, also held to golden
-    golden = _golden_search()
-    points = [(2, 5, 60), (3, 4, 60), (5, 4, 60)]
+    # reach; at (8, 4, 20) some sequences fit the budget only below their
+    # upper bound, so the walk solves their relaxation before sorting
+    points = [(2, 5, 60), (3, 4, 60), (4, 4, 60), (5, 4, 60)]
     points += [(delta, 3, 60) for delta in (1, 4, 6, 7, 8)]
-    points += [(2, 4, 5), (3, 3, 8), (5, 3, 12)]
-    outcomes = {}
+    points += [(2, 4, 5), (3, 3, 8), (5, 3, 12), (8, 4, 20)]
     for delta, d_max, n_budget in points:
         result = extremal_search(delta, d_max, n_budget)
-        expected = _reference_search(delta, d_max, n_budget, outcomes)
+        expected = _reference_search(delta, d_max, n_budget, _OUTCOMES)
         assert (result.frontier, result.best_phi, result.complete) == expected
         assert result.complete == (n_budget == 60)
-        key = f"{delta},{d_max}"
-        if n_budget == 60 and key in golden:
-            assert _matches_golden(result, golden[key])
+    fits_below_upper = 0
+    for seq in itertools.chain.from_iterable(map(_pattern_sequences, range(1, 5))):
+        try:
+            rows = lp._covering_rows(seq, 8)
+        except ValueError:
+            continue
+        fits_below_upper += _lp_order(seq, 8) <= 20 < lp._order_bounds(rows)[1]
+    assert fits_below_upper > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(delta=st.integers(1, 8), d_max=st.integers(1, 3), n_budget=st.integers(3, 40))
+def test_extremal_search_matches_reference_on_random_points(delta, d_max, n_budget):
+    result = extremal_search(delta, d_max, n_budget)
+    expected = _reference_search(delta, d_max, n_budget, _OUTCOMES)
+    assert (result.frontier, result.best_phi, result.complete) == expected
+
+
+@pytest.mark.parametrize("point", sorted(_golden_search()))
+def test_extremal_search_matches_golden(point):
+    delta, d_max = map(int, point.split(","))
+    assert _matches_golden(extremal_search(delta, d_max, 60), _golden_search()[point])
+
+
+def test_extremal_search_solves_few_relaxations(monkeypatch):
+    # the bounds decide most of the 174 sequences; the parent made 176 calls
+    calls = _count_calls(monkeypatch, "simplex_solve")
+    extremal_search(5, 4, 60)
+    assert calls[0] <= 20
 
 
 def test_extremal_search_prunes_by_lp_order(monkeypatch):

@@ -10,9 +10,14 @@ A clump's neighborhood sum needs no walk over its neighbors:
 
 with T(j) the total of layer j and absent clumps and layers counting 0
 (core.neighbor_sums proves it from the saturation rule).
-verify_packing scales u to integers over the lcm of its denominators
-and evaluates this for every clump at once with that kernel, the one
-that also gives core's weighted degrees.
+
+Both functions work in integers over one scale S and evaluate this for
+every clump at once with that kernel, the one that also gives core's
+weighted degrees: the weights are feasible when no neighbor sum exceeds
+S.  verify_packing takes S as the lcm of the given denominators;
+dual_certificate builds its weights as integers over S from the start.
+Fraction appears only in the weights going in and the results coming
+out.
 """
 
 from __future__ import annotations
@@ -40,19 +45,30 @@ class DualCertificate:
     layer_totals: list[Fraction]
     u_tilde: Fraction
     feasible: bool
+    objective: Fraction  # the total of u
 
-    @property
-    def objective(self) -> Fraction:
-        return sum(self.u.values(), Fraction(0))
+
+def _packing_verdict(rows: list[dict[int, int]], scale: int) -> tuple[bool, int]:
+    """(feasible, largest neighbor sum) for weights given as integers
+    over scale: rows[i] maps the colors of layer i to their scaled
+    weights.  Feasible when no clump's neighbor sum exceeds scale."""
+    worst = max(max(row.values()) for row in neighbor_sums(rows))
+    return worst <= scale, worst
 
 
 def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
     """The uniform-by-layer dual weights for a canonical graph.
 
     Layers of fewer than k clumps share (k-1)/(3k-4) evenly.  A layer of
-    k clumps splits: clumps whose color misses both neighbor layers (so
-    they see everything next door) get 1/(3k-4) and the rest get
-    correspondingly less, keeping the layer total at (k-1)/(3k-4).
+    k clumps splits: clumps whose color misses both neighbor layers (the
+    set X; they see everything next door) get 1/(3k-4) and the rest get
+    1/(3k-4) - 1/((3k-4)(k-|X|)), keeping the layer total at
+    (k-1)/(3k-4).
+
+    Exact in integers: every weight is a multiple of 1/S for
+    S = (3k-4) L, with L the lcm of the denominators that occur (the
+    clump count of each short layer and k-|X| of each full one), so the
+    scale stays small however large k is.
     """
     k = graph.k
     if k < 3:
@@ -60,30 +76,44 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
     report = check_canonical(graph)
     if not report.passes:
         raise ValueError(f"graph is not canonical: {report.violations}")
-    layer_total = Fraction(k - 1, 3 * k - 4)
-    u: dict[ClumpKey, Fraction] = {}
-    totals: list[Fraction] = []
+    # per layer: the denominator its weights need, and X for a full layer
+    shapes: list[tuple[int, frozenset[int] | None]] = []
     for i, layer in enumerate(graph.layers):
         if len(layer) < k:
-            w = Fraction(k - 1, (3 * k - 4) * len(layer))
-            for c in layer:
-                u[(i, c.color)] = w
+            shapes.append((len(layer), None))
+            continue
+        nearby = graph.colors_of_layer(i - 1) | graph.colors_of_layer(i + 1)
+        x_colors = graph.colors_of_layer(i) - nearby
+        if len(x_colors) > k - 2:
+            raise ValueError(
+                f"layer {i}: {len(x_colors)} clumps dominate both neighbor "
+                f"layers; canonical graphs allow at most {k - 2}"
+            )
+        shapes.append((k - len(x_colors), x_colors))
+    unit = lcm(*{d for d, _ in shapes})  # the weight 1/(3k-4), scaled
+    scale = (3 * k - 4) * unit
+    rows: list[dict[int, int]] = []
+    for layer, (d, x_colors) in zip(graph.layers, shapes):
+        if x_colors is None:
+            w = (k - 1) * (unit // d)
+            rows.append({c.color: w for c in layer})
         else:
-            nearby = graph.colors_of_layer(i - 1) | graph.colors_of_layer(i + 1)
-            x_set = [c for c in layer if c.color not in nearby]
-            if len(x_set) > k - 2:
-                raise ValueError(
-                    f"layer {i}: {len(x_set)} clumps dominate both neighbor "
-                    f"layers; canonical graphs allow at most {k - 2}"
-                )
-            heavy = Fraction(1, 3 * k - 4)
-            light = heavy - Fraction(1, (3 * k - 4) * (k - len(x_set)))
-            x_colors = {c.color for c in x_set}
-            for c in layer:
-                u[(i, c.color)] = heavy if c.color in x_colors else light
-        totals.append(sum(u[(i, c.color)] for c in layer))
-    feasible = verify_packing(graph, u).feasible
-    return DualCertificate(u=u, layer_totals=totals, u_tilde=layer_total, feasible=feasible)
+            light = unit - unit // d
+            rows.append({c.color: unit if c.color in x_colors else light for c in layer})
+    feasible, _ = _packing_verdict(rows, scale)
+    totals = [sum(row.values()) for row in rows]
+    # one Fraction per distinct scaled value, shared by the clumps and layers holding it
+    as_fraction = {
+        v: Fraction(v, scale) for v in {*totals, *(w for row in rows for w in row.values())}
+    }
+    u = {(i, c): as_fraction[w] for i, row in enumerate(rows) for c, w in row.items()}
+    return DualCertificate(
+        u=u,
+        layer_totals=[as_fraction[t] for t in totals],
+        u_tilde=Fraction(k - 1, 3 * k - 4),
+        feasible=feasible,
+        objective=Fraction(sum(totals), scale),
+    )
 
 
 def verify_packing(graph: WeightedClumpGraph, u: dict[ClumpKey, Fraction]) -> PackingReport:
@@ -102,9 +132,9 @@ def verify_packing(graph: WeightedClumpGraph, u: dict[ClumpKey, Fraction]) -> Pa
         if value < 0:
             raise ValueError(f"negative dual weight at {key}")
     rows = [{c.color: scaled[(c.layer, c.color)] for c in layer} for layer in graph.layers]
-    worst = max(max(row.values()) for row in neighbor_sums(rows))
+    feasible, worst = _packing_verdict(rows, scale)
     return PackingReport(
-        feasible=worst <= scale,
+        feasible=feasible,
         objective=Fraction(sum(scaled.values()), scale),
         worst_slack=Fraction(scale - worst, scale),
     )

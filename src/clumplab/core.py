@@ -42,11 +42,6 @@ class LayerProfile:
     n: int
     diameter_index: int
 
-    def ell_at(self, i: int) -> int:
-        if 0 <= i <= self.diameter_index:
-            return self.ell[i]
-        return 0
-
     @property
     def singles(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.clump_counts) if c == 1)

@@ -4,11 +4,16 @@ layer profiles, and the normalized global statistics they feed.
 Each window inequality bounds a short run of consecutive layer weights
 from below by a multiple of the minimum degree; which bound applies
 depends on where the single-clump layers sit.  The per-window forms are
-exact.  GLOBAL_PROGRAM holds the five normalized constraints on the
-global statistics (phi, mu, psi, alpha1, alpha2); check_aggregates
-evaluates them, each row allowed slack_c * delta / n for the boundary
-terms, and `lp` maximizes phi over them.  window_inequalities returns the
-one verdict: a profile passes when every window and every row passes.
+exact: each window keeps its two sides as integers over WINDOW_SCALE = 6
+(the coefficients 3/2 and 4/3 need no finer unit) and compares those,
+and each global statistic is one integer sum over n.  Fraction appears
+only at the interface, in Window.lhs/rhs and GlobalStats.
+
+GLOBAL_PROGRAM holds the five normalized constraints on the global
+statistics (phi, mu, psi, alpha1, alpha2); check_aggregates evaluates
+them, each row allowed slack_c * delta / n for the boundary terms, and
+`lp` maximizes phi over them.  window_inequalities returns the one
+verdict: a profile passes when every window and every row passes.
 
 Summing the windows over the whole profile gives two profile-wide
 bounds, and neither needs a check of its own:
@@ -54,17 +59,28 @@ GLOBAL_PROGRAM: tuple[tuple[str, tuple[int, ...], int], ...] = (
 )
 
 
+WINDOW_SCALE = 6  # every window side is a multiple of 1/6: coefficients 3/2 and 4/3
+
+
 @dataclass(frozen=True)
 class Window:
     kind: str  # "one-layer", "two-layer", "three-layer"
     index: int
     case: str
-    lhs: Fraction
-    rhs: Fraction
+    lhs_scaled: int  # WINDOW_SCALE * lhs
+    rhs_scaled: int  # WINDOW_SCALE * rhs
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.lhs_scaled, WINDOW_SCALE)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_scaled, WINDOW_SCALE)
 
     @property
     def passes(self) -> bool:
-        return self.lhs >= self.rhs
+        return self.lhs_scaled >= self.rhs_scaled
 
 
 @dataclass(frozen=True)
@@ -129,48 +145,51 @@ def window_inequalities(
         raise ValueError(f"slack_c={slack_c} must be nonnegative")
     _require_canonical_patterns(profile)
     D = profile.diameter_index
-    singles = profile.singles
-    ell = profile.ell_at
-    windows: list[Window] = []
+    # e[i + 1] is the weight of layer i and single[i + 1] whether it holds
+    # one clump; the padding stands for the empty layers -1 and D + 1
+    e = (0, *profile.ell, 0)
+    single = (False, *(c == 1 for c in profile.clump_counts), False)
+    windows: list[Window] = []  # sides in sixths (WINDOW_SCALE)
 
     for i in range(D + 1):
         c = profile.clump_counts[i]
         if c > 2:
             continue
-        lhs = Fraction(2 * (ell(i - 1) + ell(i) + ell(i + 1)))
-        rhs = Fraction(2 * delta + (2 if c == 1 else 1) * ell(i))
+        lhs = 12 * (e[i] + e[i + 1] + e[i + 2])
+        rhs = 12 * delta + (12 if c == 1 else 6) * e[i + 1]
         windows.append(Window("one-layer", i, "single" if c == 1 else "double", lhs, rhs))
 
     for i in range(D):
-        a, b = i in singles, i + 1 in singles
-        outer = ell(i - 1) + ell(i + 2)
+        a, b = single[i + 1], single[i + 2]
+        outer = 6 * (e[i] + e[i + 3])
         if a and b:
-            lhs = Fraction(outer + ell(i) + ell(i + 1))
+            lhs = outer + 6 * (e[i + 1] + e[i + 2])
             case = "both-single"
         elif a:
-            lhs = outer + ell(i) + Fraction(3, 2) * ell(i + 1)
+            lhs = outer + 6 * e[i + 1] + 9 * e[i + 2]
             case = "first-single"
         elif b:
-            lhs = outer + Fraction(3, 2) * ell(i) + ell(i + 1)
+            lhs = outer + 9 * e[i + 1] + 6 * e[i + 2]
             case = "second-single"
         else:
-            lhs = outer + Fraction(4, 3) * (ell(i) + ell(i + 1))
+            lhs = outer + 8 * (e[i + 1] + e[i + 2])
             case = "no-single"
-        windows.append(Window("two-layer", i, case, lhs, Fraction(2 * delta)))
+        windows.append(Window("two-layer", i, case, lhs, 12 * delta))
 
     for i in range(1, D):
-        pattern = tuple(j in singles for j in (i - 1, i, i + 1))
-        lhs = Fraction(2 * sum(ell(i + d) for d in range(-2, 3)))
+        pattern = single[i:i + 3]  # layers i - 1, i, i + 1
+        before, here, after = e[i], e[i + 1], e[i + 2]
+        lhs = 12 * (e[i - 1] + before + here + after + e[i + 3])
         if pattern in {(True, False, True), (True, False, False), (False, False, True)}:
-            rhs = Fraction(8 * delta - 4 * ell(i) - 2 * ell(i - 1) - 2 * ell(i + 1))
+            rhs = 6 * (8 * delta - 4 * here - 2 * before - 2 * after)
         elif pattern == (True, True, True):
-            rhs = Fraction(6 * delta - 2 * ell(i))
+            rhs = 6 * (6 * delta - 2 * here)
         elif pattern == (True, True, False):
-            rhs = Fraction(6 * delta - 2 * ell(i) - ell(i + 1))
+            rhs = 6 * (6 * delta - 2 * here - after)
         elif pattern == (False, True, True):
-            rhs = Fraction(6 * delta - 2 * ell(i) - ell(i - 1))
+            rhs = 6 * (6 * delta - 2 * here - before)
         else:  # middle single flanked by non-singles, or no singles at all
-            rhs = Fraction(6 * delta - 2 * ell(i) - ell(i - 1) - ell(i + 1))
+            rhs = 6 * (6 * delta - 2 * here - before - after)
         case = "".join("s" if flag else "m" for flag in pattern)
         windows.append(Window("three-layer", i, case, lhs, rhs))
 
@@ -184,20 +203,15 @@ def global_stats(profile: LayerProfile, delta: int) -> GlobalStats:
     D = profile.diameter_index
     n = profile.n
     singles = profile.singles
-    mu = Fraction(sum(profile.ell[i] for i in singles), n)
-    alpha1 = alpha2 = Fraction(0)
+    # weights of the 2-clump layers 1 <= i <= D-1 by how many singles flank them
+    flanked = [0, 0, 0]
     for i in range(1, D):
-        if profile.clump_counts[i] != 2:
-            continue
-        flanking = (i - 1 in singles) + (i + 1 in singles)
-        if flanking == 2:
-            alpha1 += Fraction(profile.ell[i], n)
-        elif flanking == 1:
-            alpha2 += Fraction(profile.ell[i], n)
+        if profile.clump_counts[i] == 2:
+            flanked[(i - 1 in singles) + (i + 1 in singles)] += profile.ell[i]
     return GlobalStats(
-        mu=mu,
-        alpha1=alpha1,
-        alpha2=alpha2,
+        mu=Fraction(sum(profile.ell[i] for i in singles), n),
+        alpha1=Fraction(flanked[2], n),
+        alpha2=Fraction(flanked[1], n),
         phi=Fraction(D * delta, n),
         psi=Fraction(delta * singular_triplet_count(profile), n),
         n=n,

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -17,7 +19,7 @@ from clumplab.core import (
     weighted_degree,
 )
 
-from conftest import random_layered_graph
+from conftest import canonical_pair, random_layered_graph
 
 
 def test_thin_layer_weights():
@@ -114,12 +116,7 @@ def test_diameter_below_bound_on_corpus(corpus_by_k):
 def test_bound_requires_feasibility():
     g = counterexample_graph(1, 4, 1)
     cert = dual_certificate(g)
-    broken = type(cert)(
-        u=cert.u,
-        layer_totals=cert.layer_totals,
-        u_tilde=cert.u_tilde,
-        feasible=False,
-    )
+    broken = replace(cert, feasible=False)
     with pytest.raises(ValueError):
         bound_from_certificate(broken, 15, 4)
 
@@ -199,3 +196,46 @@ def test_verify_packing_bad_weight_messages(edit, message):
     for check in (verify_packing, _fraction_verify_packing):
         with pytest.raises(ValueError, match=f"^{message}$"):
             check(g, u)
+
+
+def _fraction_dual_certificate(graph):
+    """dual_certificate's weights built in Fractions, clump by clump:
+    (u, layer_totals, u_tilde, feasible) for a canonical graph."""
+    k = graph.k
+    u = {}
+    totals = []
+    for i, layer in enumerate(graph.layers):
+        if len(layer) < k:
+            w = Fraction(k - 1, (3 * k - 4) * len(layer))
+            for c in layer:
+                u[(i, c.color)] = w
+        else:
+            nearby = graph.colors_of_layer(i - 1) | graph.colors_of_layer(i + 1)
+            x_colors = {c.color for c in layer if c.color not in nearby}
+            heavy = Fraction(1, 3 * k - 4)
+            light = heavy - Fraction(1, (3 * k - 4) * (k - len(x_colors)))
+            for c in layer:
+                u[(i, c.color)] = heavy if c.color in x_colors else light
+        totals.append(sum(u[(i, c.color)] for c in layer))
+    feasible = _fraction_verify_packing(graph, u)[0]
+    return u, totals, Fraction(k - 1, 3 * k - 4), feasible
+
+
+def test_dual_certificate_matches_fraction_oracle():
+    rng = random.Random(20261019)
+    full_layers = Counter()
+    for trial in range(360):
+        k = 3 + trial % 3
+        graph, _ = canonical_pair(random_layered_graph(rng, k=k, max_depth=16))
+        cert = dual_certificate(graph)
+        u, totals, u_tilde, feasible = _fraction_dual_certificate(graph)
+        assert list(cert.u.items()) == list(u.items())
+        assert (cert.layer_totals, cert.u_tilde, cert.feasible) == (totals, u_tilde, feasible)
+        assert cert.feasible == verify_packing(graph, cert.u).feasible
+        assert cert.objective == sum(cert.u.values())
+        for i, layer in enumerate(graph.layers):
+            if len(layer) == k:
+                heavy = max(u[(i, c.color)] for c in layer)
+                full_layers[(k, heavy == Fraction(1, 3 * k - 4))] += 1
+    # full layers with and without a dominating clump, at every k
+    assert all(full_layers[(k, x)] >= 5 for k in (3, 4, 5) for x in (False, True))

@@ -234,10 +234,15 @@ def test_suite_command(tmp_path, capsys):
         "--p-values", "1,2", "--csv", csv_path,
     ])
     assert code == 0
-    rows = Path(csv_path).read_text().splitlines()
-    assert rows[0].startswith("instance,")
-    assert len(rows) == 5  # header + 2 deltas x 2 p values
-    assert all(row.endswith("pass") for row in rows[1:])
+    # header + 2 deltas x 2 p values, pinning the certificate bound and
+    # the sieve's window counts as well as the verdict
+    assert Path(csv_path).read_text() == (
+        "instance,n,D,min_degree,phi,cert_bound,sieve_pass,sieve_total,status\n"
+        '"H(1,2,1)",9,6,2,4/3,49/4,18,18,pass\n'
+        '"H(1,2,2)",16,13,2,13/8,21,39,39,pass\n'
+        '"H(1,3,1)",12,6,3,3/2,11,18,18,pass\n'
+        '"H(1,3,2)",22,13,3,39/22,58/3,39,39,pass\n'
+    )
 
 
 def test_slack_env_is_ignored(monkeypatch, tmp_path, capsys, psi_graph):
@@ -385,13 +390,13 @@ print(json.dumps([sys.flags.optimize, runs]))
 """
 
 
-def _run_cli_subprocess(argvs, cwd, optimize):
+def _run_cli_subprocess(argvs, cwd, optimize, timeout=120):
     src = Path(clumplab.__file__).parents[1]
     flags = ["-O"] if optimize else []
     proc = subprocess.run(
         [sys.executable, *flags, "-c", _RUN_MAIN, json.dumps(argvs)],
         cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=120, check=True,
+        capture_output=True, text=True, timeout=timeout, check=True,
     )
     level, runs = json.loads(proc.stdout)
     assert level == len(flags)
@@ -441,6 +446,27 @@ def test_canonicalize_with_huge_palette_is_fast(tmp_path):
     assert out.diameter_index == graph.diameter_index
     assert core.min_weighted_degree(out) == core.min_weighted_degree(graph)
     assert check_canonical(out).passes
+
+
+def test_certify_with_huge_palette_is_fast(tmp_path):
+    # the certificate's scale comes from the layer sizes present, not from
+    # every denominator up to k, so a palette of 10**8 colors costs nothing
+    graph = core.WeightedClumpGraph(10**8, [[(0, 1)], [(1, 3), (2, 3)], [(0, 3)]])
+    _write_graph(tmp_path, graph)
+    argvs = [
+        ["canonicalize", "--in", "g.json", "--delta", "3", "--out", "canon.json"],
+        ["certify", "--in", "canon.json", "--delta", "3"],
+    ]
+    runs = _run_cli_subprocess(argvs, tmp_path, optimize=False, timeout=10)
+    assert runs[0][0] == 0
+    assert runs[1] == (
+        0,
+        "feasible yes\n"
+        "u-tilde 99999999/299999996\n"
+        "objective 299999997/299999996\n"
+        "diameter-bound 3299999957/299999997\n",
+        "",
+    )
 
 
 @pytest.mark.parametrize("args", [

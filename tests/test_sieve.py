@@ -1,8 +1,9 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clumplab.canonical import check_canonical, is_canonical_pair
@@ -22,6 +23,8 @@ from clumplab.sieve import (
     singular_triplet_count,
     window_inequalities,
 )
+
+from conftest import canonical_pair, random_layered_graph
 
 
 def _family_profile(p, delta=4):
@@ -212,3 +215,112 @@ def test_canonical_graphs_meet_every_window(graph):
     report = window_inequalities(layer_profile(graph), delta)
     assert all(w.passes for w in report.windows)
     assert report.passes == all(report.rows.values())
+
+
+def _fraction_windows(profile, delta):
+    """The window loop and global statistics in Fractions, read through
+    an ell() that returns 0 outside 0..D: the sides of every window as
+    (kind, index, case, lhs, rhs, passes), and the statistics."""
+    D = profile.diameter_index
+    singles = profile.singles
+
+    def ell(i):
+        return profile.ell[i] if 0 <= i <= D else 0
+
+    windows = []
+    for i in range(D + 1):
+        c = profile.clump_counts[i]
+        if c > 2:
+            continue
+        lhs = Fraction(2 * (ell(i - 1) + ell(i) + ell(i + 1)))
+        rhs = Fraction(2 * delta + (2 if c == 1 else 1) * ell(i))
+        windows.append(("one-layer", i, "single" if c == 1 else "double", lhs, rhs))
+    for i in range(D):
+        a, b = i in singles, i + 1 in singles
+        outer = ell(i - 1) + ell(i + 2)
+        if a and b:
+            lhs = Fraction(outer + ell(i) + ell(i + 1))
+            case = "both-single"
+        elif a:
+            lhs = outer + ell(i) + Fraction(3, 2) * ell(i + 1)
+            case = "first-single"
+        elif b:
+            lhs = outer + Fraction(3, 2) * ell(i) + ell(i + 1)
+            case = "second-single"
+        else:
+            lhs = outer + Fraction(4, 3) * (ell(i) + ell(i + 1))
+            case = "no-single"
+        windows.append(("two-layer", i, case, lhs, Fraction(2 * delta)))
+    for i in range(1, D):
+        pattern = tuple(j in singles for j in (i - 1, i, i + 1))
+        lhs = Fraction(2 * sum(ell(i + d) for d in range(-2, 3)))
+        if pattern in {(True, False, True), (True, False, False), (False, False, True)}:
+            rhs = Fraction(8 * delta - 4 * ell(i) - 2 * ell(i - 1) - 2 * ell(i + 1))
+        elif pattern == (True, True, True):
+            rhs = Fraction(6 * delta - 2 * ell(i))
+        elif pattern == (True, True, False):
+            rhs = Fraction(6 * delta - 2 * ell(i) - ell(i + 1))
+        elif pattern == (False, True, True):
+            rhs = Fraction(6 * delta - 2 * ell(i) - ell(i - 1))
+        else:
+            rhs = Fraction(6 * delta - 2 * ell(i) - ell(i - 1) - ell(i + 1))
+        case = "".join("s" if flag else "m" for flag in pattern)
+        windows.append(("three-layer", i, case, lhs, rhs))
+
+    n = profile.n
+    alpha1 = alpha2 = Fraction(0)
+    for i in range(1, D):
+        if profile.clump_counts[i] != 2:
+            continue
+        flanking = (i - 1 in singles) + (i + 1 in singles)
+        if flanking == 2:
+            alpha1 += Fraction(profile.ell[i], n)
+        elif flanking == 1:
+            alpha2 += Fraction(profile.ell[i], n)
+    stats = GlobalStats(
+        mu=Fraction(sum(profile.ell[i] for i in singles), n),
+        alpha1=alpha1,
+        alpha2=alpha2,
+        phi=Fraction(D * delta, n),
+        psi=Fraction(delta * singular_triplet_count(profile), n),
+        n=n,
+        delta=delta,
+    )
+    return [(*w, w[3] >= w[4]) for w in windows], stats
+
+
+def _assert_windows_match_oracle(graph, deltas):
+    """Compare window_inequalities with _fraction_windows at each delta;
+    the number of failing windows seen."""
+    profile = layer_profile(graph)
+    failing = 0
+    for delta in deltas:
+        report = window_inequalities(profile, delta)
+        windows, stats = _fraction_windows(profile, delta)
+        got = [(w.kind, w.index, w.case, w.lhs, w.rhs, w.passes) for w in report.windows]
+        assert got == windows
+        assert report.stats == stats
+        assert report.rows == check_aggregates(stats)
+        assert global_stats(profile, delta) == stats
+        failing += sum(1 for w in windows if not w[5])
+    return failing
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_windows_match_fraction_oracle_on_random_canonical_graphs(seed):
+    graph, delta = canonical_pair(random_layered_graph(random.Random(seed), max_depth=16))
+    assume(delta >= 1)
+    _assert_windows_match_oracle(graph, (delta, delta + 1, delta + 3, 3 * delta + 5))
+
+
+def test_windows_match_fraction_oracle_on_families():
+    failing = 0
+    for delta in (2, 3, 4, 6):
+        for p in (1, 2, 3):
+            failing += _assert_windows_match_oracle(
+                counterexample_graph(1, delta, p), (delta, delta + 1, delta + 4)
+            )
+    for p in (1, 5, 50):
+        failing += _assert_windows_match_oracle(_periodic_graph(p), (4, 5, 9))
+    assert failing > 100

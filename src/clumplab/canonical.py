@@ -26,9 +26,10 @@ from .core import (
     WeightedClumpGraph,
     bfs_distances,
     min_weighted_degree,
+    weight_rows,
 )
 
-# internal working form: one dict color -> weight per layer
+# internal working form: one dict color -> weight per layer (core.weight_rows)
 Layers = list[dict[int, int]]
 
 
@@ -60,10 +61,6 @@ class CanonicalReport:
     @property
     def passes(self) -> bool:
         return not self.violations
-
-
-def _to_layers(graph: WeightedClumpGraph) -> Layers:
-    return [{c.color: c.weight for c in layer} for layer in graph.layers]
 
 
 def _to_graph(k: int, layers: Layers) -> WeightedClumpGraph:
@@ -114,7 +111,7 @@ def check_canonical(graph: WeightedClumpGraph) -> CanonicalReport:
     """Evaluate canonical properties (i)-(iv).  Every consecutive layer
     pair is held to pair_violations, so for k = 3 this also confines the
     pairs to the seven admissible color-set shapes."""
-    return CanonicalReport(violations=_violations(graph.k, _to_layers(graph)))
+    return CanonicalReport(violations=_violations(graph.k, weight_rows(graph)))
 
 
 # -- rewrites ------------------------------------------------------------
@@ -252,7 +249,7 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
     if min_weighted_degree(graph) < delta:
         raise CanonicalizationError(f"input min weighted degree below delta={delta}")
     k = graph.k
-    layers = _to_layers(graph)
+    layers = weight_rows(graph)
     log = TransformLog()
     cap = 4 * len(layers) * k
     result = graph

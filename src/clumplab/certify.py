@@ -75,7 +75,13 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
         raise ValueError(f"k={k} must be at least 3")
     report = check_canonical(graph)
     if not report.passes:
-        raise ValueError(f"graph is not canonical: {report.violations}")
+        n = len(report.violations)
+        i, prop = report.violations[0]
+        where = f"layer {i}" if prop == "iv" else f"layer pair ({i}, {i + 1})"
+        raise ValueError(
+            f"graph is not canonical: {n} violation{'s' * (n > 1)}, the first "
+            f"of property ({prop}) at {where}"
+        )
     # per layer: the denominator its weights need, and X for a full layer
     shapes: list[tuple[int, frozenset[int] | None]] = []
     for i, layer in enumerate(graph.layers):

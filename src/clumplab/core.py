@@ -179,12 +179,13 @@ def neighbor_sums(rows: Sequence[Mapping[int, int]]) -> list[dict[int, int]]:
     return out
 
 
-def _weight_rows(graph: WeightedClumpGraph) -> list[dict[int, int]]:
+def weight_rows(graph: WeightedClumpGraph) -> list[dict[int, int]]:
+    """One fresh dict color -> weight per layer, the rows neighbor_sums reads."""
     return [{c.color: c.weight for c in layer} for layer in graph.layers]
 
 
 def min_weighted_degree(graph: WeightedClumpGraph) -> int:
-    return min(min(row.values()) for row in neighbor_sums(_weight_rows(graph)))
+    return min(min(row.values()) for row in neighbor_sums(weight_rows(graph)))
 
 
 def layer_profile(graph: WeightedClumpGraph) -> LayerProfile:
@@ -242,7 +243,7 @@ MAX_BLOW_UP_EDGES = 1_000_000
 def blow_up_edge_count(graph: WeightedClumpGraph) -> int:
     """Edge count of blow_up(graph) without building it: w_u * w_v summed
     over adjacent clump pairs, each pair seen from both ends."""
-    rows = _weight_rows(graph)
+    rows = weight_rows(graph)
     return sum(
         w * degrees[c] for row, degrees in zip(rows, neighbor_sums(rows)) for c, w in row.items()
     ) // 2

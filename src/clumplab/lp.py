@@ -1,8 +1,10 @@
 """Exact rational linear programming for the small dense programs that
 arise here: a two-phase simplex with Bland's rule, the five-variable
-global program, the per-topology minimum-order program with a
-branch-and-bound integer refinement, and a pattern-sequence search for
-extremal layer profiles.
+global program, the minimum order of a clump topology, and a
+pattern-sequence search for extremal layer profiles.  Both of the last
+two take one path: the topology's covering rows (_covering_rows), their
+relaxation (_relax), then branch and bound from its solution
+(_branch_and_bound).
 
 Programs go in as ints and Fractions, stored as given; solutions come
 out as fractions.Fraction.  Inside, the simplex tableau is Python ints
@@ -260,12 +262,24 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
     above delta, with all weights >= 1 and the root pinned to 1.
 
     Substituting weight = 1 + v reduces to v >= 0 with unit-coefficient
-    covering rows.  The integer optimum comes from depth-first branch
-    and bound on the most fractional variable; rounding the LP vertex
-    up stays feasible, which seeds the incumbent.
+    covering rows; their relaxation gives lp_value and _branch_and_bound
+    the integer optimum.  Above ILP_CLUMP_LIMIT clumps, int_value and
+    weights are None when that would branch: when the rounded-up LP
+    value is below the total of the rounded-up LP vertex.
     """
-    keys, program = _min_order_program(topology, delta)
-    return _refine(keys, program, _solve_relaxation(program))
+    if delta < 1:
+        raise ValueError(f"delta={delta} must be positive")
+    colors = [topology.colors_of_layer(i) for i in range(topology.diameter_index + 1)]
+    rows = _covering_rows(colors, delta)
+    program, root = _relax(rows)
+    assert root.value is not None and root.x is not None
+    lp_value = len(rows) + root.value
+    if len(rows) > ILP_CLUMP_LIMIT and ceil(root.value) < sum(ceil(v) for v in root.x):
+        return MinOrderResult(lp_value=lp_value, int_value=None, weights=None)
+    total, free = _branch_and_bound(program, root)
+    keys = [(c.layer, c.color) for c in topology.clumps()]
+    weights = dict(zip(keys, [1, *(1 + v for v in free)]))
+    return MinOrderResult(lp_value=lp_value, int_value=len(rows) + total, weights=weights)
 
 
 def _covering_rows(colors: Sequence[AbstractSet[int]], delta: int) -> list[CoverRow]:
@@ -343,38 +357,29 @@ def _order_bounds(rows: list[CoverRow]) -> tuple[int, int]:
     return len(rows) + lower, len(rows) + sum(cover)
 
 
-def _min_order_program(
-    topology: WeightedClumpGraph, delta: int
-) -> tuple[list[tuple[int, int]], RationalLP]:
-    """Every clump as (layer, color), the root first, and the covering
-    program over the free weights, those of the clumps after the root;
-    ValueError when no weighting can reach the degree bound."""
-    if delta < 1:
-        raise ValueError(f"delta={delta} must be positive")
-    keys = [(c.layer, c.color) for c in topology.clumps()]
-    colors = [topology.colors_of_layer(i) for i in range(topology.diameter_index + 1)]
-    return keys, _covering_program(_covering_rows(colors, delta))
+Relaxation = tuple[RationalLP, LPSolution]  # a covering program and its optimum
 
 
-def _solve_relaxation(lp: RationalLP) -> LPSolution:
-    """The optimal solution of a covering program, which _refine starts from."""
-    sol = simplex_solve(lp)
-    if sol.status != "optimal":
-        raise ValueError(f"minimum-order program is {sol.status}")
-    return sol
+def _relax(rows: list[CoverRow]) -> Relaxation:
+    """The covering program of rows and its optimal solution, which
+    _branch_and_bound starts from."""
+    program = _covering_program(rows)
+    root = simplex_solve(program)
+    if root.status != "optimal":
+        raise ValueError(f"minimum-order program is {root.status}")
+    return program, root
 
 
-def _refine(keys: list[tuple[int, int]], lp: RationalLP, root: LPSolution) -> MinOrderResult:
-    """Integer optimum of the covering program lp over the clumps keys,
-    by branch and bound from the relaxation's optimal solution root, so
-    the root program is never solved again."""
-    assert root.value is not None and root.x is not None
-    lp_value = len(keys) + root.value
-    if len(keys) > ILP_CLUMP_LIMIT:
-        return MinOrderResult(lp_value=lp_value, int_value=None, weights=None)
-
-    incumbent = sum(ceil(v) for v in root.x)
-    best_x = [Fraction(ceil(v)) for v in root.x]
+def _branch_and_bound(lp: RationalLP, root: LPSolution) -> tuple[int, list[int]]:
+    """The integer optimum of the covering program lp as (total, free
+    weights), by depth-first branch and bound on the most fractional
+    variable from the relaxation's optimal solution root, which is never
+    solved again.  Rounding root up stays feasible and seeds the
+    incumbent, so when its total is the rounded-up LP value nothing
+    branches."""
+    assert root.x is not None
+    best_x = [ceil(v) for v in root.x]
+    incumbent = sum(best_x)
     extra: list[Row] = []
 
     def branch(s: LPSolution) -> None:
@@ -385,11 +390,9 @@ def _refine(keys: list[tuple[int, int]], lp: RationalLP, root: LPSolution) -> Mi
         if ceil(s.value) >= incumbent:
             return
         frac = [(abs(v - floor(v) - Fraction(1, 2)), j) for j, v in enumerate(s.x) if v != floor(v)]
-        if not frac:
-            total = sum(s.x, Fraction(0))
-            if total < incumbent:
-                incumbent = int(total)
-                best_x = list(s.x)
+        if not frac:  # integral, and below the incumbent by the test above
+            incumbent = int(s.value)
+            best_x = [int(v) for v in s.x]
             return
         _, j = min(frac)
         unit = [1 if jj == j else 0 for jj in range(len(lp.c))]
@@ -401,10 +404,7 @@ def _refine(keys: list[tuple[int, int]], lp: RationalLP, root: LPSolution) -> Mi
             extra.pop()
 
     branch(root)
-    weights = {key: 1 for key in keys}
-    for key, v in zip(keys[1:], best_x):
-        weights[key] = 1 + int(v)
-    return MinOrderResult(lp_value=lp_value, int_value=len(keys) + incumbent, weights=weights)
+    return incumbent, best_x
 
 
 # -- extremal search over canonical pattern sequences --------------------
@@ -439,12 +439,12 @@ def _pattern_sequences(depth: int) -> "list[list[frozenset[int]]]":
 
 def _swap_is_smaller(seq: list[frozenset[int]]) -> bool:
     """Whether exchanging colors 1 and 2 in seq gives a lexicographically
-    smaller sequence, comparing layers as color bitmasks."""
+    smaller sequence, comparing layers as color bitmasks: the first layer
+    that the swap changes holds exactly one of the two colors, and the
+    swap makes it smaller when that color is 2."""
     for cols in seq:
-        mask = sum(1 << c for c in cols)
-        swapped = (mask & 1) | (mask & 2) << 1 | (mask & 4) >> 1
-        if swapped != mask:
-            return swapped < mask
+        if (1 in cols) != (2 in cols):
+            return 2 in cols
     return False
 
 
@@ -466,11 +466,13 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
 
     The kept sequences are walked in ascending lower bound.  The walk
     stops at the first whose lower bound reaches the order already
-    found at this depth; a sequence before that has its relaxation
-    solved (once), is skipped when the rounded-up LP value reaches that
-    order, and is otherwise refined from that solution by branch and
-    bound.  Topologies of depth 1 whose optimal weighting has a weight
-    >= 2 are skipped: their blow-up diameter is 2, not the depth.  A
+    found at this depth; a sequence before that is relaxed (_relax) now
+    unless the budget test already did, is skipped when the rounded-up
+    LP value reaches that order, and otherwise goes to _branch_and_bound
+    from that solution, uncapped, the path min_order_lp takes too.  Its
+    free weights and the sequence give the graph whose blow-up diameter
+    must equal the depth: topologies of depth 1 whose optimal weighting
+    has a weight >= 2 are skipped, as their diameter is 2.  A
     sequence whose 1 <-> 2 color swap is lexicographically smaller is
     not visited at all.  The result is that of refining every sequence:
 
@@ -498,8 +500,8 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
     frontier: dict[int, int] = {}
     complete = True
     for depth in range(1, d_max + 1):
-        # (lower bound, sequence, covering rows, root solution or None)
-        kept: list[tuple[int, list[frozenset[int]], list[CoverRow], LPSolution | None]] = []
+        # (lower bound, sequence, covering rows, relaxation or None)
+        kept: list[tuple[int, list[frozenset[int]], list[CoverRow], Relaxation | None]] = []
         for seq in _pattern_sequences(depth):
             if _swap_is_smaller(seq):
                 continue
@@ -511,36 +513,31 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
             if lower > n_budget:
                 complete = False
                 continue
-            root = None
+            relaxed = None
             if upper > n_budget:
-                root = _solve_relaxation(_covering_program(rows))
-                assert root.value is not None
-                if len(rows) + root.value > n_budget:
+                relaxed = _relax(rows)
+                if len(rows) + relaxed[1].value > n_budget:
                     complete = False
                     continue
-            kept.append((lower, seq, rows, root))
+            kept.append((lower, seq, rows, relaxed))
         kept.sort(key=lambda item: item[0])
-        for lower, seq, rows, root in kept:
+        for lower, seq, rows, relaxed in kept:
             best = frontier.get(depth)
             if best is not None and lower >= best:
                 break
-            program = _covering_program(rows)
-            if root is None:
-                root = _solve_relaxation(program)
-            assert root.value is not None
+            program, root = relaxed or _relax(rows)
             if best is not None and ceil(len(rows) + root.value) >= best:
                 continue
-            keys = [(i, c) for i, cols in enumerate(seq) for c in sorted(cols)]
-            result = _refine(keys, program, root)
-            assert result.int_value is not None and result.weights is not None
-            weights = result.weights
+            total, free = _branch_and_bound(program, root)
+            weights = iter([1, *(1 + v for v in free)])
             graph = WeightedClumpGraph(
-                3, [[(c, weights[(i, c)]) for c in cols] for i, cols in enumerate(seq)]
+                3, [[(c, next(weights)) for c in sorted(cols)] for cols in seq]
             )
             if blow_up_diameter(graph) != depth:
                 continue
-            if best is None or result.int_value < best:
-                frontier[depth] = result.int_value
+            order = len(rows) + total
+            if best is None or order < best:
+                frontier[depth] = order
     best_phi = max(
         (Fraction(depth * delta, order) for depth, order in frontier.items()),
         default=Fraction(0),

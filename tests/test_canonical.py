@@ -21,6 +21,7 @@ from clumplab.core import (
     blow_up,
     layer_profile,
     min_weighted_degree,
+    weight_rows,
     weighted_degree,
 )
 
@@ -29,7 +30,7 @@ from conftest import random_layered_graph
 
 def resolve_k1_violation(graph: WeightedClumpGraph, i: int, delta: int) -> WeightedClumpGraph:
     """One property (iii) repair at layer i, audited like a canonicalize step."""
-    layers = canonical._to_layers(graph)
+    layers = weight_rows(graph)
     canonical._resolve_k1(graph.k, layers, i)
     out = canonical._to_graph(graph.k, layers)
     canonical._audit(graph, out, delta)

@@ -13,7 +13,7 @@ from clumplab import core
 from clumplab.canonical import check_canonical
 from clumplab.certify import dual_certificate
 from clumplab.cli import main
-from clumplab.constructions import counterexample_graph, eppt_odd
+from clumplab.constructions import counterexample_graph, eppt_even, eppt_odd
 from clumplab.serialize import (
     SchemaError,
     dual_weights_to_json,
@@ -148,6 +148,26 @@ def test_certify_command(tmp_path, capsys):
     assert "feasible yes" in out
 
 
+def test_certify_non_canonical_graph_names_the_first_violation(tmp_path, capsys):
+    # 259 single heavy clumps each break (iv); the error stays one short line
+    graph = core.WeightedClumpGraph(3, [[(0, 1)], *([(i % 3, 2)] for i in range(1, 260))])
+    path = _write_graph(tmp_path, graph)
+    assert main(["certify", "--in", path, "--delta", "2"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: graph is not canonical: 259 violations, the first of property (iv) "
+        "at layer 1\n",
+    )
+    graph = core.WeightedClumpGraph(3, [[(0, 1)], [(1, 1), (2, 1)], [(1, 1)]])
+    path = _write_graph(tmp_path, graph)
+    assert main(["certify", "--in", path]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: graph is not canonical: 1 violation, the first of property (ii) "
+        "at layer pair (1, 2)\n",
+    )
+
+
 @pytest.mark.parametrize("field, value", [("layer", [0]), ("layer", "0"), ("color", True)])
 def test_dual_weight_keys_must_be_integers(tmp_path, capsys, field, value):
     path = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
@@ -208,8 +228,27 @@ def test_lp_commands(tmp_path, capsys):
     )
     path = _write_graph(tmp_path, counterexample_graph(1, 4, 1))
     assert main(["lp", "min-order", "--in", path, "--delta", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "int-value 15" in out
+    assert capsys.readouterr() == ("lp-value 15\nint-value 15\n", "")
+
+
+def _alternating_path(layers: int) -> core.WeightedClumpGraph:
+    return core.WeightedClumpGraph(3, [[(i % 2, 1)] for i in range(layers)])
+
+
+@pytest.mark.parametrize("graph, delta, expected", [
+    # the cap is 40 clumps; above it the answer is an integer when
+    # rounding the LP vertex up already meets the rounded-up LP value,
+    # and unknown only when branch and bound would branch
+    (_alternating_path(40), 1, (40, 40)),
+    (_alternating_path(41), 1, (41, 41)),
+    (eppt_odd(2, 5, 20), 5, (46, 46)),  # 41 clumps
+    (eppt_even(2, 8, 30), 8, (112, 112)),  # 46 clumps
+    (counterexample_graph(1, 4, 5), 4, (67, "unknown")),  # 45 clumps
+])
+def test_lp_min_order_around_the_clump_cap(tmp_path, capsys, graph, delta, expected):
+    path = _write_graph(tmp_path, graph)
+    assert main(["lp", "min-order", "--in", path, "--delta", str(delta)]) == 0
+    assert capsys.readouterr() == ("lp-value %s\nint-value %s\n" % expected, "")
 
 
 def test_search_command(capsys):

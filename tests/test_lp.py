@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import clumplab
 from clumplab import lp
-from clumplab.constructions import counterexample_graph
-from clumplab.core import WeightedClumpGraph, blow_up_diameter
+from clumplab.constructions import counterexample_graph, eppt_odd
+from clumplab.core import WeightedClumpGraph, blow_up_diameter, min_weighted_degree
 from clumplab.lp import (
     RationalLP,
     _pattern_sequences,
@@ -319,8 +319,8 @@ def _unit_topology(seq: list[frozenset[int]]) -> WeightedClumpGraph:
 
 def _lp_order(seq: list[frozenset[int]], delta: int) -> Fraction:
     """The sequence's minimum order over fractional weights."""
-    keys, program = lp._min_order_program(_unit_topology(seq), delta)
-    return len(keys) + simplex_solve(program).value
+    rows = lp._covering_rows(seq, delta)
+    return len(rows) + simplex_solve(lp._covering_program(rows)).value
 
 
 @pytest.mark.parametrize("delta", [2, 5, 8])
@@ -328,7 +328,7 @@ def test_integer_tableau_matches_fraction_tableau_on_min_order(delta):
     solved = 0
     for seq in _pattern_sequences(4):
         try:
-            _, program = lp._min_order_program(_unit_topology(seq), delta)
+            program = lp._covering_program(lp._covering_rows(seq, delta))
         except ValueError:
             continue
         assert _same_as_fraction_tableau(program) == "optimal"
@@ -367,12 +367,10 @@ def test_covering_rows_match_the_neighbor_walk(delta):
                 with pytest.raises(ValueError):
                     lp._covering_rows(seq, delta)
                 with pytest.raises(ValueError):
-                    lp._min_order_program(topology, delta)
+                    min_order_lp(topology, delta)
                 continue
-            keys, program = lp._min_order_program(topology, delta)
-            assert keys == [(c.layer, c.color) for c in topology.clumps()]
+            program = lp._covering_program(lp._covering_rows(seq, delta))
             assert (program.c, program.rows) == (oracle.c, oracle.rows)
-            assert lp._covering_program(lp._covering_rows(seq, delta)).rows == oracle.rows
     assert (infeasible > 0) == (delta > 1)
 
 
@@ -491,11 +489,49 @@ def test_min_order_two_clumps(monkeypatch):
 
 def test_min_order_integral_root_is_solved_once(monkeypatch):
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]])
-    root = simplex_solve(lp._min_order_program(g, 2)[1])
+    _, root = lp._relax(lp._covering_rows([g.colors_of_layer(i) for i in range(3)], 2))
     assert all(v.denominator == 1 for v in root.x)
     calls = _count_calls(monkeypatch, "simplex_solve")
     min_order_lp(g, 2)
     assert calls == [1]
+
+
+@pytest.mark.parametrize("delta", [2, 5])
+def test_min_order_weights_meet_the_degree_bound(delta):
+    # the weights dict maps every clump, in clump order, to the integer
+    # optimum's weight, and those weights reach the degree bound
+    checked = 0
+    for seq in itertools.chain.from_iterable(map(_pattern_sequences, range(1, 4))):
+        topology = _unit_topology(seq)
+        try:
+            result = min_order_lp(topology, delta)
+        except ValueError:
+            continue
+        keys = [(c.layer, c.color) for c in topology.clumps()]
+        assert list(result.weights) == keys
+        assert sum(result.weights.values()) == result.int_value >= result.lp_value
+        weighted = WeightedClumpGraph(
+            3, [[(c, result.weights[(i, c)]) for c in cols] for i, cols in enumerate(seq)]
+        )
+        assert min_weighted_degree(weighted) >= delta
+        checked += 1
+    assert checked > 0
+
+
+def test_min_order_above_the_cap(monkeypatch):
+    # above ILP_CLUMP_LIMIT clumps a relaxation whose rounded-up vertex
+    # meets the rounded-up LP value gives what an uncapped run gives
+    decided = [
+        (eppt_odd(2, 5, 20), 5),
+        (WeightedClumpGraph(3, [[(i % 2, 1)] for i in range(41)]), 1),
+    ]
+    capped = [min_order_lp(g, delta) for g, delta in decided]
+    unknown = min_order_lp(counterexample_graph(1, 4, 5), 4)
+    assert (unknown.lp_value, unknown.int_value, unknown.weights) == (67, None, None)
+    monkeypatch.setattr(lp, "ILP_CLUMP_LIMIT", 10**9)
+    assert capped == [min_order_lp(g, delta) for g, delta in decided]
+    assert [(r.lp_value, r.int_value) for r in capped] == [(46, 46), (41, 41)]
+    assert [len(list(g.clumps())) for g, _ in decided] == [41, 41]
 
 
 def test_min_order_family_topology():

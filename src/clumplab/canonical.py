@@ -19,7 +19,7 @@ or the minimum weighted degree.  Every rewrite is logged and re-audited.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet
+from typing import AbstractSet, Mapping, Sequence
 
 from .core import (
     SimpleGraph,
@@ -91,7 +91,7 @@ def is_canonical_pair(k: int, a: AbstractSet[int], b: AbstractSet[int]) -> bool:
     return not pair_violations(k, a, b)
 
 
-def _violations(k: int, layers: Layers) -> list[tuple[int, str]]:
+def _violations(k: int, layers: Sequence[Mapping[int, int]]) -> list[tuple[int, str]]:
     """The (layer, property) violations of a rooted graph's layers; the
     root weighs 1, so (iv) starts at layer 1."""
     D = len(layers) - 1
@@ -107,11 +107,16 @@ def _violations(k: int, layers: Layers) -> list[tuple[int, str]]:
     return out
 
 
+def _graph_violations(graph: WeightedClumpGraph) -> tuple[tuple[int, str], ...]:
+    return tuple(_violations(graph.k, graph.rows))
+
+
 def check_canonical(graph: WeightedClumpGraph) -> CanonicalReport:
     """Evaluate canonical properties (i)-(iv).  Every consecutive layer
     pair is held to pair_violations, so for k = 3 this also confines the
-    pairs to the seven admissible color-set shapes."""
-    return CanonicalReport(violations=_violations(graph.k, weight_rows(graph)))
+    pairs to the seven admissible color-set shapes.  The scan runs once
+    per graph (WeightedClumpGraph._derive); each report gets its own list."""
+    return CanonicalReport(violations=list(graph._derive(_graph_violations)))
 
 
 # -- rewrites ------------------------------------------------------------
@@ -254,7 +259,7 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
     cap = 4 * len(layers) * k
     result = graph
     while True:
-        todo = _violations(k, layers)
+        todo = check_canonical(result).violations
         if not todo:
             break
         if len(log) >= cap:

@@ -84,9 +84,9 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
         )
     # per layer: the denominator its weights need, and X for a full layer
     shapes: list[tuple[int, frozenset[int] | None]] = []
-    for i, layer in enumerate(graph.layers):
-        if len(layer) < k:
-            shapes.append((len(layer), None))
+    for i, row in enumerate(graph.rows):
+        if len(row) < k:
+            shapes.append((len(row), None))
             continue
         nearby = graph.colors_of_layer(i - 1) | graph.colors_of_layer(i + 1)
         x_colors = graph.colors_of_layer(i) - nearby
@@ -99,13 +99,12 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
     unit = lcm(*{d for d, _ in shapes})  # the weight 1/(3k-4), scaled
     scale = (3 * k - 4) * unit
     rows: list[dict[int, int]] = []
-    for layer, (d, x_colors) in zip(graph.layers, shapes):
+    for row, (d, x_colors) in zip(graph.rows, shapes):
         if x_colors is None:
-            w = (k - 1) * (unit // d)
-            rows.append({c.color: w for c in layer})
+            rows.append(dict.fromkeys(row, (k - 1) * (unit // d)))
         else:
             light = unit - unit // d
-            rows.append({c.color: unit if c.color in x_colors else light for c in layer})
+            rows.append({c: unit if c in x_colors else light for c in row})
     feasible, _ = _packing_verdict(rows, scale)
     totals = [sum(row.values()) for row in rows]
     # one Fraction per distinct scaled value, shared by the clumps and layers holding it
@@ -126,10 +125,11 @@ def verify_packing(graph: WeightedClumpGraph, u: dict[ClumpKey, Fraction]) -> Pa
     """Check the packing constraint: each clump's neighbor weights sum to
     at most 1.  Exact: the weights are scaled to integers over the lcm
     of their denominators and summed by core.neighbor_sums."""
-    for c in graph.clumps():
-        if (c.layer, c.color) not in u:
-            raise ValueError(f"no dual weight for clump {(c.layer, c.color)}")
-    unknown = u.keys() - {(c.layer, c.color) for c in graph.clumps()}
+    keys = [(i, c) for i, row in enumerate(graph.rows) for c in row]
+    for key in keys:
+        if key not in u:
+            raise ValueError(f"no dual weight for clump {key}")
+    unknown = u.keys() - set(keys)
     if unknown:
         raise ValueError(f"dual weight for clump {min(unknown)}, which is not in the graph")
     scale = lcm(*{value.denominator for value in u.values()})
@@ -137,7 +137,7 @@ def verify_packing(graph: WeightedClumpGraph, u: dict[ClumpKey, Fraction]) -> Pa
     for key, value in scaled.items():  # scale > 0 keeps each sign
         if value < 0:
             raise ValueError(f"negative dual weight at {key}")
-    rows = [{c.color: scaled[(c.layer, c.color)] for c in layer} for layer in graph.layers]
+    rows = [{c: scaled[(i, c)] for c in row} for i, row in enumerate(graph.rows)]
     feasible, worst = _packing_verdict(rows, scale)
     return PackingReport(
         feasible=feasible,
@@ -148,11 +148,14 @@ def verify_packing(graph: WeightedClumpGraph, u: dict[ClumpKey, Fraction]) -> Pa
 
 def bound_from_certificate(cert: DualCertificate, n: int, delta: int) -> Fraction:
     """Diameter bound (1/u_tilde)(n/delta) + 1 implied by a feasible
-    certificate whose every layer total reaches u_tilde."""
+    certificate whose every layer total reaches u_tilde.  The totals are
+    compared with u_tilde in integers, cross-multiplied over the two
+    (positive) denominators."""
     if delta < 1:
         raise ValueError(f"delta={delta} must be positive")
     if not cert.feasible:
         raise ValueError("certificate is infeasible")
-    if any(t < cert.u_tilde for t in cert.layer_totals):
+    p, q = cert.u_tilde.numerator, cert.u_tilde.denominator
+    if any(t.numerator * q < p * t.denominator for t in cert.layer_totals):
         raise ValueError("some layer total falls short of u_tilde")
     return Fraction(1, 1) / cert.u_tilde * Fraction(n, delta) + 1

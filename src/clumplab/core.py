@@ -6,6 +6,13 @@ A clump is identified by its (layer, color) pair; at most one clump per
 pair may exist.  Two clumps are adjacent iff they sit in the same or
 consecutive layers and carry different colors.  Adjacency is always
 derived from this rule, never stored.
+
+A graph is immutable.  It holds its validated layers as (color, weight)
+int pairs and as the {color: weight} rows its checks built, and derives
+everything else from them at most once per instance
+(WeightedClumpGraph._derive): the Clump objects of `layers`, built on
+demand, the total weight, the neighbor sums behind min_weighted_degree
+and blow_up_edge_count, the layer profile and the canonical violations.
 """
 
 from __future__ import annotations
@@ -13,7 +20,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class ClumpGraphError(ValueError):
@@ -47,69 +56,111 @@ class LayerProfile:
         return frozenset(i for i, c in enumerate(self.clump_counts) if c == 1)
 
 
+def _validated_rows(k: int, layers: list[list[tuple[int, int]]]) -> tuple[dict[int, int], ...]:
+    """One {color: weight} dict per layer, in the order of each layer's
+    pairs; ClumpGraphError when the layers break a structural rule."""
+    if k < 2:
+        raise ClumpGraphError(f"color count k={k} must be at least 2")
+    if not layers:
+        raise ClumpGraphError("graph must have at least one layer")
+    rows: list[dict[int, int]] = []
+    for i, layer in enumerate(layers):
+        if not layer:
+            raise ClumpGraphError(f"layer {i} is empty")
+        row: dict[int, int] = {}
+        for color, weight in layer:
+            if not 0 <= color < k:
+                raise ClumpGraphError(f"layer {i}: color {color} outside [0, {k})")
+            if color in row:
+                raise ClumpGraphError(f"layer {i}: duplicate color {color}")
+            if weight < 1:
+                raise ClumpGraphError(f"layer {i}: weight {weight} < 1")
+            row[color] = weight
+        rows.append(row)
+    if len(rows[0]) != 1 or next(iter(rows[0].values())) != 1:
+        raise ClumpGraphError("rooted graph needs a single weight-1 clump in layer 0")
+    # every clump must be reachable from the previous layer: it is not
+    # when that layer is one clump of its own color
+    for i in range(1, len(rows)):
+        prev = rows[i - 1]
+        if len(prev) == 1:
+            for color in rows[i]:
+                if color in prev:
+                    raise ClumpGraphError(
+                        f"layer {i}: clump of color {color} has no "
+                        f"differently-colored clump in layer {i - 1}"
+                    )
+    return tuple(rows)
+
+
 class WeightedClumpGraph:
     """A k-colored, layered, weighted clump graph with derived adjacency.
 
-    layers[i] holds the (color, weight) pairs of layer i in any order,
-    the shape of the JSON wire format; each becomes a Clump of layer i.
-    Every graph is rooted: layer 0 is one weight-1 clump, and every later
-    clump has a differently colored clump one layer up.
+    The layers come in as (color, weight) pairs per layer, in any order,
+    the shape of the JSON wire format.  Every graph is rooted: layer 0 is
+    one weight-1 clump, and every later clump has a differently colored
+    clump one layer up.
+
+    The graph is immutable and keeps its validated layers twice, both
+    sorted by color: `pairs`, per layer a tuple of (color, weight) int
+    pairs, which define == and hash, and `rows`, per layer the
+    {color: weight} dict that validation built.  The rows are shared by
+    every reader, so read them and never change them; weight_rows gives
+    fresh copies to change.  Everything else is derived on first use and
+    kept (_derive); `layers`, the same pairs as Clump objects, is one such
+    fact.
     """
 
+    __slots__ = ("k", "pairs", "rows", "_derived")
+
+    k: int
+    pairs: tuple[tuple[tuple[int, int], ...], ...]
+    rows: tuple[dict[int, int], ...]
+
     def __init__(self, k: int, layers: Iterable[Iterable[tuple[int, int]]]):
-        self.k = k
-        self.layers = tuple(
-            tuple(Clump(i, c, w) for c, w in sorted(layer, key=itemgetter(0)))
-            for i, layer in enumerate(layers)
-        )
-        self._validate()
+        rows = _validated_rows(k, [sorted(layer, key=itemgetter(0)) for layer in layers])
+        init = object.__setattr__
+        init(self, "k", k)
+        init(self, "pairs", tuple(tuple(row.items()) for row in rows))
+        init(self, "rows", rows)
+        init(self, "_derived", {})
 
-    # -- validation ------------------------------------------------------
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"WeightedClumpGraph is immutable: cannot set {name!r}")
 
-    def _validate(self) -> None:
-        if self.k < 2:
-            raise ClumpGraphError(f"color count k={self.k} must be at least 2")
-        if not self.layers:
-            raise ClumpGraphError("graph must have at least one layer")
-        for i, layer in enumerate(self.layers):
-            if not layer:
-                raise ClumpGraphError(f"layer {i} is empty")
-            seen: set[int] = set()
-            for c in layer:
-                if not 0 <= c.color < self.k:
-                    raise ClumpGraphError(
-                        f"layer {i}: color {c.color} outside [0, {self.k})"
-                    )
-                if c.color in seen:
-                    raise ClumpGraphError(f"layer {i}: duplicate color {c.color}")
-                if c.weight < 1:
-                    raise ClumpGraphError(f"layer {i}: weight {c.weight} < 1")
-                seen.add(c.color)
-        root_layer = self.layers[0]
-        if len(root_layer) != 1 or root_layer[0].weight != 1:
-            raise ClumpGraphError(
-                "rooted graph needs a single weight-1 clump in layer 0"
-            )
-        # every clump must be reachable from the previous layer
-        for i in range(1, len(self.layers)):
-            prev_colors = {c.color for c in self.layers[i - 1]}
-            for c in self.layers[i]:
-                if prev_colors <= {c.color}:
-                    raise ClumpGraphError(
-                        f"layer {i}: clump of color {c.color} has no "
-                        f"differently-colored clump in layer {i - 1}"
-                    )
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"WeightedClumpGraph is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copies and pickles rebuild, and so revalidate, from the pairs
+        return (type(self), (self.k, self.pairs))
+
+    def _derive(self, build: Callable[[WeightedClumpGraph], T]) -> T:
+        """build(self), computed at the first call with this build and
+        kept on the graph.  build is a module-level function of the graph
+        alone: the graph never changes, so a second call would compute
+        the same value."""
+        try:
+            return self._derived[build]
+        except KeyError:
+            fact = self._derived[build] = build(self)
+            return fact
 
     # -- basic queries ---------------------------------------------------
 
     @property
+    def layers(self) -> tuple[tuple[Clump, ...], ...]:
+        """layers[i] holds the clumps of layer i by ascending color."""
+        return self._derive(_clump_layers)
+
+    @property
     def diameter_index(self) -> int:
         """Index D of the last layer (layers run L_0 .. L_D)."""
-        return len(self.layers) - 1
+        return len(self.pairs) - 1
 
     @property
     def total_weight(self) -> int:
-        return sum(c.weight for layer in self.layers for c in layer)
+        return self._derive(_total_weight)
 
     def clumps(self) -> Iterator[Clump]:
         for layer in self.layers:
@@ -118,9 +169,7 @@ class WeightedClumpGraph:
     def neighbors(self, layer: int, color: int) -> Iterator[Clump]:
         """Clumps adjacent to (layer, color) under the saturation rule;
         KeyError when the graph has no such clump."""
-        if not 0 <= layer <= self.diameter_index or all(
-            c.color != color for c in self.layers[layer]
-        ):
+        if not 0 <= layer <= self.diameter_index or color not in self.rows[layer]:
             raise KeyError((layer, color))
         for row in self.layers[max(layer - 1, 0):layer + 2]:
             for c in row:
@@ -129,20 +178,30 @@ class WeightedClumpGraph:
 
     def colors_of_layer(self, i: int) -> frozenset[int]:
         if 0 <= i <= self.diameter_index:
-            return frozenset(c.color for c in self.layers[i])
+            return layer_profile(self).colors[i]
         return frozenset()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedClumpGraph):
             return NotImplemented
-        return (self.k, self.layers) == (other.k, other.layers)
+        return (self.k, self.pairs) == (other.k, other.pairs)
 
     def __hash__(self) -> int:
-        return hash((self.k, self.layers))
+        return hash((self.k, self.pairs))
 
     def __repr__(self) -> str:
-        shape = [len(layer) for layer in self.layers]
+        shape = [len(layer) for layer in self.pairs]
         return f"WeightedClumpGraph(k={self.k}, layers={shape}, n={self.total_weight})"
+
+
+def _total_weight(graph: WeightedClumpGraph) -> int:
+    return sum(sum(row.values()) for row in graph.rows)
+
+
+def _clump_layers(graph: WeightedClumpGraph) -> tuple[tuple[Clump, ...], ...]:
+    return tuple(
+        tuple(Clump(i, c, w) for c, w in layer) for i, layer in enumerate(graph.pairs)
+    )
 
 
 def weighted_degree(graph: WeightedClumpGraph, layer: int, color: int) -> int:
@@ -180,25 +239,32 @@ def neighbor_sums(rows: Sequence[Mapping[int, int]]) -> list[dict[int, int]]:
 
 
 def weight_rows(graph: WeightedClumpGraph) -> list[dict[int, int]]:
-    """One fresh dict color -> weight per layer, the rows neighbor_sums reads."""
-    return [{c.color: c.weight for c in layer} for layer in graph.layers]
+    """A fresh copy of graph.rows, one dict color -> weight per layer, for
+    the caller to change."""
+    return [dict(row) for row in graph.rows]
+
+
+def _weighted_degrees(graph: WeightedClumpGraph) -> list[dict[int, int]]:
+    return neighbor_sums(graph.rows)
 
 
 def min_weighted_degree(graph: WeightedClumpGraph) -> int:
-    return min(min(row.values()) for row in neighbor_sums(weight_rows(graph)))
+    return min(min(row.values()) for row in graph._derive(_weighted_degrees))
 
 
-def layer_profile(graph: WeightedClumpGraph) -> LayerProfile:
-    ell = tuple(sum(c.weight for c in layer) for layer in graph.layers)
-    counts = tuple(len(layer) for layer in graph.layers)
-    colors = tuple(frozenset(c.color for c in layer) for layer in graph.layers)
+def _layer_profile(graph: WeightedClumpGraph) -> LayerProfile:
+    ell = tuple(sum(row.values()) for row in graph.rows)
     return LayerProfile(
         ell=ell,
-        clump_counts=counts,
-        colors=colors,
+        clump_counts=tuple(map(len, graph.rows)),
+        colors=tuple(map(frozenset, graph.rows)),
         n=sum(ell),
         diameter_index=graph.diameter_index,
     )
+
+
+def layer_profile(graph: WeightedClumpGraph) -> LayerProfile:
+    return graph._derive(_layer_profile)
 
 
 # -- simple graphs and blow-up ------------------------------------------
@@ -243,10 +309,8 @@ MAX_BLOW_UP_EDGES = 1_000_000
 def blow_up_edge_count(graph: WeightedClumpGraph) -> int:
     """Edge count of blow_up(graph) without building it: w_u * w_v summed
     over adjacent clump pairs, each pair seen from both ends."""
-    rows = weight_rows(graph)
-    return sum(
-        w * degrees[c] for row, degrees in zip(rows, neighbor_sums(rows)) for c, w in row.items()
-    ) // 2
+    degrees = graph._derive(_weighted_degrees)
+    return sum(w * d[c] for row, d in zip(graph.rows, degrees) for c, w in row.items()) // 2
 
 
 def blow_up(graph: WeightedClumpGraph) -> SimpleGraph:
@@ -323,7 +387,7 @@ def blow_up_diameter(graph: WeightedClumpGraph) -> int:
     Validation makes every graph connected, so the blow-up always has a
     diameter.  Cross-checked against diameter(blow_up(...)) in the tests.
     """
-    heavy = any(c.weight >= 2 for c in graph.clumps())
+    heavy = any(w >= 2 for row in graph.rows for w in row.values())
     return max(graph.diameter_index, 2 if heavy else 0)
 
 

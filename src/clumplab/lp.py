@@ -277,7 +277,7 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
     if len(rows) > ILP_CLUMP_LIMIT and ceil(root.value) < sum(ceil(v) for v in root.x):
         return MinOrderResult(lp_value=lp_value, int_value=None, weights=None)
     total, free = _branch_and_bound(program, root)
-    keys = [(c.layer, c.color) for c in topology.clumps()]
+    keys = [(i, c) for i, row in enumerate(topology.rows) for c in row]
     weights = dict(zip(keys, [1, *(1 + v for v in free)]))
     return MinOrderResult(lp_value=lp_value, int_value=len(rows) + total, weights=weights)
 

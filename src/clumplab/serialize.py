@@ -40,8 +40,8 @@ def graph_to_dict(graph: WeightedClumpGraph) -> dict[str, Any]:
     return {
         "k": graph.k,
         "layers": [
-            [{"color": c.color, "weight": c.weight} for c in layer]
-            for layer in graph.layers
+            [{"color": c, "weight": w} for c, w in layer]
+            for layer in graph.pairs
         ],
     }
 

@@ -62,7 +62,7 @@ GLOBAL_PROGRAM: tuple[tuple[str, tuple[int, ...], int], ...] = (
 WINDOW_SCALE = 6  # every window side is a multiple of 1/6: coefficients 3/2 and 4/3
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Window:
     kind: str  # "one-layer", "two-layer", "three-layer"
     index: int

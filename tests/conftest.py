@@ -9,10 +9,10 @@ from clumplab.core import WeightedClumpGraph, min_weighted_degree
 from clumplab.lp import RationalLP
 
 
-def random_layered_graph(rng: random.Random, k: int = 3, max_depth: int = 12,
-                         max_weight: int = 6) -> WeightedClumpGraph:
-    """A random k-colorable layered weighted graph (not canonical), grown
-    from a weight-1 root."""
+def random_layers(rng: random.Random, k: int = 3, max_depth: int = 12,
+                  max_weight: int = 6) -> list[list[tuple[int, int]]]:
+    """The (color, weight) pairs of each layer of a random k-colorable
+    layered weighted graph (not canonical), grown from a weight-1 root."""
 
     def next_layer(prev: set[int]) -> list[tuple[int, int]]:
         while True:
@@ -26,7 +26,13 @@ def random_layered_graph(rng: random.Random, k: int = 3, max_depth: int = 12,
     layers = [[(rng.randrange(k), 1)]]
     for _ in range(depth):
         layers.append(next_layer({c for c, _ in layers[-1]}))
-    return WeightedClumpGraph(k, layers)
+    return layers
+
+
+def random_layered_graph(rng: random.Random, k: int = 3, max_depth: int = 12,
+                         max_weight: int = 6) -> WeightedClumpGraph:
+    """The graph of random_layers(rng, k, max_depth, max_weight)."""
+    return WeightedClumpGraph(k, random_layers(rng, k, max_depth, max_weight))
 
 
 def conjectured_coefficient(r: int) -> Fraction:

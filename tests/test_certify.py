@@ -121,6 +121,21 @@ def test_bound_requires_feasibility():
         bound_from_certificate(broken, 15, 4)
 
 
+@pytest.mark.parametrize("k", [3, 4, 7])
+def test_bound_requires_every_layer_total_at_u_tilde(k):
+    # the totals are compared with u_tilde by cross-multiplying; equal
+    # totals of any denominator pass, and one a hair short fails
+    cert = dual_certificate(WeightedClumpGraph(k, [[(0, 1)], [(1, 1)]]))
+    u = Fraction(k - 1, 3 * k - 4)
+    assert cert.u_tilde == u
+    ok = replace(cert, layer_totals=[u, u, Fraction(u.numerator * 6, u.denominator * 6) + 1])
+    assert bound_from_certificate(ok, 10, 2) == 1 / u * 5 + 1
+    for short in (u - Fraction(1, 10**12), Fraction(u.numerator - 1, u.denominator), Fraction(0)):
+        broken = replace(cert, layer_totals=[u, short, u])
+        with pytest.raises(ValueError, match="^some layer total falls short of u_tilde$"):
+            bound_from_certificate(broken, 10, 2)
+
+
 def _fraction_verify_packing(graph, u):
     """verify_packing as a Fraction sum over neighbors() per clump:
     (feasible, objective, worst slack)."""

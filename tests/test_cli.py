@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import clumplab
-from clumplab import core
+from clumplab import canonical, certify, core
 from clumplab.canonical import check_canonical
 from clumplab.certify import dual_certificate
 from clumplab.cli import main
@@ -282,6 +282,39 @@ def test_suite_command(tmp_path, capsys):
         '"H(1,3,1)",12,6,3,3/2,11,18,18,pass\n'
         '"H(1,3,2)",22,13,3,39/22,58/3,39,39,pass\n'
     )
+
+
+def test_suite_derives_each_graph_fact_once(tmp_path, monkeypatch, capsys):
+    # the suite reads each graph's minimum degree twice (itself and in
+    # canonicalize) and its canonical violations twice (canonicalize and
+    # dual_certificate); the graph computes each once
+    target = core.weight_rows(counterexample_graph(1, 5, 2))
+    sums_of: list = []
+    scans_of: list = []
+
+    def spy_sums(rows):
+        sums_of.append([dict(row) for row in rows])
+        return neighbor_sums(rows)
+
+    def spy_violations(k, rows):
+        scans_of.append([dict(row) for row in rows])
+        return violations(k, rows)
+
+    neighbor_sums, violations = core.neighbor_sums, canonical._violations
+    monkeypatch.setattr(core, "neighbor_sums", spy_sums)
+    monkeypatch.setattr(certify, "neighbor_sums", spy_sums)
+    monkeypatch.setattr(canonical, "_violations", spy_violations)
+    code = main([
+        "suite", "--s-values", "1", "--delta-span", "3", "--p-values", "2",
+        "--csv", str(tmp_path / "suite.csv"),
+    ])
+    assert code == 0
+    assert sums_of.count(target) == 1
+    assert scans_of.count(target) == 1
+    # H(1,2,2) takes two rewrites, so the four graphs and two rewrites give
+    # six graphs, each scanned once
+    assert len(scans_of) == 6
+    assert all(scans_of.count(rows) == 1 for rows in scans_of)
 
 
 def test_slack_env_is_ignored(monkeypatch, tmp_path, capsys, psi_graph):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -5,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clumplab import core
+from clumplab.canonical import check_canonical
 from clumplab.constructions import counterexample_block, counterexample_graph
 from clumplab.core import (
+    Clump,
     ClumpGraphError,
     SimpleGraph,
     WeightedClumpGraph,
@@ -18,10 +22,11 @@ from clumplab.core import (
     layer_profile,
     min_weighted_degree,
     neighbor_sums,
+    weight_rows,
     weighted_degree,
 )
 
-from conftest import random_layered_graph
+from conftest import random_layered_graph, random_layers
 
 
 def test_single_root_is_valid():
@@ -213,3 +218,120 @@ def test_neighbor_sums_root_and_last_layer():
     assert degrees == [{0: 5}, {1: 3 + 1 + 4, 2: 1 + 2 + 4 + 5}, {0: 2 + 3 + 5, 1: 3 + 4}]
     assert neighbor_sums([{2: 1}]) == [{2: 0}]
     assert min_weighted_degree(WeightedClumpGraph(3, [[(2, 1)]])) == 0
+
+
+# -- the derived facts against the Clump walk ------------------------------
+
+
+def _walk_violations(graph: WeightedClumpGraph) -> list[tuple[int, str]]:
+    """Canonical properties (i)-(iv) read off the Clump layers, in the
+    order check_canonical reports them: each layer pair's (i), (ii),
+    (iii), then (iv) layer by layer."""
+    k, layers = graph.k, graph.layers
+    colors = [{c.color for c in layer} for layer in layers]
+    out = []
+    for i in range(len(layers) - 1):
+        a, b = colors[i], colors[i + 1]
+        if len(a) == 1 and len(b) == k:
+            out.append((i, "i"))
+        if len(a | b) != min(k, len(a) + len(b)):
+            out.append((i, "ii"))
+        if len(a) == k and len(b) < 2:
+            out.append((i, "iii"))
+    for i in range(1, len(layers)):
+        if any(c.weight > 1 for c in layers[i]):
+            nxt = len(layers[i + 1]) if i + 1 < len(layers) else 0
+            if len(layers[i]) + max(len(layers[i - 1]), nxt) < k:
+                out.append((i, "iv"))
+    return out
+
+
+def _walk_facts(graph: WeightedClumpGraph) -> dict:
+    """Every derived fact of graph, each from a fresh walk over its clumps."""
+    clumps = list(graph.clumps())
+    degrees = [weighted_degree(graph, c.layer, c.color) for c in clumps]
+    return {
+        "min_weighted_degree": min(degrees),
+        "blow_up_edge_count": sum(c.weight * d for c, d in zip(clumps, degrees)) // 2,
+        "ell": tuple(sum(c.weight for c in layer) for layer in graph.layers),
+        "clump_counts": tuple(len(layer) for layer in graph.layers),
+        "colors": tuple(frozenset(c.color for c in layer) for layer in graph.layers),
+        "n": sum(c.weight for c in clumps),
+        "total_weight": sum(c.weight for c in clumps),
+        "diameter_index": len(graph.layers) - 1,
+        "violations": _walk_violations(graph),
+    }
+
+
+def _facts(graph: WeightedClumpGraph) -> dict:
+    """The same facts as the library derives them."""
+    profile = layer_profile(graph)
+    return {
+        "min_weighted_degree": min_weighted_degree(graph),
+        "blow_up_edge_count": blow_up_edge_count(graph),
+        "ell": profile.ell,
+        "clump_counts": profile.clump_counts,
+        "colors": profile.colors,
+        "n": profile.n,
+        "total_weight": graph.total_weight,
+        "diameter_index": profile.diameter_index,
+        "violations": check_canonical(graph).violations,
+    }
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_derived_facts_match_the_clump_walk(k, seed):
+    rng = random.Random(seed)
+    layers = random_layers(rng, k=k, max_depth=10, max_weight=4)
+    for layer in layers:
+        rng.shuffle(layer)
+    g = WeightedClumpGraph(k, layers)
+    assert g.layers == tuple(
+        tuple(Clump(i, c, w) for c, w in sorted(layer)) for i, layer in enumerate(layers)
+    )
+    assert g.layers is g.layers
+    twin = WeightedClumpGraph(k, [[(c.color, c.weight) for c in layer] for layer in g.layers])
+    assert twin == g and hash(twin) == hash(g) and twin is not g
+    heavier = [[(c.color, c.weight) for c in layer] for layer in g.layers]
+    i = rng.randrange(1, len(heavier)) if len(heavier) > 1 else 0
+    if i:  # the root keeps weight 1
+        heavier[i][0] = (heavier[i][0][0], heavier[i][0][1] + 1)
+        assert WeightedClumpGraph(k, heavier) != g
+    assert WeightedClumpGraph(k + 1, layers) != g
+    want = _walk_facts(g)
+    assert _facts(g) == want
+    assert layer_profile(g) is layer_profile(g)
+    # what the library hands out is the caller's own: changing it leaves
+    # every fact of g as it was
+    rows = weight_rows(g)
+    for row in rows:
+        for color in list(row):
+            row[color] += 7
+        row[k] = 1
+    rows.append({0: 1})
+    check_canonical(g).violations.append((0, "iv"))
+    check_canonical(g).violations.clear()
+    assert _facts(g) == want
+    assert g.layers == twin.layers
+    assert weight_rows(g) == [dict(layer) for layer in g.pairs] == list(twin.rows)
+
+
+def test_graph_attributes_cannot_be_assigned_or_deleted():
+    g = counterexample_graph(1, 5, 1)
+    for name in ("k", "layers", "pairs", "rows", "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    for name in ("k", "layers", "pairs", "rows"):
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g == counterexample_graph(1, 5, 1)
+
+
+def test_pairs_are_int_pair_tuples_and_copies_revalidate():
+    g = WeightedClumpGraph(3, [[[0, 1]], [[2, 3], [1, 2]]])
+    assert g.pairs == (((0, 1),), ((1, 2), (2, 3)))
+    assert all(type(pair) is tuple for layer in g.pairs for pair in layer)
+    assert copy.copy(g) == pickle.loads(pickle.dumps(g)) == g
+    assert hash(copy.deepcopy(g)) == hash(g)

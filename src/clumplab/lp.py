@@ -4,7 +4,9 @@ global program, the minimum order of a clump topology, and a
 pattern-sequence search for extremal layer profiles.  Both of the last
 two take one path: the topology's covering rows (_covering_rows), their
 relaxation (_relax), then branch and bound from its solution
-(_branch_and_bound).
+(_branch_and_bound).  Every covering program is solved through its
+packing dual (_packing_dual), whose slack basis is feasible, and the
+covering vertex read off the dual is checked exactly before use.
 
 Programs go in as ints and Fractions, stored as given; solutions come
 out as fractions.Fraction.  Inside, the simplex tableau is Python ints
@@ -271,15 +273,37 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
         raise ValueError(f"delta={delta} must be positive")
     colors = [topology.colors_of_layer(i) for i in range(topology.diameter_index + 1)]
     rows = _covering_rows(colors, delta)
-    program, root = _relax(rows)
-    assert root.value is not None and root.x is not None
-    lp_value = len(rows) + root.value
-    if len(rows) > ILP_CLUMP_LIMIT and ceil(root.value) < sum(ceil(v) for v in root.x):
+    root = _relax(rows)
+    value, x = root
+    lp_value = len(rows) + value
+    if len(rows) > ILP_CLUMP_LIMIT and ceil(value) < sum(ceil(v) for v in x):
         return MinOrderResult(lp_value=lp_value, int_value=None, weights=None)
-    total, free = _branch_and_bound(program, root)
+    total, free = _branch_and_bound(rows, root)
     keys = [(i, c) for i, row in enumerate(topology.rows) for c in row]
     weights = dict(zip(keys, [1, *(1 + v for v in free)]))
     return MinOrderResult(lp_value=lp_value, int_value=len(rows) + total, weights=weights)
+
+
+LayerClump = tuple[int, int]  # color, free index (-1 for the root)
+
+
+def _layer_rows(
+    window: list[LayerClump], layer: list[LayerClump], delta: int
+) -> list[CoverRow] | None:
+    """The covering rows of layer's clumps, whose neighbors are the
+    differently colored clumps of window (the layers before, at and after
+    layer, in order); None when a clump with positive need has no free
+    neighbor."""
+    rows: list[CoverRow] = []
+    for color, _ in layer:
+        free = [j for c, j in window if c != color]
+        need = delta - len(free)
+        if free and free[0] < 0:
+            del free[0]  # the root, first in layer order
+        if need > 0 and not free:
+            return None
+        rows.append((free, need))
+    return rows
 
 
 def _covering_rows(colors: Sequence[AbstractSet[int]], delta: int) -> list[CoverRow]:
@@ -291,8 +315,7 @@ def _covering_rows(colors: Sequence[AbstractSet[int]], delta: int) -> list[Cover
     degree neighbors + the sum of their v, so the row reads
     sum(v[j] for j in free) >= need.  ValueError when a clump with
     positive need has no free neighbor: no weighting reaches delta."""
-    # each layer's clumps as (color, free index); the root's index is -1
-    layers: list[list[tuple[int, int]]] = []
+    layers: list[list[LayerClump]] = []
     index = -1
     for cols in colors:
         layers.append([(c, index + pos) for pos, c in enumerate(sorted(cols))])
@@ -300,27 +323,11 @@ def _covering_rows(colors: Sequence[AbstractSet[int]], delta: int) -> list[Cover
     rows: list[CoverRow] = []
     for i, layer in enumerate(layers):
         window = [clump for row in layers[max(i - 1, 0):i + 2] for clump in row]
-        for color, _ in layer:
-            free = [j for c, j in window if c != color]
-            need = delta - len(free)
-            if free and free[0] < 0:
-                del free[0]  # the root, first in layer order
-            if need > 0 and not free:
-                raise ValueError("topology cannot reach the degree bound")
-            rows.append((free, need))
+        layer_rows = _layer_rows(window, layer, delta)
+        if layer_rows is None:
+            raise ValueError("topology cannot reach the degree bound")
+        rows += layer_rows
     return rows
-
-
-def _covering_program(rows: list[CoverRow]) -> RationalLP:
-    """Minimize the total free weight subject to the covering rows."""
-    n_free = len(rows) - 1
-    lp = RationalLP(maximize=False, c=[1] * n_free)
-    for free, need in rows:
-        coeffs = [0] * n_free
-        for j in free:
-            coeffs[j] = 1
-        lp.add_row(coeffs, ">=", need)
-    return lp
 
 
 def _order_bounds(rows: list[CoverRow]) -> tuple[int, int]:
@@ -330,10 +337,9 @@ def _order_bounds(rows: list[CoverRow]) -> tuple[int, int]:
     lower adds to the clump count the needs of a set of positive-need
     rows whose free sets are pairwise disjoint, taken greedily by
     descending need.  Such a set, as y_r = 1 on its rows and 0 elsewhere,
-    is feasible for the dual {y >= 0 : sum of y_r over rows r with
-    j in free_r <= 1 for every j}, because every variable lies in at most
-    one chosen row; its dual objective sum(y_r * need_r) is then at most
-    the LP value by weak duality.
+    is feasible for the packing dual (_packing_dual), because every
+    variable lies in at most one chosen row; its dual objective
+    sum(y_r * need_r) is then at most the LP value by weak duality.
 
     upper adds the total of v[j] = max(0, the largest need of a row
     holding j).  That v is a feasible integer weighting: a row with
@@ -357,53 +363,96 @@ def _order_bounds(rows: list[CoverRow]) -> tuple[int, int]:
     return len(rows) + lower, len(rows) + sum(cover)
 
 
-Relaxation = tuple[RationalLP, LPSolution]  # a covering program and its optimum
+Bound = tuple[int, str, int]  # free index j, sense, b: the branch row x_j <= b or x_j >= b
+Relaxation = tuple[Fraction, list[Fraction]]  # a covering program's LP value and optimal vertex
+
+
+def _packing_dual(rows: list[CoverRow], bounds: Sequence[Bound]) -> RationalLP:
+    """The dual of minimizing the total free weight subject to the
+    covering rows and the branch bounds: maximize sum(need_r * y_r) over
+    y >= 0, one column per row, subject to sum(y_r over the rows r
+    holding j) <= 1 for every free variable j.  A bound x_j >= b is the
+    covering row ([j], b), and x_j <= b is -x_j >= -b: a column with
+    entry -1 at j and cost -b.
+
+    Every row is <= with right-hand side 1, so the slack basis y = 0 is
+    feasible and simplex_solve runs no phase 1.  The row duals are a
+    vertex x of the covering program, of the same value."""
+    n_cols = len(rows) + len(bounds)
+    matrix = [[0] * n_cols for _ in range(len(rows) - 1)]
+    c = []
+    for r, (free, need) in enumerate(rows):
+        for j in free:
+            matrix[j][r] = 1
+        c.append(need)
+    for k, (j, sense, b) in enumerate(bounds, len(rows)):
+        sign = 1 if sense == ">=" else -1
+        matrix[j][k] = sign
+        c.append(sign * b)
+    return RationalLP(maximize=True, c=c, rows=[(row, "<=", 1) for row in matrix])
+
+
+def _solve_covering(rows: list[CoverRow], bounds: Sequence[Bound]) -> Relaxation | None:
+    """The covering program's LP value and an optimal vertex, read off
+    its packing dual; None when the program is infeasible, which makes
+    the dual unbounded.
+
+    simplex_solve checks that the dual value equals the total of the
+    vertex; this checks that the vertex is nonnegative and meets every
+    row and bound, so (value, vertex) is proved optimal by weak duality.
+    ArithmeticError when it is not."""
+    sol = simplex_solve(_packing_dual(rows, bounds))
+    if sol.status != "optimal":
+        return None
+    assert sol.value is not None and sol.y is not None
+    x = sol.y
+    if (
+        any(v < 0 for v in x)
+        or any(sum(x[j] for j in free) < need for free, need in rows)
+        or any(x[j] < b if sense == ">=" else x[j] > b for j, sense, b in bounds)
+    ):
+        raise ArithmeticError("packing dual gave an infeasible covering vertex")
+    return sol.value, x
 
 
 def _relax(rows: list[CoverRow]) -> Relaxation:
-    """The covering program of rows and its optimal solution, which
-    _branch_and_bound starts from."""
-    program = _covering_program(rows)
-    root = simplex_solve(program)
-    if root.status != "optimal":
-        raise ValueError(f"minimum-order program is {root.status}")
-    return program, root
+    """The relaxation of the covering rows, which _branch_and_bound
+    starts from."""
+    root = _solve_covering(rows, ())
+    if root is None:
+        raise ValueError("minimum-order program is infeasible")
+    return root
 
 
-def _branch_and_bound(lp: RationalLP, root: LPSolution) -> tuple[int, list[int]]:
-    """The integer optimum of the covering program lp as (total, free
+def _branch_and_bound(rows: list[CoverRow], root: Relaxation) -> tuple[int, list[int]]:
+    """The integer optimum of the covering rows as (total, free
     weights), by depth-first branch and bound on the most fractional
-    variable from the relaxation's optimal solution root, which is never
-    solved again.  Rounding root up stays feasible and seeds the
-    incumbent, so when its total is the rounded-up LP value nothing
-    branches."""
-    assert root.x is not None
-    best_x = [ceil(v) for v in root.x]
+    variable from the relaxation root, which is never solved again.
+    Each node adds one bound to the packing dual as a column.  Rounding
+    root's vertex up stays feasible and seeds the incumbent, so when its
+    total is the rounded-up LP value nothing branches."""
+    best_x = [ceil(v) for v in root[1]]
     incumbent = sum(best_x)
-    extra: list[Row] = []
+    bounds: list[Bound] = []
 
-    def branch(s: LPSolution) -> None:
+    def branch(value: Fraction, x: list[Fraction]) -> None:
         nonlocal incumbent, best_x
-        if s.status != "optimal":
+        if ceil(value) >= incumbent:
             return
-        assert s.value is not None and s.x is not None
-        if ceil(s.value) >= incumbent:
-            return
-        frac = [(abs(v - floor(v) - Fraction(1, 2)), j) for j, v in enumerate(s.x) if v != floor(v)]
+        frac = [(abs(v - floor(v) - Fraction(1, 2)), j) for j, v in enumerate(x) if v != floor(v)]
         if not frac:  # integral, and below the incumbent by the test above
-            incumbent = int(s.value)
-            best_x = [int(v) for v in s.x]
+            incumbent = int(value)
+            best_x = [int(v) for v in x]
             return
         _, j = min(frac)
-        unit = [1 if jj == j else 0 for jj in range(len(lp.c))]
-        for sense, bound in (("<=", floor(s.x[j])), (">=", floor(s.x[j]) + 1)):
-            extra.append((unit, sense, bound))
-            probe = RationalLP(maximize=False, c=list(lp.c))
-            probe.rows = list(lp.rows) + list(extra)
-            branch(simplex_solve(probe))
-            extra.pop()
+        for sense, bound in (("<=", floor(x[j])), (">=", floor(x[j]) + 1)):
+            bounds.append((j, sense, bound))
+            node = _solve_covering(rows, bounds)
+            if node is not None:
+                branch(*node)
+            bounds.pop()
 
-    branch(root)
+    branch(*root)
     return incumbent, best_x
 
 
@@ -417,45 +466,96 @@ class SearchResult:
     complete: bool
 
 
+_ROOT = frozenset({0})
 _SUBSETS = [frozenset(s) for r in (1, 2, 3) for s in itertools.combinations(range(3), r)]
+_SUCCESSORS = {a: [b for b in _SUBSETS if is_canonical_pair(3, a, b)] for a in _SUBSETS}
+_SORTED = {a: sorted(a) for a in _SUBSETS}
 
 
-def _pattern_sequences(depth: int) -> "list[list[frozenset[int]]]":
-    """All canonical color-set sequences of depth+1 layers starting from
-    a single root layer (root color fixed by symmetry)."""
-    out: list[list[frozenset[int]]] = []
-    successors = {a: [b for b in _SUBSETS if is_canonical_pair(3, a, b)] for a in _SUBSETS}
+def _pattern_sequences(
+    depth: int, delta: int
+) -> "list[tuple[list[frozenset[int]], list[CoverRow]]]":
+    """The sequences extremal_search visits at depth >= 1, each with its
+    covering rows: every canonical color-set sequence of depth + 1 layers
+    from the root layer {0} that is not a mirror and reaches the degree
+    bound, with rows equal to _covering_rows(seq, delta), in the order of
+    a depth-first walk that tries each layer's successors in _SUBSETS
+    order.
 
-    def extend(seq: list[frozenset[int]]) -> None:
-        if len(seq) == depth + 1:
-            out.append(list(seq))
-            return
-        for nxt in successors[seq[-1]]:
-            extend(seq + [nxt])
+    The walk keeps the rows of every layer but the last, and appending a
+    layer completes the rows of the layer before it.  Two kinds of prefix
+    are cut with everything below them:
 
-    extend([frozenset({0})])
+    - a mirror: comparing layers as color bitmasks, the first layer
+      holding exactly one of colors 1 and 2 decides whether exchanging
+      the two colors gives a lexicographically smaller sequence, and it
+      does when that layer holds 2;
+    - a dead prefix: a completed row with positive need and no free
+      neighbor stays so in every extension.
+
+    Under the pair rules every clump but a single-color layer 1 at
+    depth 1 has a free neighbor, since rule (ii) leaves two adjacent
+    layers disjoint or spanning all three colors; so with the canonical
+    successors the dead cut fires only at those leaves.
+    """
+    out: list[tuple[list[frozenset[int]], list[CoverRow]]] = []
+    seq = [_ROOT]
+    layers: list[list[LayerClump]] = [[(0, -1)]]
+    rows: list[CoverRow] = []  # the rows of seq[:-1]
+    marks = [0]  # len(rows) before each layer of seq completed its predecessor
+    decided = [False]  # whether the prefix up to each layer decides the swap
+    stack = [iter(_SUCCESSORS[_ROOT])]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            seq.pop()
+            layers.pop()
+            decided.pop()
+            del rows[marks.pop():]
+            continue
+        swap_decided = decided[-1]
+        if not swap_decided and (1 in nxt) != (2 in nxt):
+            if 2 in nxt:
+                continue
+            swap_decided = True
+        last = layers[-1]
+        start = last[-1][1] + 1
+        layer = [(c, start + pos) for pos, c in enumerate(_SORTED[nxt])]
+        window = last + layer
+        completed = _layer_rows(layers[-2] + window if len(layers) > 1 else window, last, delta)
+        if completed is None:
+            continue
+        if len(seq) == depth:
+            final = _layer_rows(window, layer, delta)
+            if final is not None:
+                out.append(([*seq, nxt], rows + completed + final))
+            continue
+        marks.append(len(rows))
+        rows += completed
+        seq.append(nxt)
+        layers.append(layer)
+        decided.append(swap_decided)
+        stack.append(iter(_SUCCESSORS[nxt]))
     return out
 
 
-def _swap_is_smaller(seq: list[frozenset[int]]) -> bool:
-    """Whether exchanging colors 1 and 2 in seq gives a lexicographically
-    smaller sequence, comparing layers as color bitmasks: the first layer
-    that the swap changes holds exactly one of the two colors, and the
-    swap makes it smaller when that color is 2."""
-    for cols in seq:
-        if (1 in cols) != (2 in cols):
-            return 2 in cols
-    return False
-
-
 def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
-    """Smallest blow-up order per diameter over canonical 3-colored layer
-    topologies, via the minimum-order program on every pattern sequence.
+    """Smallest blow-up order per diameter over 3-colored layer
+    topologies whose consecutive layers pass is_canonical_pair, via the
+    minimum-order program on every pattern sequence.
+
+    Only the pair rules (i)-(iii) of canonical.py are enforced: rule
+    (iv) constrains weights, and the optimal weights found here may break
+    it, so a frontier graph need not pass check_canonical.
 
     A sequence's order is the clump count plus the minimum of its
-    covering program (_covering_rows).  Each depth is one walk:
+    covering program (_covering_rows).  Each depth is one depth-first
+    walk (_pattern_sequences), which builds the rows prefix by prefix
+    and never visits a sequence that cannot reach the degree bound, nor
+    one whose 1 <-> 2 color swap is lexicographically smaller.  Of the
+    sequences it yields:
 
-    - a sequence that cannot reach the degree bound is skipped;
     - one whose integer lower bound (_order_bounds) exceeds n_budget has
       an LP value above it, so it is dropped and marks the result
       incomplete;
@@ -464,17 +564,17 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
       value exceeds n_budget;
     - the rest have LP value <= upper <= n_budget and are kept unsolved.
 
-    The kept sequences are walked in ascending lower bound.  The walk
-    stops at the first whose lower bound reaches the order already
-    found at this depth; a sequence before that is relaxed (_relax) now
-    unless the budget test already did, is skipped when the rounded-up
-    LP value reaches that order, and otherwise goes to _branch_and_bound
-    from that solution, uncapped, the path min_order_lp takes too.  Its
-    free weights and the sequence give the graph whose blow-up diameter
-    must equal the depth: topologies of depth 1 whose optimal weighting
-    has a weight >= 2 are skipped, as their diameter is 2.  A
-    sequence whose 1 <-> 2 color swap is lexicographically smaller is
-    not visited at all.  The result is that of refining every sequence:
+    The kept sequences are taken in ascending lower bound.  That stops
+    at the first whose lower bound reaches the order already found at
+    this depth; a sequence before it is relaxed (_relax, through the
+    packing dual) now unless the budget test already did, is skipped
+    when the rounded-up LP value reaches that order, and otherwise goes
+    to _branch_and_bound from that solution, uncapped, the path
+    min_order_lp takes too.  Its free weights and the sequence give the
+    graph whose blow-up diameter must equal the depth: topologies of
+    depth 1 whose optimal weighting has a weight >= 2 are skipped, as
+    their diameter is 2.  The result is that of refining every
+    sequence:
 
     - any integer order is at least ceil(lp_value), which is at least
       the lower bound, so no sequence skipped or left past the stop can
@@ -502,13 +602,7 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
     for depth in range(1, d_max + 1):
         # (lower bound, sequence, covering rows, relaxation or None)
         kept: list[tuple[int, list[frozenset[int]], list[CoverRow], Relaxation | None]] = []
-        for seq in _pattern_sequences(depth):
-            if _swap_is_smaller(seq):
-                continue
-            try:
-                rows = _covering_rows(seq, delta)
-            except ValueError:
-                continue
+        for seq, rows in _pattern_sequences(depth, delta):
             lower, upper = _order_bounds(rows)
             if lower > n_budget:
                 complete = False
@@ -516,7 +610,7 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
             relaxed = None
             if upper > n_budget:
                 relaxed = _relax(rows)
-                if len(rows) + relaxed[1].value > n_budget:
+                if len(rows) + relaxed[0] > n_budget:
                     complete = False
                     continue
             kept.append((lower, seq, rows, relaxed))
@@ -525,13 +619,13 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
             best = frontier.get(depth)
             if best is not None and lower >= best:
                 break
-            program, root = relaxed or _relax(rows)
-            if best is not None and ceil(len(rows) + root.value) >= best:
+            root = relaxed or _relax(rows)
+            if best is not None and ceil(len(rows) + root[0]) >= best:
                 continue
-            total, free = _branch_and_bound(program, root)
+            total, free = _branch_and_bound(rows, root)
             weights = iter([1, *(1 + v for v in free)])
             graph = WeightedClumpGraph(
-                3, [[(c, next(weights)) for c in sorted(cols)] for cols in seq]
+                3, [[(c, next(weights)) for c in _SORTED[cols]] for cols in seq]
             )
             if blow_up_diameter(graph) != depth:
                 continue

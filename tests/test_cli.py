@@ -243,7 +243,8 @@ def _alternating_path(layers: int) -> core.WeightedClumpGraph:
     (_alternating_path(41), 1, (41, 41)),
     (eppt_odd(2, 5, 20), 5, (46, 46)),  # 41 clumps
     (eppt_even(2, 8, 30), 8, (112, 112)),  # 46 clumps
-    (counterexample_graph(1, 4, 5), 4, (67, "unknown")),  # 45 clumps
+    (counterexample_graph(1, 4, 5), 4, (67, 67)),  # 45 clumps
+    (eppt_even(2, 8, 28), 7, (92, "unknown")),  # 43 clumps
 ])
 def test_lp_min_order_around_the_clump_cap(tmp_path, capsys, graph, delta, expected):
     path = _write_graph(tmp_path, graph)

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import clumplab
 from clumplab import lp
-from clumplab.constructions import counterexample_graph, eppt_odd
+from clumplab.canonical import is_canonical_pair
+from clumplab.constructions import counterexample_graph, eppt_even, eppt_odd
 from clumplab.core import WeightedClumpGraph, blow_up_diameter, min_weighted_degree
 from clumplab.lp import (
     RationalLP,
-    _pattern_sequences,
     build_epsz_lp,
     extremal_search,
     min_order_lp,
@@ -313,27 +313,159 @@ def test_integer_tableau_matches_fraction_tableau():
     _same_as_fraction_tableau(build_epsz_lp())
 
 
+_SUBSETS = [frozenset(s) for r in (1, 2, 3) for s in itertools.combinations(range(3), r)]
+
+
+def _pattern_sequences(depth: int) -> list[list[frozenset[int]]]:
+    """Oracle: every canonical color-set sequence of depth + 1 layers
+    from the root layer {0}, by plain recursion over all successors."""
+    out = []
+    successors = {a: [b for b in _SUBSETS if is_canonical_pair(3, a, b)] for a in _SUBSETS}
+
+    def extend(seq: list[frozenset[int]]) -> None:
+        if len(seq) == depth + 1:
+            out.append(list(seq))
+            return
+        for nxt in successors[seq[-1]]:
+            extend(seq + [nxt])
+
+    extend([frozenset({0})])
+    return out
+
+
+def _swap_is_smaller(seq: list[frozenset[int]]) -> bool:
+    """Oracle: whether exchanging colors 1 and 2 in seq gives a
+    lexicographically smaller sequence, comparing layers as color
+    bitmasks: the first layer that the swap changes holds exactly one of
+    the two colors, and the swap makes it smaller when that color is 2."""
+    for cols in seq:
+        if (1 in cols) != (2 in cols):
+            return 2 in cols
+    return False
+
+
+def _covering_program(rows: list) -> RationalLP:
+    """The primal of the covering rows: minimize the total free weight."""
+    n_free = len(rows) - 1
+    program = RationalLP(False, [1] * n_free)
+    for free, need in rows:
+        program.add_row([1 if j in free else 0 for j in range(n_free)], ">=", need)
+    return program
+
+
 def _unit_topology(seq: list[frozenset[int]]) -> WeightedClumpGraph:
     return WeightedClumpGraph(3, [[(c, 1) for c in cols] for cols in seq])
 
 
 def _lp_order(seq: list[frozenset[int]], delta: int) -> Fraction:
-    """The sequence's minimum order over fractional weights."""
+    """The sequence's minimum order over fractional weights, from the
+    two-phase simplex on the primal covering program."""
     rows = lp._covering_rows(seq, delta)
-    return len(rows) + simplex_solve(lp._covering_program(rows)).value
+    return len(rows) + simplex_solve(_covering_program(rows)).value
 
 
 @pytest.mark.parametrize("delta", [2, 5, 8])
 def test_integer_tableau_matches_fraction_tableau_on_min_order(delta):
+    # both the primal covering programs and the packing duals that
+    # min_order_lp and extremal_search solve
     solved = 0
     for seq in _pattern_sequences(4):
         try:
-            program = lp._covering_program(lp._covering_rows(seq, delta))
+            rows = lp._covering_rows(seq, delta)
         except ValueError:
             continue
-        assert _same_as_fraction_tableau(program) == "optimal"
+        assert _same_as_fraction_tableau(_covering_program(rows)) == "optimal"
+        assert _same_as_fraction_tableau(lp._packing_dual(rows, ())) == "optimal"
         solved += 1
     assert solved > 0
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 5, 8])
+def test_walk_yields_the_unmirrored_feasible_sequences(delta):
+    for depth in range(1, 6):
+        expected = []
+        for seq in _pattern_sequences(depth):
+            if _swap_is_smaller(seq):
+                continue
+            try:
+                expected.append((seq, lp._covering_rows(seq, delta)))
+            except ValueError:
+                continue
+        walked = lp._pattern_sequences(depth, delta)
+        assert walked == expected
+        assert len(walked) > 0
+
+
+@pytest.mark.parametrize("delta", [2, 5, 8])
+def test_packing_dual_matches_the_covering_program(delta):
+    # the value read off the dual equals the two-phase primal's, with and
+    # without branch bounds; a primal-infeasible branch is a dual None
+    rng = random.Random(delta)
+    statuses = []
+    for seq in _pattern_sequences(4):
+        try:
+            rows = lp._covering_rows(seq, delta)
+        except ValueError:
+            continue
+        value, x = lp._relax(rows)
+        assert value == simplex_solve(_covering_program(rows)).value == sum(x)
+        bounds = [
+            (j, rng.choice(["<=", ">="]), rng.randint(0, delta))
+            for j in rng.sample(range(len(x)), min(3, len(x)))
+        ]
+        primal = _covering_program(rows)
+        for j, sense, b in bounds:
+            primal.add_row([1 if i == j else 0 for i in range(len(x))], sense, b)
+        want = simplex_solve(primal)
+        got = lp._solve_covering(rows, bounds)
+        statuses.append(want.status)
+        if want.status == "infeasible":
+            assert got is None
+        else:
+            assert got is not None and got[0] == want.value
+    assert {"optimal", "infeasible"} <= set(statuses)
+
+
+def _perturbed_simplex(monkeypatch, perturb) -> None:
+    """Wrap lp.simplex_solve so that perturb edits each optimal y."""
+    inner = lp.simplex_solve
+
+    def perturbed(program):
+        sol = inner(program)
+        if sol.status == "optimal":
+            perturb(sol.y)
+        return sol
+
+    monkeypatch.setattr(lp, "simplex_solve", perturbed)
+
+
+def test_min_order_rejects_a_dual_that_misses_a_row(monkeypatch):
+    # the relaxation is x = (1, 0) with the root's row tight; lowered to
+    # (999/1000, 0) it still rounds up to the LP value, so nothing
+    # branches and only the row check can see it
+    def lower_first(y):
+        y[0] -= Fraction(1, 1000)
+
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]])
+    assert min_order_lp(g, 2).int_value == 4
+    _perturbed_simplex(monkeypatch, lower_first)
+    with pytest.raises(ArithmeticError):
+        min_order_lp(g, 2)
+
+
+@pytest.mark.parametrize("bounds, perturb", [
+    # a weight raised past its bound keeps every covering row met
+    ([(0, "<=", 1)], lambda y: y.__setitem__(0, y[0] + 1)),
+    # a negative weight that every row holding it can absorb
+    ([], lambda y: y.__setitem__(slice(None), [3, 3, Fraction(-1, 1000)])),
+])
+def test_solve_covering_checks_bounds_and_signs(monkeypatch, bounds, perturb):
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1), (2, 1)], [(0, 1)]])
+    rows = lp._covering_rows([g.colors_of_layer(i) for i in range(3)], 5)
+    assert lp._solve_covering(rows, bounds) is not None
+    _perturbed_simplex(monkeypatch, perturb)
+    with pytest.raises(ArithmeticError):
+        lp._solve_covering(rows, bounds)
 
 
 def _neighbor_program(topology: WeightedClumpGraph, delta: int) -> RationalLP | None:
@@ -369,7 +501,7 @@ def test_covering_rows_match_the_neighbor_walk(delta):
                 with pytest.raises(ValueError):
                     min_order_lp(topology, delta)
                 continue
-            program = lp._covering_program(lp._covering_rows(seq, delta))
+            program = _covering_program(lp._covering_rows(seq, delta))
             assert (program.c, program.rows) == (oracle.c, oracle.rows)
     assert (infeasible > 0) == (delta > 1)
 
@@ -407,7 +539,7 @@ def test_color_swap_pairs_up_sequences():
         assert sorted(_key(_swap(seq)) for seq in seqs) == sorted(map(_key, seqs))
         # the search visits exactly one sequence of each {seq, swap} orbit
         orbits = {frozenset({_key(seq), _key(_swap(seq))}) for seq in seqs}
-        visited = [seq for seq in seqs if not lp._swap_is_smaller(seq)]
+        visited = [seq for seq in seqs if not _swap_is_smaller(seq)]
         assert len(visited) == len(orbits) < len(seqs)
         assert {frozenset({_key(seq), _key(_swap(seq))}) for seq in visited} == orbits
     for seq in _pattern_sequences(3):
@@ -489,8 +621,8 @@ def test_min_order_two_clumps(monkeypatch):
 
 def test_min_order_integral_root_is_solved_once(monkeypatch):
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]])
-    _, root = lp._relax(lp._covering_rows([g.colors_of_layer(i) for i in range(3)], 2))
-    assert all(v.denominator == 1 for v in root.x)
+    _, x = lp._relax(lp._covering_rows([g.colors_of_layer(i) for i in range(3)], 2))
+    assert all(v.denominator == 1 for v in x)
     calls = _count_calls(monkeypatch, "simplex_solve")
     min_order_lp(g, 2)
     assert calls == [1]
@@ -524,14 +656,16 @@ def test_min_order_above_the_cap(monkeypatch):
     decided = [
         (eppt_odd(2, 5, 20), 5),
         (WeightedClumpGraph(3, [[(i % 2, 1)] for i in range(41)]), 1),
+        (counterexample_graph(1, 4, 5), 4),
     ]
     capped = [min_order_lp(g, delta) for g, delta in decided]
-    unknown = min_order_lp(counterexample_graph(1, 4, 5), 4)
-    assert (unknown.lp_value, unknown.int_value, unknown.weights) == (67, None, None)
+    unknown = min_order_lp(eppt_even(2, 8, 28), 7)
+    assert (unknown.lp_value, unknown.int_value, unknown.weights) == (92, None, None)
     monkeypatch.setattr(lp, "ILP_CLUMP_LIMIT", 10**9)
     assert capped == [min_order_lp(g, delta) for g, delta in decided]
-    assert [(r.lp_value, r.int_value) for r in capped] == [(46, 46), (41, 41)]
-    assert [len(list(g.clumps())) for g, _ in decided] == [41, 41]
+    assert [(r.lp_value, r.int_value) for r in capped] == [(46, 46), (41, 41), (67, 67)]
+    assert [len(list(g.clumps())) for g, _ in decided] == [41, 41, 45]
+    assert len(list(eppt_even(2, 8, 28).clumps())) == 43
 
 
 def test_min_order_family_topology():
@@ -624,7 +758,7 @@ def test_extremal_search_matches_reference():
     # below 60 drops some sequences, and 8 and 12 equal the frontier they
     # reach; at (8, 4, 20) some sequences fit the budget only below their
     # upper bound, so the walk solves their relaxation before sorting
-    points = [(2, 5, 60), (3, 4, 60), (4, 4, 60), (5, 4, 60)]
+    points = [(2, 5, 60), (3, 5, 60), (3, 4, 60), (4, 4, 60), (5, 4, 60), (6, 4, 60)]
     points += [(delta, 3, 60) for delta in (1, 4, 6, 7, 8)]
     points += [(2, 4, 5), (3, 3, 8), (5, 3, 12), (8, 4, 20)]
     for delta, d_max, n_budget in points:
@@ -657,10 +791,15 @@ def test_extremal_search_matches_golden(point):
 
 
 def test_extremal_search_solves_few_relaxations(monkeypatch):
-    # the bounds decide most of the 174 sequences; the parent made 176 calls
+    # the bounds decide most sequences: at (5, 4) the walk yields 92 of
+    # the 174, and 13 programs are solved
     calls = _count_calls(monkeypatch, "simplex_solve")
-    extremal_search(5, 4, 60)
-    assert calls[0] <= 20
+    counts = {}
+    for point in sorted(_golden_search()):
+        calls[0] = 0
+        extremal_search(*map(int, point.split(",")), 60)
+        counts[point] = calls[0]
+    assert counts == {"2,5": 5, "3,5": 5, "5,4": 13, "6,4": 5, "8,4": 13}
 
 
 def test_extremal_search_prunes_by_lp_order(monkeypatch):

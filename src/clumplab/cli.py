@@ -174,10 +174,9 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
 def _cmd_lp(args: argparse.Namespace) -> int:
     if args.program == "epsz":
         solution = lp.simplex_solve(lp.build_epsz_lp())
-        assert solution.value is not None and solution.x is not None
+        assert solution is not None
         print(f"optimum {serialize.format_rational(solution.value)}")
         print("vertex", " ".join(serialize.format_rational(v) for v in solution.x))
-        assert solution.y is not None
         print("dual", " ".join(serialize.format_rational(v) for v in solution.y))
         return 0
     graph = _read_graph(args.infile)

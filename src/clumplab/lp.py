@@ -1,12 +1,14 @@
 """Exact rational linear programming for the small dense programs that
-arise here: a two-phase simplex with Bland's rule, the five-variable
-global program, the minimum order of a clump topology, and a
-pattern-sequence search for extremal layer profiles.  Both of the last
-two take one path: the topology's covering rows (_covering_rows), their
-relaxation (_relax), then branch and bound from its solution
-(_branch_and_bound).  Every covering program is solved through its
-packing dual (_packing_dual), whose slack basis is feasible, and the
-covering vertex read off the dual is checked exactly before use.
+arise here, all in one form: maximize c.x subject to Ax <= b, x >= 0,
+with b >= 0, solved by a one-phase simplex from the slack basis with
+Bland's rule.  Also here: the five-variable global program, the minimum
+order of a clump topology, and a pattern-sequence search for extremal
+layer profiles.  Both of the last two take one path: the topology's
+covering rows (_covering_rows), their relaxation (_relax), then branch
+and bound from its solution (_branch_and_bound).  A covering program
+minimizes, so it goes in as its packing dual (_packing_dual), which is
+in that form, and the covering vertex read off the dual is checked
+exactly before use.
 
 Programs go in as ints and Fractions, stored as given; solutions come
 out as fractions.Fraction.  Inside, the simplex tableau is Python ints
@@ -27,32 +29,39 @@ from .core import WeightedClumpGraph, blow_up_diameter
 from .sieve import GLOBAL_PROGRAM
 
 Rational = int | Fraction
-Row = tuple[list[Rational], str, Rational]  # coefficients, sense, rhs
+Row = tuple[list[Rational], Rational]  # coefficients, rhs
 CoverRow = tuple[list[int], int]  # free-variable indices, need
 
 
 @dataclass
 class RationalLP:
-    """maximize (or minimize) c.x subject to the rows, x >= 0."""
+    """maximize c.x subject to coeffs.x <= rhs for every row, x >= 0.
 
-    maximize: bool
+    Every rhs is >= 0, so x = 0 is feasible and the slack basis starts
+    the simplex.  Rows given to the constructor are checked as add_row
+    checks them."""
+
     c: list[Rational]
     rows: list[Row] = field(default_factory=list)
 
-    def add_row(self, coeffs: list[Rational], sense: str, rhs: Rational) -> None:
-        if sense not in ("<=", ">=", "=="):
-            raise ValueError(f"unknown sense {sense!r}")
+    def __post_init__(self) -> None:
+        rows, self.rows = self.rows, []
+        for coeffs, rhs in rows:
+            self.add_row(coeffs, rhs)
+
+    def add_row(self, coeffs: list[Rational], rhs: Rational) -> None:
         if len(coeffs) != len(self.c):
             raise ValueError("coefficient count does not match variable count")
-        self.rows.append((list(coeffs), sense, rhs))
+        if rhs < 0:
+            raise ValueError(f"rhs {rhs} is negative: the slack basis would be infeasible")
+        self.rows.append((list(coeffs), rhs))
 
 
 @dataclass
 class LPSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    value: Fraction | None
-    x: list[Fraction] | None
-    y: list[Fraction] | None  # dual values per original row
+    value: Fraction
+    x: list[Fraction]
+    y: list[Fraction]  # dual values per row
 
 
 def _integer_row(values: list[Rational]) -> tuple[list[int], int]:
@@ -92,146 +101,79 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     return p
 
 
-_SLACK = {"<=": 1, ">=": -1, "==": 0}  # slack coefficient per sense
-
-
-def simplex_solve(lp: RationalLP) -> LPSolution:
-    """Dense two-phase simplex, Bland's rule throughout.
+def simplex_solve(lp: RationalLP) -> LPSolution | None:
+    """Dense one-phase simplex from the slack basis, Bland's rule; None
+    when the program is unbounded.
 
     The tableau holds Python ints.  Each row is scaled by the lcm of its
-    own denominators, with its slack and artificial entries left at +-1,
-    so the starting basis is the identity; from then on the true tableau
-    is tab / d for one common denominator d > 0 (see _pivot).  Bland's
-    choices are those of the rational tableau, because scaling a row or a
-    column by a positive factor keeps every ratio order and every
-    reduced-cost sign.  Fractions appear only in the input and the result.
+    own denominators, with its slack entry left at 1 after the
+    structural columns, so the starting basis is the identity; from then
+    on the true tableau is tab / d for one common denominator d > 0 (see
+    _pivot).  Bland's choices are those of the rational tableau, because
+    scaling a row or a column by a positive factor keeps every ratio
+    order and every reduced-cost sign.  Fractions appear only in the
+    input and the result.
 
-    The last row holds the reduced costs c_j - c_B B^-1 A_j of the
-    current phase, scaled likewise and kept up to date by every pivot;
-    the duals are read off it.  At optimality the returned dual vector
-    satisfies y . b = value exactly (checked); infeasible and unbounded
-    programs are reported as statuses, not exceptions.
+    The last row holds the reduced costs c_j - c_B B^-1 A_j, scaled
+    likewise and kept up to date by every pivot; the duals are read off
+    it.  At optimality every dual is >= 0, A^T y >= c, and y . b equals
+    the value exactly (checked; ArithmeticError otherwise).
     """
     n = len(lp.c)
     m = len(lp.rows)
-
-    # rows with a negative rhs are negated, which swaps <= and >=; then
-    # every inequality gets a slack column (+1 or -1) and every row
-    # without a +1 slack an artificial one, all slacks first
-    row_sign = [-1 if b < 0 else 1 for _, _, b in lp.rows]
-    slack = [s * _SLACK[sense] for s, (_, sense, _) in zip(row_sign, lp.rows)]
-    slack_col = [-1] * m
-    art_col = [-1] * m
-    ncols = n
-    for i in range(m):
-        if slack[i]:
-            slack_col[i] = ncols
-            ncols += 1
-    for i in range(m):
-        if slack[i] != 1:
-            art_col[i] = ncols
-            ncols += 1
+    ncols = n + m
     tab: list[list[int]] = []
     row_scale = []
-    for i, (coeffs, _, b) in enumerate(lp.rows):
+    for i, (coeffs, b) in enumerate(lp.rows):
         ints, scale = _integer_row([*coeffs, b])
-        if row_sign[i] < 0:
-            ints = [-a for a in ints]
-        row = ints[:n] + [0] * (ncols - n) + ints[n:]
-        if slack[i]:
-            row[slack_col[i]] = slack[i]
-        if art_col[i] >= 0:
-            row[art_col[i]] = 1
+        row = ints[:n] + [0] * m + ints[n:]
+        row[n + i] = 1
         tab.append(row)
         row_scale.append(scale)
-    tab.append([0] * (ncols + 1))  # reduced costs
-    d = 1
-    # the column that started as +e_i: the artificial when the row has one
-    unit_col = [a if a >= 0 else s for a, s in zip(art_col, slack_col)]
-    basis = list(unit_col)
-    artificials = {c for c in art_col if c >= 0}
-
-    def price(costs: list[int]) -> None:
-        z = [d * cost for cost in costs] + [0]
-        for i, b in enumerate(basis):
-            f = costs[b]
-            if f:
-                z = [a - f * t for a, t in zip(z, tab[i])]
-        tab[m] = z
-
-    def optimize(banned: set[int]) -> str:
-        nonlocal d
-        while True:
-            # Bland: the first improving column; basic columns price at 0
-            z = tab[m]
-            entering = next((j for j in range(ncols) if z[j] > 0 and j not in banned), -1)
-            if entering < 0:
-                return "optimal"
-            # the least ratio rhs / entry over positive entries, compared
-            # by cross-multiplication; ties go to the smallest basic column
-            leaving, best_rhs, best_entry = -1, 0, 1
-            for i in range(m):
-                entry = tab[i][entering]
-                if entry <= 0:
-                    continue
-                rhs = tab[i][ncols]
-                if leaving >= 0:
-                    lhs, other = rhs * best_entry, best_rhs * entry
-                    if lhs > other or (lhs == other and basis[i] > basis[leaving]):
-                        continue
-                leaving, best_rhs, best_entry = i, rhs, entry
-            if leaving < 0:
-                return "unbounded"
-            d = _pivot(tab, leaving, entering, d)
-            basis[leaving] = entering
-
-    if artificials:
-        # phase 1 minimizes the sum of the rational tableau's artificials;
-        # column i's artificial carries 1 / row_scale[i] of one, so its
-        # cost is scaled to an integer by the lcm of those scales
-        unit = lcm(*[row_scale[i] for i in range(m) if art_col[i] >= 0])
-        costs = [0] * ncols
-        for i in range(m):
-            if art_col[i] >= 0:
-                costs[art_col[i]] = -(unit // row_scale[i])
-        price(costs)
-        optimize(set())
-        # the phase-1 row's rhs is the total left on basic artificials
-        if tab[m][ncols] != 0:
-            return LPSolution("infeasible", None, None, None)
-        # drive lingering zero-level artificials out of the basis
-        for i in range(m):
-            if basis[i] in artificials:
-                for j in range(ncols):
-                    if j not in artificials and tab[i][j] != 0:
-                        d = _pivot(tab, i, j, d)
-                        basis[i] = j
-                        break
-
-    obj_sign = 1 if lp.maximize else -1
+    # the slacks cost 0, so the slack basis prices every column at its cost
     costs, obj_scale = _integer_row(lp.c)
-    price([obj_sign * cost for cost in costs] + [0] * (ncols - n))
-    if optimize(artificials) == "unbounded":
-        return LPSolution("unbounded", None, None, None)
+    tab.append(costs + [0] * (m + 1))
+    d = 1
+    basis = list(range(n, ncols))
+
+    while True:
+        # Bland: the first improving column; basic columns price at 0
+        z = tab[m]
+        entering = next((j for j in range(ncols) if z[j] > 0), -1)
+        if entering < 0:
+            break
+        # the least ratio rhs / entry over positive entries, compared by
+        # cross-multiplication; ties go to the smallest basic column
+        leaving, best_rhs, best_entry = -1, 0, 1
+        for i in range(m):
+            entry = tab[i][entering]
+            if entry <= 0:
+                continue
+            rhs = tab[i][ncols]
+            if leaving >= 0:
+                lhs, other = rhs * best_entry, best_rhs * entry
+                if lhs > other or (lhs == other and basis[i] > basis[leaving]):
+                    continue
+            leaving, best_rhs, best_entry = i, rhs, entry
+        if leaving < 0:
+            return None
+        d = _pivot(tab, leaving, entering, d)
+        basis[leaving] = entering
 
     x = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
             x[b] = Fraction(tab[i][ncols], d)
     # the cost row's rhs is -c_B x_B times obj_scale * d
-    reported = Fraction(-obj_sign * tab[m][ncols], obj_scale * d)
+    value = Fraction(-tab[m][ncols], obj_scale * d)
 
-    # unit columns cost 0, so their reduced cost is -(c_B B^-1)_i, and
-    # column i's is row_scale[i] times smaller than the rational tableau's
-    y = [
-        Fraction(-obj_sign * s * scale * tab[m][col], obj_scale * d)
-        for s, scale, col in zip(row_sign, row_scale, unit_col)
-    ]
+    # slack i costs 0, so its reduced cost is -(c_B B^-1)_i, and it is
+    # row_scale[i] times smaller than the rational tableau's
+    y = [Fraction(-scale * tab[m][n + i], obj_scale * d) for i, scale in enumerate(row_scale)]
 
-    dual_value = sum(yi * row[2] for yi, row in zip(y, lp.rows))
-    if dual_value != reported:
+    if sum(yi * b for yi, (_, b) in zip(y, lp.rows)) != value:
         raise ArithmeticError("strong duality violated")
-    return LPSolution("optimal", reported, x, y)
+    return LPSolution(value, x, y)
 
 
 # -- the five-variable global program ------------------------------------
@@ -240,10 +182,7 @@ def simplex_solve(lp: RationalLP) -> LPSolution:
 def build_epsz_lp() -> RationalLP:
     """Maximize phi over (phi, mu, psi, alpha1, alpha2) subject to the
     rows of sieve.GLOBAL_PROGRAM."""
-    lp = RationalLP(maximize=True, c=[1, 0, 0, 0, 0])
-    for _, coeffs, rhs in GLOBAL_PROGRAM:
-        lp.add_row(list(coeffs), "<=", rhs)
-    return lp
+    return RationalLP([1, 0, 0, 0, 0], [(list(coeffs), rhs) for _, coeffs, rhs in GLOBAL_PROGRAM])
 
 
 # -- minimum order of a clump topology -----------------------------------
@@ -375,9 +314,9 @@ def _packing_dual(rows: list[CoverRow], bounds: Sequence[Bound]) -> RationalLP:
     covering row ([j], b), and x_j <= b is -x_j >= -b: a column with
     entry -1 at j and cost -b.
 
-    Every row is <= with right-hand side 1, so the slack basis y = 0 is
-    feasible and simplex_solve runs no phase 1.  The row duals are a
-    vertex x of the covering program, of the same value."""
+    Every row has right-hand side 1, so the program is in simplex_solve's
+    form.  The row duals are a vertex x of the covering program, of the
+    same value."""
     n_cols = len(rows) + len(bounds)
     matrix = [[0] * n_cols for _ in range(len(rows) - 1)]
     c = []
@@ -389,7 +328,7 @@ def _packing_dual(rows: list[CoverRow], bounds: Sequence[Bound]) -> RationalLP:
         sign = 1 if sense == ">=" else -1
         matrix[j][k] = sign
         c.append(sign * b)
-    return RationalLP(maximize=True, c=c, rows=[(row, "<=", 1) for row in matrix])
+    return RationalLP(c, [(row, 1) for row in matrix])
 
 
 def _solve_covering(rows: list[CoverRow], bounds: Sequence[Bound]) -> Relaxation | None:
@@ -402,9 +341,8 @@ def _solve_covering(rows: list[CoverRow], bounds: Sequence[Bound]) -> Relaxation
     row and bound, so (value, vertex) is proved optimal by weak duality.
     ArithmeticError when it is not."""
     sol = simplex_solve(_packing_dual(rows, bounds))
-    if sol.status != "optimal":
+    if sol is None:
         return None
-    assert sol.value is not None and sol.y is not None
     x = sol.y
     if (
         any(v < 0 for v in x)

@@ -7,6 +7,7 @@ Rationals travel as "p/q" strings so nothing is lost to binary floats.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Iterator
@@ -23,17 +24,19 @@ def format_rational(value: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    try:
-        if "/" in text:
-            p, q = text.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        # int()'s own message repeats the bad item unbounded
-        raise SchemaError(
-            f"bad rational {_echo(text)}: expected an integer or p/q with q != 0"
-        ) from exc
+    """An ASCII integer or p/q with q != 0, nothing else: int() alone
+    would also take "1_000", padding, non-ASCII digits and "1/-2"."""
+    if _RATIONAL.fullmatch(text):
+        p, _, q = text.partition("/")
+        try:
+            return Fraction(int(p), int(q or 1))
+        except (ValueError, ZeroDivisionError):  # q == 0, or past int()'s digit limit
+            pass
+    raise SchemaError(f"bad rational {_echo(text)}: expected an integer or p/q with q != 0")
 
 
 def graph_to_dict(graph: WeightedClumpGraph) -> dict[str, Any]:

@@ -52,7 +52,7 @@ def tight_rows(lp: RationalLP, x: list[Fraction]) -> list[int]:
     """Indices of the rows of lp that x meets with equality."""
     return [
         i
-        for i, (coeffs, _, rhs) in enumerate(lp.rows)
+        for i, (coeffs, rhs) in enumerate(lp.rows)
         if sum(a * v for a, v in zip(coeffs, x)) == rhs
     ]
 

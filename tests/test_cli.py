@@ -180,6 +180,18 @@ def test_dual_weight_keys_must_be_integers(tmp_path, capsys, field, value):
     assert err == f"error: u[0].{field} must be an integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("value", ["1_000", "  3 ", "\u0663", "1/-2", "+1", "5/0"])
+def test_dual_weight_value_must_be_a_plain_rational(tmp_path, capsys, value):
+    # int() alone takes the first four (the third is an Arabic-Indic 3)
+    path = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"u": [{"layer": 0, "color": 0, "value": value}]}))
+    assert main(["certify", "--in", path, "--weights", str(weights)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: bad rational {value!r}: expected an integer or p/q with q != 0\n"
+    )
+
+
 def test_dual_weight_on_unknown_clump_exits_2(tmp_path, capsys):
     path = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
     weights = tmp_path / "u.json"

@@ -150,7 +150,12 @@ def bound_from_certificate(cert: DualCertificate, n: int, delta: int) -> Fractio
     """Diameter bound (1/u_tilde)(n/delta) + 1 implied by a feasible
     certificate whose every layer total reaches u_tilde.  The totals are
     compared with u_tilde in integers, cross-multiplied over the two
-    (positive) denominators."""
+    (positive) denominators.
+
+    The bound holds only when delta is at most the minimum weighted
+    degree of the certified graph of order n: the certificate is read
+    against a blow-up in which every vertex has degree >= delta.  The
+    certificate does not know the graph, so the caller checks this."""
     if delta < 1:
         raise ValueError(f"delta={delta} must be positive")
     if not cert.feasible:

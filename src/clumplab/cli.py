@@ -110,9 +110,15 @@ def _cmd_canonicalize(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.weights and args.dump:
         raise ValueError("--dump writes a built certificate, so it cannot go with --weights")
+    if args.weights and args.delta is not None:
+        raise ValueError("--delta bounds the built certificate, so it cannot go with --weights")
     graph = _read_graph(args.infile)
     if args.delta is not None:
         _require_positive_delta(args.delta)
+        # the bound holds only when every clump has degree >= delta
+        degree = min_weighted_degree(graph)
+        if degree < args.delta:
+            raise ValueError(f"min weighted degree {degree} is below delta={args.delta}")
     if args.weights:
         with open(args.weights, "rb") as fh:
             u = serialize.parse_dual_weights(fh.read())

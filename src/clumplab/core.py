@@ -7,12 +7,11 @@ pair may exist.  Two clumps are adjacent iff they sit in the same or
 consecutive layers and carry different colors.  Adjacency is always
 derived from this rule, never stored.
 
-A graph is immutable.  It holds its validated layers as (color, weight)
-int pairs and as the {color: weight} rows its checks built, and derives
-everything else from them at most once per instance
-(WeightedClumpGraph._derive): the Clump objects of `layers`, built on
-demand, the total weight, the neighbor sums behind min_weighted_degree
-and blow_up_edge_count, the layer profile and the canonical violations.
+A graph is immutable.  It stores one table, `rows`: per layer the
+{color: weight} dict its checks built.  Everything else is derived from
+the rows, at most once per instance (WeightedClumpGraph._derive): the
+total weight, the neighbor sums behind min_weighted_degree and
+blow_up_edge_count, the layer profile and the canonical violations.
 """
 
 from __future__ import annotations
@@ -27,13 +26,6 @@ T = TypeVar("T")
 
 class ClumpGraphError(ValueError):
     """Raised when a layered clump description violates the structural rules."""
-
-
-@dataclass(frozen=True)
-class Clump:
-    layer: int
-    color: int
-    weight: int
 
 
 @dataclass(frozen=True)
@@ -101,27 +93,23 @@ class WeightedClumpGraph:
     one weight-1 clump, and every later clump has a differently colored
     clump one layer up.
 
-    The graph is immutable and keeps its validated layers twice, both
-    sorted by color: `pairs`, per layer a tuple of (color, weight) int
-    pairs, which define == and hash, and `rows`, per layer the
-    {color: weight} dict that validation built.  The rows are shared by
-    every reader, so read them and never change them; weight_rows gives
-    fresh copies to change.  Everything else is derived on first use and
-    kept (_derive); `layers`, the same pairs as Clump objects, is one such
-    fact.
+    The graph is immutable and stores one table, `rows`: per layer the
+    {color: weight} dict that validation built, in ascending color
+    order.  The rows define ==, hash and the pickled form.  They are
+    shared by every reader, so read them and never change them;
+    weight_rows gives fresh copies to change.  Everything else is
+    derived from the rows on first use and kept (_derive).
     """
 
-    __slots__ = ("k", "pairs", "rows", "_derived")
+    __slots__ = ("k", "rows", "_derived")
 
     k: int
-    pairs: tuple[tuple[tuple[int, int], ...], ...]
     rows: tuple[dict[int, int], ...]
 
     def __init__(self, k: int, layers: Iterable[Iterable[tuple[int, int]]]):
         rows = _validated_rows(k, [sorted(layer, key=itemgetter(0)) for layer in layers])
         init = object.__setattr__
         init(self, "k", k)
-        init(self, "pairs", tuple(tuple(row.items()) for row in rows))
         init(self, "rows", rows)
         init(self, "_derived", {})
 
@@ -132,8 +120,9 @@ class WeightedClumpGraph:
         raise AttributeError(f"WeightedClumpGraph is immutable: cannot delete {name!r}")
 
     def __reduce__(self) -> tuple:
-        # copies and pickles rebuild, and so revalidate, from the pairs
-        return (type(self), (self.k, self.pairs))
+        # copies and pickles rebuild, and so revalidate, from the rows'
+        # (color, weight) pairs: dict_items cannot be pickled
+        return (type(self), (self.k, [list(row.items()) for row in self.rows]))
 
     def _derive(self, build: Callable[[WeightedClumpGraph], T]) -> T:
         """build(self), computed at the first call with this build and
@@ -149,32 +138,13 @@ class WeightedClumpGraph:
     # -- basic queries ---------------------------------------------------
 
     @property
-    def layers(self) -> tuple[tuple[Clump, ...], ...]:
-        """layers[i] holds the clumps of layer i by ascending color."""
-        return self._derive(_clump_layers)
-
-    @property
     def diameter_index(self) -> int:
         """Index D of the last layer (layers run L_0 .. L_D)."""
-        return len(self.pairs) - 1
+        return len(self.rows) - 1
 
     @property
     def total_weight(self) -> int:
         return self._derive(_total_weight)
-
-    def clumps(self) -> Iterator[Clump]:
-        for layer in self.layers:
-            yield from layer
-
-    def neighbors(self, layer: int, color: int) -> Iterator[Clump]:
-        """Clumps adjacent to (layer, color) under the saturation rule;
-        KeyError when the graph has no such clump."""
-        if not 0 <= layer <= self.diameter_index or color not in self.rows[layer]:
-            raise KeyError((layer, color))
-        for row in self.layers[max(layer - 1, 0):layer + 2]:
-            for c in row:
-                if c.color != color:
-                    yield c
 
     def colors_of_layer(self, i: int) -> frozenset[int]:
         if 0 <= i <= self.diameter_index:
@@ -184,13 +154,13 @@ class WeightedClumpGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedClumpGraph):
             return NotImplemented
-        return (self.k, self.pairs) == (other.k, other.pairs)
+        return (self.k, self.rows) == (other.k, other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.k, self.pairs))
+        return hash((self.k, tuple(tuple(row.items()) for row in self.rows)))
 
     def __repr__(self) -> str:
-        shape = [len(layer) for layer in self.pairs]
+        shape = [len(row) for row in self.rows]
         return f"WeightedClumpGraph(k={self.k}, layers={shape}, n={self.total_weight})"
 
 
@@ -198,18 +168,19 @@ def _total_weight(graph: WeightedClumpGraph) -> int:
     return sum(sum(row.values()) for row in graph.rows)
 
 
-def _clump_layers(graph: WeightedClumpGraph) -> tuple[tuple[Clump, ...], ...]:
-    return tuple(
-        tuple(Clump(i, c, w) for c, w in layer) for i, layer in enumerate(graph.pairs)
-    )
-
-
 def weighted_degree(graph: WeightedClumpGraph, layer: int, color: int) -> int:
-    """Sum of the weights of the neighbors of clump (layer, color).
+    """Sum of the weights of the neighbors of clump (layer, color): the
+    clumps of layers layer-1..layer+1 whose color differs.  KeyError
+    when the graph has no such clump.
 
     Equals the plain-graph degree of every blown-up copy of the clump.
     """
-    return sum(c.weight for c in graph.neighbors(layer, color))
+    rows = graph.rows
+    if not 0 <= layer < len(rows) or color not in rows[layer]:
+        raise KeyError((layer, color))
+    return sum(
+        w for row in rows[max(layer - 1, 0):layer + 2] for c, w in row.items() if c != color
+    )
 
 
 def neighbor_sums(rows: Sequence[Mapping[int, int]]) -> list[dict[int, int]]:
@@ -224,7 +195,7 @@ def neighbor_sums(rows: Sequence[Mapping[int, int]]) -> list[dict[int, int]]:
     at most one clump per color, so the excluded clumps are exactly the
     color-c entries of the three rows, (i, c) itself among them, and
     subtracting them from the three-layer total leaves the neighbors'.
-    weighted_degree, which walks neighbors(), is the oracle for it.
+    weighted_degree, which walks the three rows, is the oracle for it.
     """
     padded: list[Mapping[int, int]] = [{}, *rows, {}]
     totals = [sum(row.values()) for row in padded]
@@ -325,21 +296,24 @@ def blow_up(graph: WeightedClumpGraph) -> SimpleGraph:
         raise ValueError(
             f"blow-up has {m} edges, above the limit of {MAX_BLOW_UP_EDGES}"
         )
-    index: dict[tuple[int, int], range] = {}
+    # the copies of each clump, as ranges of consecutive vertex ids
+    copies: list[dict[int, range]] = []
     next_id = 0
-    for layer in graph.layers:
-        for c in layer:
-            index[(c.layer, c.color)] = range(next_id, next_id + c.weight)
-            next_id += c.weight
+    for row in graph.rows:
+        ids: dict[int, range] = {}
+        for c, w in row.items():
+            ids[c] = range(next_id, next_id + w)
+            next_id += w
+        copies.append(ids)
     edges: list[tuple[int, int]] = []
-    for layer in graph.layers:
-        for c in layer:
-            for nbr in graph.neighbors(c.layer, c.color):
-                if (nbr.layer, nbr.color) <= (c.layer, c.color):
-                    continue  # emit each clump pair once
-                for u in index[(c.layer, c.color)]:
-                    for v in index[(nbr.layer, nbr.color)]:
-                        edges.append((u, v))
+    for i, ids in enumerate(copies):
+        below = copies[i + 1] if i + 1 < len(copies) else {}
+        for c, us in ids.items():
+            # each clump pair once: a larger color in this layer, or any
+            # other color in the next
+            nbrs = [vs for d, vs in ids.items() if d > c]
+            nbrs += [vs for d, vs in below.items() if d != c]
+            edges.extend((u, v) for vs in nbrs for u in us for v in vs)
     return SimpleGraph(next_id, edges)
 
 

@@ -43,8 +43,8 @@ def graph_to_dict(graph: WeightedClumpGraph) -> dict[str, Any]:
     return {
         "k": graph.k,
         "layers": [
-            [{"color": c, "weight": w} for c, w in layer]
-            for layer in graph.pairs
+            [{"color": c, "weight": w} for c, w in row.items()]
+            for row in graph.rows
         ],
     }
 
@@ -160,5 +160,9 @@ def parse_dual_weights(text: str | bytes) -> dict[tuple[int, int], Fraction]:
         key = (entry["layer"], entry["color"])
         if key in out:
             raise SchemaError(f"u[{j}] duplicates clump {key}")
-        out[key] = parse_rational(str(entry["value"]))
+        value = entry["value"]
+        # rationals travel as "p/q" strings, never as JSON numbers
+        if not isinstance(value, str):
+            raise SchemaError(f'u[{j}].value must be a "p/q" string, got {_echo(value)}')
+        out[key] = parse_rational(value)
     return out

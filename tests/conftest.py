@@ -29,6 +29,25 @@ def random_layers(rng: random.Random, k: int = 3, max_depth: int = 12,
     return layers
 
 
+def clumps(graph: WeightedClumpGraph) -> list[tuple[int, int, int]]:
+    """(layer, color, weight) of every clump, layer-major, then by color."""
+    return [(i, c, w) for i, row in enumerate(graph.rows) for c, w in row.items()]
+
+
+def neighbors(graph: WeightedClumpGraph, layer: int, color: int) -> list[tuple[int, int, int]]:
+    """(layer, color, weight) of each clump adjacent to clump (layer, color)
+    under the saturation rule: every clump of layers layer-1..layer+1
+    with another color.  A reference walk over graph.rows, independent
+    of the library's neighbor sums."""
+    rows = graph.rows
+    return [
+        (j, c, w)
+        for j in range(max(layer - 1, 0), min(layer + 2, len(rows)))
+        for c, w in rows[j].items()
+        if c != color
+    ]
+
+
 def random_layered_graph(rng: random.Random, k: int = 3, max_depth: int = 12,
                          max_weight: int = 6) -> WeightedClumpGraph:
     """The graph of random_layers(rng, k, max_depth, max_weight)."""

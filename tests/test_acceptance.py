@@ -28,7 +28,7 @@ from clumplab.core import (
 from clumplab.lp import build_epsz_lp, extremal_search, simplex_solve
 from clumplab.sieve import check_aggregates, global_stats, window_inequalities
 
-from conftest import coefficient_gap_direct, random_layered_graph, tight_rows
+from conftest import clumps, coefficient_gap_direct, random_layered_graph, tight_rows
 
 
 def test_1_counterexample_family():
@@ -37,9 +37,7 @@ def test_1_counterexample_family():
         for delta in range(2 * s, 2 * s + 9):
             for p in range(1, 5):
                 g = counterexample_graph(s, delta, p)
-                degrees = [
-                    weighted_degree(g, c.layer, c.color) for c in g.clumps()
-                ]
+                degrees = [weighted_degree(g, i, c) for i, c, _ in clumps(g)]
                 assert min(degrees) >= delta
                 assert g.total_weight == counterexample_order(s, delta, p)
                 assert blow_up_diameter(g) == p * (6 * s + 1) - 1
@@ -179,7 +177,7 @@ def _no_single_chain(depth: int, w: int) -> "WeightedClumpGraph":
 def test_8_no_interior_singles_bound(corpus_k3):
     candidates = [
         (g, d) for g, d in corpus_k3
-        if all(len(layer) > 1 for layer in g.layers[1:-1])
+        if all(len(row) > 1 for row in g.rows[1:-1])
     ]
     for depth in (10, 25, 40):
         g = _no_single_chain(depth, 2)

@@ -25,7 +25,7 @@ from clumplab.core import (
     weighted_degree,
 )
 
-from conftest import random_layered_graph
+from conftest import clumps, random_layered_graph
 
 
 def resolve_k1_violation(graph: WeightedClumpGraph, i: int, delta: int) -> WeightedClumpGraph:
@@ -131,7 +131,7 @@ def test_move_clump_resolution():
     delta = min_weighted_degree(g)
     assert (3, "iii") in check_canonical(g).violations
     out = resolve_k1_violation(g, 3, delta)
-    assert len(out.layers[3]) == 2
+    assert len(out.rows[3]) == 2
     assert out.total_weight == g.total_weight
     assert min_weighted_degree(out) >= delta
 
@@ -180,16 +180,15 @@ def test_weight_redistribution_cases(weights):
     assert out.total_weight == g.total_weight
     assert out.diameter_index == g.diameter_index
     assert min_weighted_degree(out) >= delta
-    assert len(out.layers[2]) < 3 or len(out.layers[3]) >= 2
+    assert len(out.rows[2]) < 3 or len(out.rows[3]) >= 2
 
 
 def test_redistribution_case_1_shape():
     # x3 >= y3: L_1 absorbs the Y-weight, L_2 keeps X and Z
     g = _redistribution_instance((1, 2, 2, 3, 2, 2, 3))
     out = resolve_k1_violation(g, 2, min_weighted_degree(g))
-    by_color = {c.color: c.weight for c in out.layers[1]}
-    assert by_color == {1: 4, 2: 2}
-    assert {c.color: c.weight for c in out.layers[2]} == {0: 3, 2: 2}
+    assert out.rows[1] == {1: 4, 2: 2}
+    assert out.rows[2] == {0: 3, 2: 2}
 
 
 def test_canonicalize_random_instances_small():
@@ -252,9 +251,7 @@ def test_bfs_relayer_star():
 def test_bfs_relayer_round_trip():
     original = eppt_odd(2, 5, 6)
     s = blow_up(original)
-    coloring = []
-    for c in original.clumps():
-        coloring.extend([c.color] * c.weight)
+    coloring = [c for _, c, w in clumps(original) for _ in range(w)]
     g = bfs_relayer(s, coloring, k=4)
     assert layer_profile(g).ell == layer_profile(original).ell
 
@@ -268,10 +265,6 @@ def test_degree_audit_per_role():
     # in the x3 >= y3 case every clump's degree must not drop
     g = _redistribution_instance((1, 2, 2, 3, 2, 2, 3))
     delta = min_weighted_degree(g)
-    before = {
-        (c.layer, c.color): weighted_degree(g, c.layer, c.color) for c in g.clumps()
-    }
+    before = [weighted_degree(g, i, c) for i, c, _ in clumps(g)]
     out = resolve_k1_violation(g, 2, delta)
-    assert min(
-        weighted_degree(out, c.layer, c.color) for c in out.clumps()
-    ) >= min(before.values())
+    assert min(weighted_degree(out, i, c) for i, c, _ in clumps(out)) >= min(before)

@@ -19,7 +19,7 @@ from clumplab.core import (
     weighted_degree,
 )
 
-from conftest import canonical_pair, random_layered_graph
+from conftest import canonical_pair, clumps, neighbors, random_layered_graph
 
 
 def test_thin_layer_weights():
@@ -77,10 +77,10 @@ def test_noncanonical_input_rejected():
 
 def test_verify_packing_trivial_cases():
     g = counterexample_graph(1, 4, 1)
-    zero = {(c.layer, c.color): Fraction(0) for c in g.clumps()}
+    zero = {(i, c): Fraction(0) for i, c, _ in clumps(g)}
     report = verify_packing(g, zero)
     assert report.feasible and report.objective == 0
-    ones = {(c.layer, c.color): Fraction(1) for c in g.clumps()}
+    ones = {(i, c): Fraction(1) for i, c, _ in clumps(g)}
     assert not verify_packing(g, ones).feasible
 
 
@@ -88,7 +88,7 @@ def test_verify_packing_rejects_bad_weights():
     g = counterexample_graph(1, 4, 1)
     with pytest.raises(ValueError):
         verify_packing(g, {})
-    bad = {(c.layer, c.color): Fraction(0) for c in g.clumps()}
+    bad = {(i, c): Fraction(0) for i, c, _ in clumps(g)}
     bad[(0, 0)] = Fraction(-1)
     with pytest.raises(ValueError):
         verify_packing(g, bad)
@@ -99,9 +99,7 @@ def test_weak_duality():
     g = counterexample_graph(1, 4, 1)
     delta = min_weighted_degree(g)
     cert = dual_certificate(g)
-    assert all(
-        weighted_degree(g, c.layer, c.color) >= delta for c in g.clumps()
-    )
+    assert all(weighted_degree(g, i, c) >= delta for i, c, _ in clumps(g))
     assert delta * cert.objective <= g.total_weight
 
 
@@ -137,21 +135,19 @@ def test_bound_requires_every_layer_total_at_u_tilde(k):
 
 
 def _fraction_verify_packing(graph, u):
-    """verify_packing as a Fraction sum over neighbors() per clump:
+    """verify_packing as a Fraction sum over each clump's neighbors:
     (feasible, objective, worst slack)."""
-    for c in graph.clumps():
-        if (c.layer, c.color) not in u:
-            raise ValueError(f"no dual weight for clump {(c.layer, c.color)}")
-    unknown = u.keys() - {(c.layer, c.color) for c in graph.clumps()}
+    keys = [(i, c) for i, c, _ in clumps(graph)]
+    for key in keys:
+        if key not in u:
+            raise ValueError(f"no dual weight for clump {key}")
+    unknown = u.keys() - set(keys)
     if unknown:
         raise ValueError(f"dual weight for clump {min(unknown)}, which is not in the graph")
     for key, value in u.items():
         if value < 0:
             raise ValueError(f"negative dual weight at {key}")
-    slack = [
-        1 - sum(u[(nbr.layer, nbr.color)] for nbr in graph.neighbors(c.layer, c.color))
-        for c in graph.clumps()
-    ]
+    slack = [1 - sum(u[(j, d)] for j, d, _ in neighbors(graph, i, c)) for i, c in keys]
     return min(slack) >= 0, sum(u.values(), Fraction(0)), min(slack)
 
 
@@ -167,8 +163,8 @@ def test_verify_packing_matches_fraction_oracle():
         k = 3 + trial % 3
         graph = random_layered_graph(rng, k=k, max_depth=10, max_weight=4)
         u = {
-            (c.layer, c.color): Fraction(rng.choice([0, 0, 1, 2, 3, 5, 7]), rng.choice([1, 2, 3, 4, 6, 9, 10, 12]))
-            for c in graph.clumps()
+            (i, c): Fraction(rng.choice([0, 0, 1, 2, 3, 5, 7]), rng.choice([1, 2, 3, 4, 6, 9, 10, 12]))
+            for i, c, _ in clumps(graph)
         }
         assert _report(graph, u) == _fraction_verify_packing(graph, u)
         top = 1 - _fraction_verify_packing(graph, u)[2]
@@ -181,11 +177,10 @@ def test_verify_packing_matches_fraction_oracle():
         tight += 1
         # one more 1/lcm on a neighbor of a clump at sum 1: worst slack -1/lcm
         scale = lcm(*(value.denominator for value in u.values()))
-        for c in graph.clumps():
-            nbrs = list(graph.neighbors(c.layer, c.color))
-            if nbrs and sum(u[(n.layer, n.color)] for n in nbrs) == 1:
-                key = (nbrs[0].layer, nbrs[0].color)
-                u[key] += Fraction(1, scale)
+        for i, c, _ in clumps(graph):
+            nbrs = [(j, d) for j, d, _ in neighbors(graph, i, c)]
+            if nbrs and sum(u[key] for key in nbrs) == 1:
+                u[nbrs[0]] += Fraction(1, scale)
                 break
         assert _report(graph, u) == _fraction_verify_packing(graph, u)
         if lcm(*(value.denominator for value in u.values())) == scale:
@@ -202,7 +197,7 @@ def test_verify_packing_matches_fraction_oracle():
 ])
 def test_verify_packing_bad_weight_messages(edit, message):
     g = counterexample_graph(1, 4, 1)
-    u = {(c.layer, c.color): Fraction(1, 7) for c in g.clumps()}
+    u = {(i, c): Fraction(1, 7) for i, c, _ in clumps(g)}
     for key, value in edit.items():
         if value is None:
             del u[key]
@@ -219,19 +214,19 @@ def _fraction_dual_certificate(graph):
     k = graph.k
     u = {}
     totals = []
-    for i, layer in enumerate(graph.layers):
-        if len(layer) < k:
-            w = Fraction(k - 1, (3 * k - 4) * len(layer))
-            for c in layer:
-                u[(i, c.color)] = w
+    for i, row in enumerate(graph.rows):
+        if len(row) < k:
+            w = Fraction(k - 1, (3 * k - 4) * len(row))
+            for c in row:
+                u[(i, c)] = w
         else:
             nearby = graph.colors_of_layer(i - 1) | graph.colors_of_layer(i + 1)
-            x_colors = {c.color for c in layer if c.color not in nearby}
+            x_colors = {c for c in row if c not in nearby}
             heavy = Fraction(1, 3 * k - 4)
             light = heavy - Fraction(1, (3 * k - 4) * (k - len(x_colors)))
-            for c in layer:
-                u[(i, c.color)] = heavy if c.color in x_colors else light
-        totals.append(sum(u[(i, c.color)] for c in layer))
+            for c in row:
+                u[(i, c)] = heavy if c in x_colors else light
+        totals.append(sum(u[(i, c)] for c in row))
     feasible = _fraction_verify_packing(graph, u)[0]
     return u, totals, Fraction(k - 1, 3 * k - 4), feasible
 
@@ -248,9 +243,9 @@ def test_dual_certificate_matches_fraction_oracle():
         assert (cert.layer_totals, cert.u_tilde, cert.feasible) == (totals, u_tilde, feasible)
         assert cert.feasible == verify_packing(graph, cert.u).feasible
         assert cert.objective == sum(cert.u.values())
-        for i, layer in enumerate(graph.layers):
-            if len(layer) == k:
-                heavy = max(u[(i, c.color)] for c in layer)
+        for i, row in enumerate(graph.rows):
+            if len(row) == k:
+                heavy = max(u[(i, c)] for c in row)
                 full_layers[(k, heavy == Fraction(1, 3 * k - 4))] += 1
     # full layers with and without a dominating clump, at every k
     assert all(full_layers[(k, x)] >= 5 for k in (3, 4, 5) for x in (False, True))

@@ -192,6 +192,18 @@ def test_dual_weight_value_must_be_a_plain_rational(tmp_path, capsys, value):
     )
 
 
+@pytest.mark.parametrize("value", [3, 1.5, True, None, [1]], ids=repr)
+def test_dual_weight_value_must_be_a_json_string(tmp_path, capsys, value):
+    # rationals travel as "p/q" strings: a JSON number is not read through str()
+    path = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"u": [{"layer": 0, "color": 0, "value": value}]}))
+    assert main(["certify", "--in", path, "--weights", str(weights)]) == 2
+    assert capsys.readouterr() == (
+        "", f'error: u[0].value must be a "p/q" string, got {value!r}\n'
+    )
+
+
 def test_dual_weight_on_unknown_clump_exits_2(tmp_path, capsys):
     path = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
     weights = tmp_path / "u.json"
@@ -402,6 +414,11 @@ def test_nonpositive_delta_or_dmax_exits_2(tmp_path, capsys, args):
     ["suite", "--s-values", "1", "--delta-span", "-1", "--csv", "{tmp}/suite.csv"],
     ["certify", "--in", "{graph}", "--weights", "{weights}", "--delta", "0"],
     ["certify", "--in", "{graph}", "--weights", "{weights}", "--dump", "{tmp}/u.json"],
+    ["certify", "--in", "{graph}", "--weights", "{weights}", "--delta", "4"],
+    # the bound needs every clump at weighted degree >= delta, and the
+    # graph, H(1,4,2), has minimum degree 4
+    ["certify", "--in", "{graph}", "--delta", "5"],
+    ["certify", "--in", "{graph}", "--delta", "100", "--dump", "{tmp}/u.json"],
     *(
         ["suite", option, bad, "--csv", "{tmp}/suite.csv"]
         for option in ("--s-values", "--p-values")

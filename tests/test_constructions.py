@@ -12,13 +12,14 @@ from clumplab.constructions import (
     eppt_odd,
 )
 from clumplab.core import (
+    blow_up,
     blow_up_diameter,
     layer_profile,
     min_weighted_degree,
     weighted_degree,
 )
 
-from conftest import coefficient_gap_direct, conjectured_coefficient
+from conftest import clumps, coefficient_gap_direct, conjectured_coefficient
 
 
 def test_block_small_even_remainder():
@@ -30,7 +31,7 @@ def test_block_small_even_remainder():
 def test_block_small_odd_remainder():
     g = counterexample_block(1, 5)
     prof = layer_profile(g)
-    assert sorted(c.weight for c in g.layers[1]) == [2, 2]
+    assert sorted(g.rows[1].values()) == [2, 2]
     assert prof.n == 16
 
 
@@ -45,7 +46,7 @@ def test_block_second_layer_weights():
     # s=2, delta=7: remainder 3, so min(4, 2) = 2 clumps get the heavier
     # weight 2 and the remaining two get 1
     g = counterexample_block(2, 7)
-    assert sorted(c.weight for c in g.layers[1]) == [1, 1, 2, 2]
+    assert sorted(g.rows[1].values()) == [1, 1, 2, 2]
     graph = counterexample_graph(2, 7, 1)
     assert layer_profile(graph).ell[1] == 7
 
@@ -76,28 +77,28 @@ def test_graph_order_and_diameter():
 def test_graph_minimum_degree_exact():
     for s, delta, p in ((1, 4, 1), (1, 5, 2), (2, 5, 1), (2, 7, 2)):
         g = counterexample_graph(s, delta, p)
-        degrees = [weighted_degree(g, c.layer, c.color) for c in g.clumps()]
+        degrees = [weighted_degree(g, i, c) for i, c, _ in clumps(g)]
         assert min(degrees) == delta
 
 
 def test_graph_proper_coloring():
     g = counterexample_graph(2, 6, 2)
-    for c in g.clumps():
-        for nbr in g.neighbors(c.layer, c.color):
-            assert nbr.color != c.color
+    # the clump colors, copied to the blow-up, color it properly
+    colors = [c for _, c, w in clumps(g) for _ in range(w)]
+    assert all(colors[u] != colors[v] for u, v in blow_up(g).edges())
 
 
 def test_degenerate_delta_drops_reduced_clump():
     # at delta = 2s the second-layer reduction would leave a weight-0
     # clump; it is dropped and the degree guarantee still holds
     g = counterexample_graph(5, 10, 1)
-    assert len(g.layers[1]) == 9
+    assert len(g.rows[1]) == 9
     assert min_weighted_degree(g) >= 10
 
 
 def test_eppt_odd_path_like():
     g = eppt_odd(1, 2, 5)
-    assert [[c.weight for c in layer] for layer in g.layers] == [
+    assert [list(row.values()) for row in g.rows] == [
         [1], [2], [1], [1], [2], [2],
     ]
     assert min_weighted_degree(g) == 2
@@ -106,7 +107,7 @@ def test_eppt_odd_path_like():
 def test_eppt_odd_two_clumps():
     g = eppt_odd(2, 5, 6)
     assert min_weighted_degree(g) == 5
-    interior = [c.weight for c in g.layers[3]]
+    interior = list(g.rows[3].values())
     assert interior == [1, 1]
 
 
@@ -128,12 +129,12 @@ def test_eppt_even_literal_weights():
     # interior weights (r+1)delta/((r-1)(3r+2)) on even layers and
     # r*delta/((r-1)(3r+2)) on odd ones make the family degree-tight
     g = eppt_even(2, 8, 6)
-    assert g.layers[2][0].weight == 3
-    assert [c.weight for c in g.layers[3]] == [2, 2]
+    assert list(g.rows[2].values()) == [3]
+    assert list(g.rows[3].values()) == [2, 2]
     assert min_weighted_degree(g) == 8
     g = eppt_even(3, 22, 40)
-    assert [c.weight for c in g.layers[2]] == [4, 4]
-    assert [c.weight for c in g.layers[3]] == [3, 3, 3]
+    assert list(g.rows[2].values()) == [4, 4]
+    assert list(g.rows[3].values()) == [3, 3, 3]
     assert min_weighted_degree(g) == 22
     for r, delta, diam in ((2, 16, 7), (4, 42, 41)):
         assert min_weighted_degree(eppt_even(r, delta, diam)) == delta

@@ -10,7 +10,6 @@ from clumplab import core
 from clumplab.canonical import check_canonical
 from clumplab.constructions import counterexample_block, counterexample_graph
 from clumplab.core import (
-    Clump,
     ClumpGraphError,
     SimpleGraph,
     WeightedClumpGraph,
@@ -26,7 +25,7 @@ from clumplab.core import (
     weighted_degree,
 )
 
-from conftest import random_layered_graph, random_layers
+from conftest import clumps, neighbors, random_layered_graph, random_layers
 
 
 def test_single_root_is_valid():
@@ -60,11 +59,10 @@ def test_rooted_needs_unit_root():
 def test_layers_take_pairs_in_any_order():
     rows = [[(0, 1)], [(2, 3), (1, 2)], [(2, 2), (0, 1)]]
     graph = WeightedClumpGraph(3, [sorted(row) for row in rows])
-    assert WeightedClumpGraph(3, rows).layers == graph.layers
+    assert WeightedClumpGraph(3, rows).rows == graph.rows
     items = [dict(row).items() for row in rows]
-    assert WeightedClumpGraph(3, items).layers == graph.layers
-    clumps = [[(c.layer, c.color, c.weight) for c in layer] for layer in graph.layers]
-    assert clumps == [[(0, 0, 1)], [(1, 1, 2), (1, 2, 3)], [(2, 0, 1), (2, 2, 2)]]
+    assert WeightedClumpGraph(3, items).rows == graph.rows
+    assert clumps(graph) == [(0, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 1), (2, 2, 2)]
 
 
 def test_weighted_degree_isolated_root():
@@ -76,8 +74,8 @@ def test_weighted_degree_block_root():
     # standalone 7-layer block with minimum degree 5: the root sees the
     # two second-layer clumps of weight 2 each
     g = counterexample_block(1, 5)
-    root = g.layers[0][0]
-    assert weighted_degree(g, 0, root.color) == 4
+    (root,) = g.rows[0]
+    assert weighted_degree(g, 0, root) == 4
 
 
 def test_blow_up_unit_weights_matches_clump_adjacency():
@@ -85,7 +83,7 @@ def test_blow_up_unit_weights_matches_clump_adjacency():
     s = blow_up(g)
     assert s.n == 4
     degrees = [s.degree(v) for v in range(s.n)]
-    expected = [weighted_degree(g, c.layer, c.color) for c in g.clumps()]
+    expected = [weighted_degree(g, i, c) for i, c, _ in clumps(g)]
     assert degrees == expected
 
 
@@ -97,11 +95,34 @@ def test_blow_up_order_of_family():
 def test_blow_up_degrees_equal_weighted_degrees():
     g = counterexample_block(1, 4)
     s = blow_up(g)
-    v = 0
-    for c in g.clumps():
-        for _ in range(c.weight):
-            assert s.degree(v) == weighted_degree(g, c.layer, c.color)
-            v += 1
+    degrees = [weighted_degree(g, i, c) for i, c, w in clumps(g) for _ in range(w)]
+    assert [s.degree(v) for v in range(s.n)] == degrees
+
+
+def test_blow_up_numbers_vertices_layer_major_then_color():
+    # vertex 0 is the root, 1 and 2 copy clump (1, 1), 3 is (1, 2), 4 is (2, 0)
+    g = WeightedClumpGraph(3, [[(0, 1)], [(2, 1), (1, 2)], [(0, 1)]])
+    assert export_edge_list(blow_up(g)) == (
+        "5 8\n0 1\n0 2\n0 3\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_blow_up_adjacency_is_the_clump_adjacency(k):
+    # every copy of a clump is adjacent to exactly the copies of the
+    # differently colored clumps of the layers next to and at its own
+    rng = random.Random(4100 + k)
+    for _ in range(40):
+        g = random_layered_graph(rng, k=k, max_depth=7, max_weight=3)
+        s = blow_up(g)
+        copies: dict[tuple[int, int], range] = {}
+        for i, c, w in clumps(g):
+            start = sum(map(len, copies.values()))
+            copies[(i, c)] = range(start, start + w)
+        assert s.n == sum(map(len, copies.values()))
+        for (i, c), vs in copies.items():
+            want = sorted(v for j, d, _ in neighbors(g, i, c) for v in copies[(j, d)])
+            assert all(s.adjacency[v] == want for v in vs)
 
 
 def test_diameter_path_and_clique():
@@ -137,12 +158,13 @@ def test_layer_profile_counts_large_block():
 
 def test_adjacency_symmetric_irreflexive():
     g = counterexample_block(2, 5)
-    for c in g.clumps():
-        nbrs = {(x.layer, x.color) for x in g.neighbors(c.layer, c.color)}
-        assert (c.layer, c.color) not in nbrs
+    for i, c, _ in clumps(g):
+        walk = neighbors(g, i, c)
+        assert weighted_degree(g, i, c) == sum(w for _, _, w in walk)
+        nbrs = {(j, d) for j, d, _ in walk}
+        assert (i, c) not in nbrs
         for key in nbrs:
-            back = {(x.layer, x.color) for x in g.neighbors(*key)}
-            assert (c.layer, c.color) in back
+            assert (i, c) in {(j, d) for j, d, _ in neighbors(g, *key)}
 
 
 def test_export_edge_list_header():
@@ -161,11 +183,8 @@ def test_random_graph_invariants(k, seed):
     s = blow_up(g)
     assert sum(prof.ell) == prof.n == s.n
     assert blow_up_edge_count(g) == s.m
-    v = 0
-    for c in g.clumps():
-        for _ in range(c.weight):
-            assert s.degree(v) == weighted_degree(g, c.layer, c.color)
-            v += 1
+    degrees = [weighted_degree(g, i, c) for i, c, w in clumps(g) for _ in range(w)]
+    assert [s.degree(v) for v in range(s.n)] == degrees
     assert blow_up_diameter(g) == diameter(s)
 
 
@@ -181,9 +200,7 @@ def test_blow_up_over_the_edge_limit_raises(monkeypatch):
 
 def test_min_weighted_degree_matches_scan():
     g = counterexample_graph(1, 5, 2)
-    assert min_weighted_degree(g) == min(
-        weighted_degree(g, c.layer, c.color) for c in g.clumps()
-    )
+    assert min_weighted_degree(g) == min(weighted_degree(g, i, c) for i, c, _ in clumps(g))
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -192,43 +209,37 @@ def test_min_weighted_degree_matches_scan():
 def test_neighbor_sums_match_neighbor_walk(k, seed):
     rng = random.Random(seed)
     g = random_layered_graph(rng, k=k, max_depth=8, max_weight=5)
-    weights = [{c.color: c.weight for c in layer} for layer in g.layers]
-    degrees = neighbor_sums(weights)
-    assert [sorted(row) for row in degrees] == [sorted(row) for row in weights]
-    for c in g.clumps():  # layer 0 (the root) through layer D
-        assert degrees[c.layer][c.color] == weighted_degree(g, c.layer, c.color)
-    assert min_weighted_degree(g) == min(
-        weighted_degree(g, c.layer, c.color) for c in g.clumps()
-    )
+    degrees = neighbor_sums(g.rows)
+    assert [sorted(row) for row in degrees] == [sorted(row) for row in g.rows]
+    for i, c, _ in clumps(g):  # layer 0 (the root) through layer D
+        assert degrees[i][c] == weighted_degree(g, i, c)
+    assert min_weighted_degree(g) == min(weighted_degree(g, i, c) for i, c, _ in clumps(g))
     assert blow_up_edge_count(g) == blow_up(g).m
     # any integers, zero and negative ones included, not only weights
-    values = {(c.layer, c.color): rng.randint(-5, 9) for c in g.clumps()}
-    rows = [{c.color: values[(c.layer, c.color)] for c in layer} for layer in g.layers]
+    rows = [{c: rng.randint(-5, 9) for c in row} for row in g.rows]
     sums = neighbor_sums(rows)
-    for c in g.clumps():
-        assert sums[c.layer][c.color] == sum(
-            values[(nbr.layer, nbr.color)] for nbr in g.neighbors(c.layer, c.color)
-        )
+    for i, c, _ in clumps(g):
+        assert sums[i][c] == sum(rows[j][d] for j, d, _ in neighbors(g, i, c))
 
 
 def test_neighbor_sums_root_and_last_layer():
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 2), (2, 3)], [(0, 4), (1, 5)]])
-    degrees = neighbor_sums([{c.color: c.weight for c in layer} for layer in g.layers])
+    degrees = neighbor_sums(g.rows)
     # the root sees layer 1; the last layer sees layer 1 and itself
     assert degrees == [{0: 5}, {1: 3 + 1 + 4, 2: 1 + 2 + 4 + 5}, {0: 2 + 3 + 5, 1: 3 + 4}]
     assert neighbor_sums([{2: 1}]) == [{2: 0}]
     assert min_weighted_degree(WeightedClumpGraph(3, [[(2, 1)]])) == 0
 
 
-# -- the derived facts against the Clump walk ------------------------------
+# -- the derived facts against a walk over the clumps ------------------------
 
 
 def _walk_violations(graph: WeightedClumpGraph) -> list[tuple[int, str]]:
-    """Canonical properties (i)-(iv) read off the Clump layers, in the
-    order check_canonical reports them: each layer pair's (i), (ii),
-    (iii), then (iv) layer by layer."""
-    k, layers = graph.k, graph.layers
-    colors = [{c.color for c in layer} for layer in layers]
+    """Canonical properties (i)-(iv) read off the rows, in the order
+    check_canonical reports them: each layer pair's (i), (ii), (iii),
+    then (iv) layer by layer."""
+    k, layers = graph.k, graph.rows
+    colors = [set(row) for row in layers]
     out = []
     for i in range(len(layers) - 1):
         a, b = colors[i], colors[i + 1]
@@ -239,7 +250,7 @@ def _walk_violations(graph: WeightedClumpGraph) -> list[tuple[int, str]]:
         if len(a) == k and len(b) < 2:
             out.append((i, "iii"))
     for i in range(1, len(layers)):
-        if any(c.weight > 1 for c in layers[i]):
+        if any(w > 1 for w in layers[i].values()):
             nxt = len(layers[i + 1]) if i + 1 < len(layers) else 0
             if len(layers[i]) + max(len(layers[i - 1]), nxt) < k:
                 out.append((i, "iv"))
@@ -248,17 +259,17 @@ def _walk_violations(graph: WeightedClumpGraph) -> list[tuple[int, str]]:
 
 def _walk_facts(graph: WeightedClumpGraph) -> dict:
     """Every derived fact of graph, each from a fresh walk over its clumps."""
-    clumps = list(graph.clumps())
-    degrees = [weighted_degree(graph, c.layer, c.color) for c in clumps]
+    walk = clumps(graph)
+    degrees = [weighted_degree(graph, i, c) for i, c, _ in walk]
     return {
         "min_weighted_degree": min(degrees),
-        "blow_up_edge_count": sum(c.weight * d for c, d in zip(clumps, degrees)) // 2,
-        "ell": tuple(sum(c.weight for c in layer) for layer in graph.layers),
-        "clump_counts": tuple(len(layer) for layer in graph.layers),
-        "colors": tuple(frozenset(c.color for c in layer) for layer in graph.layers),
-        "n": sum(c.weight for c in clumps),
-        "total_weight": sum(c.weight for c in clumps),
-        "diameter_index": len(graph.layers) - 1,
+        "blow_up_edge_count": sum(w * d for (_, _, w), d in zip(walk, degrees)) // 2,
+        "ell": tuple(sum(row.values()) for row in graph.rows),
+        "clump_counts": tuple(len(row) for row in graph.rows),
+        "colors": tuple(frozenset(row) for row in graph.rows),
+        "n": sum(w for _, _, w in walk),
+        "total_weight": sum(w for _, _, w in walk),
+        "diameter_index": len(graph.rows) - 1,
         "violations": _walk_violations(graph),
     }
 
@@ -288,13 +299,10 @@ def test_derived_facts_match_the_clump_walk(k, seed):
     for layer in layers:
         rng.shuffle(layer)
     g = WeightedClumpGraph(k, layers)
-    assert g.layers == tuple(
-        tuple(Clump(i, c, w) for c, w in sorted(layer)) for i, layer in enumerate(layers)
-    )
-    assert g.layers is g.layers
-    twin = WeightedClumpGraph(k, [[(c.color, c.weight) for c in layer] for layer in g.layers])
+    assert [list(row.items()) for row in g.rows] == [sorted(layer) for layer in layers]
+    twin = WeightedClumpGraph(k, [list(row.items()) for row in g.rows])
     assert twin == g and hash(twin) == hash(g) and twin is not g
-    heavier = [[(c.color, c.weight) for c in layer] for layer in g.layers]
+    heavier = [list(row.items()) for row in g.rows]
     i = rng.randrange(1, len(heavier)) if len(heavier) > 1 else 0
     if i:  # the root keeps weight 1
         heavier[i][0] = (heavier[i][0][0], heavier[i][0][1] + 1)
@@ -314,24 +322,26 @@ def test_derived_facts_match_the_clump_walk(k, seed):
     check_canonical(g).violations.append((0, "iv"))
     check_canonical(g).violations.clear()
     assert _facts(g) == want
-    assert g.layers == twin.layers
-    assert weight_rows(g) == [dict(layer) for layer in g.pairs] == list(twin.rows)
+    assert weight_rows(g) == list(g.rows) == list(twin.rows)
 
 
 def test_graph_attributes_cannot_be_assigned_or_deleted():
     g = counterexample_graph(1, 5, 1)
-    for name in ("k", "layers", "pairs", "rows", "new_attribute"):
+    for name in ("k", "rows", "_derived", "new_attribute"):
         with pytest.raises(AttributeError):
             setattr(g, name, None)
-    for name in ("k", "layers", "pairs", "rows"):
+    for name in ("k", "rows", "_derived"):
         with pytest.raises(AttributeError):
             delattr(g, name)
     assert g == counterexample_graph(1, 5, 1)
 
 
-def test_pairs_are_int_pair_tuples_and_copies_revalidate():
+def test_rows_are_color_sorted_and_copies_revalidate():
     g = WeightedClumpGraph(3, [[[0, 1]], [[2, 3], [1, 2]]])
-    assert g.pairs == (((0, 1),), ((1, 2), (2, 3)))
-    assert all(type(pair) is tuple for layer in g.pairs for pair in layer)
+    assert WeightedClumpGraph.__slots__ == ("k", "rows", "_derived")
+    assert [list(row.items()) for row in g.rows] == [[(0, 1)], [(1, 2), (2, 3)]]
+    assert hash(g) == hash((3, (((0, 1),), ((1, 2), (2, 3)))))
     assert copy.copy(g) == pickle.loads(pickle.dumps(g)) == g
     assert hash(copy.deepcopy(g)) == hash(g)
+    # a copy is rebuilt through the constructor, and so checked again
+    assert copy.copy(g).rows is not g.rows

@@ -25,7 +25,7 @@ from clumplab.lp import (
 )
 from clumplab.sieve import GLOBAL_PROGRAM
 
-from conftest import tight_rows
+from conftest import clumps, neighbors, tight_rows
 
 
 class Program(NamedTuple):
@@ -500,13 +500,13 @@ def test_solve_covering_checks_bounds_and_signs(monkeypatch, bounds, perturb):
 
 def _neighbor_program(topology: WeightedClumpGraph, delta: int) -> Program | None:
     """The covering program built independently of _covering_rows, by
-    walking topology.neighbors(); None when some clump with positive
+    walking each clump's neighbors; None when some clump with positive
     need has no neighbor but the root."""
-    keys = [(c.layer, c.color) for c in topology.clumps()]
+    keys = [(i, c) for i, c, _ in clumps(topology)]
     index = {key: j for j, key in enumerate(keys[1:])}
     program = Program(False, [1] * len(index), [])
     for key in keys:
-        nbrs = [(c.layer, c.color) for c in topology.neighbors(*key)]
+        nbrs = [(j, d) for j, d, _ in neighbors(topology, *key)]
         coeffs = [0] * len(index)
         for nb in nbrs:
             if nb in index:
@@ -669,7 +669,7 @@ def test_min_order_weights_meet_the_degree_bound(delta):
             result = min_order_lp(topology, delta)
         except ValueError:
             continue
-        keys = [(c.layer, c.color) for c in topology.clumps()]
+        keys = [(i, c) for i, c, _ in clumps(topology)]
         assert list(result.weights) == keys
         assert sum(result.weights.values()) == result.int_value >= result.lp_value
         weighted = WeightedClumpGraph(
@@ -694,8 +694,8 @@ def test_min_order_above_the_cap(monkeypatch):
     monkeypatch.setattr(lp, "ILP_CLUMP_LIMIT", 10**9)
     assert capped == [min_order_lp(g, delta) for g, delta in decided]
     assert [(r.lp_value, r.int_value) for r in capped] == [(46, 46), (41, 41), (67, 67)]
-    assert [len(list(g.clumps())) for g, _ in decided] == [41, 41, 45]
-    assert len(list(eppt_even(2, 8, 28).clumps())) == 43
+    assert [len(clumps(g)) for g, _ in decided] == [41, 41, 45]
+    assert len(clumps(eppt_even(2, 8, 28))) == 43
 
 
 def test_min_order_family_topology():

@@ -88,13 +88,10 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
         if len(row) < k:
             shapes.append((len(row), None))
             continue
+        # |X| <= k-2: a full layer is never layer 0, and (iii) puts two
+        # clumps after it or, when it is last, (i) puts two before it
         nearby = graph.colors_of_layer(i - 1) | graph.colors_of_layer(i + 1)
         x_colors = graph.colors_of_layer(i) - nearby
-        if len(x_colors) > k - 2:
-            raise ValueError(
-                f"layer {i}: {len(x_colors)} clumps dominate both neighbor "
-                f"layers; canonical graphs allow at most {k - 2}"
-            )
         shapes.append((k - len(x_colors), x_colors))
     unit = lcm(*{d for d, _ in shapes})  # the weight 1/(3k-4), scaled
     scale = (3 * k - 4) * unit

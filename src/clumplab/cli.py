@@ -3,7 +3,11 @@ canonicalization, certificates, the sieve, LPs, the pattern search, and
 a CSV suite runner.
 
 Every subcommand is deterministic and exits 0 exactly when all requested
-checks pass.
+checks pass.  A command only computes: it returns an Output, and main
+writes it in one order: the output files, then the stdout lines, then
+the texts sent to stdout by a `-` path, then the stderr note.  Bad
+input, an option the command rejects or a file that cannot be read or
+written exits 2 with one `error:` line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,21 +32,21 @@ from .core import (
 )
 
 
+@dataclass
+class Output:
+    """What one command produces; main writes it."""
+    code: int = 0
+    lines: list[str] = field(default_factory=list)  # stdout, one line each
+    texts: list[tuple[str, str]] = field(default_factory=list)  # (path, text); "-" is stdout
+    note: str = ""  # one stderr line
+
+
 def _read_graph(path: str) -> WeightedClumpGraph:
     with open(path, "rb") as fh:
         return serialize.parse_clump_json(fh.read())
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _require_positive_delta(delta: int) -> None:
-    # called before a command prints or writes anything
     if delta < 1:
         raise ValueError(f"delta={delta} must be positive")
 
@@ -62,52 +67,48 @@ def _int_list(option: str, text: str) -> list[int]:
     return values
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> Output:
     if args.family == "counterexample":
         graph = constructions.counterexample_graph(args.s, args.delta, args.p)
     elif args.family == "eppt-odd":
         graph = constructions.eppt_odd(args.r, args.delta, args.diam)
     else:
         graph = constructions.eppt_even(args.r, args.delta, args.diam)
-    # blown up first, so an oversized blow-up writes neither file
-    edges = export_edge_list(blow_up(graph)) if args.export_edges else None
-    _write_text(args.out, serialize.dump_clump_json(graph))
-    if edges is not None:
-        _write_text(args.export_edges, edges)
-    return 0
+    texts = [(args.out, serialize.dump_clump_json(graph))]
+    if args.export_edges:
+        texts.append((args.export_edges, export_edge_list(blow_up(graph))))
+    return Output(texts=texts)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Output:
     graph = _read_graph(args.infile)
     _require_positive_delta(args.delta)
     profile = layer_profile(graph)
     degree = min_weighted_degree(graph)
     report = canonical.check_canonical(graph)
-    print(f"n {profile.n}")
-    print(f"D {profile.diameter_index}")
-    print(f"min-weighted-degree {degree}")
-    print(f"blow-up-diameter {blow_up_diameter(graph)}")
-    print(f"canonical {'yes' if report.passes else 'no'}")
     ok = degree >= args.delta
-    print(f"degree-check {'pass' if ok else 'fail'} (delta {args.delta})")
-    return 0 if ok else 1
+    return Output(0 if ok else 1, [
+        f"n {profile.n}",
+        f"D {profile.diameter_index}",
+        f"min-weighted-degree {degree}",
+        f"blow-up-diameter {blow_up_diameter(graph)}",
+        f"canonical {'yes' if report.passes else 'no'}",
+        f"degree-check {'pass' if ok else 'fail'} (delta {args.delta})",
+    ])
 
 
-def _cmd_canonicalize(args: argparse.Namespace) -> int:
+def _cmd_canonicalize(args: argparse.Namespace) -> Output:
     graph = _read_graph(args.infile)
     _require_positive_delta(args.delta)
     result, log = canonical.canonicalize(graph, args.delta)
-    _write_text(args.out, serialize.dump_clump_json(result))
+    texts = [(args.out, serialize.dump_clump_json(result))]
     if args.log:
-        entries = [
-            {"rule": e.rule, "layer": e.layer} for e in log.entries
-        ]
-        _write_text(args.log, json.dumps(entries, indent=2) + "\n")
-    print(f"rewrites {len(log)}", file=sys.stderr)
-    return 0
+        entries = [{"rule": e.rule, "layer": e.layer} for e in log.entries]
+        texts.append((args.log, json.dumps(entries, indent=2) + "\n"))
+    return Output(texts=texts, note=f"rewrites {len(log)}")
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace) -> Output:
     if args.weights and args.dump:
         raise ValueError("--dump writes a built certificate, so it cannot go with --weights")
     if args.weights and args.delta is not None:
@@ -123,41 +124,35 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         with open(args.weights, "rb") as fh:
             u = serialize.parse_dual_weights(fh.read())
         report = certify.verify_packing(graph, u)
-        print(f"feasible {'yes' if report.feasible else 'no'}")
-        print(f"objective {serialize.format_rational(report.objective)}")
-        print(f"worst-slack {serialize.format_rational(report.worst_slack)}")
-        return 0 if report.feasible else 1
+        return Output(0 if report.feasible else 1, [
+            f"feasible {'yes' if report.feasible else 'no'}",
+            f"objective {serialize.format_rational(report.objective)}",
+            f"worst-slack {serialize.format_rational(report.worst_slack)}",
+        ])
     cert = certify.dual_certificate(graph)
-    print(f"feasible {'yes' if cert.feasible else 'no'}")
-    print(f"u-tilde {serialize.format_rational(cert.u_tilde)}")
-    print(f"objective {serialize.format_rational(cert.objective)}")
+    lines = [
+        f"feasible {'yes' if cert.feasible else 'no'}",
+        f"u-tilde {serialize.format_rational(cert.u_tilde)}",
+        f"objective {serialize.format_rational(cert.objective)}",
+    ]
     if args.delta is not None:
-        n = graph.total_weight
-        bound = certify.bound_from_certificate(cert, n, args.delta)
-        print(f"diameter-bound {serialize.format_rational(bound)}")
-    if args.dump:
-        _write_text(args.dump, serialize.dual_weights_to_json(cert.u))
-    return 0 if cert.feasible else 1
+        bound = certify.bound_from_certificate(cert, graph.total_weight, args.delta)
+        lines.append(f"diameter-bound {serialize.format_rational(bound)}")
+    texts = [(args.dump, serialize.dual_weights_to_json(cert.u))] if args.dump else []
+    return Output(0 if cert.feasible else 1, lines, texts)
 
 
-def _cmd_sieve(args: argparse.Namespace) -> int:
+def _cmd_sieve(args: argparse.Namespace) -> Output:
     graph = _read_graph(args.infile)
     if graph.k != 3:
         raise ValueError(f"the sieve needs a 3-colored graph, got k={graph.k}")
     report = sieve.window_inequalities(layer_profile(graph), args.delta, args.slack)
-    stats = report.stats
     windows_pass = sum(1 for w in report.windows if w.passes)
-    print(f"windows {windows_pass}/{len(report.windows)} pass")
-    for name, ok in report.rows.items():
-        print(f"constraint {name} {'pass' if ok else 'fail'}")
-    for label, value in (
-        ("mu", stats.mu),
-        ("alpha1", stats.alpha1),
-        ("alpha2", stats.alpha2),
-        ("psi", stats.psi),
-        ("phi", stats.phi),
-    ):
-        print(f"{label} {serialize.format_rational(value)}")
+    lines = [f"windows {windows_pass}/{len(report.windows)} pass"]
+    lines += [f"constraint {name} {'pass' if ok else 'fail'}" for name, ok in report.rows.items()]
+    for name in ("mu", "alpha1", "alpha2", "psi", "phi"):
+        lines.append(f"{name} {serialize.format_rational(getattr(report.stats, name))}")
+    texts: list[tuple[str, str]] = []
     if args.report:
         payload = {
             "windows": [
@@ -173,39 +168,44 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
             ],
             "constraints": report.rows,
         }
-        _write_text(args.report, json.dumps(payload, indent=2) + "\n")
-    return 0 if report.passes else 1
+        texts.append((args.report, json.dumps(payload, indent=2) + "\n"))
+    return Output(0 if report.passes else 1, lines, texts)
 
 
-def _cmd_lp(args: argparse.Namespace) -> int:
+def _cmd_lp(args: argparse.Namespace) -> Output:
     if args.program == "epsz":
         solution = lp.simplex_solve(lp.build_epsz_lp())
         assert solution is not None
-        print(f"optimum {serialize.format_rational(solution.value)}")
-        print("vertex", " ".join(serialize.format_rational(v) for v in solution.x))
-        print("dual", " ".join(serialize.format_rational(v) for v in solution.y))
-        return 0
+        return Output(lines=[
+            f"optimum {serialize.format_rational(solution.value)}",
+            f"vertex {' '.join(serialize.format_rational(v) for v in solution.x)}",
+            f"dual {' '.join(serialize.format_rational(v) for v in solution.y)}",
+        ])
     graph = _read_graph(args.infile)
     result = lp.min_order_lp(graph, args.delta)
-    print(f"lp-value {serialize.format_rational(result.lp_value)}")
-    print(f"int-value {result.int_value if result.int_value is not None else 'unknown'}")
-    return 0
+    return Output(lines=[
+        f"lp-value {serialize.format_rational(result.lp_value)}",
+        f"int-value {result.int_value if result.int_value is not None else 'unknown'}",
+    ])
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> Output:
     result = lp.extremal_search(args.delta, args.dmax, args.budget)
-    for depth in sorted(result.frontier):
-        print(f"D {depth} min-n {result.frontier[depth]}")
-    print(f"best-phi {serialize.format_rational(result.best_phi)}")
-    print(f"complete {'yes' if result.complete else 'no'}")
-    return 0
+    lines = [f"D {depth} min-n {result.frontier[depth]}" for depth in sorted(result.frontier)]
+    lines.append(f"best-phi {serialize.format_rational(result.best_phi)}")
+    lines.append(f"complete {'yes' if result.complete else 'no'}")
+    return Output(lines=lines)
 
 
-def _suite_rows(args: argparse.Namespace) -> tuple[list[dict[str, str]], bool]:
-    rows: list[dict[str, str]] = []
-    all_ok = True
+def _cmd_suite(args: argparse.Namespace) -> Output:
+    _require_nonnegative("slack", args.slack)
+    _require_nonnegative("delta_span", args.delta_span)
     s_values = _int_list("--s-values", args.s_values)
     p_values = _int_list("--p-values", args.p_values)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow("instance n D min_degree phi cert_bound sieve_pass sieve_total status".split())
+    all_ok = True
     for s in s_values:
         for delta in range(2 * s, 2 * s + args.delta_span + 1):
             for p in p_values:
@@ -224,54 +224,28 @@ def _suite_rows(args: argparse.Namespace) -> tuple[list[dict[str, str]], bool]:
                 ok = ok and cert.feasible and diam <= bound
                 windows_pass = windows_total = 0
                 if graph.k == 3:
-                    report = sieve.window_inequalities(
-                        layer_profile(canon), delta, args.slack
-                    )
+                    report = sieve.window_inequalities(layer_profile(canon), delta, args.slack)
                     windows_total = len(report.windows)
                     windows_pass = sum(1 for w in report.windows if w.passes)
                     ok = ok and report.passes
                 all_ok = all_ok and ok
-                rows.append(
-                    {
-                        "instance": f"H({s},{delta},{p})",
-                        "n": str(profile.n),
-                        "D": str(diam),
-                        "min_degree": str(degree),
-                        "phi": serialize.format_rational(
-                            Fraction(diam * delta, profile.n)
-                        ),
-                        "cert_bound": serialize.format_rational(bound),
-                        "sieve_pass": str(windows_pass),
-                        "sieve_total": str(windows_total),
-                        "status": "pass" if ok else "fail",
-                    }
-                )
-    return rows, all_ok
-
-
-def _cmd_suite(args: argparse.Namespace) -> int:
-    _require_nonnegative("slack", args.slack)
-    _require_nonnegative("delta_span", args.delta_span)
-    rows, all_ok = _suite_rows(args)
-    out = io.StringIO()
-    # every option lists at least one value and --delta-span >= 0, so
-    # rows is never empty and its first row names the columns
-    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _write_text(args.csv, out.getvalue())
+                phi = Fraction(diam * delta, profile.n)
+                writer.writerow([
+                    f"H({s},{delta},{p})", profile.n, diam, degree,
+                    serialize.format_rational(phi), serialize.format_rational(bound),
+                    windows_pass, windows_total, "pass" if ok else "fail",
+                ])
     # the conjectured-coefficient sign change for the r = 2 family
-    for r in (2,):
-        threshold = constructions.coefficient_threshold(r)
-        gap_at = constructions.coefficient_gap(r, threshold)
-        gap_after = constructions.coefficient_gap(r, threshold + 1)
-        print(
-            f"gap r={r}: zero at delta={threshold} "
-            f"({serialize.format_rational(gap_at)}), positive at "
-            f"{threshold + 1} ({serialize.format_rational(gap_after)})",
-            file=sys.stderr,
-        )
-    return 0 if all_ok else 1
+    threshold = constructions.coefficient_threshold(2)
+    gap_at, gap_after = (
+        serialize.format_rational(constructions.coefficient_gap(2, d))
+        for d in (threshold, threshold + 1)
+    )
+    note = (
+        f"gap r=2: zero at delta={threshold} ({gap_at}), "
+        f"positive at {threshold + 1} ({gap_after})"
+    )
+    return Output(0 if all_ok else 1, texts=[(args.csv, out.getvalue())], note=note)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,6 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
         "certificates, sieve inequalities and exact LPs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options several commands share; a parent's options come first in
+    # a command's usage and help
+    graph_in, delta, out, slack = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    graph_in.add_argument("--in", dest="infile", required=True)
+    delta.add_argument("--delta", type=int, required=True)
+    out.add_argument("--out", default="-")
+    slack.add_argument("--slack", type=int, default=sieve.DEFAULT_SLACK)
 
     gen = sub.add_parser("generate", help="emit a construction as JSON")
     gen_sub = gen.add_subparsers(dest="family", required=True)
@@ -295,47 +276,44 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--delta", type=int, required=True)
         g.add_argument("--diam", type=int, required=True)
     for g in (g_ce, g_odd, g_even):
+        # after the family's own options, so not through the --out parent
         g.add_argument("--out", default="-")
         g.add_argument("--export-edges", default=None)
         g.set_defaults(func=_cmd_generate)
 
-    ver = sub.add_parser("verify", help="validate a graph and its degree bound")
-    ver.add_argument("--in", dest="infile", required=True)
-    ver.add_argument("--delta", type=int, required=True)
+    ver = sub.add_parser(
+        "verify", parents=[graph_in, delta], help="validate a graph and its degree bound"
+    )
     ver.set_defaults(func=_cmd_verify)
 
-    can = sub.add_parser("canonicalize", help="rewrite into canonical form")
-    can.add_argument("--in", dest="infile", required=True)
-    can.add_argument("--delta", type=int, required=True)
-    can.add_argument("--out", default="-")
+    can = sub.add_parser(
+        "canonicalize", parents=[graph_in, delta, out], help="rewrite into canonical form"
+    )
     can.add_argument("--log", default=None)
     can.set_defaults(func=_cmd_canonicalize)
 
-    cer = sub.add_parser("certify", help="build or verify a packing certificate")
-    cer.add_argument("--in", dest="infile", required=True)
+    cer = sub.add_parser(
+        "certify", parents=[graph_in], help="build or verify a packing certificate"
+    )
     cer.add_argument("--delta", type=int, default=None)
     cer.add_argument("--weights", default=None)
     cer.add_argument("--dump", default=None)
     cer.set_defaults(func=_cmd_certify)
 
-    sie = sub.add_parser("sieve", help="run the 3-color window inequalities")
-    sie.add_argument("--in", dest="infile", required=True)
-    sie.add_argument("--delta", type=int, required=True)
-    sie.add_argument("--slack", type=int, default=sieve.DEFAULT_SLACK)
+    sie = sub.add_parser(
+        "sieve", parents=[graph_in, delta, slack], help="run the 3-color window inequalities"
+    )
     sie.add_argument("--report", default=None)
     sie.set_defaults(func=_cmd_sieve)
 
     lpp = sub.add_parser("lp", help="solve one of the linear programs")
     lp_sub = lpp.add_subparsers(dest="program", required=True)
-    lp_epsz = lp_sub.add_parser("epsz")
-    lp_epsz.set_defaults(func=_cmd_lp)
-    lp_min = lp_sub.add_parser("min-order")
-    lp_min.add_argument("--in", dest="infile", required=True)
-    lp_min.add_argument("--delta", type=int, required=True)
-    lp_min.set_defaults(func=_cmd_lp)
+    lp_sub.add_parser("epsz").set_defaults(func=_cmd_lp)
+    lp_sub.add_parser("min-order", parents=[graph_in, delta]).set_defaults(func=_cmd_lp)
 
-    sea = sub.add_parser("search", help="minimum orders over canonical patterns")
-    sea.add_argument("--delta", type=int, required=True)
+    sea = sub.add_parser(
+        "search", parents=[delta], help="minimum orders over canonical patterns"
+    )
     sea.add_argument("--dmax", type=int, required=True)
     sea.add_argument("--budget", type=int, default=60)
     sea.set_defaults(func=_cmd_search)
@@ -344,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sui.add_argument("--s-values", default="1,2")
     sui.add_argument("--delta-span", type=int, default=4)
     sui.add_argument("--p-values", default="1,2,3")
+    # after the grid options, so not through the --slack parent
     sui.add_argument("--slack", type=int, default=sieve.DEFAULT_SLACK)
     sui.add_argument("--csv", default="-")
     sui.set_defaults(func=_cmd_suite)
@@ -354,7 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        output = args.func(args)
+        for path, text in output.texts:
+            if path != "-":
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+        sys.stdout.write("".join(f"{line}\n" for line in output.lines))
+        sys.stdout.write("".join(text for path, text in output.texts if path == "-"))
+        if output.note:
+            print(output.note, file=sys.stderr)
+        return output.code
     except (ValueError, OSError, canonical.CanonicalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -75,6 +75,26 @@ def test_noncanonical_input_rejected():
         dual_certificate(g)
 
 
+def test_full_layers_have_at_most_k_minus_2_dominating_clumps():
+    # dual_certificate's weight 1/(3k-4) - 1/((3k-4)(k-|X|)) needs |X| < k;
+    # canonical form gives |X| <= k-2 without a check
+    rng = random.Random(20261020)
+    reached, last = Counter(), Counter()
+    for k in range(3, 7):
+        for _ in range(200):
+            graph, _ = canonical_pair(random_layered_graph(rng, k=k, max_depth=12))
+            for i, row in enumerate(graph.rows):
+                if len(row) < k:
+                    continue
+                nearby = graph.colors_of_layer(i - 1) | graph.colors_of_layer(i + 1)
+                x = len(set(row) - nearby)
+                assert x <= k - 2, (graph, i)
+                reached[k] += x == k - 2
+                last[k] += i == len(graph.rows) - 1
+    # the bound is met at every k, and full last layers occur
+    assert all(reached[k] and last[k] for k in range(3, 7))
+
+
 def test_verify_packing_trivial_cases():
     g = counterexample_graph(1, 4, 1)
     zero = {(i, c): Fraction(0) for i, c, _ in clumps(g)}

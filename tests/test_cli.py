@@ -376,6 +376,26 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("args", [
+    ["sieve", "--in", "{graph}", "--delta", "4", "--report", "{tmp}/missing/r.json"],
+    ["certify", "--in", "{graph}", "--delta", "4", "--dump", "{tmp}/missing/u.json"],
+    ["canonicalize", "--in", "{graph}", "--delta", "4",
+     "--out", "-", "--log", "{tmp}/missing/log.json"],
+    ["generate", "counterexample", "--s", "1", "--delta", "4", "--p", "2",
+     "--out", "-", "--export-edges", "{tmp}/missing/g.edges"],
+], ids=lambda args: args[0])
+def test_unwritable_output_leaves_stdout_empty(tmp_path, capsys, args):
+    # main writes the files before stdout, so a command whose result
+    # would go to stdout prints none of it when a file fails
+    graph = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
+    assert main([a.format(graph=graph, tmp=tmp_path) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] ")
+    assert captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+
+@pytest.mark.parametrize("args", [
     ["sieve", "--in", "{graph}", "--delta", "0"],
     ["sieve", "--in", "{graph}", "--delta", "-2"],
     ["certify", "--in", "{graph}", "--delta", "0"],

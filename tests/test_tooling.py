@@ -27,3 +27,62 @@ def test_src_imports_only_the_standard_library():
     }
     assert "lp.py" in foreign
     assert {name: roots for name, roots in foreign.items() if roots} == {}
+
+
+def _writes_output(node: ast.AST) -> bool:
+    """A print call, any use of stdout or stderr, a Path write, or an open
+    call whose mode is not a constant read mode."""
+    if isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"):
+        return True
+    if isinstance(node, ast.alias) and node.name in ("stdout", "stderr"):
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("write_text", "write_bytes")
+    if not isinstance(func, ast.Name):
+        return False
+    if func.id != "open":
+        return func.id == "print"
+    modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+    return any(
+        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+             and set(mode.value) <= set("rbt"))
+        for mode in modes
+    )
+
+
+def test_only_cli_main_writes_output():
+    # commands return their output and main writes it, so a command that
+    # fails has written nothing
+    src = Path(clumplab.__file__).parent
+    sites = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "cli.py":
+            main = next(
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main"
+            )
+            allowed = {id(node) for node in ast.walk(main)}
+        sites.update(
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in allowed and _writes_output(node)
+        )
+    assert sorted(sites) == []
+
+
+def test_source_lines_fit_in_99_columns():
+    # line counts compare between versions only when no code is packed
+    # into long lines
+    src = Path(clumplab.__file__).parent
+    long_lines = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 99
+    ]
+    assert long_lines == []

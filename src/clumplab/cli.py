@@ -5,17 +5,22 @@ a CSV suite runner.
 Every subcommand is deterministic and exits 0 exactly when all requested
 checks pass.  A command only computes: it returns an Output, and main
 writes it in one order: the output files, then the stdout lines, then
-the texts sent to stdout by a `-` path, then the stderr note.  Bad
-input, an option the command rejects or a file that cannot be read or
-written exits 2 with one `error:` line on stderr and nothing on stdout.
+the texts sent to stdout by a `-` path, then the stderr note.  Each
+output file is written beside its target first, and the targets are
+replaced only once all are written.  Bad input, an option the command
+rejects or a file that cannot be read or written exits 2 with one
+`error:` line on stderr, nothing on stdout and every target unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -331,13 +336,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    staged: list[tuple[str, str]] = []  # (temporary file, target)
     try:
         args = build_parser().parse_args(argv)
         output = args.func(args)
-        for path, text in output.texts:
-            if path != "-":
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+        # each file goes to a new file beside its target first, and the
+        # targets are replaced only once every one of them is written
+        target = ""
+        try:
+            for target, text in output.texts:
+                if target != "-":
+                    # with the staged file beside it, a directory is the
+                    # one target os.replace can still refuse
+                    if os.path.isdir(target):
+                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                    head, tail = os.path.split(target)
+                    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+                    with open(tmp, "x", encoding="utf-8") as fh:
+                        staged.append((tmp, target))
+                        fh.write(text)
+            for tmp, target in staged:
+                os.replace(tmp, target)
+        except OSError as exc:
+            # the error names the target, as the user gave it
+            raise OSError(exc.errno, exc.strerror, target) from None
         sys.stdout.write("".join(f"{line}\n" for line in output.lines))
         sys.stdout.write("".join(text for path, text in output.texts if path == "-"))
         if output.note:
@@ -346,6 +368,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, canonical.CanonicalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 if __name__ == "__main__":

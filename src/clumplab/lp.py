@@ -302,7 +302,7 @@ def _order_bounds(rows: list[CoverRow]) -> tuple[int, int]:
     return len(rows) + lower, len(rows) + sum(cover)
 
 
-Bound = tuple[int, str, int]  # free index j, sense, b: the branch row x_j <= b or x_j >= b
+Bound = tuple[int, int, int]  # free index j, sign s, b: the branch row s * x_j >= s * b
 Relaxation = tuple[Fraction, list[Fraction]]  # a covering program's LP value and optimal vertex
 
 
@@ -310,9 +310,8 @@ def _packing_dual(rows: list[CoverRow], bounds: Sequence[Bound]) -> RationalLP:
     """The dual of minimizing the total free weight subject to the
     covering rows and the branch bounds: maximize sum(need_r * y_r) over
     y >= 0, one column per row, subject to sum(y_r over the rows r
-    holding j) <= 1 for every free variable j.  A bound x_j >= b is the
-    covering row ([j], b), and x_j <= b is -x_j >= -b: a column with
-    entry -1 at j and cost -b.
+    holding j) <= 1 for every free variable j.  A bound s * x_j >= s * b
+    is one more covering row: a column with entry s at j and cost s * b.
 
     Every row has right-hand side 1, so the program is in simplex_solve's
     form.  The row duals are a vertex x of the covering program, of the
@@ -324,8 +323,7 @@ def _packing_dual(rows: list[CoverRow], bounds: Sequence[Bound]) -> RationalLP:
         for j in free:
             matrix[j][r] = 1
         c.append(need)
-    for k, (j, sense, b) in enumerate(bounds, len(rows)):
-        sign = 1 if sense == ">=" else -1
+    for k, (j, sign, b) in enumerate(bounds, len(rows)):
         matrix[j][k] = sign
         c.append(sign * b)
     return RationalLP(c, [(row, 1) for row in matrix])
@@ -347,7 +345,7 @@ def _solve_covering(rows: list[CoverRow], bounds: Sequence[Bound]) -> Relaxation
     if (
         any(v < 0 for v in x)
         or any(sum(x[j] for j in free) < need for free, need in rows)
-        or any(x[j] < b if sense == ">=" else x[j] > b for j, sense, b in bounds)
+        or any(sign * x[j] < sign * b for j, sign, b in bounds)
     ):
         raise ArithmeticError("packing dual gave an infeasible covering vertex")
     return sol.value, x
@@ -383,8 +381,8 @@ def _branch_and_bound(rows: list[CoverRow], root: Relaxation) -> tuple[int, list
             best_x = [int(v) for v in x]
             return
         _, j = min(frac)
-        for sense, bound in (("<=", floor(x[j])), (">=", floor(x[j]) + 1)):
-            bounds.append((j, sense, bound))
+        for sign, bound in ((-1, floor(x[j])), (1, floor(x[j]) + 1)):
+            bounds.append((j, sign, bound))
             node = _solve_covering(rows, bounds)
             if node is not None:
                 branch(*node)
@@ -411,18 +409,22 @@ _SORTED = {a: sorted(a) for a in _SUBSETS}
 
 
 def _pattern_sequences(
-    depth: int, delta: int
+    d_max: int, delta: int
 ) -> "list[tuple[list[frozenset[int]], list[CoverRow]]]":
-    """The sequences extremal_search visits at depth >= 1, each with its
-    covering rows: every canonical color-set sequence of depth + 1 layers
-    from the root layer {0} that is not a mirror and reaches the degree
-    bound, with rows equal to _covering_rows(seq, delta), in the order of
-    a depth-first walk that tries each layer's successors in _SUBSETS
-    order.
+    """The sequences extremal_search visits at depths 1 to d_max, each
+    with its covering rows: every canonical color-set sequence of 2 to
+    d_max + 1 layers from the root layer {0} that is not a mirror and
+    reaches the degree bound, with rows equal to _covering_rows(seq,
+    delta).  The list is the preorder of one depth-first walk that tries
+    each layer's successors in _SUBSETS order, so a sequence comes
+    before its extensions, and the sequences of any one depth keep the
+    order of a walk of that depth alone.
 
-    The walk keeps the rows of every layer but the last, and appending a
-    layer completes the rows of the layer before it.  Two kinds of prefix
-    are cut with everything below them:
+    A frame on the walk's stack is (sequence, the layer before its last,
+    its last layer, the rows of every layer but the last, whether the
+    prefix decides the swap); appending a layer completes the rows of
+    the layer before it.  Two kinds of prefix are cut with everything
+    below them:
 
     - a mirror: comparing layers as color bitmasks, the first layer
       holding exactly one of colors 1 and 2 decides whether exchanging
@@ -437,44 +439,27 @@ def _pattern_sequences(
     successors the dead cut fires only at those leaves.
     """
     out: list[tuple[list[frozenset[int]], list[CoverRow]]] = []
-    seq = [_ROOT]
-    layers: list[list[LayerClump]] = [[(0, -1)]]
-    rows: list[CoverRow] = []  # the rows of seq[:-1]
-    marks = [0]  # len(rows) before each layer of seq completed its predecessor
-    decided = [False]  # whether the prefix up to each layer decides the swap
-    stack = [iter(_SUCCESSORS[_ROOT])]
+    stack = [([_ROOT], [], [(0, -1)], [], False)]
     while stack:
-        nxt = next(stack[-1], None)
-        if nxt is None:
-            stack.pop()
-            seq.pop()
-            layers.pop()
-            decided.pop()
-            del rows[marks.pop():]
-            continue
-        swap_decided = decided[-1]
-        if not swap_decided and (1 in nxt) != (2 in nxt):
-            if 2 in nxt:
-                continue
-            swap_decided = True
-        last = layers[-1]
-        start = last[-1][1] + 1
-        layer = [(c, start + pos) for pos, c in enumerate(_SORTED[nxt])]
-        window = last + layer
-        completed = _layer_rows(layers[-2] + window if len(layers) > 1 else window, last, delta)
-        if completed is None:
-            continue
-        if len(seq) == depth:
-            final = _layer_rows(window, layer, delta)
+        seq, before, last, rows, decided = stack.pop()
+        if len(seq) > 1:
+            final = _layer_rows(before + last, last, delta)
             if final is not None:
-                out.append(([*seq, nxt], rows + completed + final))
+                out.append((seq, rows + final))
+        if len(seq) > d_max:
             continue
-        marks.append(len(rows))
-        rows += completed
-        seq.append(nxt)
-        layers.append(layer)
-        decided.append(swap_decided)
-        stack.append(iter(_SUCCESSORS[nxt]))
+        start = last[-1][1] + 1
+        # pushed in reverse, so the children come off in _SUBSETS order
+        for nxt in reversed(_SUCCESSORS[seq[-1]]):
+            swap_decided = decided
+            if not decided and (1 in nxt) != (2 in nxt):
+                if 2 in nxt:
+                    continue
+                swap_decided = True
+            layer = [(c, start + pos) for pos, c in enumerate(_SORTED[nxt])]
+            completed = _layer_rows(before + last + layer, last, delta)
+            if completed is not None:
+                stack.append(([*seq, nxt], last, layer, rows + completed, swap_decided))
     return out
 
 
@@ -488,11 +473,13 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
     it, so a frontier graph need not pass check_canonical.
 
     A sequence's order is the clump count plus the minimum of its
-    covering program (_covering_rows).  Each depth is one depth-first
-    walk (_pattern_sequences), which builds the rows prefix by prefix
-    and never visits a sequence that cannot reach the degree bound, nor
-    one whose 1 <-> 2 color swap is lexicographically smaller.  Of the
-    sequences it yields:
+    covering program (_covering_rows).  One depth-first walk
+    (_pattern_sequences) yields the sequences of every depth up to d_max
+    as a flat preorder, in which the sequences of each depth keep the
+    order of a walk of that depth alone.  It builds the rows prefix by
+    prefix and never visits a sequence that cannot reach the degree
+    bound, nor one whose 1 <-> 2 color swap is lexicographically
+    smaller.  One pass over that list triages every sequence:
 
     - one whose integer lower bound (_order_bounds) exceeds n_budget has
       an LP value above it, so it is dropped and marks the result
@@ -500,9 +487,11 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
     - one whose upper bound exceeds n_budget has its relaxation solved
       now, and is dropped, marking the result incomplete, when the LP
       value exceeds n_budget;
-    - the rest have LP value <= upper <= n_budget and are kept unsolved.
+    - the rest have LP value <= upper <= n_budget and are kept unsolved,
+      in the bucket of their depth.
 
-    The kept sequences are taken in ascending lower bound.  That stops
+    Depth by depth, the kept sequences are taken in ascending lower
+    bound, ties in walk order, as a stable sort leaves them.  That stops
     at the first whose lower bound reaches the order already found at
     this depth; a sequence before it is relaxed (_relax, through the
     packing dual) now unless the budget test already did, is skipped
@@ -537,23 +526,25 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
         raise ValueError(f"n_budget={n_budget} must be positive")
     frontier: dict[int, int] = {}
     complete = True
-    for depth in range(1, d_max + 1):
-        # (lower bound, sequence, covering rows, relaxation or None)
-        kept: list[tuple[int, list[frozenset[int]], list[CoverRow], Relaxation | None]] = []
-        for seq, rows in _pattern_sequences(depth, delta):
-            lower, upper = _order_bounds(rows)
-            if lower > n_budget:
+    # per depth: (lower bound, sequence, covering rows, relaxation or None)
+    kept: list[list[tuple[int, list[frozenset[int]], list[CoverRow], Relaxation | None]]] = [
+        [] for _ in range(d_max)
+    ]
+    for seq, rows in _pattern_sequences(d_max, delta):
+        lower, upper = _order_bounds(rows)
+        if lower > n_budget:
+            complete = False
+            continue
+        relaxed = None
+        if upper > n_budget:
+            relaxed = _relax(rows)
+            if len(rows) + relaxed[0] > n_budget:
                 complete = False
                 continue
-            relaxed = None
-            if upper > n_budget:
-                relaxed = _relax(rows)
-                if len(rows) + relaxed[0] > n_budget:
-                    complete = False
-                    continue
-            kept.append((lower, seq, rows, relaxed))
-        kept.sort(key=lambda item: item[0])
-        for lower, seq, rows, relaxed in kept:
+        kept[len(seq) - 2].append((lower, seq, rows, relaxed))
+    for depth, bucket in enumerate(kept, 1):
+        bucket.sort(key=lambda item: item[0])
+        for lower, seq, rows, relaxed in bucket:
             best = frontier.get(depth)
             if best is not None and lower >= best:
                 break

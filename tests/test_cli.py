@@ -382,17 +382,46 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, args):
      "--out", "-", "--log", "{tmp}/missing/log.json"],
     ["generate", "counterexample", "--s", "1", "--delta", "4", "--p", "2",
      "--out", "-", "--export-edges", "{tmp}/missing/g.edges"],
+    # a real path paired with an unwritable one: neither is written
+    pytest.param(["generate", "counterexample", "--s", "1", "--delta", "4", "--p", "2",
+                  "--out", "{tmp}/h.json", "--export-edges", "{tmp}/missing/h.edges"],
+                 id="generate-out-file"),
+    pytest.param(["canonicalize", "--in", "{graph}", "--delta", "4",
+                  "--out", "{tmp}/canon.json", "--log", "{tmp}/missing/log.json"],
+                 id="canonicalize-out-file"),
+    # nor is the input, named as the output
+    pytest.param(["canonicalize", "--in", "{graph}", "--delta", "4",
+                  "--out", "{graph}", "--log", "{tmp}/missing/log.json"],
+                 id="canonicalize-in-place"),
 ], ids=lambda args: args[0])
 def test_unwritable_output_leaves_stdout_empty(tmp_path, capsys, args):
-    # main writes the files before stdout, so a command whose result
-    # would go to stdout prints none of it when a file fails
-    graph = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
+    # main stages every file before it replaces any target or writes
+    # stdout, so a failed write leaves the directory and stdout as they were
+    graph_json = json.loads(dump_clump_json(counterexample_graph(1, 4, 2)))
+    (tmp_path / "g.json").write_text(json.dumps(graph_json))  # not as canonicalize writes it
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    graph = str(tmp_path / "g.json")
     assert main([a.format(graph=graph, tmp=tmp_path) for a in args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: [Errno 2] ")
+    assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
+    assert captured.err.endswith("missing/" + args[-1].split("/")[-1] + "'\n")
     assert captured.err.count("\n") == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_output_naming_a_directory_writes_no_target(tmp_path, capsys):
+    # os.replace refuses a directory target, so main checks for one before
+    # it replaces any target
+    (tmp_path / "d").mkdir()
+    args = ["generate", "counterexample", "--s", "1", "--delta", "4", "--p", "2",
+            "--out", str(tmp_path / "g.json"), "--export-edges", str(tmp_path / "d")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path / 'd'}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [

@@ -412,6 +412,10 @@ def test_integer_tableau_matches_fraction_tableau_on_min_order(delta):
 
 @pytest.mark.parametrize("delta", [1, 2, 3, 5, 8])
 def test_walk_yields_the_unmirrored_feasible_sequences(delta):
+    # one walk over depths 1-5; each depth's slice keeps the order of a
+    # walk of that depth alone, and the slices make up the whole list
+    walked = lp._pattern_sequences(5, delta)
+    sliced = 0
     for depth in range(1, 6):
         expected = []
         for seq in _pattern_sequences(depth):
@@ -421,9 +425,11 @@ def test_walk_yields_the_unmirrored_feasible_sequences(delta):
                 expected.append((seq, lp._covering_rows(seq, delta)))
             except ValueError:
                 continue
-        walked = lp._pattern_sequences(depth, delta)
-        assert walked == expected
-        assert len(walked) > 0
+        part = [item for item in walked if len(item[0]) == depth + 1]
+        assert part == expected
+        assert len(part) > 0
+        sliced += len(part)
+    assert sliced == len(walked)
 
 
 @pytest.mark.parametrize("delta", [2, 5, 8])
@@ -440,12 +446,12 @@ def test_packing_dual_matches_the_covering_program(delta):
         value, x = lp._relax(rows)
         assert value == _covering_value(rows) == sum(x)
         bounds = [
-            (j, rng.choice(["<=", ">="]), rng.randint(0, delta))
+            (j, rng.choice([-1, 1]), rng.randint(0, delta))
             for j in rng.sample(range(len(x)), min(3, len(x)))
         ]
         primal = _covering_program(rows)
-        for j, sense, b in bounds:
-            primal.rows.append(([1 if i == j else 0 for i in range(len(x))], sense, b))
+        for j, sign, b in bounds:
+            primal.rows.append(([sign if i == j else 0 for i in range(len(x))], ">=", sign * b))
         status, want, _, _ = _fraction_simplex(primal)
         got = lp._solve_covering(rows, bounds)
         statuses.append(status)
@@ -485,7 +491,7 @@ def test_min_order_rejects_a_dual_that_misses_a_row(monkeypatch):
 
 @pytest.mark.parametrize("bounds, perturb", [
     # a weight raised past its bound keeps every covering row met
-    ([(0, "<=", 1)], lambda y: y.__setitem__(0, y[0] + 1)),
+    ([(0, -1, 1)], lambda y: y.__setitem__(0, y[0] + 1)),
     # a negative weight that every row holding it can absorb
     ([], lambda y: y.__setitem__(slice(None), [3, 3, Fraction(-1, 1000)])),
 ])
@@ -830,6 +836,21 @@ def test_extremal_search_solves_few_relaxations(monkeypatch):
         extremal_search(*map(int, point.split(",")), 60)
         counts[point] = calls[0]
     assert counts == {"2,5": 5, "3,5": 5, "5,4": 13, "6,4": 5, "8,4": 13}
+
+
+@pytest.mark.parametrize("point, sequences", [((5, 4), 92), ((2, 5), 327)])
+def test_extremal_search_walks_once(monkeypatch, point, sequences):
+    # one walk covers every depth, so no prefix is visited twice
+    walked = []
+    inner = lp._pattern_sequences
+
+    def recorded(*args):
+        walked.append(inner(*args))
+        return walked[-1]
+
+    monkeypatch.setattr(lp, "_pattern_sequences", recorded)
+    extremal_search(*point, 60)
+    assert [len(result) for result in walked] == [sequences]
 
 
 def test_extremal_search_prunes_by_lp_order(monkeypatch):

@@ -29,13 +29,33 @@ def test_src_imports_only_the_standard_library():
     assert {name: roots for name, roots in foreign.items() if roots} == {}
 
 
+# the os calls that write, move or remove a file, and the tempfile
+# constructors, which create one
+_WRITING_NAMES = {
+    "os": {"replace", "rename", "renames", "fdopen", "write", "remove", "unlink"},
+    "tempfile": {
+        "mkstemp", "mkdtemp", "mktemp", "NamedTemporaryFile", "TemporaryFile",
+        "SpooledTemporaryFile", "TemporaryDirectory",
+    },
+}
+
+
 def _writes_output(node: ast.AST) -> bool:
-    """A print call, any use of stdout or stderr, a Path write, or an open
-    call whose mode is not a constant read mode."""
+    """A print call, any use of stdout or stderr, a Path write, an open
+    call whose mode is not a constant read mode, or any use of a writing
+    name of os or tempfile (_WRITING_NAMES), as module.name or imported
+    from the module."""
     if isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"):
         return True
     if isinstance(node, ast.alias) and node.name in ("stdout", "stderr"):
         return True
+    if (
+        isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.attr in _WRITING_NAMES.get(node.value.id, ())
+    ):
+        return True
+    if isinstance(node, ast.ImportFrom) and node.module in _WRITING_NAMES:
+        return any(alias.name in _WRITING_NAMES[node.module] for alias in node.names)
     if not isinstance(node, ast.Call):
         return False
     func = node.func

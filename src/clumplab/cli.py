@@ -5,22 +5,25 @@ a CSV suite runner.
 Every subcommand is deterministic and exits 0 exactly when all requested
 checks pass.  A command only computes: it returns an Output, and main
 writes it in one order: the output files, then the stdout lines, then
-the texts sent to stdout by a `-` path, then the stderr note.  Each
-output file is written beside its target first, and the targets are
-replaced only once all are written.  Bad input, an option the command
-rejects or a file that cannot be read or written exits 2 with one
-`error:` line on stderr, nothing on stdout and every target unchanged.
+the texts sent to stdout by a `-` path, then the stderr note.  An
+output file that is new, or a regular file, is written beside its real
+path first, keeping an existing file's mode, and those targets are
+replaced only once all are written; any other target (a device, a pipe)
+is then written as it is.  Bad input, an option the command rejects or a
+file that cannot be read or written exits 2 with one `error:` line on
+stderr and nothing on stdout.  A missing directory, a directory target
+or a read-only file leaves every target unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import errno
 import io
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -335,28 +338,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replace_plan(target: str) -> tuple[str, int | None] | None:
+    """How main writes the file target: (the path it replaces, the mode
+    its new file takes, None for a new path), or None when the target is
+    opened and written as it is: a device, a pipe or a hard-linked file."""
+    try:
+        old = os.stat(target)
+    except FileNotFoundError:
+        return os.path.realpath(target), None
+    if stat.S_ISDIR(old.st_mode):
+        # os.replace would refuse it only once other targets are replaced
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    real = os.path.realpath(target)
+    if not (
+        stat.S_ISREG(old.st_mode) and old.st_nlink == 1
+        and os.path.exists(real) and os.path.samestat(old, os.stat(real))
+    ):
+        return None
+    if not os.access(real, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    return real, stat.S_IMODE(old.st_mode)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    staged: list[tuple[str, str]] = []  # (temporary file, target)
+    staged: list[tuple[str, str, str]] = []  # (temporary file, path it replaces, target)
     try:
         args = build_parser().parse_args(argv)
         output = args.func(args)
-        # each file goes to a new file beside its target first, and the
-        # targets are replaced only once every one of them is written
+        # a new or plain file goes to a new file beside it first, and those
+        # targets are replaced only once every one of them is written; any
+        # other target is written as it is, last
         target = ""
+        in_place = []
         try:
             for target, text in output.texts:
-                if target != "-":
-                    # with the staged file beside it, a directory is the
-                    # one target os.replace can still refuse
-                    if os.path.isdir(target):
-                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                    head, tail = os.path.split(target)
-                    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-                    with open(tmp, "x", encoding="utf-8") as fh:
-                        staged.append((tmp, target))
-                        fh.write(text)
-            for tmp, target in staged:
-                os.replace(tmp, target)
+                if target == "-":
+                    continue
+                plan = _replace_plan(target)
+                if plan is None:
+                    in_place.append((target, text))
+                    continue
+                real, mode = plan
+                head, tail = os.path.split(real)
+                tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+                with open(tmp, "x", encoding="utf-8") as fh:
+                    staged.append((tmp, real, target))
+                    fh.write(text)
+                if mode is not None:
+                    os.chmod(tmp, mode)
+            while staged:
+                tmp, real, target = staged[0]
+                os.replace(tmp, real)
+                del staged[0]
+            for target, text in in_place:
+                with open(target, "w", encoding="utf-8") as fh:
+                    fh.write(text)
         except OSError as exc:
             # the error names the target, as the user gave it
             raise OSError(exc.errno, exc.strerror, target) from None
@@ -369,9 +405,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        for tmp, _ in staged:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
+        # only staged files that were never moved are left
+        for tmp, _, _ in staged:
+            os.remove(tmp)
 
 
 if __name__ == "__main__":

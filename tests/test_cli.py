@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -422,6 +423,56 @@ def test_output_naming_a_directory_writes_no_target(tmp_path, capsys):
     assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path / 'd'}'\n"
     assert [p.name for p in tmp_path.iterdir()] == ["d"]
     assert list((tmp_path / "d").iterdir()) == []
+
+
+_GENERATE = ["generate", "counterexample", "--s", "1", "--delta", "4", "--p", "2"]
+
+
+def test_device_target_is_written_as_it_is(tmp_path, capsys):
+    # only new or regular files are staged, so /dev/null stays a device
+    assert main([*_GENERATE, "--out", str(tmp_path / "g.json"),
+                 "--export-edges", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+
+def test_symlink_target_is_written_through_and_modes_are_kept(tmp_path, capsys):
+    (tmp_path / "real.json").write_text("old")
+    (tmp_path / "real.json").chmod(0o600)
+    (tmp_path / "link.json").symlink_to("real.json")
+    (tmp_path / "e.edges").write_text("old")
+    (tmp_path / "e.edges").chmod(0o640)
+    assert main([*_GENERATE, "--out", str(tmp_path / "link.json"),
+                 "--export-edges", str(tmp_path / "e.edges")]) == 0
+    assert (tmp_path / "link.json").is_symlink()
+    assert json.loads((tmp_path / "real.json").read_text())["k"] == 3
+    assert stat.S_IMODE((tmp_path / "real.json").stat().st_mode) == 0o600
+    assert stat.S_IMODE((tmp_path / "e.edges").stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.edges", "link.json", "real.json"]
+
+
+@pytest.mark.parametrize("may_write", [True, False], ids=["root", "user"])
+def test_read_only_target_is_refused_as_open_would(tmp_path, capsys, monkeypatch, may_write):
+    # a read-only file is refused up front, before any target is replaced,
+    # unless the user may write it anyway (root); then its mode is kept
+    (tmp_path / "ro.edges").write_text("old")
+    (tmp_path / "ro.edges").chmod(0o444)
+    monkeypatch.setattr(os, "access", lambda path, mode: may_write)
+    code = main([*_GENERATE, "--out", str(tmp_path / "g.json"),
+                 "--export-edges", str(tmp_path / "ro.edges")])
+    captured = capsys.readouterr()
+    assert stat.S_IMODE((tmp_path / "ro.edges").stat().st_mode) == 0o444
+    if may_write:
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "ro.edges"]
+        assert (tmp_path / "ro.edges").read_text() != "old"
+    else:
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: [Errno 13] Permission denied: '{tmp_path / 'ro.edges'}'\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["ro.edges"]
+        assert (tmp_path / "ro.edges").read_text() == "old"
 
 
 @pytest.mark.parametrize("args", [

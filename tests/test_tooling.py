@@ -29,10 +29,12 @@ def test_src_imports_only_the_standard_library():
     assert {name: roots for name, roots in foreign.items() if roots} == {}
 
 
-# the os calls that write, move or remove a file, and the tempfile
+# the os calls that write, move, remove or chmod a file, and the tempfile
 # constructors, which create one
 _WRITING_NAMES = {
-    "os": {"replace", "rename", "renames", "fdopen", "write", "remove", "unlink"},
+    "os": {
+        "replace", "rename", "renames", "fdopen", "write", "remove", "unlink", "chmod",
+    },
     "tempfile": {
         "mkstemp", "mkdtemp", "mktemp", "NamedTemporaryFile", "TemporaryFile",
         "SpooledTemporaryFile", "TemporaryDirectory",

@@ -13,12 +13,18 @@ one clump, and layer 1 avoids the root's color.
 
 canonicalize() repairs violations by color switches, clump moves and
 weight redistributions, none of which change the order, the layer count
-or the minimum weighted degree.  Every rewrite is logged and re-audited.
+or the minimum weighted degree.  Every rewrite is logged, its graph is
+rebuilt (and so revalidated), and it is audited and re-checked on the
+layers it can have changed.  That is exact by locality: a clump's
+weighted degree at layer i, the pair verdicts of layers i, i+1 and the
+(iv) verdict at i read only layers i-1..i+1, so a rewrite that changed
+layers lo..hi moves a degree or a verdict only at layers lo-1..hi+1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import ne
 from typing import AbstractSet, Mapping, Sequence
 
 from .core import (
@@ -26,6 +32,7 @@ from .core import (
     WeightedClumpGraph,
     bfs_distances,
     min_weighted_degree,
+    neighbor_sums,
     weight_rows,
 )
 
@@ -91,15 +98,20 @@ def is_canonical_pair(k: int, a: AbstractSet[int], b: AbstractSet[int]) -> bool:
     return not pair_violations(k, a, b)
 
 
-def _violations(k: int, layers: Sequence[Mapping[int, int]]) -> list[tuple[int, str]]:
-    """The (layer, property) violations of a rooted graph's layers; the
-    root weighs 1, so (iv) starts at layer 1."""
+def _violations(
+    k: int, layers: Sequence[Mapping[int, int]], at: range | None = None
+) -> list[tuple[int, str]]:
+    """The (layer, property) violations of a rooted graph's layers, at
+    the layers in `at` (all by default), the pair properties before (iv).
+    The verdicts at layer i read only layers i-1..i+1.  The root weighs
+    1, so (iv) starts at layer 1."""
     D = len(layers) - 1
+    lo, stop = (0, D + 1) if at is None else (at.start, min(at.stop, D + 1))
     out: list[tuple[int, str]] = []
-    for i in range(D):
+    for i in range(lo, min(stop, D)):
         for prop in pair_violations(k, layers[i].keys(), layers[i + 1].keys()):
             out.append((i, prop))
-    for i in range(1, D + 1):
+    for i in range(max(lo, 1), stop):
         if any(w > 1 for w in layers[i].values()):
             nxt = len(layers[i + 1]) if i < D else 0
             if len(layers[i]) + max(len(layers[i - 1]), nxt) < k:
@@ -244,12 +256,45 @@ def _audit(before: WeightedClumpGraph, after: WeightedClumpGraph, delta: int) ->
         raise CanonicalizationError("rewrite dropped the minimum weighted degree")
 
 
+def _changed_span(before: WeightedClumpGraph, after: WeightedClumpGraph) -> range:
+    """The layers lo..hi from the first to the last whose rows differ
+    between two graphs with as many layers; empty when no row does."""
+    changed = list(map(ne, before.rows, after.rows))
+    if True not in changed:
+        return range(0)
+    return range(changed.index(True), len(changed) - changed[::-1].index(True))
+
+
+def _audit_span(
+    before: WeightedClumpGraph, after: WeightedClumpGraph, delta: int, span: range
+) -> None:
+    """_audit of the rewrite from before, which passed _audit, to after,
+    which differs from it only at the layers in span: every other layer
+    keeps its weight, and every layer outside span +-1 its degrees.  Same
+    checks, messages and order."""
+    lo, stop = span.start, span.stop
+    weights = [sum(map(sum, map(dict.values, g.rows[lo:stop]))) for g in (before, after)]
+    if weights[1] != weights[0]:
+        raise CanonicalizationError("rewrite changed the total weight")
+    # the degrees of layers lo-1..hi+1 read layers lo-2..hi+2; a sum at the
+    # slice's edge inside the graph misses the layer beyond it, and is not read
+    first = max(lo - 2, 0)
+    sums = neighbor_sums(after.rows[first:stop + 2])[max(lo - 1, 0) - first:stop + 1 - first]
+    if min(map(min, map(dict.values, sums))) < delta:
+        raise CanonicalizationError("rewrite dropped the minimum weighted degree")
+
+
 def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGraph, TransformLog]:
     """Rewrite a rooted clump graph into canonical form.
 
-    Rewrites are applied in property order (ii), (iii), (iv), restarting
-    after each one; every step is audited to preserve n, D and min
-    degree >= delta.
+    Rewrites are applied in property order (ii), (iii), (iv), smallest
+    layer first, restarting after each one.  Every step rebuilds the
+    graph, which revalidates it, and is audited to preserve n, D and min
+    degree >= delta.  The violations are scanned in full once, from
+    check_canonical.  After a rewrite that changed layers lo..hi, only the
+    degrees and verdicts of layers lo-1..hi+1 are checked again: each of
+    them reads only its own layer and the two beside it, so the others
+    stand.  A rewritten result gets one full _audit.
     """
     if min_weighted_degree(graph) < delta:
         raise CanonicalizationError(f"input min weighted degree below delta={delta}")
@@ -257,18 +302,17 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
     layers = weight_rows(graph)
     log = TransformLog()
     cap = 4 * len(layers) * k
+    # the violated layers of each property, in repair order; (i) last
+    todo: dict[str, set[int]] = {"ii": set(), "iii": set(), "iv": set(), "i": set()}
+    for i, prop in check_canonical(graph).violations:
+        todo[prop].add(i)
     result = graph
-    while True:
-        todo = check_canonical(result).violations
-        if not todo:
-            break
+    while prop := next((p for p, at in todo.items() if at), None):
         if len(log) >= cap:
             raise CanonicalizationError(
                 f"iteration cap {cap} exceeded; applied {log.rules()}"
             )
-        # repair in property order, smallest layer first
-        todo.sort(key=lambda v: ({"ii": 0, "iii": 1, "iv": 2, "i": 3}[v[1]], v[0]))
-        i, prop = todo[0]
+        i = min(todo[prop])
         if prop == "ii":
             rule = _fix_shared_color(k, layers, i)
         elif prop == "iii":
@@ -279,10 +323,21 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
             raise CanonicalizationError(
                 f"layer {i}: single followed by a full-palette layer"
             )
-        # building the graph revalidates its structure after every rewrite
-        result = _to_graph(k, layers)
-        _audit(graph, result, delta)
+        step = _to_graph(k, layers)
+        if step.diameter_index != result.diameter_index:
+            _audit(graph, step, delta)  # raises, as the layer count changed
+        span = _changed_span(result, step)
+        if span:
+            _audit_span(result, step, delta, span)
+            near = range(max(span.start - 1, 0), span.stop + 1)
+            for at in todo.values():
+                at.difference_update(near)
+            for j, found in _violations(k, step.rows, near):
+                todo[found].add(j)
+        result = step
         log.entries.append(RewriteEntry(rule=rule, layer=i))
+    if log:  # else the result is the input, whose degree is checked above
+        _audit(graph, result, delta)
     return result, log
 
 

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,8 @@ from hypothesis import strategies as st
 from clumplab import canonical
 from clumplab.canonical import (
     CanonicalizationError,
+    RewriteEntry,
+    TransformLog,
     bfs_relayer,
     canonicalize,
     check_canonical,
@@ -63,20 +69,38 @@ def _add_a_unit(layers):
     layers[-1][min(layers[-1])] += 1
 
 
+def _add_a_layer(layers):
+    # a unit of the last layer moves into a new layer of another color
+    color = min(layers[-1])
+    layers[-1][color] -= 1
+    layers.append({(color + 1) % 3: 1})
+
+
 def _starve_last_layer(layers):
+    # the last layer's clumps neighbor only the layer before it
     layers[-2][min(layers[-2])] -= 1
-    layers[1][min(layers[1])] += 1
+    layers[-1][min(layers[-1])] += 1
 
 
+# (iv) fires first at layer 1 on both; on the long chain of heavy singles
+# the corruptions above land 11 or more layers past the repaired one
+SHORT = [[(0, 1)], [(1, 2)], [(2, 2)], [(0, 2)]]
+LONG = [[(0, 1)], *([(j % 3, 2)] for j in range(1, 14))]
+
+
+@pytest.mark.parametrize("rows", [SHORT, LONG], ids=["short", "long"])
 @pytest.mark.parametrize("corrupt, error, match", [
-    (_empty_last_layer, ClumpGraphError, "layer 3 is empty"),
+    (_empty_last_layer, ClumpGraphError, "layer {D} is empty"),
     (_add_a_unit, CanonicalizationError, "rewrite changed the total weight"),
+    (_add_a_layer, CanonicalizationError, "rewrite changed the layer count"),
     (_starve_last_layer, CanonicalizationError,
      "rewrite dropped the minimum weighted degree"),
 ])
-def test_every_rewrite_is_validated_and_audited(monkeypatch, corrupt, error, match):
-    # (iv) fires first here; a faulty rewrite must be caught at its own step
-    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 2)], [(2, 2)], [(0, 2)]])
+def test_every_rewrite_is_validated_and_audited(monkeypatch, rows, corrupt, error, match):
+    # a faulty rewrite must be caught at its own step, however far from
+    # the repaired layer it breaks the graph
+    g = WeightedClumpGraph(3, rows)
+    assert min_weighted_degree(g) == 2
     rewrite = canonical._fix_duplicate_weight
     steps = []
 
@@ -87,9 +111,69 @@ def test_every_rewrite_is_validated_and_audited(monkeypatch, corrupt, error, mat
         return rule
 
     monkeypatch.setattr(canonical, "_fix_duplicate_weight", faulty)
-    with pytest.raises(error, match=match):
+    with pytest.raises(error, match=match.format(D=g.diameter_index)):
         canonicalize(g, 2)
     assert steps == [1]
+
+
+# _starve_last_layer after the first repair, as in the test above, without
+# importing this module (and Hypothesis) into the subprocess
+_FAULTY_REWRITE = """
+import sys
+from clumplab import canonical
+from clumplab.core import WeightedClumpGraph
+
+rewrite = canonical._fix_duplicate_weight
+
+
+def faulty(k, layers, i):
+    rule = rewrite(k, layers, i)
+    layers[-2][min(layers[-2])] -= 1
+    layers[-1][min(layers[-1])] += 1
+    return rule
+
+
+canonical._fix_duplicate_weight = faulty
+try:
+    canonical.canonicalize(WeightedClumpGraph(3, eval(sys.argv[1])), 2)
+except canonical.CanonicalizationError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_faulty_rewrite_is_caught_under_python_O():
+    # pytest cannot run under -O here, so one faulty-rewrite case runs in
+    # a subprocess: the audits raise, they do not assert
+    src = Path(canonical.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FAULTY_REWRITE, repr(LONG)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == "1 rewrite dropped the minimum weighted degree\n"
+
+
+def test_result_gets_one_full_audit(monkeypatch):
+    audits = []
+    audit = canonical._audit
+    monkeypatch.setattr(canonical, "_audit", lambda *args: audits.append(args) or audit(*args))
+    g = WeightedClumpGraph(3, LONG)
+    out, log = canonicalize(g, 2)
+    assert len(log) > 1
+    assert audits == [(g, out, 2)]
+
+
+def test_rewrite_that_changes_nothing_hits_the_iteration_cap(monkeypatch):
+    # cap = 4 * layers * k; a rule that changes nothing leaves its
+    # violation standing, and the loop must stop at the cap
+    steps = []
+    monkeypatch.setattr(
+        canonical, "_fix_duplicate_weight", lambda k, layers, i: steps.append(i) or "no-op"
+    )
+    cap = r"iteration cap 48 exceeded; applied \['no-op'"
+    with pytest.raises(CanonicalizationError, match=cap):
+        canonicalize(WeightedClumpGraph(3, SHORT), 2)
+    assert steps == [1] * 48
 
 
 def test_k3_pair_grammar_is_the_seven_shapes():
@@ -226,6 +310,55 @@ def test_canonicalize_preserves_blow_up_size(seed):
     assert check_canonical(out).passes
     again, log = canonicalize(out, delta)
     assert len(log) == 0 and again == out
+
+
+def full_rescan_canonicalize(
+    graph: WeightedClumpGraph, delta: int
+) -> tuple[WeightedClumpGraph, TransformLog]:
+    """canonicalize as a full rescan, the oracle for the incremental loop:
+    each round scans every layer for violations, and each rewrite's graph
+    is rebuilt and audited whole."""
+    if min_weighted_degree(graph) < delta:
+        raise CanonicalizationError(f"input min weighted degree below delta={delta}")
+    k = graph.k
+    layers = weight_rows(graph)
+    log = TransformLog()
+    cap = 4 * len(layers) * k
+    result = graph
+    while todo := canonical._violations(k, result.rows):
+        if len(log) >= cap:
+            raise CanonicalizationError(f"iteration cap {cap} exceeded; applied {log.rules()}")
+        i, prop = min(todo, key=lambda v: (["ii", "iii", "iv", "i"].index(v[1]), v[0]))
+        if prop == "ii":
+            rule = canonical._fix_shared_color(k, layers, i)
+        elif prop == "iii":
+            rule = canonical._resolve_k1(k, layers, i)
+        elif prop == "iv":
+            rule = canonical._fix_duplicate_weight(k, layers, i)
+        else:
+            raise CanonicalizationError(f"layer {i}: single followed by a full-palette layer")
+        result = canonical._to_graph(k, layers)
+        canonical._audit(graph, result, delta)
+        log.entries.append(RewriteEntry(rule=rule, layer=i))
+    return result, log
+
+
+def _outcome(canon, graph, delta):
+    try:
+        result, log = canon(graph, delta)
+    except CanonicalizationError as exc:
+        return str(exc)
+    return result.rows, log.entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([3, 4, 5]), depth=st.integers(0, 120), seed=st.integers(0, 10**9))
+def test_canonicalize_matches_full_rescan(k, depth, seed):
+    """The incremental loop gives the full rescan's rows and log, or its
+    error text (k > 3 can need the three-color redistribution)."""
+    g = random_layered_graph(random.Random(seed), k=k, max_depth=depth)
+    delta = min_weighted_degree(g)
+    assert _outcome(canonicalize, g, delta) == _outcome(full_rescan_canonicalize, g, delta)
 
 
 def test_canonicalize_rejects_degree_misdeclaration():

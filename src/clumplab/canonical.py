@@ -302,8 +302,10 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
     layers = weight_rows(graph)
     log = TransformLog()
     cap = 4 * len(layers) * k
-    # the violated layers of each property, in repair order; (i) last
-    todo: dict[str, set[int]] = {"ii": set(), "iii": set(), "iv": set(), "i": set()}
+    # the violated layers of each property, in repair order; no graph
+    # breaks (i), as WeightedClumpGraph rejects a single followed by a
+    # layer holding its color
+    todo: dict[str, set[int]] = {"ii": set(), "iii": set(), "iv": set()}
     for i, prop in check_canonical(graph).violations:
         todo[prop].add(i)
     result = graph
@@ -317,12 +319,8 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
             rule = _fix_shared_color(k, layers, i)
         elif prop == "iii":
             rule = _resolve_k1(k, layers, i)
-        elif prop == "iv":
+        else:
             rule = _fix_duplicate_weight(k, layers, i)
-        else:  # property (i) cannot fail on a valid layering
-            raise CanonicalizationError(
-                f"layer {i}: single followed by a full-palette layer"
-            )
         step = _to_graph(k, layers)
         if step.diameter_index != result.diameter_index:
             _audit(graph, step, delta)  # raises, as the layer count changed

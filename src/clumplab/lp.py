@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, lcm
+from operator import itemgetter
 from typing import AbstractSet, Sequence
 
 from .canonical import is_canonical_pair
@@ -81,15 +82,12 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
 
     The true matrix is rows / d before and rows / p after, p the pivot:
     row i becomes (row_i * p - row_i[c] * row_r) / d, which Sylvester's
-    identity makes an exact division, and row r stays.  A negative p
-    negates every row (folded into the pivot row here), so the
-    denominator stays positive.
+    identity makes an exact division, and row r stays.  The denominator
+    stays positive because p is: Bland's ratio test pivots only on a
+    positive entry of rows over d > 0.
     """
     pivot_row = rows[r]
     p = pivot_row[c]
-    if p < 0:
-        rows[r] = pivot_row = [-a for a in pivot_row]
-        p = -p
     for i, row in enumerate(rows):
         if i == r:
             continue
@@ -423,20 +421,22 @@ def _pattern_sequences(
     A frame on the walk's stack is (sequence, the layer before its last,
     its last layer, the rows of every layer but the last, whether the
     prefix decides the swap); appending a layer completes the rows of
-    the layer before it.  Two kinds of prefix are cut with everything
-    below them:
+    the layer before it.  A mirror prefix is cut with everything below
+    it: comparing layers as color bitmasks, the first layer holding
+    exactly one of colors 1 and 2 decides whether exchanging the two
+    colors gives a lexicographically smaller sequence, and it does when
+    that layer holds 2.
 
-    - a mirror: comparing layers as color bitmasks, the first layer
-      holding exactly one of colors 1 and 2 decides whether exchanging
-      the two colors gives a lexicographically smaller sequence, and it
-      does when that layer holds 2;
-    - a dead prefix: a completed row with positive need and no free
-      neighbor stays so in every extension.
-
-    Under the pair rules every clump but a single-color layer 1 at
-    depth 1 has a free neighbor, since rule (ii) leaves two adjacent
-    layers disjoint or spanning all three colors; so with the canonical
-    successors the dead cut fires only at those leaves.
+    A dead sequence, whose final row (that of its last layer) has a
+    clump with positive need and no free neighbor, is not yielded.  The
+    cut applies only to the final row.  Under the pair rules a single
+    layer shares no color with a layer beside it: rule (ii) would need
+    the other layer to hold all three colors, which (i) forbids after a
+    single and (iii) before one.  So every clump has a differently
+    colored, hence free, neighbor in the layer after it, and in the
+    layer before it unless that is the root; a layer of two or more
+    colors gives each of its clumps one too.  A completed row never
+    lacks one, and only a single-color layer 1 at depth 1 can be dead.
     """
     out: list[tuple[list[frozenset[int]], list[CoverRow]]] = []
     stack = [([_ROOT], [], [(0, -1)], [], False)]
@@ -458,8 +458,7 @@ def _pattern_sequences(
                 swap_decided = True
             layer = [(c, start + pos) for pos, c in enumerate(_SORTED[nxt])]
             completed = _layer_rows(before + last + layer, last, delta)
-            if completed is not None:
-                stack.append(([*seq, nxt], last, layer, rows + completed, swap_decided))
+            stack.append(([*seq, nxt], last, layer, rows + completed, swap_decided))
     return out
 
 
@@ -474,41 +473,40 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
 
     A sequence's order is the clump count plus the minimum of its
     covering program (_covering_rows).  One depth-first walk
-    (_pattern_sequences) yields the sequences of every depth up to d_max
-    as a flat preorder, in which the sequences of each depth keep the
-    order of a walk of that depth alone.  It builds the rows prefix by
-    prefix and never visits a sequence that cannot reach the degree
-    bound, nor one whose 1 <-> 2 color swap is lexicographically
-    smaller.  One pass over that list triages every sequence:
+    (_pattern_sequences) yields the sequences of every depth up to d_max,
+    each depth's in the order of a walk of that depth alone.  It builds
+    the rows prefix by prefix and never visits a sequence that cannot
+    reach the degree bound, nor one whose 1 <-> 2 color swap is
+    lexicographically smaller.  Each sequence gets integer bounds lower
+    <= LP order <= upper (_order_bounds), the LP order being the clump
+    count plus the LP value.  One loop takes the sequences by depth, then
+    by ascending lower bound, ties in walk order, as a stable sort leaves
+    them.  With best the least order found so far at the sequence's
+    depth:
 
-    - one whose integer lower bound (_order_bounds) exceeds n_budget has
-      an LP value above it, so it is dropped and marks the result
-      incomplete;
-    - one whose upper bound exceeds n_budget has its relaxation solved
-      now, and is dropped, marking the result incomplete, when the LP
-      value exceeds n_budget;
-    - the rest have LP value <= upper <= n_budget and are kept unsolved,
-      in the bucket of their depth.
+    - one whose lower bound exceeds n_budget has an LP order above it,
+      so it is dropped and marks the result incomplete;
+    - one whose upper bound fits n_budget is skipped when its lower
+      bound reaches best;
+    - any other is relaxed (_relax, through the packing dual).  It is
+      dropped, marking the result incomplete, when its LP order exceeds
+      n_budget, and skipped when the rounded-up LP order reaches best,
+      as it does when the lower bound does.  Otherwise it goes to
+      _branch_and_bound from that relaxation, uncapped, the path
+      min_order_lp takes too.  Its free weights and the sequence give
+      the graph whose blow-up diameter must equal the depth: topologies
+      of depth 1 whose optimal weighting has a weight >= 2 are skipped,
+      as their diameter is 2.
 
-    Depth by depth, the kept sequences are taken in ascending lower
-    bound, ties in walk order, as a stable sort leaves them.  That stops
-    at the first whose lower bound reaches the order already found at
-    this depth; a sequence before it is relaxed (_relax, through the
-    packing dual) now unless the budget test already did, is skipped
-    when the rounded-up LP value reaches that order, and otherwise goes
-    to _branch_and_bound from that solution, uncapped, the path
-    min_order_lp takes too.  Its free weights and the sequence give the
-    graph whose blow-up diameter must equal the depth: topologies of
-    depth 1 whose optimal weighting has a weight >= 2 are skipped, as
-    their diameter is 2.  The result is that of refining every
-    sequence:
+    The result is that of refining every sequence:
 
-    - any integer order is at least ceil(lp_value), which is at least
-      the lower bound, so no sequence skipped or left past the stop can
-      lower the depth's order; the frontier keeps the minimum order per
-      depth, and best_phi at each depth comes from that minimum;
-    - the budget test reads the LP value or a bound on the right side of
-      it, so complete is unchanged;
+    - any integer order is at least ceil(LP order), which is at least
+      the lower bound, so no skipped sequence can lower best; the
+      frontier keeps the minimum order per depth, and best_phi at each
+      depth comes from that minimum;
+    - a sequence is dropped exactly when its LP order exceeds n_budget:
+      the lower bound is at most that order, the upper bound at least
+      it, and every other sequence is relaxed; so complete is unchanged;
     - the root has color 0, and is_canonical_pair depends only on set
       sizes, so the swap maps canonical sequences onto canonical ones
       whose program is the same up to a permutation of rows and
@@ -526,41 +524,34 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
         raise ValueError(f"n_budget={n_budget} must be positive")
     frontier: dict[int, int] = {}
     complete = True
-    # per depth: (lower bound, sequence, covering rows, relaxation or None)
-    kept: list[list[tuple[int, list[frozenset[int]], list[CoverRow], Relaxation | None]]] = [
-        [] for _ in range(d_max)
+    walk = [
+        (len(seq) - 1, *_order_bounds(rows), seq, rows)
+        for seq, rows in _pattern_sequences(d_max, delta)
     ]
-    for seq, rows in _pattern_sequences(d_max, delta):
-        lower, upper = _order_bounds(rows)
+    # by depth, then by lower bound, ties in walk order: two stable sorts
+    walk.sort(key=itemgetter(1))
+    walk.sort(key=itemgetter(0))
+    for depth, lower, upper, seq, rows in walk:
         if lower > n_budget:
             complete = False
             continue
-        relaxed = None
-        if upper > n_budget:
-            relaxed = _relax(rows)
-            if len(rows) + relaxed[0] > n_budget:
-                complete = False
-                continue
-        kept[len(seq) - 2].append((lower, seq, rows, relaxed))
-    for depth, bucket in enumerate(kept, 1):
-        bucket.sort(key=lambda item: item[0])
-        for lower, seq, rows, relaxed in bucket:
-            best = frontier.get(depth)
-            if best is not None and lower >= best:
-                break
-            root = relaxed or _relax(rows)
-            if best is not None and ceil(len(rows) + root[0]) >= best:
-                continue
-            total, free = _branch_and_bound(rows, root)
-            weights = iter([1, *(1 + v for v in free)])
-            graph = WeightedClumpGraph(
-                3, [[(c, next(weights)) for c in _SORTED[cols]] for cols in seq]
-            )
-            if blow_up_diameter(graph) != depth:
-                continue
-            order = len(rows) + total
-            if best is None or order < best:
-                frontier[depth] = order
+        best = frontier.get(depth)
+        if best is not None and lower >= best and upper <= n_budget:
+            continue
+        root = _relax(rows)
+        if root[0] > n_budget - len(rows):
+            complete = False
+            continue
+        if best is not None and len(rows) + ceil(root[0]) >= best:
+            continue
+        total, free = _branch_and_bound(rows, root)
+        weights = iter([1, *(1 + v for v in free)])
+        graph = WeightedClumpGraph(
+            3, [[(c, next(weights)) for c in _SORTED[cols]] for cols in seq]
+        )
+        order = len(rows) + total
+        if blow_up_diameter(graph) == depth and (best is None or order < best):
+            frontier[depth] = order
     best_phi = max(
         (Fraction(depth * delta, order) for depth, order in frontier.items()),
         default=Fraction(0),

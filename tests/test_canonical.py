@@ -394,6 +394,30 @@ def test_bfs_relayer_rejects_improper_coloring():
         bfs_relayer(SimpleGraph(2, [(0, 1)]), [0, 0], k=3)
 
 
+@pytest.mark.parametrize("graph, coloring, message", [
+    (SimpleGraph(2, [(0, 1)]), [0], "coloring length does not match vertex count"),
+    (SimpleGraph(3, [(0, 1)]), [0, 1, 0], "graph is disconnected"),
+])
+def test_bfs_relayer_rejects_bad_input(graph, coloring, message):
+    with pytest.raises(ValueError, match=message):
+        bfs_relayer(graph, coloring, k=3)
+
+
+def test_redistribution_refuses_k_other_than_3():
+    # layer 2 is full and followed by a single of color 0, which is layer
+    # 0 alone, and layer 1 holds more than k - 2 colors: the (iii) repair
+    # needs the redistribution, which exists only for k = 3
+    g = WeightedClumpGraph(4, [
+        [(0, 1)], [(1, 1), (2, 1), (3, 1)], [(0, 1), (1, 1), (2, 1), (3, 1)], [(0, 1)],
+    ])
+    assert check_canonical(g).violations == [(2, "iii")]
+    with pytest.raises(CanonicalizationError, match=(
+        "full-palette layer 2 followed by a single needs the three-color "
+        "weight redistribution, but k=4"
+    )):
+        canonicalize(g, 1)
+
+
 def test_degree_audit_per_role():
     # in the x3 >= y3 case every clump's degree must not drop
     g = _redistribution_instance((1, 2, 2, 3, 2, 2, 3))

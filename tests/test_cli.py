@@ -753,3 +753,42 @@ def test_schema_error_exit_code(tmp_path, capsys):
     bad.write_text("{}")
     assert main(["verify", "--in", str(bad), "--delta", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+_ROOT = {"color": 0, "weight": 1}
+_U = {"layer": 0, "color": 0, "value": "1/5"}
+
+
+@pytest.mark.parametrize("args, bad, message", [
+    # parse_clump_json's shape checks
+    (["verify", "--in", "{bad}", "--delta", "2"], [], "top level must be an object"),
+    (["verify", "--in", "{bad}", "--delta", "2"], {"k": 3, "layers": {}},
+     'field "layers" must be a list'),
+    (["verify", "--in", "{bad}", "--delta", "2"], {"k": 3, "layers": [_ROOT]},
+     "layers[0] must be a list"),
+    (["verify", "--in", "{bad}", "--delta", "2"], {"k": 3, "layers": [[1]]},
+     "layers[0][0] must be an object"),
+    # structural errors of WeightedClumpGraph, passed on as SchemaError
+    (["verify", "--in", "{bad}", "--delta", "2"],
+     {"k": 3, "layers": [[_ROOT], [{"color": 1, "weight": 0}]]}, "layer 1: weight 0 < 1"),
+    (["verify", "--in", "{bad}", "--delta", "2"], {"k": 3, "layers": [[_ROOT], []]},
+     "layer 1 is empty"),
+    (["verify", "--in", "{bad}", "--delta", "2"],
+     {"k": 3, "layers": [[_ROOT], [{"color": 1, "weight": 1}] * 2]},
+     "layer 1: duplicate color 1"),
+    # parse_dual_weights
+    (["certify", "--in", "{graph}", "--weights", "{bad}"], {"u": {}},
+     'expected an object with a list field "u"'),
+    (["certify", "--in", "{graph}", "--weights", "{bad}"], {"w": []},
+     'expected an object with a list field "u"'),
+    (["certify", "--in", "{graph}", "--weights", "{bad}"], {"u": [_U, _U]},
+     "u[1] duplicates clump (0, 0)"),
+    (["lp", "min-order", "--in", "{graph}", "--delta", "0"], None, "delta=0 must be positive"),
+    (["certify", "--in", "{bad}"], {"k": 2, "layers": [[_ROOT], [{"color": 1, "weight": 1}]]},
+     "k=2 must be at least 3"),
+])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, args, bad, message):
+    graph = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    assert main([a.format(graph=graph, bad=tmp_path / "bad.json") for a in args]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from clumplab.constructions import (
+    _greedy_colors,
     coefficient_gap,
     coefficient_threshold,
     counterexample_block,
@@ -179,3 +181,15 @@ def test_parameter_validation():
         counterexample_graph(1, 4, 0)
     with pytest.raises(ValueError):
         coefficient_gap(1, 5)
+    for build, args, message in (
+        (eppt_odd, (0, 5, 4), "r=0 must be at least 1"),
+        (eppt_odd, (2, 5, 1), "diam=1 must be at least 2"),
+        (eppt_even, (1, 5, 4), "r=1 must be at least 2"),
+        (eppt_even, (2, 8, 1), "diam=1 must be at least 2"),
+        (coefficient_gap, (2, 0), "delta=0 must be positive"),
+        # three clumps after a layer of color 0 leave two colors of three
+        (_greedy_colors, ([1, 3], 3),
+         "cannot color 3 clumps with 3 colors next to a layer using [0]"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(*args)

@@ -56,6 +56,37 @@ def test_rooted_needs_unit_root():
         WeightedClumpGraph(3, [[(0, 1), (1, 1)], [(2, 1)]])
 
 
+@pytest.mark.parametrize("k, layers, message", [
+    (1, [[(0, 1)]], "color count k=1 must be at least 2"),
+    (3, [], "graph must have at least one layer"),
+])
+def test_palette_and_layer_count_rejected(k, layers, message):
+    with pytest.raises(ClumpGraphError, match=message):
+        WeightedClumpGraph(k, layers)
+
+
+@pytest.mark.parametrize("edge, message", [
+    ((1, 1), "self-loop at vertex 1"),
+    ((0, 2), r"edge \(0, 2\) outside vertex range"),
+])
+def test_simple_graph_rejects_bad_edges(edge, message):
+    with pytest.raises(ValueError, match=message):
+        SimpleGraph(2, [edge])
+
+
+def test_empty_graph_has_no_diameter():
+    with pytest.raises(ValueError, match="empty graph has no diameter"):
+        diameter(SimpleGraph(0, []))
+
+
+@pytest.mark.parametrize("layer, color", [(1, 0), (2, 1), (-1, 0)])
+def test_weighted_degree_of_a_missing_clump(layer, color):
+    g = WeightedClumpGraph(3, [[(0, 1)], [(1, 2), (2, 1)]])
+    with pytest.raises(KeyError) as exc:
+        weighted_degree(g, layer, color)
+    assert exc.value.args == ((layer, color),)
+
+
 def test_layers_take_pairs_in_any_order():
     rows = [[(0, 1)], [(2, 3), (1, 2)], [(2, 2), (0, 1)]]
     graph = WeightedClumpGraph(3, [sorted(row) for row in rows])

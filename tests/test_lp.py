@@ -320,7 +320,24 @@ def _same_as_fraction_tableau(lp: RationalLP) -> LPSolution | None:
     return sol
 
 
-def test_integer_tableau_matches_fraction_tableau():
+def _positive_pivots(monkeypatch) -> list[int]:
+    """Wrap lp._pivot with a check that it pivots on a positive entry
+    over a positive denominator, which keeps every denominator positive;
+    the list holds the pivot count."""
+    pivots = [0]
+    inner = lp._pivot
+
+    def checked(rows, r, c, d):
+        assert d > 0 and rows[r][c] > 0, (rows[r][c], d)
+        pivots[0] += 1
+        return inner(rows, r, c, d)
+
+    monkeypatch.setattr(lp, "_pivot", checked)
+    return pivots
+
+
+def test_integer_tableau_matches_fraction_tableau(monkeypatch):
+    pivots = _positive_pivots(monkeypatch)
     rng = random.Random(8)
     outcomes = [
         _same_as_fraction_tableau(_random_program(rng, rng.randint(1, 5), rng.randint(1, 5))) is None
@@ -329,6 +346,7 @@ def test_integer_tableau_matches_fraction_tableau():
     for unbounded in (False, True):
         assert outcomes.count(unbounded) >= 200, (unbounded, outcomes.count(unbounded))
     _same_as_fraction_tableau(build_epsz_lp())
+    assert pivots[0] > 2000
 
 
 _SUBSETS = [frozenset(s) for r in (1, 2, 3) for s in itertools.combinations(range(3), r)]
@@ -821,9 +839,11 @@ def test_extremal_search_matches_reference_on_random_points(delta, d_max, n_budg
 
 
 @pytest.mark.parametrize("point", sorted(_golden_search()))
-def test_extremal_search_matches_golden(point):
+def test_extremal_search_matches_golden(monkeypatch, point):
+    pivots = _positive_pivots(monkeypatch)
     delta, d_max = map(int, point.split(","))
     assert _matches_golden(extremal_search(delta, d_max, 60), _golden_search()[point])
+    assert pivots[0] > 0
 
 
 def test_extremal_search_solves_few_relaxations(monkeypatch):

@@ -13,23 +13,30 @@ one clump, and layer 1 avoids the root's color.
 
 canonicalize() repairs violations by color switches, clump moves and
 weight redistributions, none of which change the order, the layer count
-or the minimum weighted degree.  Every rewrite is logged, its graph is
-rebuilt (and so revalidated), and it is audited and re-checked on the
-layers it can have changed.  That is exact by locality: a clump's
-weighted degree at layer i, the pair verdicts of layers i, i+1 and the
-(iv) verdict at i read only layers i-1..i+1, so a rewrite that changed
-layers lo..hi moves a degree or a verdict only at layers lo-1..hi+1.
+or the minimum weighted degree.  Every rewrite is logged and checked at
+its own step on the layers it changed: validated by core's structural
+rules, audited for weight and degree, and re-checked for violations.
+That is exact by locality: a layer's structural rules read only it and
+the layer above, and a clump's weighted degree at layer i, the pair
+verdicts of layers i, i+1 and the (iv) verdict at i read only layers
+i-1..i+1, so a rewrite that changed layers lo..hi moves a rule's verdict
+only at layers lo..hi+1, and a degree or a violation only at layers
+lo-1..hi+1.  The result is built into a graph once, which validates it
+whole, and audited once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from operator import ne
 from typing import AbstractSet, Mapping, Sequence
 
 from .core import (
     SimpleGraph,
     WeightedClumpGraph,
+    _check_rooted,
+    _layer_rows,
     bfs_distances,
     min_weighted_degree,
     neighbor_sums,
@@ -98,6 +105,15 @@ def is_canonical_pair(k: int, a: AbstractSet[int], b: AbstractSet[int]) -> bool:
     return not pair_violations(k, a, b)
 
 
+@cache
+def _pair_verdict(k: int, ca: int, cb: int, shared: int) -> tuple[str, ...]:
+    """pair_violations(k, a, b) for the color sets a, b of ca and cb
+    colors with `shared` in common: it reads only |a|, |b| and
+    |a | b| = ca + cb - shared.  Filled on demand, one entry per shape
+    met, so a huge palette costs nothing."""
+    return tuple(pair_violations(k, set(range(ca)), set(range(ca - shared, ca - shared + cb))))
+
+
 def _violations(
     k: int, layers: Sequence[Mapping[int, int]], at: range | None = None
 ) -> list[tuple[int, str]]:
@@ -109,13 +125,13 @@ def _violations(
     lo, stop = (0, D + 1) if at is None else (at.start, min(at.stop, D + 1))
     out: list[tuple[int, str]] = []
     for i in range(lo, min(stop, D)):
-        for prop in pair_violations(k, layers[i].keys(), layers[i + 1].keys()):
+        a, b = layers[i].keys(), layers[i + 1].keys()
+        for prop in _pair_verdict(k, len(a), len(b), len(a & b)):
             out.append((i, prop))
     for i in range(max(lo, 1), stop):
-        if any(w > 1 for w in layers[i].values()):
-            nxt = len(layers[i + 1]) if i < D else 0
-            if len(layers[i]) + max(len(layers[i - 1]), nxt) < k:
-                out.append((i, "iv"))
+        nxt = len(layers[i + 1]) if i < D else 0
+        if len(layers[i]) + max(len(layers[i - 1]), nxt) < k and max(layers[i].values()) > 1:
+            out.append((i, "iv"))
     return out
 
 
@@ -256,30 +272,26 @@ def _audit(before: WeightedClumpGraph, after: WeightedClumpGraph, delta: int) ->
         raise CanonicalizationError("rewrite dropped the minimum weighted degree")
 
 
-def _changed_span(before: WeightedClumpGraph, after: WeightedClumpGraph) -> range:
-    """The layers lo..hi from the first to the last whose rows differ
-    between two graphs with as many layers; empty when no row does."""
-    changed = list(map(ne, before.rows, after.rows))
-    if True not in changed:
-        return range(0)
-    return range(changed.index(True), len(changed) - changed[::-1].index(True))
-
-
-def _audit_span(
-    before: WeightedClumpGraph, after: WeightedClumpGraph, delta: int, span: range
+def _check_span(
+    k: int, rows: list[dict[int, int]], layers: Layers, lo: int, stop: int, delta: int
 ) -> None:
-    """_audit of the rewrite from before, which passed _audit, to after,
-    which differs from it only at the layers in span: every other layer
-    keeps its weight, and every layer outside span +-1 its degrees.  Same
-    checks, messages and order."""
-    lo, stop = span.start, span.stop
-    weights = [sum(map(sum, map(dict.values, g.rows[lo:stop]))) for g in (before, after)]
-    if weights[1] != weights[0]:
+    """Check the rewrite that took `rows`, the validated rows of the step
+    before it, to `layers`, which differ from them only at layers
+    lo..stop-1, and put the validated rows of those layers into `rows`.
+    Raises what WeightedClumpGraph(k, layers) would, then what _audit
+    would, in that order.  Only layers lo..stop-1 can change their
+    weight, only lo..stop a structural verdict and only lo-1..stop a
+    degree, so the checks read those layers alone."""
+    weight = sum(map(sum, map(dict.values, rows[lo:stop])))
+    rows[lo:stop] = _layer_rows(k, (layer.items() for layer in layers[lo:stop]), lo)
+    _check_rooted(rows, range(lo, min(stop + 1, len(rows))))
+    if sum(map(sum, map(dict.values, rows[lo:stop]))) != weight:
         raise CanonicalizationError("rewrite changed the total weight")
-    # the degrees of layers lo-1..hi+1 read layers lo-2..hi+2; a sum at the
-    # slice's edge inside the graph misses the layer beyond it, and is not read
+    # the degrees of layers lo-1..stop read layers lo-2..stop+1; a sum at
+    # the slice's edge inside the graph misses the layer beyond it, and is
+    # not read
     first = max(lo - 2, 0)
-    sums = neighbor_sums(after.rows[first:stop + 2])[max(lo - 1, 0) - first:stop + 1 - first]
+    sums = neighbor_sums(rows[first:stop + 2])[max(lo - 1, 0) - first:stop + 1 - first]
     if min(map(min, map(dict.values, sums))) < delta:
         raise CanonicalizationError("rewrite dropped the minimum weighted degree")
 
@@ -288,27 +300,34 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
     """Rewrite a rooted clump graph into canonical form.
 
     Rewrites are applied in property order (ii), (iii), (iv), smallest
-    layer first, restarting after each one.  Every step rebuilds the
-    graph, which revalidates it, and is audited to preserve n, D and min
-    degree >= delta.  The violations are scanned in full once, from
-    check_canonical.  After a rewrite that changed layers lo..hi, only the
-    degrees and verdicts of layers lo-1..hi+1 are checked again: each of
-    them reads only its own layer and the two beside it, so the others
-    stand.  A rewritten result gets one full _audit.
+    layer first, restarting after each one.  The violations are scanned
+    in full once, from check_canonical; a graph with none is returned as
+    it is, with an empty log.  Each step is diffed against the validated
+    rows of the step before it.  The layers lo..hi that changed are
+    validated (with the rooting rule of layer hi+1) and must keep their
+    total weight, and the degrees of layers lo-1..hi+1 must stay >= delta;
+    then only the verdicts of layers lo-1..hi+1 are checked again.  Each
+    of these reads only its own layer and the two beside it, so the others
+    stand.  A step that changes the layer count is built into a graph and
+    fails _audit.  The result is built once, which validates it whole,
+    and gets one full _audit.
     """
     if min_weighted_degree(graph) < delta:
         raise CanonicalizationError(f"input min weighted degree below delta={delta}")
+    violations = check_canonical(graph).violations
+    if not violations:
+        return graph, TransformLog()
     k = graph.k
     layers = weight_rows(graph)
+    rows = list(graph.rows)  # its dicts never change: a step replaces its span's
     log = TransformLog()
     cap = 4 * len(layers) * k
     # the violated layers of each property, in repair order; no graph
     # breaks (i), as WeightedClumpGraph rejects a single followed by a
     # layer holding its color
     todo: dict[str, set[int]] = {"ii": set(), "iii": set(), "iv": set()}
-    for i, prop in check_canonical(graph).violations:
+    for i, prop in violations:
         todo[prop].add(i)
-    result = graph
     while prop := next((p for p, at in todo.items() if at), None):
         if len(log) >= cap:
             raise CanonicalizationError(
@@ -321,21 +340,20 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
             rule = _resolve_k1(k, layers, i)
         else:
             rule = _fix_duplicate_weight(k, layers, i)
-        step = _to_graph(k, layers)
-        if step.diameter_index != result.diameter_index:
-            _audit(graph, step, delta)  # raises, as the layer count changed
-        span = _changed_span(result, step)
-        if span:
-            _audit_span(result, step, delta, span)
-            near = range(max(span.start - 1, 0), span.stop + 1)
+        if len(layers) != len(rows):
+            _audit(graph, _to_graph(k, layers), delta)  # raises, as the layer count changed
+        changed = list(map(ne, rows, layers))
+        if True in changed:
+            lo, stop = changed.index(True), len(changed) - changed[::-1].index(True)
+            _check_span(k, rows, layers, lo, stop, delta)
+            near = range(max(lo - 1, 0), stop + 1)
             for at in todo.values():
                 at.difference_update(near)
-            for j, found in _violations(k, step.rows, near):
+            for j, found in _violations(k, rows, near):
                 todo[found].add(j)
-        result = step
         log.entries.append(RewriteEntry(rule=rule, layer=i))
-    if log:  # else the result is the input, whose degree is checked above
-        _audit(graph, result, delta)
+    result = _to_graph(k, layers)
+    _audit(graph, result, delta)
     return result, log
 
 

@@ -48,19 +48,34 @@ class LayerProfile:
         return frozenset(i for i, c in enumerate(self.clump_counts) if c == 1)
 
 
-def _validated_rows(k: int, layers: list[list[tuple[int, int]]]) -> tuple[dict[int, int], ...]:
-    """One {color: weight} dict per layer, in the order of each layer's
-    pairs; ClumpGraphError when the layers break a structural rule."""
+def _validated_rows(
+    k: int, layers: Sequence[Iterable[tuple[int, int]]]
+) -> tuple[dict[int, int], ...]:
+    """One {color: weight} dict per layer, in ascending color order;
+    ClumpGraphError when the layers break a structural rule."""
     if k < 2:
         raise ClumpGraphError(f"color count k={k} must be at least 2")
     if not layers:
         raise ClumpGraphError("graph must have at least one layer")
+    rows = _layer_rows(k, layers)
+    _check_rooted(rows, range(len(rows)))
+    return tuple(rows)
+
+
+def _layer_rows(
+    k: int, layers: Iterable[Iterable[tuple[int, int]]], start: int = 0
+) -> list[dict[int, int]]:
+    """The per-layer rules of layers start, start+1, ..., given as their
+    (color, weight) pairs: one {color: weight} dict per layer, in
+    ascending color order.  ClumpGraphError at the first layer, and in
+    it the first color, that breaks a rule."""
     rows: list[dict[int, int]] = []
-    for i, layer in enumerate(layers):
-        if not layer:
+    for i, layer in enumerate(layers, start):
+        pairs = sorted(layer, key=itemgetter(0))
+        if not pairs:
             raise ClumpGraphError(f"layer {i} is empty")
         row: dict[int, int] = {}
-        for color, weight in layer:
+        for color, weight in pairs:
             if not 0 <= color < k:
                 raise ClumpGraphError(f"layer {i}: color {color} outside [0, {k})")
             if color in row:
@@ -69,11 +84,18 @@ def _validated_rows(k: int, layers: list[list[tuple[int, int]]]) -> tuple[dict[i
                 raise ClumpGraphError(f"layer {i}: weight {weight} < 1")
             row[color] = weight
         rows.append(row)
-    if len(rows[0]) != 1 or next(iter(rows[0].values())) != 1:
+    return rows
+
+
+def _check_rooted(rows: Sequence[Mapping[int, int]], at: range) -> None:
+    """The rooting rules of the layers in `at`: layer 0 is one weight-1
+    clump, and every clump of a later layer i has a differently colored
+    clump in layer i-1, which it lacks when layer i-1 is one clump of its
+    own color.  ClumpGraphError at the first layer that breaks one.  The
+    rule of layer i reads only layers i-1 and i."""
+    if 0 in at and (len(rows[0]) != 1 or next(iter(rows[0].values())) != 1):
         raise ClumpGraphError("rooted graph needs a single weight-1 clump in layer 0")
-    # every clump must be reachable from the previous layer: it is not
-    # when that layer is one clump of its own color
-    for i in range(1, len(rows)):
+    for i in range(max(at.start, 1), at.stop):
         prev = rows[i - 1]
         if len(prev) == 1:
             for color in rows[i]:
@@ -82,7 +104,6 @@ def _validated_rows(k: int, layers: list[list[tuple[int, int]]]) -> tuple[dict[i
                         f"layer {i}: clump of color {color} has no "
                         f"differently-colored clump in layer {i - 1}"
                     )
-    return tuple(rows)
 
 
 class WeightedClumpGraph:
@@ -107,7 +128,7 @@ class WeightedClumpGraph:
     rows: tuple[dict[int, int], ...]
 
     def __init__(self, k: int, layers: Iterable[Iterable[tuple[int, int]]]):
-        rows = _validated_rows(k, [sorted(layer, key=itemgetter(0)) for layer in layers])
+        rows = _validated_rows(k, list(layers))
         init = object.__setattr__
         init(self, "k", k)
         init(self, "rows", rows)

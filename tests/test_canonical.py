@@ -1,3 +1,4 @@
+import copy
 import itertools
 import os
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clumplab import canonical
+from clumplab import canonical, core
 from clumplab.canonical import (
     CanonicalizationError,
     RewriteEntry,
@@ -116,6 +117,114 @@ def test_every_rewrite_is_validated_and_audited(monkeypatch, rows, corrupt, erro
     assert steps == [1]
 
 
+# the structural rules a rewrite can break, each applied to layer j: the
+# step must raise WeightedClumpGraph's own message for the same rows
+def _color_out_of_palette(layers, j):
+    layers[j][3] = layers[j].pop(min(layers[j]))
+
+
+def _weight_zero(layers, j):
+    layers[j][min(layers[j])] = 0
+
+
+def _share_the_single_above(layers, j):
+    (above,) = layers[j - 1]
+    layers[j][above] = layers[j].pop(min(layers[j]))
+
+
+def _heavy_root(layers, j):
+    layers[0][min(layers[0])] = 2
+
+
+# a chain of two-clump layers, then two heavy singles: canonical up to
+# its last layer, where (iv) fires, far from layers 0 and 1
+DEEP = [
+    [(0, 1)], *([(1, 1), (2, 1)] if j % 2 else [(0, 1), (1, 1)] for j in range(1, 13)),
+    [(2, 2)], [(0, 2)],
+]
+
+
+@pytest.mark.parametrize("rows, repaired, j", [
+    (LONG, 1, len(LONG) - 1), (DEEP, len(DEEP) - 1, 1),
+], ids=["long", "deep"])
+@pytest.mark.parametrize("corrupt, message", [
+    (_color_out_of_palette, "color 3 outside [0, 3)"),
+    (_weight_zero, "weight 0 < 1"),
+    (_share_the_single_above, "has no differently-colored clump"),
+    (_heavy_root, "rooted graph needs a single weight-1 clump in layer 0"),
+])
+def test_every_structural_rule_is_checked_at_its_step(
+    monkeypatch, rows, repaired, j, corrupt, message
+):
+    g = WeightedClumpGraph(3, rows)
+    assert check_canonical(g).violations[0] == (repaired, "iv")
+    rewrite = canonical._fix_duplicate_weight
+    steps, corrupted = [], []
+
+    def faulty(k, layers, i):
+        steps.append(i)
+        rule = rewrite(k, layers, i)
+        corrupt(layers, j)
+        corrupted.append(copy.deepcopy(layers))
+        return rule
+
+    monkeypatch.setattr(canonical, "_fix_duplicate_weight", faulty)
+    with pytest.raises(ClumpGraphError) as caught:
+        canonicalize(g, min_weighted_degree(g))
+    assert steps == [repaired]
+    with pytest.raises(ClumpGraphError) as built:
+        WeightedClumpGraph(3, [layer.items() for layer in corrupted[0]])
+    assert message in str(built.value)
+    assert str(caught.value) == str(built.value)
+
+
+def test_rooting_rule_of_the_layer_after_the_span_is_checked(monkeypatch):
+    # the (iv) repair at layer 2 changes that layer alone; the faulty one
+    # then makes it a single of a color of layer 3, which breaks layer 3
+    g = WeightedClumpGraph(4, [[(0, 1)], [(1, 1), (2, 1)], [(3, 2)], [(1, 1), (2, 1)]])
+    assert check_canonical(g).violations == [(2, "iv")]
+    rewrite = canonical._fix_duplicate_weight
+
+    def faulty(k, layers, i):
+        rule = rewrite(k, layers, i)
+        assert layers[2] == {3: 1, 0: 1}
+        layers[2] = {1: 2}
+        return rule
+
+    monkeypatch.setattr(canonical, "_fix_duplicate_weight", faulty)
+    message = "layer 3: clump of color 1 has no differently-colored clump in layer 2"
+    with pytest.raises(ClumpGraphError, match=f"^{message}$"):
+        canonicalize(g, min_weighted_degree(g))
+
+
+def test_degrees_of_the_layer_after_the_span_are_checked(monkeypatch):
+    # the (iv) repair at layer 1 changes that layer alone; the faulty one
+    # then moves a unit between the clumps of layer 4, which starves only
+    # the color-1 clump of layer 5
+    g = WeightedClumpGraph(3, [
+        [(1, 1)], [(2, 3)], [(1, 3)], [(0, 1)], [(1, 3), (2, 2)], [(0, 1), (1, 3)],
+    ])
+    assert min_weighted_degree(g) == 3
+    rewrite = canonical._fix_duplicate_weight
+    steps = []
+
+    def faulty(k, layers, i):
+        steps.append(i)
+        rule = rewrite(k, layers, i)
+        layers[4][2] -= 1
+        layers[4][1] += 1
+        return rule
+
+    # caught at the step, not by the result's audit
+    audits = []
+    audit = canonical._audit
+    monkeypatch.setattr(canonical, "_audit", lambda *args: audits.append(args) or audit(*args))
+    monkeypatch.setattr(canonical, "_fix_duplicate_weight", faulty)
+    with pytest.raises(CanonicalizationError, match="rewrite dropped the minimum weighted degree"):
+        canonicalize(g, 3)
+    assert steps == [1] and audits == []
+
+
 # _starve_last_layer after the first repair, as in the test above, without
 # importing this module (and Hypothesis) into the subprocess
 _FAULTY_REWRITE = """
@@ -163,6 +272,21 @@ def test_result_gets_one_full_audit(monkeypatch):
     assert audits == [(g, out, 2)]
 
 
+def test_canonicalize_builds_one_graph_when_it_rewrites(monkeypatch):
+    builds = []
+    validated_rows = core._validated_rows
+    g, canonical_g = WeightedClumpGraph(3, LONG), counterexample_graph(1, 4, 2)
+    monkeypatch.setattr(
+        core, "_validated_rows", lambda *args: builds.append(args) or validated_rows(*args)
+    )
+    out, log = canonicalize(g, 2)
+    assert len(log) > 1 and len(builds) == 1
+    for graph, delta in ((out, 2), (canonical_g, 4)):
+        result, log = canonicalize(graph, delta)
+        assert result is graph and not log
+    assert len(builds) == 1
+
+
 def test_rewrite_that_changes_nothing_hits_the_iteration_cap(monkeypatch):
     # cap = 4 * layers * k; a rule that changes nothing leaves its
     # violation standing, and the loop must stop at the cap
@@ -189,6 +313,18 @@ def test_k3_pair_grammar_is_the_seven_shapes():
     assert accepted == {
         (1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 1), (2, 3, 2), (3, 2, 2), (3, 3, 3)
     }
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_violations_give_the_pair_verdicts(k):
+    # _violations reads each pair's verdict from a memo keyed by the
+    # shape (k, |a|, |b|, |a & b|); weight-1 layers break no (iv)
+    sets = [set(c) for r in range(1, k + 1) for c in itertools.combinations(range(k), r)]
+    for a in sets:
+        for b in sets:
+            rows = [dict.fromkeys(a, 1), dict.fromkeys(b, 1)]
+            expected = [(0, prop) for prop in canonical.pair_violations(k, a, b)]
+            assert canonical._violations(k, rows) == expected
 
 
 def test_canonicalize_fixpoint_on_canonical_input():
@@ -357,6 +493,15 @@ def test_canonicalize_matches_full_rescan(k, depth, seed):
     """The incremental loop gives the full rescan's rows and log, or its
     error text (k > 3 can need the three-color redistribution)."""
     g = random_layered_graph(random.Random(seed), k=k, max_depth=depth)
+    delta = min_weighted_degree(g)
+    assert _outcome(canonicalize, g, delta) == _outcome(full_rescan_canonicalize, g, delta)
+
+
+@pytest.mark.parametrize("k, seed", [(3, 12), (3, 50), (4, 27), (5, 17), (5, 40)])
+def test_canonicalize_matches_full_rescan_deep(k, seed):
+    """The oracle comparison on graphs deeper than the Hypothesis draws."""
+    g = random_layered_graph(random.Random(seed), k=k, max_depth=260)
+    assert 200 <= g.diameter_index <= 260
     delta = min_weighted_degree(g)
     assert _outcome(canonicalize, g, delta) == _outcome(full_rescan_canonicalize, g, delta)
 

@@ -1,6 +1,8 @@
 import ast
+import hashlib
 import json
 import os
+import random
 import shlex
 import stat
 import subprocess
@@ -26,6 +28,8 @@ from clumplab.serialize import (
 )
 
 from fractions import Fraction
+
+from conftest import random_layers
 
 
 def test_graph_round_trip():
@@ -792,3 +796,35 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, args, bad, mess
     (tmp_path / "bad.json").write_text(json.dumps(bad))
     assert main([a.format(graph=graph, bad=tmp_path / "bad.json") for a in args]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# (k, seed) of random_layers(random.Random(seed), k, max_depth=260) graphs
+# with 198 to 238 layers, canonicalized at their minimum degree; each
+# digest covers the exit code, stdout, stderr and the --out and --log
+# files, so any change to the rewrite loop's output shows here
+_PINNED_CANONICALIZE = {
+    (3, 0): "13dbadec967ebae89eb8447d67bb83133b8108d1654e86720528ff9d0432d596",
+    (3, 9): "1cc23c026ad3e326cc775927a8f2c95dc6554ec7d172a50632456ef6bd63140b",
+    (3, 11): "0cb33368dc66eebd934bd80523c0f97aee671d46ecc7376da937f94f79b0bec8",
+    (4, 9): "64da092ae7869b0c5dd2aac593bea93933c04a5a66850333751977021a8e108e",
+    (4, 11): "729f66645e77cf87310a000a31e156d0e09dca105dbdaaefb7c8a07073f94079",
+    (5, 0): "680679a3a6619c897a24a265a490a6780d273128a2f4ea27e81e605a8720f0e6",
+}
+
+
+@pytest.mark.parametrize("k, seed", list(_PINNED_CANONICALIZE))
+def test_canonicalize_output_is_pinned(tmp_path, capsys, k, seed):
+    graph = core.WeightedClumpGraph(k, random_layers(random.Random(seed), k, max_depth=260))
+    path = _write_graph(tmp_path, graph)
+    delta = str(core.min_weighted_degree(graph))
+    code = main([
+        "canonicalize", "--in", path, "--delta", delta,
+        "--out", str(tmp_path / "canon.json"), "--log", str(tmp_path / "log.json"),
+    ])
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256()
+    for part in (str(code), out, err):
+        digest.update(part.encode() + b"\0")
+    for name in ("canon.json", "log.json"):
+        digest.update((tmp_path / name).read_bytes() + b"\0")
+    assert digest.hexdigest() == _PINNED_CANONICALIZE[k, seed]

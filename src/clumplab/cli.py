@@ -154,6 +154,10 @@ def _cmd_sieve(args: argparse.Namespace) -> Output:
     graph = _read_graph(args.infile)
     if graph.k != 3:
         raise ValueError(f"the sieve needs a 3-colored graph, got k={graph.k}")
+    # the windows hold only when every clump has degree >= delta
+    degree = min_weighted_degree(graph)
+    if degree < args.delta:
+        raise ValueError(f"min weighted degree {degree} is below delta={args.delta}")
     report = sieve.window_inequalities(layer_profile(graph), args.delta, args.slack)
     windows_pass = sum(1 for w in report.windows if w.passes)
     lines = [f"windows {windows_pass}/{len(report.windows)} pass"]

@@ -10,10 +10,16 @@ minimizes, so it goes in as its packing dual (_packing_dual), which is
 in that form, and the covering vertex read off the dual is checked
 exactly before use.
 
-Programs go in as ints and Fractions, stored as given; solutions come
-out as fractions.Fraction.  Inside, the simplex tableau is Python ints
-over one positive common denominator, updated by fraction-free
-(Bareiss) pivots.  There is no floating point.
+Programs go in as ints and Fractions, stored as given.  Inside, the
+simplex tableau is Python ints over one positive common denominator,
+updated by fraction-free (Bareiss) pivots, and an optimum comes out the
+same way: integer numerators over one positive denominator, checked
+exactly as a primal and dual pair before it is returned.  The covering
+path (_solve_covering, _branch_and_bound, min_order_lp's cap and
+extremal_search's budget and best tests) works on those integers;
+Fraction appears only at the API edge: LPSolution's value, x and y
+views, min_order_lp's lp_value and extremal_search's best_phi.  There
+is no floating point.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, lcm
-from operator import itemgetter
+from math import lcm
+from operator import itemgetter, mul
 from typing import AbstractSet, Sequence
 
 from .canonical import is_canonical_pair
@@ -60,9 +66,27 @@ class RationalLP:
 
 @dataclass
 class LPSolution:
-    value: Fraction
-    x: list[Fraction]
-    y: list[Fraction]  # dual values per row
+    """An optimum as integer numerators over one denominator scale > 0:
+    the value is value_num / scale, x[j] is x_num[j] / scale and the
+    dual of row i is y_num[i] / scale.  value, x and y are their
+    Fraction views."""
+
+    scale: int
+    value_num: int
+    x_num: list[int]
+    y_num: list[int]  # dual numerators per row
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.value_num, self.scale)
+
+    @property
+    def x(self) -> list[Fraction]:
+        return [Fraction(v, self.scale) for v in self.x_num]
+
+    @property
+    def y(self) -> list[Fraction]:
+        return [Fraction(v, self.scale) for v in self.y_num]
 
 
 def _integer_row(values: list[Rational]) -> tuple[list[int], int]:
@@ -105,25 +129,29 @@ def simplex_solve(lp: RationalLP) -> LPSolution | None:
 
     The tableau holds Python ints.  Each row is scaled by the lcm of its
     own denominators, with its slack entry left at 1 after the
-    structural columns, so the starting basis is the identity; from then
-    on the true tableau is tab / d for one common denominator d > 0 (see
-    _pivot).  Bland's choices are those of the rational tableau, because
-    scaling a row or a column by a positive factor keeps every ratio
-    order and every reduced-cost sign.  Fractions appear only in the
-    input and the result.
+    structural columns, so the starting basis is the identity, and the
+    costs by the lcm of theirs; from then on the true tableau is tab / d
+    for one common denominator d > 0 (see _pivot).  Bland's choices are
+    those of the rational tableau, because scaling a row or a column by
+    a positive factor keeps every ratio order and every reduced-cost
+    sign.  No Fraction is made here: the optimum is returned as integer
+    numerators over obj_scale * d.
 
     The last row holds the reduced costs c_j - c_B B^-1 A_j, scaled
     likewise and kept up to date by every pivot; the duals are read off
-    it.  At optimality every dual is >= 0, A^T y >= c, and y . b equals
-    the value exactly (checked; ArithmeticError otherwise).
+    it.  Before the optimum is returned, _check_optimum proves it on the
+    scaled integer rows the tableau was built from: x and y are feasible
+    and c.x = y.b = the value.  ArithmeticError otherwise.
     """
     n = len(lp.c)
     m = len(lp.rows)
     ncols = n + m
+    scaled: list[tuple[list[int], int]] = []
     tab: list[list[int]] = []
     row_scale = []
     for i, (coeffs, b) in enumerate(lp.rows):
         ints, scale = _integer_row([*coeffs, b])
+        scaled.append((ints[:n], ints[n]))
         row = ints[:n] + [0] * m + ints[n:]
         row[n + i] = 1
         tab.append(row)
@@ -158,20 +186,53 @@ def simplex_solve(lp: RationalLP) -> LPSolution | None:
         d = _pivot(tab, leaving, entering, d)
         basis[leaving] = entering
 
-    x = [Fraction(0)] * n
+    # the optimum of the scaled program, over d: the cost row's rhs is
+    # -c_B x_B, and slack i costs 0, so its reduced cost is -(c_B B^-1)_i
+    x = [0] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = Fraction(tab[i][ncols], d)
-    # the cost row's rhs is -c_B x_B times obj_scale * d
-    value = Fraction(-tab[m][ncols], obj_scale * d)
+            x[b] = tab[i][ncols]
+    z = tab[m]
+    value = -z[ncols]
+    y = [-v for v in z[n:ncols]]
+    _check_optimum(scaled, costs, d, value, x, y)
+    # x is unchanged by the row scales, and the dual of a row is its
+    # scale over obj_scale times the dual of the scaled row
+    return LPSolution(
+        scale=obj_scale * d,
+        value_num=value,
+        x_num=[obj_scale * v for v in x],
+        y_num=[scale * v for scale, v in zip(row_scale, y)],
+    )
 
-    # slack i costs 0, so its reduced cost is -(c_B B^-1)_i, and it is
-    # row_scale[i] times smaller than the rational tableau's
-    y = [Fraction(-scale * tab[m][n + i], obj_scale * d) for i, scale in enumerate(row_scale)]
 
-    if sum(yi * b for yi, (_, b) in zip(y, lp.rows)) != value:
+def _check_optimum(
+    rows: list[tuple[list[int], int]],
+    costs: list[int],
+    d: int,
+    value: int,
+    x: list[int],
+    y: list[int],
+) -> None:
+    """Prove that x / d and y / d are optimal for maximizing costs.x
+    subject to a.x <= b for every (a, b) of rows, x >= 0, with value / d
+    the optimum: x >= 0 and every a.x <= b * d (primal feasible), y >= 0
+    and A^T y >= costs * d (dual feasible), and costs.x = value = y.b,
+    which weak duality makes optimal.  ArithmeticError otherwise."""
+    if any(v < 0 for v in x):
+        raise ArithmeticError("optimal x has a negative entry")
+    if any(sum(map(mul, a, x)) > b * d for a, b in rows):
+        raise ArithmeticError("optimal x breaks a row")
+    if any(v < 0 for v in y):
+        raise ArithmeticError("optimal y has a negative entry")
+    dual = [0] * len(costs)  # A^T y
+    for (a, _), v in zip(rows, y):
+        if v:
+            dual = [s + v * e for s, e in zip(dual, a)]
+    if any(s < c * d for s, c in zip(dual, costs)):
+        raise ArithmeticError("optimal y is below a cost")
+    if sum(map(mul, costs, x)) != value or sum(b * v for (_, b), v in zip(rows, y)) != value:
         raise ArithmeticError("strong duality violated")
-    return LPSolution(value, x, y)
 
 
 # -- the five-variable global program ------------------------------------
@@ -211,9 +272,9 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
     colors = [topology.colors_of_layer(i) for i in range(topology.diameter_index + 1)]
     rows = _covering_rows(colors, delta)
     root = _relax(rows)
-    value, x = root
-    lp_value = len(rows) + value
-    if len(rows) > ILP_CLUMP_LIMIT and ceil(value) < sum(ceil(v) for v in x):
+    value, x, d = root
+    lp_value = len(rows) + Fraction(value, d)
+    if len(rows) > ILP_CLUMP_LIMIT and -(-value // d) < sum(-(-v // d) for v in x):
         return MinOrderResult(lp_value=lp_value, int_value=None, weights=None)
     total, free = _branch_and_bound(rows, root)
     keys = [(i, c) for i, row in enumerate(topology.rows) for c in row]
@@ -301,7 +362,8 @@ def _order_bounds(rows: list[CoverRow]) -> tuple[int, int]:
 
 
 Bound = tuple[int, int, int]  # free index j, sign s, b: the branch row s * x_j >= s * b
-Relaxation = tuple[Fraction, list[Fraction]]  # a covering program's LP value and optimal vertex
+# a covering program's LP value and optimal vertex, as numerators over one denominator d > 0
+Relaxation = tuple[int, list[int], int]  # value, x, d
 
 
 def _packing_dual(rows: list[CoverRow], bounds: Sequence[Bound]) -> RationalLP:
@@ -329,24 +391,19 @@ def _packing_dual(rows: list[CoverRow], bounds: Sequence[Bound]) -> RationalLP:
 
 def _solve_covering(rows: list[CoverRow], bounds: Sequence[Bound]) -> Relaxation | None:
     """The covering program's LP value and an optimal vertex, read off
-    its packing dual; None when the program is infeasible, which makes
-    the dual unbounded.
+    its packing dual as simplex_solve's integer numerators over its
+    scale; None when the program is infeasible, which makes the dual
+    unbounded.
 
-    simplex_solve checks that the dual value equals the total of the
-    vertex; this checks that the vertex is nonnegative and meets every
-    row and bound, so (value, vertex) is proved optimal by weak duality.
-    ArithmeticError when it is not."""
+    simplex_solve has proved the packing optimum and its duals: for the
+    packing dual, dual feasibility is exactly a vertex that is
+    nonnegative and meets every covering row and bound, and strong
+    duality makes its total the value, so (value, vertex) is optimal for
+    the covering program.  ArithmeticError when that proof fails."""
     sol = simplex_solve(_packing_dual(rows, bounds))
     if sol is None:
         return None
-    x = sol.y
-    if (
-        any(v < 0 for v in x)
-        or any(sum(x[j] for j in free) < need for free, need in rows)
-        or any(sign * x[j] < sign * b for j, sign, b in bounds)
-    ):
-        raise ArithmeticError("packing dual gave an infeasible covering vertex")
-    return sol.value, x
+    return sol.value_num, sol.y_num, sol.scale
 
 
 def _relax(rows: list[CoverRow]) -> Relaxation:
@@ -364,22 +421,30 @@ def _branch_and_bound(rows: list[CoverRow], root: Relaxation) -> tuple[int, list
     variable from the relaxation root, which is never solved again.
     Each node adds one bound to the packing dual as a column.  Rounding
     root's vertex up stays feasible and seeds the incumbent, so when its
-    total is the rounded-up LP value nothing branches."""
-    best_x = [ceil(v) for v in root[1]]
+    total is the rounded-up LP value nothing branches.
+
+    A node is (value, x, d), numerators over d > 0, and all of it is
+    integer arithmetic: the ceiling of a / d is -(-a // d), the floor
+    a // d, and the distance of a / d from its nearest half-integer is
+    |2 * (a mod d) - d| / 2d, so that numerator ranks the most
+    fractional variable, ties to the smallest index."""
+    _, root_x, root_d = root
+    best_x = [-(-v // root_d) for v in root_x]
     incumbent = sum(best_x)
     bounds: list[Bound] = []
 
-    def branch(value: Fraction, x: list[Fraction]) -> None:
+    def branch(value: int, x: list[int], d: int) -> None:
         nonlocal incumbent, best_x
-        if ceil(value) >= incumbent:
+        if -(-value // d) >= incumbent:
             return
-        frac = [(abs(v - floor(v) - Fraction(1, 2)), j) for j, v in enumerate(x) if v != floor(v)]
+        frac = [(abs(2 * (v % d) - d), j) for j, v in enumerate(x) if v % d]
         if not frac:  # integral, and below the incumbent by the test above
-            incumbent = int(value)
-            best_x = [int(v) for v in x]
+            incumbent = value // d
+            best_x = [v // d for v in x]
             return
         _, j = min(frac)
-        for sign, bound in ((-1, floor(x[j])), (1, floor(x[j]) + 1)):
+        low = x[j] // d
+        for sign, bound in ((-1, low), (1, low + 1)):
             bounds.append((j, sign, bound))
             node = _solve_covering(rows, bounds)
             if node is not None:
@@ -496,7 +561,9 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
       min_order_lp takes too.  Its free weights and the sequence give
       the graph whose blow-up diameter must equal the depth: topologies
       of depth 1 whose optimal weighting has a weight >= 2 are skipped,
-      as their diameter is 2.
+      as their diameter is 2.  The LP value comes as a numerator over a
+      denominator d > 0, so the budget and best tests compare ints
+      multiplied through by d.
 
     The result is that of refining every sequence:
 
@@ -539,10 +606,11 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
         if best is not None and lower >= best and upper <= n_budget:
             continue
         root = _relax(rows)
-        if root[0] > n_budget - len(rows):
+        value, _, d = root
+        if value > (n_budget - len(rows)) * d:
             complete = False
             continue
-        if best is not None and len(rows) + ceil(root[0]) >= best:
+        if best is not None and value > (best - len(rows) - 1) * d:
             continue
         total, free = _branch_and_bound(rows, root)
         weights = iter([1, *(1 + v for v in free)])

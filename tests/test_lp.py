@@ -152,10 +152,15 @@ def _vertices(program: Program) -> set[tuple[Fraction, ...]]:
     return vertices
 
 
-def _vertex_enumeration_optimum(program: Program) -> Fraction | None:
-    """Maximum of the objective over _vertices(program), assuming the
-    optimum is attained at a vertex; None when no vertex is feasible."""
-    return max((sum(c * v for c, v in zip(program.c, x)) for x in _vertices(program)), default=None)
+def _vertex_enumeration_optimum(
+    program: Program, vertices: set[tuple[Fraction, ...]] | None = None
+) -> Fraction | None:
+    """Maximum of the objective over the vertices of program (computed
+    when not given), assuming the optimum is attained at a vertex; None
+    when no vertex is feasible."""
+    if vertices is None:
+        vertices = _vertices(program)
+    return max((sum(c * v for c, v in zip(program.c, x)) for x in vertices), default=None)
 
 
 def _improving_ray(program: Program) -> bool:
@@ -169,6 +174,24 @@ def _improving_ray(program: Program) -> bool:
 
 def _random_rational(rng: random.Random, lo: int, hi: int) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.choice([1, 1, 1, 2, 3, 4, 6]))
+
+
+def _over_scale(sol: LPSolution) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """sol's value, x and y, each numerator over the positive scale."""
+    assert sol.scale > 0
+    return (
+        Fraction(sol.value_num, sol.scale),
+        [Fraction(v, sol.scale) for v in sol.x_num],
+        [Fraction(v, sol.scale) for v in sol.y_num],
+    )
+
+
+def _has_rational_data(lp: RationalLP) -> bool:
+    """Whether some cost and some row are not all integers, so that the
+    objective scale and a row scale of simplex_solve exceed 1."""
+    return any(Fraction(c).denominator != 1 for c in lp.c) and any(
+        Fraction(v).denominator != 1 for coeffs, rhs in lp.rows for v in (*coeffs, rhs)
+    )
 
 
 def _random_program(rng: random.Random, n: int, rows: int) -> RationalLP:
@@ -190,6 +213,7 @@ def test_simplex_matches_vertex_enumeration():
     # are not, and the ray oracle separates unbounded from optimal
     rng = random.Random(4)
     outcomes = []
+    rational = 0
     for trial in range(240):
         n = rng.randint(2, 4)
         lp = _random_program(rng, n, rng.randint(1, 4))
@@ -202,12 +226,19 @@ def test_simplex_matches_vertex_enumeration():
             assert sol is None
             continue
         assert sol is not None
-        assert sol.value == _vertex_enumeration_optimum(_program(lp))
-        # dual feasibility: y >= 0 and A^T y >= c
-        assert all(yi >= 0 for yi in sol.y)
+        value, x, y = _over_scale(sol)
+        vertices = _vertices(_program(lp))
+        assert value == sol.value == _vertex_enumeration_optimum(_program(lp), vertices)
+        assert tuple(x) in vertices and x == sol.x
+        # dual feasibility, y >= 0 and A^T y >= c, and y . b = value
+        # make y a dual optimum
+        assert all(yi >= 0 for yi in y) and y == sol.y
         for j in range(n):
-            assert sum(yi * row[0][j] for yi, row in zip(sol.y, lp.rows)) >= lp.c[j]
+            assert sum(yi * row[0][j] for yi, row in zip(y, lp.rows)) >= lp.c[j]
+        assert sum(yi * rhs for yi, (_, rhs) in zip(y, lp.rows)) == value
+        rational += _has_rational_data(lp)
     assert outcomes.count(False) >= 80 and outcomes.count(True) >= 20, outcomes.count(True)
+    assert rational >= 80, rational
     assert _vertex_enumeration_optimum(_program(build_epsz_lp())) == Fraction(57, 23)
 
 
@@ -316,6 +347,7 @@ def _same_as_fraction_tableau(lp: RationalLP) -> LPSolution | None:
     if sol is None:
         assert want == ("unbounded", None, None, None)
     else:
+        assert ("optimal", *_over_scale(sol)) == want
         assert ("optimal", sol.value, sol.x, sol.y) == want
     return sol
 
@@ -339,12 +371,15 @@ def _positive_pivots(monkeypatch) -> list[int]:
 def test_integer_tableau_matches_fraction_tableau(monkeypatch):
     pivots = _positive_pivots(monkeypatch)
     rng = random.Random(8)
-    outcomes = [
-        _same_as_fraction_tableau(_random_program(rng, rng.randint(1, 5), rng.randint(1, 5))) is None
-        for _ in range(2000)
-    ]
+    outcomes = []
+    rational = 0
+    for _ in range(2000):
+        program = _random_program(rng, rng.randint(1, 5), rng.randint(1, 5))
+        outcomes.append(_same_as_fraction_tableau(program) is None)
+        rational += not outcomes[-1] and _has_rational_data(program)
     for unbounded in (False, True):
         assert outcomes.count(unbounded) >= 200, (unbounded, outcomes.count(unbounded))
+    assert rational >= 200, rational
     _same_as_fraction_tableau(build_epsz_lp())
     assert pivots[0] > 2000
 
@@ -461,8 +496,8 @@ def test_packing_dual_matches_the_covering_program(delta):
             rows = lp._covering_rows(seq, delta)
         except ValueError:
             continue
-        value, x = lp._relax(rows)
-        assert value == _covering_value(rows) == sum(x)
+        value, x, d = lp._relax(rows)
+        assert d > 0 and Fraction(value, d) == _covering_value(rows) and value == sum(x)
         bounds = [
             (j, rng.choice([-1, 1]), rng.randint(0, delta))
             for j in rng.sample(range(len(x)), min(3, len(x)))
@@ -476,50 +511,88 @@ def test_packing_dual_matches_the_covering_program(delta):
         if status == "infeasible":
             assert got is None
         else:
-            assert got is not None and got[0] == want
+            assert got is not None and Fraction(got[0], got[2]) == want
     assert {"optimal", "infeasible"} <= set(statuses)
 
 
-def _perturbed_simplex(monkeypatch, perturb) -> None:
-    """Wrap lp.simplex_solve so that perturb edits each optimal y."""
-    inner = lp.simplex_solve
+def _perturbed_check(monkeypatch, perturb) -> None:
+    """Wrap lp._check_optimum so that it checks perturb(d, value, x, y),
+    a changed (value, x, y), in place of the optimum that simplex_solve
+    read off its tableau, over the tableau's denominator d."""
+    inner = lp._check_optimum
 
-    def perturbed(program):
-        sol = inner(program)
-        if sol is not None:
-            perturb(sol.y)
-        return sol
+    def perturbed(rows, costs, d, value, x, y):
+        inner(rows, costs, d, *perturb(d, value, list(x), list(y)))
 
-    monkeypatch.setattr(lp, "simplex_solve", perturbed)
+    monkeypatch.setattr(lp, "_check_optimum", perturbed)
+
+
+def _shift(which: str, i: int, by: int):
+    """A perturbation for _perturbed_check: the value (which "value") or
+    entry i of x or y moved by `by` units of the denominator d."""
+    def perturb(d, value, x, y):
+        if which == "value":
+            return value + by * d, x, y
+        {"x": x, "y": y}[which][i] += by * d
+        return value, x, y
+
+    return perturb
 
 
 def test_min_order_rejects_a_dual_that_misses_a_row(monkeypatch):
-    # the relaxation is x = (1, 0) with the root's row tight; lowered to
-    # (999/1000, 0) it still rounds up to the LP value, so nothing
-    # branches and only the row check can see it
-    def lower_first(y):
-        y[0] -= Fraction(1, 1000)
+    # the relaxation is x = (1, 0) with the root's row tight; x[0]
+    # lowered by 1/d misses that row, which is a column of the packing
+    # dual, so the column check sees it before anything rounds
+    def lower_first(d, value, x, y):
+        y[0] -= 1
+        return value, x, y
 
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]])
     assert min_order_lp(g, 2).int_value == 4
-    _perturbed_simplex(monkeypatch, lower_first)
-    with pytest.raises(ArithmeticError):
+    _perturbed_check(monkeypatch, lower_first)
+    with pytest.raises(ArithmeticError, match="below a cost"):
         min_order_lp(g, 2)
 
 
 @pytest.mark.parametrize("bounds, perturb", [
     # a weight raised past its bound keeps every covering row met
-    ([(0, -1, 1)], lambda y: y.__setitem__(0, y[0] + 1)),
+    ([(0, -1, 1)], lambda d, value, x, y: (value, x, [y[0] + d, *y[1:]])),
     # a negative weight that every row holding it can absorb
-    ([], lambda y: y.__setitem__(slice(None), [3, 3, Fraction(-1, 1000)])),
+    ([], lambda d, value, x, y: (value, x, [3 * d, 3 * d, -1])),
 ])
 def test_solve_covering_checks_bounds_and_signs(monkeypatch, bounds, perturb):
+    # the covering vertex is the packing dual's y, so y's checks see both
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1), (2, 1)], [(0, 1)]])
     rows = lp._covering_rows([g.colors_of_layer(i) for i in range(3)], 5)
     assert lp._solve_covering(rows, bounds) is not None
-    _perturbed_simplex(monkeypatch, perturb)
-    with pytest.raises(ArithmeticError):
+    _perturbed_check(monkeypatch, perturb)
+    with pytest.raises(ArithmeticError, match="optimal y"):
         lp._solve_covering(rows, bounds)
+
+
+@pytest.mark.parametrize("c, rows, perturb, message", [
+    # maximize x0 subject to x0 + x1 <= 1: x = (1, 0), y = (1); x1 moved
+    # either way keeps the value, so only its sign or the row sees it
+    ([1, 0], [([1, 1], 1)], _shift("x", 1, -1), "x has a negative entry"),
+    ([1, 0], [([1, 1], 1)], _shift("x", 1, 1), "x breaks a row"),
+    # maximize x0 subject to x0 <= 1 and -x0 <= 0: y = (1, 0); the second
+    # row's rhs is 0, so its dual moves y . b not at all
+    ([1], [([1], 1), ([-1], 0)], _shift("y", 1, -1), "y has a negative entry"),
+    ([1], [([1], 1), ([-1], 0)], _shift("y", 1, 1), "y is below a cost"),
+    # a feasible x of a lower value, and a feasible y of a higher one
+    ([1], [([1], 1)], _shift("x", 0, -1), "strong duality"),
+    ([1], [([1], 1), ([1], 2)], _shift("y", 1, 1), "strong duality"),
+    ([1], [([1], 1)], _shift("value", 0, 1), "strong duality"),
+    # rational data: the rows and the costs are scaled before the check
+    ([Fraction(1, 2), Fraction(1, 3)], [([Fraction(1, 4), 1], Fraction(3, 2))],
+     _shift("x", 0, -1), "strong duality"),
+])
+def test_simplex_checks_its_certificate(monkeypatch, c, rows, perturb, message):
+    # each perturbation of a real optimum fails exactly one clause
+    assert simplex_solve(RationalLP(c, rows)) is not None
+    _perturbed_check(monkeypatch, perturb)
+    with pytest.raises(ArithmeticError, match=message):
+        simplex_solve(RationalLP(c, rows))
 
 
 def _neighbor_program(topology: WeightedClumpGraph, delta: int) -> Program | None:
@@ -675,8 +748,8 @@ def test_min_order_two_clumps(monkeypatch):
 
 def test_min_order_integral_root_is_solved_once(monkeypatch):
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]])
-    _, x = lp._relax(lp._covering_rows([g.colors_of_layer(i) for i in range(3)], 2))
-    assert all(v.denominator == 1 for v in x)
+    _, x, d = lp._relax(lp._covering_rows([g.colors_of_layer(i) for i in range(3)], 2))
+    assert all(v % d == 0 for v in x)
     calls = _count_calls(monkeypatch, "simplex_solve")
     min_order_lp(g, 2)
     assert calls == [1]

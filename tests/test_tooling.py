@@ -108,3 +108,33 @@ def test_source_lines_fit_in_99_columns():
         if len(line) > 99
     ]
     assert long_lines == []
+
+
+def _fraction_callers(tree: ast.Module) -> set[str]:
+    """The qualified name (Class.method or function) of every top-level
+    function or method in tree whose body calls Fraction(...)."""
+    callers = set()
+    for node in tree.body:
+        scopes = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            scopes = [
+                (f"{node.name}.{item.name}", item)
+                for item in node.body if isinstance(item, ast.FunctionDef)
+            ]
+        callers.update(
+            name
+            for name, scope in scopes
+            for call in ast.walk(scope)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == "Fraction"
+        )
+    return callers
+
+
+def test_lp_makes_fractions_only_at_the_api_edge():
+    # the simplex, the covering path and the search loop work on integer
+    # numerators over one denominator; only the public results are Fractions
+    tree = ast.parse((Path(clumplab.__file__).parent / "lp.py").read_text())
+    assert _fraction_callers(tree) == {
+        "LPSolution.value", "LPSolution.x", "LPSolution.y", "min_order_lp", "extremal_search",
+    }

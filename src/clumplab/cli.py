@@ -59,6 +59,14 @@ def _require_positive_delta(delta: int) -> None:
         raise ValueError(f"delta={delta} must be positive")
 
 
+def _require_min_degree(graph: WeightedClumpGraph, delta: int) -> None:
+    # certify's bound and the sieve's windows hold only when every clump
+    # has weighted degree >= delta
+    degree = min_weighted_degree(graph)
+    if degree < delta:
+        raise ValueError(f"min weighted degree {degree} is below delta={delta}")
+
+
 def _require_nonnegative(name: str, value: int) -> None:
     # suite runs the sieve only at k = 3, so its options are checked up front
     if value < 0:
@@ -124,10 +132,7 @@ def _cmd_certify(args: argparse.Namespace) -> Output:
     graph = _read_graph(args.infile)
     if args.delta is not None:
         _require_positive_delta(args.delta)
-        # the bound holds only when every clump has degree >= delta
-        degree = min_weighted_degree(graph)
-        if degree < args.delta:
-            raise ValueError(f"min weighted degree {degree} is below delta={args.delta}")
+        _require_min_degree(graph, args.delta)
     if args.weights:
         with open(args.weights, "rb") as fh:
             u = serialize.parse_dual_weights(fh.read())
@@ -154,10 +159,7 @@ def _cmd_sieve(args: argparse.Namespace) -> Output:
     graph = _read_graph(args.infile)
     if graph.k != 3:
         raise ValueError(f"the sieve needs a 3-colored graph, got k={graph.k}")
-    # the windows hold only when every clump has degree >= delta
-    degree = min_weighted_degree(graph)
-    if degree < args.delta:
-        raise ValueError(f"min weighted degree {degree} is below delta={args.delta}")
+    _require_min_degree(graph, args.delta)
     report = sieve.window_inequalities(layer_profile(graph), args.delta, args.slack)
     windows_pass = sum(1 for w in report.windows if w.passes)
     lines = [f"windows {windows_pass}/{len(report.windows)} pass"]

@@ -10,8 +10,8 @@ derived from this rule, never stored.
 A graph is immutable.  It stores one table, `rows`: per layer the
 {color: weight} dict its checks built.  Everything else is derived from
 the rows, at most once per instance (WeightedClumpGraph._derive): the
-total weight, the neighbor sums behind min_weighted_degree and
-blow_up_edge_count, the layer profile and the canonical violations.
+neighbor sums behind min_weighted_degree and blow_up_edge_count, the
+layer profile, whose n is total_weight, and the canonical violations.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ class WeightedClumpGraph:
 
     @property
     def total_weight(self) -> int:
-        return self._derive(_total_weight)
+        return layer_profile(self).n
 
     def colors_of_layer(self, i: int) -> frozenset[int]:
         if 0 <= i <= self.diameter_index:
@@ -183,10 +183,6 @@ class WeightedClumpGraph:
     def __repr__(self) -> str:
         shape = [len(row) for row in self.rows]
         return f"WeightedClumpGraph(k={self.k}, layers={shape}, n={self.total_weight})"
-
-
-def _total_weight(graph: WeightedClumpGraph) -> int:
-    return sum(sum(row.values()) for row in graph.rows)
 
 
 def weighted_degree(graph: WeightedClumpGraph, layer: int, color: int) -> int:

@@ -4,11 +4,12 @@ with b >= 0, solved by a one-phase simplex from the slack basis with
 Bland's rule.  Also here: the five-variable global program, the minimum
 order of a clump topology, and a pattern-sequence search for extremal
 layer profiles.  Both of the last two take one path: the topology's
-covering rows (_covering_rows), their relaxation (_relax), then branch
-and bound from its solution (_branch_and_bound).  A covering program
-minimizes, so it goes in as its packing dual (_packing_dual), which is
-in that form, and the covering vertex read off the dual is checked
-exactly before use.
+covering rows (_covering_rows), their covering program's optimum
+(_solve_covering), then branch and bound from it (_branch_and_bound).
+A covering program minimizes, so it goes in as its packing dual
+(_packing_dual), which is in that form, and its optimum is the dual's
+LPSolution with x and y exchanged: x the free weights, y the duals of
+the covering rows and branch bounds.
 
 Programs go in as ints and Fractions, stored as given.  Inside, the
 simplex tableau is Python ints over one positive common denominator,
@@ -18,8 +19,8 @@ exactly as a primal and dual pair before it is returned.  The covering
 path (_solve_covering, _branch_and_bound, min_order_lp's cap and
 extremal_search's budget and best tests) works on those integers;
 Fraction appears only at the API edge: LPSolution's value, x and y
-views, min_order_lp's lp_value and extremal_search's best_phi.  There
-is no floating point.
+views, which min_order_lp's lp_value reads, and extremal_search's
+best_phi.  There is no floating point.
 """
 
 from __future__ import annotations
@@ -271,9 +272,12 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
         raise ValueError(f"delta={delta} must be positive")
     colors = [topology.colors_of_layer(i) for i in range(topology.diameter_index + 1)]
     rows = _covering_rows(colors, delta)
-    root = _relax(rows)
-    value, x, d = root
-    lp_value = len(rows) + Fraction(value, d)
+    root = _solve_covering(rows, ())
+    # _covering_rows gave every positive-need row a free neighbor, so the
+    # covering program is feasible
+    assert root is not None
+    lp_value = len(rows) + root.value
+    value, x, d = root.value_num, root.x_num, root.scale
     if len(rows) > ILP_CLUMP_LIMIT and -(-value // d) < sum(-(-v // d) for v in x):
         return MinOrderResult(lp_value=lp_value, int_value=None, weights=None)
     total, free = _branch_and_bound(rows, root)
@@ -362,8 +366,6 @@ def _order_bounds(rows: list[CoverRow]) -> tuple[int, int]:
 
 
 Bound = tuple[int, int, int]  # free index j, sign s, b: the branch row s * x_j >= s * b
-# a covering program's LP value and optimal vertex, as numerators over one denominator d > 0
-Relaxation = tuple[int, list[int], int]  # value, x, d
 
 
 def _packing_dual(rows: list[CoverRow], bounds: Sequence[Bound]) -> RationalLP:
@@ -389,52 +391,42 @@ def _packing_dual(rows: list[CoverRow], bounds: Sequence[Bound]) -> RationalLP:
     return RationalLP(c, [(row, 1) for row in matrix])
 
 
-def _solve_covering(rows: list[CoverRow], bounds: Sequence[Bound]) -> Relaxation | None:
-    """The covering program's LP value and an optimal vertex, read off
-    its packing dual as simplex_solve's integer numerators over its
-    scale; None when the program is infeasible, which makes the dual
-    unbounded.
-
-    simplex_solve has proved the packing optimum and its duals: for the
-    packing dual, dual feasibility is exactly a vertex that is
-    nonnegative and meets every covering row and bound, and strong
-    duality makes its total the value, so (value, vertex) is optimal for
-    the covering program.  ArithmeticError when that proof fails."""
+def _solve_covering(rows: list[CoverRow], bounds: Sequence[Bound]) -> LPSolution | None:
+    """The optimum of the covering rows under the branch bounds, least
+    total free weight: x holds the free weights and y the duals of the
+    rows, then of the bounds.  None when it is infeasible, which makes
+    the packing dual unbounded.  It is the packing dual's optimum with x
+    and y exchanged, which simplex_solve has proved in integers: for the
+    packing dual, dual feasibility is exactly weights >= 0 that meet
+    every row and bound, and primal feasibility a y >= 0 whose signed
+    sum over the rows and bounds holding each free weight is at most 1."""
     sol = simplex_solve(_packing_dual(rows, bounds))
     if sol is None:
         return None
-    return sol.value_num, sol.y_num, sol.scale
+    return LPSolution(scale=sol.scale, value_num=sol.value_num, x_num=sol.y_num, y_num=sol.x_num)
 
 
-def _relax(rows: list[CoverRow]) -> Relaxation:
-    """The relaxation of the covering rows, which _branch_and_bound
-    starts from."""
-    root = _solve_covering(rows, ())
-    if root is None:
-        raise ValueError("minimum-order program is infeasible")
-    return root
-
-
-def _branch_and_bound(rows: list[CoverRow], root: Relaxation) -> tuple[int, list[int]]:
+def _branch_and_bound(rows: list[CoverRow], root: LPSolution) -> tuple[int, list[int]]:
     """The integer optimum of the covering rows as (total, free
     weights), by depth-first branch and bound on the most fractional
     variable from the relaxation root, which is never solved again.
     Each node adds one bound to the packing dual as a column.  Rounding
-    root's vertex up stays feasible and seeds the incumbent, so when its
-    total is the rounded-up LP value nothing branches.
+    root's weights up stays feasible and seeds the incumbent, so when
+    their total is the rounded-up LP value nothing branches.
 
-    A node is (value, x, d), numerators over d > 0, and all of it is
-    integer arithmetic: the ceiling of a / d is -(-a // d), the floor
-    a // d, and the distance of a / d from its nearest half-integer is
-    |2 * (a mod d) - d| / 2d, so that numerator ranks the most
-    fractional variable, ties to the smallest index."""
-    _, root_x, root_d = root
-    best_x = [-(-v // root_d) for v in root_x]
+    A node is _solve_covering's optimum under the bounds so far, and only
+    its value_num, x_num and scale d > 0 are read, all in integer
+    arithmetic: the ceiling of a / d is -(-a // d), the floor a // d, and
+    the distance of a / d from its nearest half-integer is
+    |2 * (a mod d) - d| / 2d, so that numerator ranks the most fractional
+    variable, ties to the smallest index."""
+    best_x = [-(-v // root.scale) for v in root.x_num]
     incumbent = sum(best_x)
     bounds: list[Bound] = []
 
-    def branch(value: int, x: list[int], d: int) -> None:
+    def branch(node: LPSolution) -> None:
         nonlocal incumbent, best_x
+        value, x, d = node.value_num, node.x_num, node.scale
         if -(-value // d) >= incumbent:
             return
         frac = [(abs(2 * (v % d) - d), j) for j, v in enumerate(x) if v % d]
@@ -446,12 +438,12 @@ def _branch_and_bound(rows: list[CoverRow], root: Relaxation) -> tuple[int, list
         low = x[j] // d
         for sign, bound in ((-1, low), (1, low + 1)):
             bounds.append((j, sign, bound))
-            node = _solve_covering(rows, bounds)
-            if node is not None:
-                branch(*node)
+            child = _solve_covering(rows, bounds)
+            if child is not None:
+                branch(child)
             bounds.pop()
 
-    branch(*root)
+    branch(root)
     return incumbent, best_x
 
 
@@ -553,11 +545,11 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
       so it is dropped and marks the result incomplete;
     - one whose upper bound fits n_budget is skipped when its lower
       bound reaches best;
-    - any other is relaxed (_relax, through the packing dual).  It is
-      dropped, marking the result incomplete, when its LP order exceeds
-      n_budget, and skipped when the rounded-up LP order reaches best,
-      as it does when the lower bound does.  Otherwise it goes to
-      _branch_and_bound from that relaxation, uncapped, the path
+    - any other is relaxed (_solve_covering, through the packing
+      dual).  It is dropped, marking the result incomplete, when its LP
+      order exceeds n_budget, and skipped when the rounded-up LP order
+      reaches best, as it does when the lower bound does.  Otherwise it
+      goes to _branch_and_bound from that relaxation, uncapped, the path
       min_order_lp takes too.  Its free weights and the sequence give
       the graph whose blow-up diameter must equal the depth: topologies
       of depth 1 whose optimal weighting has a weight >= 2 are skipped,
@@ -605,8 +597,11 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
         best = frontier.get(depth)
         if best is not None and lower >= best and upper <= n_budget:
             continue
-        root = _relax(rows)
-        value, _, d = root
+        root = _solve_covering(rows, ())
+        # the walk yields no sequence with a dead row, so every positive-need
+        # row has a free neighbor and the covering program is feasible
+        assert root is not None
+        value, d = root.value_num, root.scale
         if value > (n_budget - len(rows)) * d:
             complete = False
             continue

@@ -792,6 +792,7 @@ _U = {"layer": 0, "color": 0, "value": "1/5"}
      "k=2 must be at least 3"),
     # the graph's minimum weighted degree is 4
     (["sieve", "--in", "{graph}", "--delta", "5"], None, "min weighted degree 4 is below delta=5"),
+    (["certify", "--in", "{graph}", "--delta", "5"], None, "min weighted degree 4 is below delta=5"),
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, args, bad, message):
     graph = _write_graph(tmp_path, counterexample_graph(1, 4, 2))

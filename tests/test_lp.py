@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 from typing import NamedTuple
 
@@ -485,10 +486,34 @@ def test_walk_yields_the_unmirrored_feasible_sequences(delta):
     assert sliced == len(walked)
 
 
+def _assert_covering_roles(sol, rows: list, bounds: list) -> None:
+    """sol holds the covering program's weights in x and its row and
+    bound duals in y, over sol.scale: x >= 0 meets every row and bound,
+    y >= 0 has one entry per row, then one per bound, and puts a signed
+    sum of at most 1 on every free weight, and the two totals are the
+    value."""
+    d, x, y = sol.scale, sol.x_num, sol.y_num
+    assert d > 0 and len(x) == len(rows) - 1 and len(y) == len(rows) + len(bounds)
+    assert min(x) >= 0 and min(y) >= 0
+    assert all(sum(x[j] for j in free) >= need * d for free, need in rows)
+    assert all(sign * x[j] >= sign * b * d for j, sign, b in bounds)
+    load = [0] * len(x)
+    for (free, _), v in zip(rows, y):
+        for j in free:
+            load[j] += v
+    for (j, sign, _), v in zip(bounds, y[len(rows):]):
+        load[j] += sign * v
+    assert max(load) <= d
+    covers = [need for _, need in rows] + [sign * b for _, sign, b in bounds]
+    assert sum(x) == sol.value_num == sum(map(mul, covers, y))
+
+
 @pytest.mark.parametrize("delta", [2, 5, 8])
 def test_packing_dual_matches_the_covering_program(delta):
     # the value read off the dual equals the two-phase primal's, with and
-    # without branch bounds; a primal-infeasible branch is a dual None
+    # without branch bounds, and the optimum holds the covering program's
+    # weights in x and its duals in y; a primal-infeasible branch is a
+    # dual None
     rng = random.Random(delta)
     statuses = []
     for seq in _pattern_sequences(4):
@@ -496,22 +521,25 @@ def test_packing_dual_matches_the_covering_program(delta):
             rows = lp._covering_rows(seq, delta)
         except ValueError:
             continue
-        value, x, d = lp._relax(rows)
-        assert d > 0 and Fraction(value, d) == _covering_value(rows) and value == sum(x)
+        root = lp._solve_covering(rows, ())
+        assert root is not None and root.value == _covering_value(rows)
+        _assert_covering_roles(root, rows, [])
+        n_free = len(root.x_num)
         bounds = [
             (j, rng.choice([-1, 1]), rng.randint(0, delta))
-            for j in rng.sample(range(len(x)), min(3, len(x)))
+            for j in rng.sample(range(n_free), min(3, n_free))
         ]
         primal = _covering_program(rows)
         for j, sign, b in bounds:
-            primal.rows.append(([sign if i == j else 0 for i in range(len(x))], ">=", sign * b))
+            primal.rows.append(([sign if i == j else 0 for i in range(n_free)], ">=", sign * b))
         status, want, _, _ = _fraction_simplex(primal)
         got = lp._solve_covering(rows, bounds)
         statuses.append(status)
         if status == "infeasible":
             assert got is None
         else:
-            assert got is not None and Fraction(got[0], got[2]) == want
+            assert got is not None and got.value == want
+            _assert_covering_roles(got, rows, bounds)
     assert {"optimal", "infeasible"} <= set(statuses)
 
 
@@ -748,8 +776,9 @@ def test_min_order_two_clumps(monkeypatch):
 
 def test_min_order_integral_root_is_solved_once(monkeypatch):
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]])
-    _, x, d = lp._relax(lp._covering_rows([g.colors_of_layer(i) for i in range(3)], 2))
-    assert all(v % d == 0 for v in x)
+    rows = lp._covering_rows([g.colors_of_layer(i) for i in range(3)], 2)
+    root = lp._solve_covering(rows, ())
+    assert root is not None and all(v % root.scale == 0 for v in root.x_num)
     calls = _count_calls(monkeypatch, "simplex_solve")
     min_order_lp(g, 2)
     assert calls == [1]

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clumplab.canonical import check_canonical, is_canonical_pair
+from clumplab.certify import dual_certificate
 from clumplab.constructions import counterexample_block, counterexample_graph
 from clumplab.core import (
     WeightedClumpGraph,
@@ -181,9 +182,40 @@ def test_periodic_graph_is_canonical_and_meets_every_window():
     assert diameter(blow_up(small)) == blow_up_diameter(small)
 
 
-@pytest.mark.xfail(strict=True, reason="the psi and triple rows reject this canonical graph")
-def test_sieve_accepts_periodic_graph():
-    assert window_inequalities(layer_profile(_periodic_graph(50)), 4).passes
+def _delta2_periodic_graph():
+    """Canonical at minimum degree 2, with n = 101 and D = 60: the root,
+    then ten periods of six layers, on which psi = 80/101 and 3 psi > 2."""
+    period = [
+        [(1, 1), (2, 1)], [(0, 1), (1, 1)], [(2, 1)], [(0, 1), (1, 1)], [(1, 1), (2, 1)], [(0, 1)],
+    ]
+    return WeightedClumpGraph(3, [[(0, 1)]] + period * 10)
+
+
+def test_delta2_periodic_graph_fails_only_the_psi_row():
+    graph = _delta2_periodic_graph()
+    prof = layer_profile(graph)
+    assert (prof.n, prof.diameter_index, blow_up_diameter(graph)) == (101, 60, 60)
+    assert check_canonical(graph).passes
+    assert min_weighted_degree(graph) == 2
+    assert dual_certificate(graph).feasible
+    windows = window_inequalities(prof, 2).windows
+    assert (len(windows), sum(w.passes for w in windows)) == (180, 180)
+    stats = global_stats(prof, 2)
+    assert stats.psi == Fraction(80, 101)
+    for slack in (0, 12):
+        rows = check_aggregates(stats, slack)
+        assert rows.pop("psi") is False
+        assert all(rows.values())
+
+
+@pytest.mark.xfail(strict=True, reason="the psi row, and at delta 4 the triple row, reject "
+                   "these canonical graphs")
+@pytest.mark.parametrize("graph, delta", [
+    (_periodic_graph(50), 4),
+    (_delta2_periodic_graph(), 2),
+], ids=["delta4", "delta2"])
+def test_sieve_accepts_periodic_graph(graph, delta):
+    assert window_inequalities(layer_profile(graph), delta).passes
 
 
 _COLOR_SETS = [frozenset(s) for s in ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2})]

@@ -1,5 +1,6 @@
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import clumplab
@@ -136,5 +137,48 @@ def test_lp_makes_fractions_only_at_the_api_edge():
     # numerators over one denominator; only the public results are Fractions
     tree = ast.parse((Path(clumplab.__file__).parent / "lp.py").read_text())
     assert _fraction_callers(tree) == {
-        "LPSolution.value", "LPSolution.x", "LPSolution.y", "min_order_lp", "extremal_search",
+        "LPSolution.value", "LPSolution.x", "LPSolution.y", "extremal_search",
     }
+
+
+def _referenced_names(tree: ast.AST) -> Counter:
+    """How often each name is referenced in tree: as a Name, an
+    attribute or an imported alias."""
+    refs: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.rsplit(".", 1)[-1]] += 1
+    return refs
+
+
+# src definitions that nothing in src references, each with its reason
+_UNCALLED_IN_SRC = {
+    "bfs_relayer": "ROADMAP item 13's bridge from a plain graph to a clump graph",
+    "counterexample_block": "named by ROADMAP item 13's fallback",
+    "diameter": "brute-force oracle that the tests compare blow_up_diameter against",
+    "weighted_degree": "brute-force per-clump oracle that the tests check weightings with",
+}
+
+
+def test_every_src_definition_has_a_src_caller_or_a_reason():
+    # code that only tests use is debt unless a pinned reason keeps it;
+    # dunder methods are called by Python itself
+    refs: Counter = Counter()
+    defs: list[tuple[str, ast.AST]] = []
+    for path in sorted(Path(clumplab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        refs += _referenced_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef | ast.ClassDef):
+                defs.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(item.name, item) for item in node.body if isinstance(item, ast.FunctionDef)]
+    unreferenced = {
+        name for name, node in defs
+        if not name.startswith("__") and not (refs - _referenced_names(node))[name]
+    }
+    assert unreferenced == _UNCALLED_IN_SRC.keys()

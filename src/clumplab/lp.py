@@ -4,12 +4,13 @@ with b >= 0, solved by a one-phase simplex from the slack basis with
 Bland's rule.  Also here: the five-variable global program, the minimum
 order of a clump topology, and a pattern-sequence search for extremal
 layer profiles.  Both of the last two take one path: the topology's
-covering rows (_covering_rows), their covering program's optimum
-(_solve_covering), then branch and bound from it (_branch_and_bound).
-A covering program minimizes, so it goes in as its packing dual
-(_packing_dual), which is in that form, and its optimum is the dual's
-LPSolution with x and y exchanged: x the free weights, y the duals of
-the covering rows and branch bounds.
+covering rows, each an int bitmask of free weights and a need, built
+from layer color masks by one row builder (_mask_rows), their covering
+program's optimum (_solve_covering), then branch and bound from it
+(_branch_and_bound).  A covering program minimizes, so it goes in as
+its packing dual (_packing_dual), which is in that form, and its
+optimum is the dual's LPSolution with x and y exchanged: x the free
+weights, y the duals of the covering rows and branch bounds.
 
 Programs go in as ints and Fractions, stored as given.  Inside, the
 simplex tableau is Python ints over one positive common denominator,
@@ -25,12 +26,11 @@ best_phi.  There is no floating point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter, mul
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from .canonical import is_canonical_pair
 from .core import WeightedClumpGraph, blow_up_diameter
@@ -38,7 +38,7 @@ from .sieve import GLOBAL_PROGRAM
 
 Rational = int | Fraction
 Row = tuple[list[Rational], Rational]  # coefficients, rhs
-CoverRow = tuple[list[int], int]  # free-variable indices, need
+CoverRow = tuple[int, int]  # free-variable mask (bit j for free weight j), need
 
 
 @dataclass
@@ -286,22 +286,33 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
     return MinOrderResult(lp_value=lp_value, int_value=len(rows) + total, weights=weights)
 
 
-LayerClump = tuple[int, int]  # color, free index (-1 for the root)
+def _other_bits(mask: int, color: int) -> int:
+    """The position bits, from the layer's first, of the clumps of layer
+    mask (bit c for color c, one clump per color in ascending order)
+    whose color is not color."""
+    bits = (1 << mask.bit_count()) - 1
+    if mask >> color & 1:
+        bits ^= 1 << (mask & ((1 << color) - 1)).bit_count()
+    return bits
 
 
-def _layer_rows(
-    window: list[LayerClump], layer: list[LayerClump], delta: int
+def _mask_rows(
+    other: Mapping[int, Sequence[int]], colors: Sequence[int],
+    prev: int, cur: int, nxt: int, start: int, delta: int,
 ) -> list[CoverRow] | None:
-    """The covering rows of layer's clumps, whose neighbors are the
-    differently colored clumps of window (the layers before, at and after
-    layer, in order); None when a clump with positive need has no free
-    neighbor."""
+    """The covering rows of the clumps of layer mask cur, in ascending
+    color order colors, the first at bit start, between layers prev and
+    nxt (0 for none); None when one with positive need has no free
+    neighbor.  Bits number the clumps layer by layer from the root at bit
+    0, and other[m][c] is _other_bits(m, c).  A clump's need is delta
+    less its neighbors in the three layers, the root included, and its
+    free mask is their bits shifted down past the root's."""
+    before, at, after = other[prev], other[cur], other[nxt]
+    below, above = start - prev.bit_count(), start + cur.bit_count()
     rows: list[CoverRow] = []
-    for color, _ in layer:
-        free = [j for c, j in window if c != color]
-        need = delta - len(free)
-        if free and free[0] < 0:
-            del free[0]  # the root, first in layer order
+    for c in colors:
+        bits = before[c] << below | at[c] << start | after[c] << above
+        free, need = bits >> 1, delta - bits.bit_count()
         if need > 0 and not free:
             return None
         rows.append((free, need))
@@ -309,26 +320,25 @@ def _layer_rows(
 
 
 def _covering_rows(colors: Sequence[AbstractSet[int]], delta: int) -> list[CoverRow]:
-    """The covering rows of the layer color sets colors: one per clump,
-    layer by layer and by ascending color within a layer, holding the
-    indices of the clump's neighbors among the free weights (every clump
-    after the root, numbered 0, 1, ... in the same order) and its need,
-    delta less its neighbor count.  A clump of weight 1 + v has weighted
-    degree neighbors + the sum of their v, so the row reads
-    sum(v[j] for j in free) >= need.  ValueError when a clump with
-    positive need has no free neighbor: no weighting reaches delta."""
-    layers: list[list[LayerClump]] = []
-    index = -1
-    for cols in colors:
-        layers.append([(c, index + pos) for pos, c in enumerate(sorted(cols))])
-        index += len(cols)
+    """The covering rows of the layer color sets colors, by _mask_rows
+    as the search's are: one per clump, layer by layer and by ascending
+    color, holding the mask of the clump's neighbors among the free
+    weights (bit j for free weight j, every clump after the root in the
+    same order) and its need, delta less its neighbor count.  A clump of
+    weight 1 + v has weighted degree neighbors + the sum of their v, so
+    the row reads sum(v[j] for j in free) >= need.  ValueError when a
+    clump with positive need has no free neighbor: no weighting reaches
+    delta."""
+    masks = [sum(1 << c for c in cols) for cols in colors]
+    other = {m: [_other_bits(m, c) for c in range(max(masks).bit_length())] for m in {0, *masks}}
     rows: list[CoverRow] = []
-    for i, layer in enumerate(layers):
-        window = [clump for row in layers[max(i - 1, 0):i + 2] for clump in row]
-        layer_rows = _layer_rows(window, layer, delta)
+    start = 0
+    for cols, prev, cur, nxt in zip(colors, [0, *masks], masks, [*masks[1:], 0]):
+        layer_rows = _mask_rows(other, sorted(cols), prev, cur, nxt, start, delta)
         if layer_rows is None:
             raise ValueError("topology cannot reach the degree bound")
         rows += layer_rows
+        start += cur.bit_count()
     return rows
 
 
@@ -336,31 +346,32 @@ def _order_bounds(rows: list[CoverRow]) -> tuple[int, int]:
     """Integer bounds lower <= clumps + LP value <= upper on the minimum
     order of the covering rows, without a pivot.
 
-    lower adds to the clump count the needs of a set of positive-need
-    rows whose free sets are pairwise disjoint, taken greedily by
-    descending need.  Such a set, as y_r = 1 on its rows and 0 elsewhere,
-    is feasible for the packing dual (_packing_dual), because every
-    variable lies in at most one chosen row; its dual objective
-    sum(y_r * need_r) is then at most the LP value by weak duality.
+    lower adds to the clump count the needs of positive-need rows with
+    pairwise disjoint free masks, taken greedily by descending need: as
+    y_r = 1 on those rows and 0 elsewhere they are feasible for the
+    packing dual (_packing_dual), as every variable lies in at most one
+    of them, so by weak duality their total need is at most the LP value.
 
     upper adds the total of v[j] = max(0, the largest need of a row
-    holding j).  That v is a feasible integer weighting: a row with
-    positive need has a free neighbor j (else _covering_rows raised),
-    and v[j] alone covers it; a row with need <= 0 holds for any v >= 0.
-    So upper bounds the LP value and the integer order both.
+    holding bit j), a feasible integer weighting: a row with positive
+    need has a free neighbor j (else _covering_rows raised), and v[j]
+    alone covers it; a row with need <= 0 holds for any v >= 0.  So
+    upper bounds the LP value and the integer order both.
     """
     cover = [0] * (len(rows) - 1)
     for free, need in rows:
-        for j in free:
+        while need > 0 and free:  # a need <= 0 raises no cover
+            low = free & -free
+            j = low.bit_length() - 1
             if need > cover[j]:
                 cover[j] = need
-    lower = 0
-    used: set[int] = set()
+            free ^= low
+    lower = used = 0
     for free, need in sorted(rows, key=lambda row: -row[1]):
         if need <= 0:
             break
-        if used.isdisjoint(free):
-            used.update(free)
+        if not used & free:
+            used |= free
             lower += need
     return len(rows) + lower, len(rows) + sum(cover)
 
@@ -371,20 +382,15 @@ Bound = tuple[int, int, int]  # free index j, sign s, b: the branch row s * x_j 
 def _packing_dual(rows: list[CoverRow], bounds: Sequence[Bound]) -> RationalLP:
     """The dual of minimizing the total free weight subject to the
     covering rows and the branch bounds: maximize sum(need_r * y_r) over
-    y >= 0, one column per row, subject to sum(y_r over the rows r
-    holding j) <= 1 for every free variable j.  A bound s * x_j >= s * b
-    is one more covering row: a column with entry s at j and cost s * b.
-
-    Every row has right-hand side 1, so the program is in simplex_solve's
-    form.  The row duals are a vertex x of the covering program, of the
-    same value."""
-    n_cols = len(rows) + len(bounds)
-    matrix = [[0] * n_cols for _ in range(len(rows) - 1)]
-    c = []
-    for r, (free, need) in enumerate(rows):
-        for j in free:
-            matrix[j][r] = 1
-        c.append(need)
+    y >= 0, one column per row, subject to sum(y_r over the rows r whose
+    mask has bit j) <= 1 for every free variable j, so row j holds bit j
+    of every mask.  A bound s * x_j >= s * b is one more covering row: a
+    column with entry s at j and cost s * b.  Every right-hand side is
+    1, so the program is in simplex_solve's form; its row duals are a
+    vertex x of the covering program, of the same value."""
+    pad = [0] * len(bounds)
+    matrix = [[free >> j & 1 for free, _ in rows] + pad for j in range(len(rows) - 1)]
+    c = [need for _, need in rows]
     for k, (j, sign, b) in enumerate(bounds, len(rows)):
         matrix[j][k] = sign
         c.append(sign * b)
@@ -457,32 +463,32 @@ class SearchResult:
     complete: bool
 
 
-_ROOT = frozenset({0})
-_SUBSETS = [frozenset(s) for r in (1, 2, 3) for s in itertools.combinations(range(3), r)]
-_SUCCESSORS = {a: [b for b in _SUBSETS if is_canonical_pair(3, a, b)] for a in _SUBSETS}
-_SORTED = {a: sorted(a) for a in _SUBSETS}
+# per k = 3 layer mask: its colors, _other_bits by color, its canonical successors
+_COLORS = {m: [c for c in range(3) if m >> c & 1] for m in range(8)}
+_OTHER = {m: [_other_bits(m, c) for c in range(3)] for m in range(8)}
+_SUCCESSORS = {
+    a: [b for b in (1, 2, 4, 3, 5, 6, 7) if is_canonical_pair(3, {*_COLORS[a]}, {*_COLORS[b]})]
+    for a in range(1, 8)
+}
 
 
-def _pattern_sequences(
-    d_max: int, delta: int
-) -> "list[tuple[list[frozenset[int]], list[CoverRow]]]":
+def _pattern_sequences(d_max: int, delta: int) -> list[tuple[list[int], list[CoverRow]]]:
     """The sequences extremal_search visits at depths 1 to d_max, each
-    with its covering rows: every canonical color-set sequence of 2 to
-    d_max + 1 layers from the root layer {0} that is not a mirror and
-    reaches the degree bound, with rows equal to _covering_rows(seq,
-    delta).  The list is the preorder of one depth-first walk that tries
-    each layer's successors in _SUBSETS order, so a sequence comes
-    before its extensions, and the sequences of any one depth keep the
-    order of a walk of that depth alone.
+    with its covering rows: every canonical sequence of 2 to d_max + 1
+    layer color masks (bit c for color c) from the root layer 1 that is
+    not a mirror and reaches the degree bound, with the rows that
+    _covering_rows gives its colors.  The list is the preorder of one
+    depth-first walk over successors in _SUCCESSORS order (1, 2, 4, 3,
+    5, 6, 7): a sequence comes before its extensions, and each depth's
+    sequences keep the order of a walk of that depth alone.
 
-    A frame on the walk's stack is (sequence, the layer before its last,
-    its last layer, the rows of every layer but the last, whether the
-    prefix decides the swap); appending a layer completes the rows of
-    the layer before it.  A mirror prefix is cut with everything below
-    it: comparing layers as color bitmasks, the first layer holding
-    exactly one of colors 1 and 2 decides whether exchanging the two
-    colors gives a lexicographically smaller sequence, and it does when
-    that layer holds 2.
+    A stack frame is (sequence, the layer before its last, its last
+    layer, that layer's first clump bit, the rows of every layer but the
+    last, whether the prefix decides the swap); appending a layer
+    completes the rows of the one before it (_mask_rows over _OTHER).  A
+    mirror prefix is cut with all below it: the first layer holding just
+    one of colors 1 and 2 (bits 1 and 2) decides whether swapping them
+    gives a lexicographically smaller sequence, as it does for color 2.
 
     A dead sequence, whose final row (that of its last layer) has a
     clump with positive need and no free neighbor, is not yielded.  The
@@ -495,27 +501,27 @@ def _pattern_sequences(
     colors gives each of its clumps one too.  A completed row never
     lacks one, and only a single-color layer 1 at depth 1 can be dead.
     """
-    out: list[tuple[list[frozenset[int]], list[CoverRow]]] = []
-    stack = [([_ROOT], [], [(0, -1)], [], False)]
+    out: list[tuple[list[int], list[CoverRow]]] = []
+    stack = [([1], 0, 1, 0, [], False)]
     while stack:
-        seq, before, last, rows, decided = stack.pop()
+        seq, before, last, start, rows, decided = stack.pop()
+        colors = _COLORS[last]
         if len(seq) > 1:
-            final = _layer_rows(before + last, last, delta)
+            final = _mask_rows(_OTHER, colors, before, last, 0, start, delta)
             if final is not None:
                 out.append((seq, rows + final))
         if len(seq) > d_max:
             continue
-        start = last[-1][1] + 1
-        # pushed in reverse, so the children come off in _SUBSETS order
-        for nxt in reversed(_SUCCESSORS[seq[-1]]):
+        after = start + len(colors)
+        # pushed in reverse, so the children come off in _SUCCESSORS order
+        for nxt in reversed(_SUCCESSORS[last]):
             swap_decided = decided
-            if not decided and (1 in nxt) != (2 in nxt):
-                if 2 in nxt:
+            if not decided and (nxt >> 1 ^ nxt >> 2) & 1:
+                if nxt & 4:
                     continue
                 swap_decided = True
-            layer = [(c, start + pos) for pos, c in enumerate(_SORTED[nxt])]
-            completed = _layer_rows(before + last + layer, last, delta)
-            stack.append(([*seq, nxt], last, layer, rows + completed, swap_decided))
+            completed = _mask_rows(_OTHER, colors, before, last, nxt, start, delta)
+            stack.append(([*seq, nxt], last, nxt, after, rows + completed, swap_decided))
     return out
 
 
@@ -529,17 +535,14 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
     it, so a frontier graph need not pass check_canonical.
 
     A sequence's order is the clump count plus the minimum of its
-    covering program (_covering_rows).  One depth-first walk
-    (_pattern_sequences) yields the sequences of every depth up to d_max,
-    each depth's in the order of a walk of that depth alone.  It builds
-    the rows prefix by prefix and never visits a sequence that cannot
-    reach the degree bound, nor one whose 1 <-> 2 color swap is
-    lexicographically smaller.  Each sequence gets integer bounds lower
-    <= LP order <= upper (_order_bounds), the LP order being the clump
-    count plus the LP value.  One loop takes the sequences by depth, then
-    by ascending lower bound, ties in walk order, as a stable sort leaves
-    them.  With best the least order found so far at the sequence's
-    depth:
+    covering program.  One depth-first walk (_pattern_sequences) yields
+    every depth's layer masks up to d_max with their mask rows, and skips
+    a sequence that cannot reach the degree bound or whose 1 <-> 2 color
+    swap is lexicographically smaller.  Each gets integer bounds lower <=
+    LP order <= upper (_order_bounds), the LP order being the clump count
+    plus the LP value.  One loop takes the sequences by depth, then by
+    ascending lower bound, ties in walk order.  With best the least order
+    found so far at the sequence's depth:
 
     - one whose lower bound exceeds n_budget has an LP order above it,
       so it is dropped and marks the result incomplete;
@@ -550,7 +553,7 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
       order exceeds n_budget, and skipped when the rounded-up LP order
       reaches best, as it does when the lower bound does.  Otherwise it
       goes to _branch_and_bound from that relaxation, uncapped, the path
-      min_order_lp takes too.  Its free weights and the sequence give
+      min_order_lp takes too.  Its free weights and the masks' colors give
       the graph whose blow-up diameter must equal the depth: topologies
       of depth 1 whose optimal weighting has a weight >= 2 are skipped,
       as their diameter is 2.  The LP value comes as a numerator over a
@@ -583,10 +586,8 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
         raise ValueError(f"n_budget={n_budget} must be positive")
     frontier: dict[int, int] = {}
     complete = True
-    walk = [
-        (len(seq) - 1, *_order_bounds(rows), seq, rows)
-        for seq, rows in _pattern_sequences(d_max, delta)
-    ]
+    sequences = _pattern_sequences(d_max, delta)
+    walk = [(len(seq) - 1, *_order_bounds(rows), seq, rows) for seq, rows in sequences]
     # by depth, then by lower bound, ties in walk order: two stable sorts
     walk.sort(key=itemgetter(1))
     walk.sort(key=itemgetter(0))
@@ -609,9 +610,7 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
             continue
         total, free = _branch_and_bound(rows, root)
         weights = iter([1, *(1 + v for v in free)])
-        graph = WeightedClumpGraph(
-            3, [[(c, next(weights)) for c in _SORTED[cols]] for cols in seq]
-        )
+        graph = WeightedClumpGraph(3, [[(c, next(weights)) for c in _COLORS[m]] for m in seq])
         order = len(rows) + total
         if blow_up_diameter(graph) == depth and (best is None or order < best):
             frontier[depth] = order

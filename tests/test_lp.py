@@ -416,9 +416,16 @@ def _swap_is_smaller(seq: list[frozenset[int]]) -> bool:
     return False
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask in ascending order: the free weights of a mask
+    row's free mask, or the colors of a layer mask."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
 def _covering_program(rows: list) -> Program:
     """The primal of the covering rows: minimize the total free weight."""
     n_free = len(rows) - 1
+    rows = [(_bits(free), need) for free, need in rows]
     return Program(False, [1] * n_free, [
         ([1 if j in free else 0 for j in range(n_free)], ">=", need) for free, need in rows
     ])
@@ -435,7 +442,7 @@ def _covering_value(rows: list) -> Fraction:
     """The LP value of the covering rows, from the two-phase Fraction
     simplex on the primal covering program; memoized, as several tests
     solve the same programs."""
-    key = tuple((tuple(free), need) for free, need in rows)
+    key = tuple(rows)
     if key not in _PRIMAL:
         status, value, _, _ = _fraction_simplex(_covering_program(rows))
         assert status == "optimal"
@@ -479,7 +486,10 @@ def test_walk_yields_the_unmirrored_feasible_sequences(delta):
                 expected.append((seq, lp._covering_rows(seq, delta)))
             except ValueError:
                 continue
-        part = [item for item in walked if len(item[0]) == depth + 1]
+        part = [
+            ([frozenset(_bits(m)) for m in seq], rows)
+            for seq, rows in walked if len(seq) == depth + 1
+        ]
         assert part == expected
         assert len(part) > 0
         sliced += len(part)
@@ -495,6 +505,7 @@ def _assert_covering_roles(sol, rows: list, bounds: list) -> None:
     d, x, y = sol.scale, sol.x_num, sol.y_num
     assert d > 0 and len(x) == len(rows) - 1 and len(y) == len(rows) + len(bounds)
     assert min(x) >= 0 and min(y) >= 0
+    rows = [(_bits(free), need) for free, need in rows]
     assert all(sum(x[j] for j in free) >= need * d for free, need in rows)
     assert all(sign * x[j] >= sign * b * d for j, sign, b in bounds)
     load = [0] * len(x)
@@ -677,6 +688,36 @@ def test_order_bounds_bracket_the_lp_value(delta):
                 # upper is an integer weighting, so it bounds the integer order too
                 assert min_order_lp(_unit_topology(seq), delta).int_value <= upper
     assert checked > 0
+
+
+def _list_order_bounds(rows: list) -> tuple[int, int]:
+    """_order_bounds as it was on rows of free-index lists: the reference
+    the mask version must equal."""
+    cover = [0] * (len(rows) - 1)
+    for free, need in rows:
+        for j in free:
+            if need > cover[j]:
+                cover[j] = need
+    lower = 0
+    used: set[int] = set()
+    for free, need in sorted(rows, key=lambda row: -row[1]):
+        if need <= 0:
+            break
+        if used.isdisjoint(free):
+            used.update(free)
+            lower += need
+    return len(rows) + lower, len(rows) + sum(cover)
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 5, 8])
+def test_mask_order_bounds_match_the_list_bounds(delta):
+    # the bounds are the search's sort keys: equal bounds keep its order,
+    # the sequences it relaxes and its simplex counts
+    walked = lp._pattern_sequences(5, delta)
+    for _, rows in walked:
+        index_rows = [(_bits(free), need) for free, need in rows]
+        assert lp._order_bounds(rows) == _list_order_bounds(index_rows)
+    assert len(walked) > 300
 
 
 def _swap(seq):
@@ -981,6 +1022,23 @@ def test_extremal_search_prunes_by_lp_order(monkeypatch):
     result = extremal_search(5, 4, 60)
     assert 4 * calls[0] < sequences == 174
     assert _matches_golden(result, _golden_search()["5,4"])
+
+
+def _module_state(module) -> dict:
+    """module's names, each with the len of a dict, list, set or tuple
+    value and None for any other value."""
+    sized = (dict, list, set, tuple)
+    return {name: len(v) if isinstance(v, sized) else None for name, v in vars(module).items()}
+
+
+def test_lp_keeps_no_state_across_calls():
+    # a memo that grew across calls would raise the bench's peak RSS with
+    # its op count, so lp's module tables must not change with use
+    before = _module_state(lp)
+    for point in ((2, 5), (5, 4), (6, 4), (8, 4)):
+        extremal_search(*point, 60)
+    min_order_lp(counterexample_graph(1, 4, 1), 4)
+    assert _module_state(lp) == before
 
 
 def _narrows_optional(test: ast.expr) -> bool:

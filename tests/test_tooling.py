@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from collections import Counter
 from pathlib import Path
@@ -182,3 +183,36 @@ def test_every_src_definition_has_a_src_caller_or_a_reason():
         if not name.startswith("__") and not (refs - _referenced_names(node))[name]
     }
     assert unreferenced == _UNCALLED_IN_SRC.keys()
+
+
+# TARGETS entries that name something src no longer has, so their
+# per-layer metrics read 0 until the bench's next change drops them
+_STALE_TRACER_TARGETS = {("core", "_clump_bfs")}
+
+
+def _tracer_targets() -> list[tuple[str, str]]:
+    """The (module, path) pairs of bench/tracing.py's TARGETS, read from
+    its source, as the tracer's imports need the bench directory."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "tracing.py").read_text())
+    assigned = {
+        target.id: node.value
+        for node in tree.body if isinstance(node, ast.AnnAssign | ast.Assign)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in assigned["TARGETS"].elts]
+
+
+def test_tracer_targets_resolve_in_src():
+    # the tracer skips a name it cannot find, so a rename in src would
+    # silently zero its metrics
+    missing = set()
+    targets = _tracer_targets()
+    for module, path in targets:
+        owner = importlib.import_module(f"clumplab.{module}")
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.add((module, path))
+    assert len(targets) > 20
+    assert missing == _STALE_TRACER_TARGETS

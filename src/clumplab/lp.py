@@ -7,10 +7,12 @@ layer profiles.  Both of the last two take one path: the topology's
 covering rows, each an int bitmask of free weights and a need, built
 from layer color masks by one row builder (_mask_rows), their covering
 program's optimum (_solve_covering), then branch and bound from it
-(_branch_and_bound).  A covering program minimizes, so it goes in as
-its packing dual (_packing_dual), which is in that form, and its
-optimum is the dual's LPSolution with x and y exchanged: x the free
-weights, y the duals of the covering rows and branch bounds.
+(_branch_and_bound).  The search's walk keeps only each sequence's
+bounds on that optimum (_order_bounds) and builds rows again only for
+the sequences the bounds leave open.  A covering program minimizes, so
+it goes in as its packing dual (_packing_dual), which is in that form,
+and its optimum is the dual's LPSolution with x and y exchanged: x the
+free weights, y the duals of the covering rows and branch bounds.
 
 Programs go in as ints and Fractions, stored as given.  Inside, the
 simplex tableau is Python ints over one positive common denominator,
@@ -109,7 +111,8 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     row i becomes (row_i * p - row_i[c] * row_r) / d, which Sylvester's
     identity makes an exact division, and row r stays.  The denominator
     stays positive because p is: Bland's ratio test pivots only on a
-    positive entry of rows over d > 0.
+    positive entry of rows over d > 0.  With d = 1 the division is
+    skipped, and with p = 1 too the multiply: the same integers.
     """
     pivot_row = rows[r]
     p = pivot_row[c]
@@ -117,10 +120,15 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
         if i == r:
             continue
         f = row[c]
-        if f:
+        if not f:
+            if p != d:
+                rows[i] = [a * p // d for a in row]
+        elif d != 1:
             rows[i] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
-        elif p != d:
-            rows[i] = [a * p // d for a in row]
+        elif p != 1:
+            rows[i] = [a * p - f * b for a, b in zip(row, pivot_row)]
+        else:
+            rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
     return p
 
 
@@ -320,17 +328,18 @@ def _mask_rows(
 
 
 def _covering_rows(colors: Sequence[AbstractSet[int]], delta: int) -> list[CoverRow]:
-    """The covering rows of the layer color sets colors, by _mask_rows
-    as the search's are: one per clump, layer by layer and by ascending
-    color, holding the mask of the clump's neighbors among the free
-    weights (bit j for free weight j, every clump after the root in the
-    same order) and its need, delta less its neighbor count.  A clump of
-    weight 1 + v has weighted degree neighbors + the sum of their v, so
-    the row reads sum(v[j] for j in free) >= need.  ValueError when a
-    clump with positive need has no free neighbor: no weighting reaches
-    delta."""
+    """The covering rows of the layer color sets colors, by _mask_rows,
+    over the search's table _OTHER when every color is below 3: one per
+    clump, layer by layer and by ascending color, holding the mask of
+    the clump's neighbors among the free weights (bit j for free weight
+    j, every clump after the root in the same order) and its need, delta
+    less its neighbor count.  A clump of weight 1 + v has weighted
+    degree neighbors + the sum of their v, so the row reads sum(v[j] for
+    j in free) >= need.  ValueError when a clump with positive need has
+    no free neighbor: no weighting reaches delta."""
     masks = [sum(1 << c for c in cols) for cols in colors]
-    other = {m: [_other_bits(m, c) for c in range(max(masks).bit_length())] for m in {0, *masks}}
+    k = max(masks).bit_length()
+    other = _OTHER if k <= 3 else {m: [_other_bits(m, c) for c in range(k)] for m in {0, *masks}}
     rows: list[CoverRow] = []
     start = 0
     for cols, prev, cur, nxt in zip(colors, [0, *masks], masks, [*masks[1:], 0]):
@@ -344,36 +353,33 @@ def _covering_rows(colors: Sequence[AbstractSet[int]], delta: int) -> list[Cover
 
 def _order_bounds(rows: list[CoverRow]) -> tuple[int, int]:
     """Integer bounds lower <= clumps + LP value <= upper on the minimum
-    order of the covering rows, without a pivot.
+    order of the covering rows, without a pivot, from one pass over the
+    positive-need rows sorted by descending need, ties in row order.
 
-    lower adds to the clump count the needs of positive-need rows with
-    pairwise disjoint free masks, taken greedily by descending need: as
-    y_r = 1 on those rows and 0 elsewhere they are feasible for the
-    packing dual (_packing_dual), as every variable lies in at most one
-    of them, so by weak duality their total need is at most the LP value.
+    lower adds to the clump count the needs of rows with pairwise
+    disjoint free masks, taken greedily in that order: as y_r = 1 on
+    those rows and 0 elsewhere they are feasible for the packing dual
+    (_packing_dual), as every variable lies in at most one of them, so
+    by weak duality their total need is at most the LP value.
 
     upper adds the total of v[j] = max(0, the largest need of a row
     holding bit j), a feasible integer weighting: a row with positive
     need has a free neighbor j (else _covering_rows raised), and v[j]
     alone covers it; a row with need <= 0 holds for any v >= 0.  So
-    upper bounds the LP value and the integer order both.
+    upper bounds the LP value and the integer order both.  The first
+    row in the pass to hold bit j has the largest need, so each row adds
+    its need once per bit that no row before it holds.
     """
-    cover = [0] * (len(rows) - 1)
-    for free, need in rows:
-        while need > 0 and free:  # a need <= 0 raises no cover
-            low = free & -free
-            j = low.bit_length() - 1
-            if need > cover[j]:
-                cover[j] = need
-            free ^= low
-    lower = used = 0
-    for free, need in sorted(rows, key=lambda row: -row[1]):
+    lower = upper = used = covered = 0
+    for free, need in sorted(rows, key=itemgetter(1), reverse=True):
         if need <= 0:
             break
         if not used & free:
             used |= free
             lower += need
-    return len(rows) + lower, len(rows) + sum(cover)
+        upper += need * (free & ~covered).bit_count()
+        covered |= free
+    return len(rows) + lower, len(rows) + upper
 
 
 Bound = tuple[int, int, int]  # free index j, sign s, b: the branch row s * x_j >= s * b
@@ -472,20 +478,22 @@ _SUCCESSORS = {
 }
 
 
-def _pattern_sequences(d_max: int, delta: int) -> list[tuple[list[int], list[CoverRow]]]:
+def _pattern_sequences(d_max: int, delta: int) -> list[tuple[int, int, int, list[int]]]:
     """The sequences extremal_search visits at depths 1 to d_max, each
-    with its covering rows: every canonical sequence of 2 to d_max + 1
-    layer color masks (bit c for color c) from the root layer 1 that is
-    not a mirror and reaches the degree bound, with the rows that
-    _covering_rows gives its colors.  The list is the preorder of one
-    depth-first walk over successors in _SUCCESSORS order (1, 2, 4, 3,
-    5, 6, 7): a sequence comes before its extensions, and each depth's
-    sequences keep the order of a walk of that depth alone.
+    as (depth, lower, upper, masks): masks is a canonical sequence of 2
+    to d_max + 1 layer color masks (bit c for color c) from the root
+    layer 1 that is not a mirror and reaches the degree bound, and lower
+    and upper are _order_bounds of the rows _covering_rows gives its
+    colors.  The list is the preorder of one depth-first walk over
+    successors in _SUCCESSORS order (1, 2, 4, 3, 5, 6, 7): a sequence
+    comes before its extensions, and each depth's sequences keep the
+    order of a walk of that depth alone.
 
     A stack frame is (sequence, the layer before its last, its last
     layer, that layer's first clump bit, the rows of every layer but the
     last, whether the prefix decides the swap); appending a layer
-    completes the rows of the one before it (_mask_rows over _OTHER).  A
+    completes the rows of the one before it (_mask_rows over _OTHER).
+    A frame's rows and its final rows are bounded once, then dropped.  A
     mirror prefix is cut with all below it: the first layer holding just
     one of colors 1 and 2 (bits 1 and 2) decides whether swapping them
     gives a lexicographically smaller sequence, as it does for color 2.
@@ -501,7 +509,7 @@ def _pattern_sequences(d_max: int, delta: int) -> list[tuple[list[int], list[Cov
     colors gives each of its clumps one too.  A completed row never
     lacks one, and only a single-color layer 1 at depth 1 can be dead.
     """
-    out: list[tuple[list[int], list[CoverRow]]] = []
+    out: list[tuple[int, int, int, list[int]]] = []
     stack = [([1], 0, 1, 0, [], False)]
     while stack:
         seq, before, last, start, rows, decided = stack.pop()
@@ -509,7 +517,7 @@ def _pattern_sequences(d_max: int, delta: int) -> list[tuple[list[int], list[Cov
         if len(seq) > 1:
             final = _mask_rows(_OTHER, colors, before, last, 0, start, delta)
             if final is not None:
-                out.append((seq, rows + final))
+                out.append((len(seq) - 1, *_order_bounds(rows + final), seq))
         if len(seq) > d_max:
             continue
         after = start + len(colors)
@@ -536,21 +544,23 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
 
     A sequence's order is the clump count plus the minimum of its
     covering program.  One depth-first walk (_pattern_sequences) yields
-    every depth's layer masks up to d_max with their mask rows, and skips
-    a sequence that cannot reach the degree bound or whose 1 <-> 2 color
-    swap is lexicographically smaller.  Each gets integer bounds lower <=
-    LP order <= upper (_order_bounds), the LP order being the clump count
-    plus the LP value.  One loop takes the sequences by depth, then by
-    ascending lower bound, ties in walk order.  With best the least order
+    every depth's layer masks up to d_max, and skips a sequence that
+    cannot reach the degree bound or whose 1 <-> 2 color swap is
+    lexicographically smaller.  Each comes with integer bounds lower <=
+    LP order <= upper (_order_bounds) from its rows, which the walk does
+    not keep, the LP order being the clump count plus the LP value.  One
+    sort puts the sequences by depth, then by ascending lower bound, ties
+    in walk order, and one loop takes them.  With best the least order
     found so far at the sequence's depth:
 
     - one whose lower bound exceeds n_budget has an LP order above it,
       so it is dropped and marks the result incomplete;
     - one whose upper bound fits n_budget is skipped when its lower
       bound reaches best;
-    - any other is relaxed (_solve_covering, through the packing
-      dual).  It is dropped, marking the result incomplete, when its LP
-      order exceeds n_budget, and skipped when the rounded-up LP order
+    - any other has its rows rebuilt from its masks (_covering_rows)
+      and is relaxed (_solve_covering, through the packing dual).  It
+      is dropped, marking the result incomplete, when its LP order
+      exceeds n_budget, and skipped when the rounded-up LP order
       reaches best, as it does when the lower bound does.  Otherwise it
       goes to _branch_and_bound from that relaxation, uncapped, the path
       min_order_lp takes too.  Its free weights and the masks' colors give
@@ -586,18 +596,16 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
         raise ValueError(f"n_budget={n_budget} must be positive")
     frontier: dict[int, int] = {}
     complete = True
-    sequences = _pattern_sequences(d_max, delta)
-    walk = [(len(seq) - 1, *_order_bounds(rows), seq, rows) for seq, rows in sequences]
-    # by depth, then by lower bound, ties in walk order: two stable sorts
-    walk.sort(key=itemgetter(1))
-    walk.sort(key=itemgetter(0))
-    for depth, lower, upper, seq, rows in walk:
+    walk = _pattern_sequences(d_max, delta)
+    walk.sort(key=itemgetter(0, 1))  # by depth, then lower bound, ties in walk order
+    for depth, lower, upper, seq in walk:
         if lower > n_budget:
             complete = False
             continue
         best = frontier.get(depth)
         if best is not None and lower >= best and upper <= n_budget:
             continue
+        rows = _covering_rows([_COLORS[m] for m in seq], delta)
         root = _solve_covering(rows, ())
         # the walk yields no sequence with a dead row, so every positive-need
         # row has a free neighbor and the covering program is feasible

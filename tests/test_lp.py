@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -95,6 +96,38 @@ def test_global_program_optimum():
     ]
     assert tight_rows(build_epsz_lp(), sol.x) == [0, 2, 3, 4]
     assert sum(a * b for a, (_, _, b) in zip(sol.y, GLOBAL_PROGRAM)) == Fraction(57, 23)
+
+
+def _bareiss_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """_pivot as it was before its d = 1 paths: the reference they must
+    equal."""
+    pivot_row = rows[r]
+    p = pivot_row[c]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
+        elif p != d:
+            rows[i] = [a * p // d for a in row]
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tableau=st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=4),
+    r=st.integers(0, 3),
+    c=st.integers(0, 3),
+    p=st.one_of(st.just(1), st.integers(2, 9)),
+)
+def test_pivot_fast_paths_match_the_bareiss_pivot(tableau, r, c, p):
+    # a first pivot has d = 1; a pivot p = 1 skips the multiply too
+    r %= len(tableau)
+    tableau[r][c] = p
+    fast, reference = [list(row) for row in tableau], [list(row) for row in tableau]
+    assert lp._pivot(fast, r, c, 1) == _bareiss_pivot(reference, r, c, 1) == p
+    assert fast == reference
 
 
 def test_simplex_checks_strong_duality(monkeypatch):
@@ -474,7 +507,9 @@ def test_integer_tableau_matches_fraction_tableau_on_min_order(delta):
 @pytest.mark.parametrize("delta", [1, 2, 3, 5, 8])
 def test_walk_yields_the_unmirrored_feasible_sequences(delta):
     # one walk over depths 1-5; each depth's slice keeps the order of a
-    # walk of that depth alone, and the slices make up the whole list
+    # walk of that depth alone, and the slices make up the whole list.
+    # Each entry's bounds are those of its covering rows, and the rows
+    # extremal_search rebuilds from its masks are _covering_rows'
     walked = lp._pattern_sequences(5, delta)
     sliced = 0
     for depth in range(1, 6):
@@ -483,12 +518,18 @@ def test_walk_yields_the_unmirrored_feasible_sequences(delta):
             if _swap_is_smaller(seq):
                 continue
             try:
-                expected.append((seq, lp._covering_rows(seq, delta)))
+                rows = lp._covering_rows(seq, delta)
             except ValueError:
                 continue
+            expected.append((depth, seq, rows, lp._order_bounds(rows)))
         part = [
-            ([frozenset(_bits(m)) for m in seq], rows)
-            for seq, rows in walked if len(seq) == depth + 1
+            (
+                d,
+                [frozenset(_bits(m)) for m in seq],
+                lp._covering_rows([lp._COLORS[m] for m in seq], delta),
+                (lower, upper),
+            )
+            for d, lower, upper, seq in walked if len(seq) == depth + 1
         ]
         assert part == expected
         assert len(part) > 0
@@ -714,9 +755,10 @@ def test_mask_order_bounds_match_the_list_bounds(delta):
     # the bounds are the search's sort keys: equal bounds keep its order,
     # the sequences it relaxes and its simplex counts
     walked = lp._pattern_sequences(5, delta)
-    for _, rows in walked:
+    for _, lower, upper, seq in walked:
+        rows = lp._covering_rows([lp._COLORS[m] for m in seq], delta)
         index_rows = [(_bits(free), need) for free, need in rows]
-        assert lp._order_bounds(rows) == _list_order_bounds(index_rows)
+        assert (lower, upper) == lp._order_bounds(rows) == _list_order_bounds(index_rows)
     assert len(walked) > 300
 
 
@@ -1022,6 +1064,26 @@ def test_extremal_search_prunes_by_lp_order(monkeypatch):
     result = extremal_search(5, 4, 60)
     assert 4 * calls[0] < sequences == 174
     assert _matches_golden(result, _golden_search()["5,4"])
+
+
+def test_extremal_search_keeps_bounds_not_rows():
+    # the walk bounds each sequence's rows and drops them, so the traced
+    # peak is about 1.2 MB at (3, 7), against 3.3 MB when every walked
+    # sequence kept its rows (Python 3.11)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = extremal_search(3, 7, 60)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert result.frontier == {2: 5, 3: 8, 4: 9, 5: 10, 6: 12, 7: 13}
+    assert (result.best_phi, result.complete) == (Fraction(21, 13), True)
+    assert peak < 1_500_000, peak
 
 
 def _module_state(module) -> dict:

@@ -12,18 +12,20 @@ bounds on that optimum (_order_bounds) and builds rows again only for
 the sequences the bounds leave open.  A covering program minimizes, so
 it goes in as its packing dual (_packing_dual), which is in that form,
 and its optimum is the dual's LPSolution with x and y exchanged: x the
-free weights, y the duals of the covering rows and branch bounds.
+free weights, y the duals of the covering rows and branch bounds.  A
+branch bound is one more column of the packing dual, so each branch
+node resumes the pivots from its parent's final tableau (_resume).
 
 Programs go in as ints and Fractions, stored as given.  Inside, the
 simplex tableau is Python ints over one positive common denominator,
 updated by fraction-free (Bareiss) pivots, and an optimum comes out the
 same way: integer numerators over one positive denominator, checked
-exactly as a primal and dual pair before it is returned.  The covering
-path (_solve_covering, _branch_and_bound, min_order_lp's cap and
-extremal_search's budget and best tests) works on those integers;
-Fraction appears only at the API edge: LPSolution's value, x and y
-views, which min_order_lp's lp_value reads, and extremal_search's
-best_phi.  There is no floating point.
+exactly as a primal and dual pair, a resumed one on its own rows, before
+it is returned.  The covering path (_solve_covering, _branch_and_bound,
+min_order_lp's cap and extremal_search's budget and best tests) works
+on those integers; Fraction appears only at the API edge: LPSolution's
+value, x and y views, which min_order_lp's lp_value reads, and
+extremal_search's best_phi.  There is no floating point.
 """
 
 from __future__ import annotations
@@ -72,12 +74,14 @@ class LPSolution:
     """An optimum as integer numerators over one denominator scale > 0:
     the value is value_num / scale, x[j] is x_num[j] / scale and the
     dual of row i is y_num[i] / scale.  value, x and y are their
-    Fraction views."""
+    Fraction views.  _tableau, neither compared nor shown, is the final
+    tableau, which _resume continues."""
 
     scale: int
     value_num: int
     x_num: list[int]
     y_num: list[int]  # dual numerators per row
+    _tableau: _Tableau | None = field(default=None, compare=False, repr=False)
 
     @property
     def value(self) -> Fraction:
@@ -132,6 +136,20 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     return p
 
 
+@dataclass
+class _Tableau:
+    """The simplex tableau, tab over d > 0, of maximizing costs.x subject
+    to a.x <= b for each (a, b) of rows, all ints, and x >= 0: a row per
+    constraint, then the reduced costs; the structural columns, then a
+    slack per row, then the rhs.  basis[i] is row i's basic column."""
+
+    rows: list[tuple[list[int], int]]
+    costs: list[int]
+    tab: list[list[int]]
+    basis: list[int]
+    d: int
+
+
 def simplex_solve(lp: RationalLP) -> LPSolution | None:
     """Dense one-phase simplex from the slack basis, Bland's rule; None
     when the program is unbounded.
@@ -144,17 +162,12 @@ def simplex_solve(lp: RationalLP) -> LPSolution | None:
     those of the rational tableau, because scaling a row or a column by
     a positive factor keeps every ratio order and every reduced-cost
     sign.  No Fraction is made here: the optimum is returned as integer
-    numerators over obj_scale * d.
-
-    The last row holds the reduced costs c_j - c_B B^-1 A_j, scaled
-    likewise and kept up to date by every pivot; the duals are read off
-    it.  Before the optimum is returned, _check_optimum proves it on the
-    scaled integer rows the tableau was built from: x and y are feasible
-    and c.x = y.b = the value.  ArithmeticError otherwise.
+    numerators over obj_scale * d, with the scaled program's final
+    tableau.  _optimize pivots and proves the optimum on the scaled
+    integer rows (_check_optimum), or raises ArithmeticError.
     """
     n = len(lp.c)
     m = len(lp.rows)
-    ncols = n + m
     scaled: list[tuple[list[int], int]] = []
     tab: list[list[int]] = []
     row_scale = []
@@ -168,9 +181,26 @@ def simplex_solve(lp: RationalLP) -> LPSolution | None:
     # the slacks cost 0, so the slack basis prices every column at its cost
     costs, obj_scale = _integer_row(lp.c)
     tab.append(costs + [0] * (m + 1))
-    d = 1
-    basis = list(range(n, ncols))
+    sol = _optimize(_Tableau(scaled, costs, tab, list(range(n, n + m)), 1))
+    if sol is not None:
+        # x is unchanged by the row scales, and the dual of a row is its
+        # scale over obj_scale times the dual of the scaled row
+        sol.scale *= obj_scale
+        sol.x_num = [obj_scale * v for v in sol.x_num]
+        sol.y_num = [scale * v for scale, v in zip(row_scale, sol.y_num)]
+    return sol
 
+
+def _optimize(t: _Tableau) -> LPSolution | None:
+    """Bland's pivots on t, in place, from its primal feasible basis to
+    an optimum over t.d, proved by _check_optimum on t's rows and
+    carrying t; None when the program is unbounded.
+
+    The last row holds the reduced costs c_j - c_B B^-1 A_j, scaled by
+    d and kept up to date by every pivot; the duals are read off it."""
+    tab, basis = t.tab, t.basis
+    n, m = len(t.costs), len(basis)
+    ncols = n + m
     while True:
         # Bland: the first improving column; basic columns price at 0
         z = tab[m]
@@ -192,27 +222,19 @@ def simplex_solve(lp: RationalLP) -> LPSolution | None:
             leaving, best_rhs, best_entry = i, rhs, entry
         if leaving < 0:
             return None
-        d = _pivot(tab, leaving, entering, d)
+        t.d = _pivot(tab, leaving, entering, t.d)
         basis[leaving] = entering
 
-    # the optimum of the scaled program, over d: the cost row's rhs is
-    # -c_B x_B, and slack i costs 0, so its reduced cost is -(c_B B^-1)_i
+    # the cost row's rhs is -c_B x_B, and slack i costs 0, so its
+    # reduced cost is -(c_B B^-1)_i
     x = [0] * n
     for i, b in enumerate(basis):
         if b < n:
             x[b] = tab[i][ncols]
-    z = tab[m]
     value = -z[ncols]
     y = [-v for v in z[n:ncols]]
-    _check_optimum(scaled, costs, d, value, x, y)
-    # x is unchanged by the row scales, and the dual of a row is its
-    # scale over obj_scale times the dual of the scaled row
-    return LPSolution(
-        scale=obj_scale * d,
-        value_num=value,
-        x_num=[obj_scale * v for v in x],
-        y_num=[scale * v for scale, v in zip(row_scale, y)],
-    )
+    _check_optimum(t.rows, t.costs, t.d, value, x, y)
+    return LPSolution(t.d, value, x, y, t)
 
 
 def _check_optimum(
@@ -258,9 +280,13 @@ def build_epsz_lp() -> RationalLP:
 
 @dataclass
 class MinOrderResult:
+    """The minimum orders over fractional and integer weights, and
+    weights: each clump (layer, color) to its weight in the optimal
+    integer weighting branch and bound found, one of possibly several."""
+
     lp_value: Fraction
     int_value: int | None
-    weights: dict[tuple[int, int], int] | None  # optimal integer weights
+    weights: dict[tuple[int, int], int] | None
 
 
 ILP_CLUMP_LIMIT = 40
@@ -280,7 +306,7 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
         raise ValueError(f"delta={delta} must be positive")
     colors = [topology.colors_of_layer(i) for i in range(topology.diameter_index + 1)]
     rows = _covering_rows(colors, delta)
-    root = _solve_covering(rows, ())
+    root = _solve_covering(rows)
     # _covering_rows gave every positive-need row a free neighbor, so the
     # covering program is feasible
     assert root is not None
@@ -288,7 +314,7 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
     value, x, d = root.value_num, root.x_num, root.scale
     if len(rows) > ILP_CLUMP_LIMIT and -(-value // d) < sum(-(-v // d) for v in x):
         return MinOrderResult(lp_value=lp_value, int_value=None, weights=None)
-    total, free = _branch_and_bound(rows, root)
+    total, free = _branch_and_bound(root)
     keys = [(i, c) for i, row in enumerate(topology.rows) for c in row]
     weights = dict(zip(keys, [1, *(1 + v for v in free)]))
     return MinOrderResult(lp_value=lp_value, int_value=len(rows) + total, weights=weights)
@@ -382,59 +408,74 @@ def _order_bounds(rows: list[CoverRow]) -> tuple[int, int]:
     return len(rows) + lower, len(rows) + upper
 
 
-Bound = tuple[int, int, int]  # free index j, sign s, b: the branch row s * x_j >= s * b
-
-
-def _packing_dual(rows: list[CoverRow], bounds: Sequence[Bound]) -> RationalLP:
+def _packing_dual(rows: list[CoverRow]) -> RationalLP:
     """The dual of minimizing the total free weight subject to the
-    covering rows and the branch bounds: maximize sum(need_r * y_r) over
-    y >= 0, one column per row, subject to sum(y_r over the rows r whose
-    mask has bit j) <= 1 for every free variable j, so row j holds bit j
-    of every mask.  A bound s * x_j >= s * b is one more covering row: a
-    column with entry s at j and cost s * b.  Every right-hand side is
-    1, so the program is in simplex_solve's form; its row duals are a
-    vertex x of the covering program, of the same value."""
-    pad = [0] * len(bounds)
-    matrix = [[free >> j & 1 for free, _ in rows] + pad for j in range(len(rows) - 1)]
-    c = [need for _, need in rows]
-    for k, (j, sign, b) in enumerate(bounds, len(rows)):
-        matrix[j][k] = sign
-        c.append(sign * b)
-    return RationalLP(c, [(row, 1) for row in matrix])
+    covering rows: maximize sum(need_r * y_r) over y >= 0, one column
+    per row, subject to sum(y_r over the rows r whose mask has bit j) <=
+    1 for every free variable j, so row j holds bit j of every mask.
+    Every right-hand side is 1, so the program is in simplex_solve's
+    form; its row duals are a vertex x of the covering program, of the
+    same value.  A branch bound is one more column (_resume)."""
+    matrix = [[free >> j & 1 for free, _ in rows] for j in range(len(rows) - 1)]
+    return RationalLP([need for _, need in rows], [(row, 1) for row in matrix])
 
 
-def _solve_covering(rows: list[CoverRow], bounds: Sequence[Bound]) -> LPSolution | None:
-    """The optimum of the covering rows under the branch bounds, least
-    total free weight: x holds the free weights and y the duals of the
-    rows, then of the bounds.  None when it is infeasible, which makes
-    the packing dual unbounded.  It is the packing dual's optimum with x
-    and y exchanged, which simplex_solve has proved in integers: for the
-    packing dual, dual feasibility is exactly weights >= 0 that meet
-    every row and bound, and primal feasibility a y >= 0 whose signed
-    sum over the rows and bounds holding each free weight is at most 1."""
-    sol = simplex_solve(_packing_dual(rows, bounds))
-    if sol is None:
-        return None
-    return LPSolution(scale=sol.scale, value_num=sol.value_num, x_num=sol.y_num, y_num=sol.x_num)
+def _exchanged(sol: LPSolution | None) -> LPSolution | None:
+    """A packing dual's optimum as its covering program's: x and y exchanged."""
+    if sol is not None:
+        sol = LPSolution(sol.scale, sol.value_num, sol.y_num, sol.x_num, sol._tableau)
+    return sol
 
 
-def _branch_and_bound(rows: list[CoverRow], root: LPSolution) -> tuple[int, list[int]]:
-    """The integer optimum of the covering rows as (total, free
+def _solve_covering(rows: list[CoverRow]) -> LPSolution | None:
+    """The optimum of the covering rows, least total free weight: x
+    holds the free weights and y the duals of the rows; None when it is
+    infeasible, as the packing dual is then unbounded.  simplex_solve
+    proves it: for the packing dual, dual feasibility is exactly weights
+    >= 0 that meet every row (and bound, for _resume), and primal
+    feasibility a y >= 0 whose signed sum on each free weight is <= 1."""
+    return _exchanged(simplex_solve(_packing_dual(rows)))
+
+
+def _resume(node: LPSolution, j: int, sign: int, b: int) -> LPSolution | None:
+    """The covering optimum of node's program plus the branch bound sign
+    * x_j >= sign * b, y ending in its dual; None when infeasible.
+
+    The bound is a packing-dual column after the others, where a cold
+    solve puts it, and enters nonbasic at 0, so node's optimal basis
+    stays primal feasible and _optimize continues from a copy of it.
+    The packing dual's data are ints, so its tableau is of the program
+    itself: the slack columns hold d * B^-1, so the column's entry in row
+    i is sign * tab[i][n + j], and the cost row's hold -d * y, so its
+    reduced cost is d * sign * b + sign * z[n + j].  The optimum is proved
+    on node's rows with the column added, as a cold solve's would be."""
+    t = node._tableau
+    assert t is not None
+    n = len(t.costs)
+    *body, z = t.tab
+    tab = [row[:n] + [sign * row[n + j]] + row[n:] for row in body]
+    tab.append(z[:n] + [sign * (t.d * b + z[n + j])] + z[n:])
+    rows = [([*a, sign if i == j else 0], rhs) for i, (a, rhs) in enumerate(t.rows)]
+    basis = [c + (c >= n) for c in t.basis]
+    return _exchanged(_optimize(_Tableau(rows, [*t.costs, sign * b], tab, basis, t.d)))
+
+
+def _branch_and_bound(root: LPSolution) -> tuple[int, list[int]]:
+    """The integer optimum of a covering program as (total, free
     weights), by depth-first branch and bound on the most fractional
-    variable from the relaxation root, which is never solved again.
-    Each node adds one bound to the packing dual as a column.  Rounding
+    variable from its relaxation root (_solve_covering).  Each child adds
+    one bound to its parent's program and resumes from its parent's
+    tableau (_resume): no node solves from the slack basis.  Rounding
     root's weights up stays feasible and seeds the incumbent, so when
     their total is the rounded-up LP value nothing branches.
 
-    A node is _solve_covering's optimum under the bounds so far, and only
-    its value_num, x_num and scale d > 0 are read, all in integer
-    arithmetic: the ceiling of a / d is -(-a // d), the floor a // d, and
-    the distance of a / d from its nearest half-integer is
+    Only a node's value_num, x_num and scale d > 0 are read, all in
+    integer arithmetic: the ceiling of a / d is -(-a // d), the floor
+    a // d, and the distance of a / d from its nearest half-integer is
     |2 * (a mod d) - d| / 2d, so that numerator ranks the most fractional
     variable, ties to the smallest index."""
     best_x = [-(-v // root.scale) for v in root.x_num]
     incumbent = sum(best_x)
-    bounds: list[Bound] = []
 
     def branch(node: LPSolution) -> None:
         nonlocal incumbent, best_x
@@ -449,11 +490,9 @@ def _branch_and_bound(rows: list[CoverRow], root: LPSolution) -> tuple[int, list
         _, j = min(frac)
         low = x[j] // d
         for sign, bound in ((-1, low), (1, low + 1)):
-            bounds.append((j, sign, bound))
-            child = _solve_covering(rows, bounds)
+            child = _resume(node, j, sign, bound)
             if child is not None:
                 branch(child)
-            bounds.pop()
 
     branch(root)
     return incumbent, best_x
@@ -606,7 +645,7 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
         if best is not None and lower >= best and upper <= n_budget:
             continue
         rows = _covering_rows([_COLORS[m] for m in seq], delta)
-        root = _solve_covering(rows, ())
+        root = _solve_covering(rows)
         # the walk yields no sequence with a dead row, so every positive-need
         # row has a free neighbor and the covering program is feasible
         assert root is not None
@@ -616,7 +655,7 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
             continue
         if best is not None and value > (best - len(rows) - 1) * d:
             continue
-        total, free = _branch_and_bound(rows, root)
+        total, free = _branch_and_bound(root)
         weights = iter([1, *(1 + v for v in free)])
         graph = WeightedClumpGraph(3, [[(c, next(weights)) for c in _COLORS[m]] for m in seq])
         order = len(rows) + total

@@ -499,7 +499,7 @@ def test_integer_tableau_matches_fraction_tableau_on_min_order(delta):
             rows = lp._covering_rows(seq, delta)
         except ValueError:
             continue
-        assert _same_as_fraction_tableau(lp._packing_dual(rows, ())).value == _covering_value(rows)
+        assert _same_as_fraction_tableau(lp._packing_dual(rows)).value == _covering_value(rows)
         solved += 1
     assert solved > 0
 
@@ -573,7 +573,7 @@ def test_packing_dual_matches_the_covering_program(delta):
             rows = lp._covering_rows(seq, delta)
         except ValueError:
             continue
-        root = lp._solve_covering(rows, ())
+        root = lp._solve_covering(rows)
         assert root is not None and root.value == _covering_value(rows)
         _assert_covering_roles(root, rows, [])
         n_free = len(root.x_num)
@@ -585,7 +585,7 @@ def test_packing_dual_matches_the_covering_program(delta):
         for j, sign, b in bounds:
             primal.rows.append(([sign if i == j else 0 for i in range(n_free)], ">=", sign * b))
         status, want, _, _ = _fraction_simplex(primal)
-        got = lp._solve_covering(rows, bounds)
+        got = _resumed(root, bounds)
         statuses.append(status)
         if status == "infeasible":
             assert got is None
@@ -593,6 +593,57 @@ def test_packing_dual_matches_the_covering_program(delta):
             assert got is not None and got.value == want
             _assert_covering_roles(got, rows, bounds)
     assert {"optimal", "infeasible"} <= set(statuses)
+
+
+def _resumed(node, bounds: list):
+    """node's covering program with the bounds added one by one, each
+    resumed from the last (lp._resume); None once one is infeasible, as
+    branch and bound never resumes from an infeasible node."""
+    for bound in bounds:
+        if node is None:
+            return None
+        node = lp._resume(node, *bound)
+    return node
+
+
+def _cold_bounded(rows: list, bounds: list):
+    """Oracle: the covering optimum under the branch bounds, solved cold
+    from the slack basis: the packing dual with one more column per
+    bound, entry sign in row j and cost sign * b."""
+    dual = lp._packing_dual(rows)
+    for j, sign, b in bounds:
+        dual.c.append(sign * b)
+        for i, (coeffs, _) in enumerate(dual.rows):
+            coeffs.append(sign if i == j else 0)
+    return lp._exchanged(simplex_solve(dual))
+
+
+_WALKS: dict = {}  # lp._pattern_sequences(5, delta) by delta, for the test below
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), delta=st.sampled_from([1, 2, 3, 5, 8]))
+def test_resumed_nodes_match_cold_bounded_solves(data, delta):
+    # a chain of one to three branch bounds, each next to the node's
+    # weight; every resumed node is infeasible exactly when the cold
+    # solve is, and otherwise has its value and the covering roles
+    if delta not in _WALKS:
+        _WALKS[delta] = lp._pattern_sequences(5, delta)
+    *_, seq = data.draw(st.sampled_from(_WALKS[delta]))
+    rows = lp._covering_rows([lp._COLORS[m] for m in seq], delta)
+    node = lp._solve_covering(rows)
+    bounds: list = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        j = data.draw(st.integers(0, len(node.x_num) - 1))
+        b = node.x_num[j] // node.scale + data.draw(st.integers(-1, 2))
+        bounds.append((j, data.draw(st.sampled_from([-1, 1])), b))
+        node = lp._resume(node, *bounds[-1])
+        cold = _cold_bounded(rows, bounds)
+        assert (node is None) == (cold is None)
+        if node is None:
+            break
+        assert node.value == cold.value
+        _assert_covering_roles(node, rows, bounds)
 
 
 def _perturbed_check(monkeypatch, perturb) -> None:
@@ -641,13 +692,18 @@ def test_min_order_rejects_a_dual_that_misses_a_row(monkeypatch):
     ([], lambda d, value, x, y: (value, x, [3 * d, 3 * d, -1])),
 ])
 def test_solve_covering_checks_bounds_and_signs(monkeypatch, bounds, perturb):
-    # the covering vertex is the packing dual's y, so y's checks see both
+    # the covering vertex is the packing dual's y, so y's checks see
+    # both, on a resumed node's rows as on the root's
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1), (2, 1)], [(0, 1)]])
     rows = lp._covering_rows([g.colors_of_layer(i) for i in range(3)], 5)
-    assert lp._solve_covering(rows, bounds) is not None
+    root = lp._solve_covering(rows)
+    assert _resumed(root, bounds) is not None
     _perturbed_check(monkeypatch, perturb)
     with pytest.raises(ArithmeticError, match="optimal y"):
-        lp._solve_covering(rows, bounds)
+        if bounds:  # the root was proved before the perturbation
+            _resumed(root, bounds)
+        else:
+            lp._solve_covering(rows)
 
 
 @pytest.mark.parametrize("c, rows, perturb, message", [
@@ -851,20 +907,39 @@ def test_min_order_two_clumps(monkeypatch):
     # the two middle clumps split a fractional optimum, so branch and
     # bound solves at least one program past the relaxation
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1), (2, 1)], [(0, 1)]])
-    calls = _count_calls(monkeypatch, "simplex_solve")
+    roots = _count_calls(monkeypatch, "simplex_solve")
+    resumes = _count_calls(monkeypatch, "_resume")
     result = min_order_lp(g, 5)
     assert result.lp_value == Fraction(15, 2) and result.int_value == 8
-    assert calls[0] >= 2
+    assert roots[0] + resumes[0] >= 2
 
 
 def test_min_order_integral_root_is_solved_once(monkeypatch):
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 1)], [(0, 1)]])
     rows = lp._covering_rows([g.colors_of_layer(i) for i in range(3)], 2)
-    root = lp._solve_covering(rows, ())
+    root = lp._solve_covering(rows)
     assert root is not None and all(v % root.scale == 0 for v in root.x_num)
     calls = _count_calls(monkeypatch, "simplex_solve")
+    resumes = _count_calls(monkeypatch, "_resume")
     min_order_lp(g, 2)
-    assert calls == [1]
+    assert calls == [1] and resumes == [0]
+
+
+@pytest.mark.parametrize("r, delta, diam, min_delta, lp_value, int_value, resumed", [
+    (2, 16, 20, 17, Fraction(325, 2), 164, 262),
+    (2, 8, 20, 7, Fraction(135, 2), 69, 52),
+])
+def test_min_order_branches_by_resuming(
+    monkeypatch, r, delta, diam, min_delta, lp_value, int_value, resumed
+):
+    # below the cap branch and bound runs; only the root is solved from
+    # the slack basis, and every other node resumes its parent's
+    # tableau, so a fallback to cold solves fails on the counts
+    roots = _count_calls(monkeypatch, "simplex_solve")
+    resumes = _count_calls(monkeypatch, "_resume")
+    result = min_order_lp(eppt_even(r, delta, diam), min_delta)
+    assert (result.lp_value, result.int_value) == (lp_value, int_value)
+    assert (roots[0], resumes[0]) == (1, resumed)
 
 
 @pytest.mark.parametrize("delta", [2, 5])
@@ -1033,14 +1108,16 @@ def test_extremal_search_matches_golden(monkeypatch, point):
 
 def test_extremal_search_solves_few_relaxations(monkeypatch):
     # the bounds decide most sequences: at (5, 4) the walk yields 92 of
-    # the 174, and 13 programs are solved
-    calls = _count_calls(monkeypatch, "simplex_solve")
+    # the 174, and 13 programs are solved, 5 relaxations from the slack
+    # basis and 8 branch nodes resumed from their parent's tableau
+    roots = _count_calls(monkeypatch, "simplex_solve")
+    resumes = _count_calls(monkeypatch, "_resume")
     counts = {}
     for point in sorted(_golden_search()):
-        calls[0] = 0
+        roots[0] = resumes[0] = 0
         extremal_search(*map(int, point.split(",")), 60)
-        counts[point] = calls[0]
-    assert counts == {"2,5": 5, "3,5": 5, "5,4": 13, "6,4": 5, "8,4": 13}
+        counts[point] = (roots[0], roots[0] + resumes[0])
+    assert counts == {"2,5": (5, 5), "3,5": (5, 5), "5,4": (5, 13), "6,4": (5, 5), "8,4": (11, 13)}
 
 
 @pytest.mark.parametrize("point, sequences", [((5, 4), 92), ((2, 5), 327)])

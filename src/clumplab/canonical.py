@@ -39,7 +39,7 @@ from .core import (
     _layer_rows,
     bfs_distances,
     min_weighted_degree,
-    neighbor_sums,
+    neighbor_sum_range,
     weight_rows,
 )
 
@@ -287,12 +287,8 @@ def _check_span(
     _check_rooted(rows, range(lo, min(stop + 1, len(rows))))
     if sum(map(sum, map(dict.values, rows[lo:stop]))) != weight:
         raise CanonicalizationError("rewrite changed the total weight")
-    # the degrees of layers lo-1..stop read layers lo-2..stop+1; a sum at
-    # the slice's edge inside the graph misses the layer beyond it, and is
-    # not read
-    first = max(lo - 2, 0)
-    sums = neighbor_sums(rows[first:stop + 2])[max(lo - 1, 0) - first:stop + 1 - first]
-    if min(map(min, map(dict.values, sums))) < delta:
+    # the degrees of layers lo-1..stop, which read layers lo-2..stop+1
+    if neighbor_sum_range(rows, max(lo - 1, 0), min(stop + 1, len(rows)))[0] < delta:
         raise CanonicalizationError("rewrite dropped the minimum weighted degree")
 
 

@@ -9,15 +9,15 @@ A clump's neighborhood sum needs no walk over its neighbors:
                                    - u(i-1, c) - u(i, c) - u(i+1, c),
 
 with T(j) the total of layer j and absent clumps and layers counting 0
-(core.neighbor_sums proves it from the saturation rule).
+(core.neighbor_sum_range proves it from the saturation rule).
 
-Both functions work in integers over one scale S and evaluate this for
-every clump at once with that kernel, the one that also gives core's
-weighted degrees: the weights are feasible when no neighbor sum exceeds
-S.  verify_packing takes S as the lcm of the given denominators;
-dual_certificate builds its weights as integers over S from the start.
+Both functions work in integers over one scale S and take the largest
+neighbor sum with that kernel, the one that also gives core's weighted
+degrees: the weights are feasible when it does not exceed S.
+verify_packing takes S as the lcm of the given denominators;
+dual_certificate builds and keeps its weights as integers over S.
 Fraction appears only in the weights going in and the results coming
-out.
+out, which a certificate builds when they are read.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from .canonical import check_canonical
-from .core import WeightedClumpGraph, neighbor_sums
+from .core import WeightedClumpGraph, neighbor_sum_range
 
 ClumpKey = tuple[int, int]  # (layer, color)
 
@@ -41,18 +41,30 @@ class PackingReport:
 
 @dataclass
 class DualCertificate:
-    u: dict[ClumpKey, Fraction]
-    layer_totals: list[Fraction]
+    scale: int
+    rows: list[dict[int, int]]  # per layer, color -> weight times scale
+    totals: list[int]  # the total of each row
     u_tilde: Fraction
     feasible: bool
-    objective: Fraction  # the total of u
+
+    @property
+    def u(self) -> dict[ClumpKey, Fraction]:
+        """Each clump's weight, built on read: one Fraction per distinct value."""
+        values = set().union(*map(dict.values, self.rows))
+        as_fraction = {w: Fraction(w, self.scale) for w in values}
+        return {(i, c): as_fraction[w] for i, row in enumerate(self.rows) for c, w in row.items()}
+
+    @property
+    def objective(self) -> Fraction:
+        """The total of u."""
+        return Fraction(sum(self.totals), self.scale)
 
 
 def _packing_verdict(rows: list[dict[int, int]], scale: int) -> tuple[bool, int]:
     """(feasible, largest neighbor sum) for weights given as integers
     over scale: rows[i] maps the colors of layer i to their scaled
     weights.  Feasible when no clump's neighbor sum exceeds scale."""
-    worst = max(max(row.values()) for row in neighbor_sums(rows))
+    worst = neighbor_sum_range(rows)[1]
     return worst <= scale, worst
 
 
@@ -103,25 +115,19 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
             light = unit - unit // d
             rows.append({c: unit if c in x_colors else light for c in row})
     feasible, _ = _packing_verdict(rows, scale)
-    totals = [sum(row.values()) for row in rows]
-    # one Fraction per distinct scaled value, shared by the clumps and layers holding it
-    as_fraction = {
-        v: Fraction(v, scale) for v in {*totals, *(w for row in rows for w in row.values())}
-    }
-    u = {(i, c): as_fraction[w] for i, row in enumerate(rows) for c, w in row.items()}
     return DualCertificate(
-        u=u,
-        layer_totals=[as_fraction[t] for t in totals],
+        scale=scale,
+        rows=rows,
+        totals=[sum(row.values()) for row in rows],
         u_tilde=Fraction(k - 1, 3 * k - 4),
         feasible=feasible,
-        objective=Fraction(sum(totals), scale),
     )
 
 
 def verify_packing(graph: WeightedClumpGraph, u: dict[ClumpKey, Fraction]) -> PackingReport:
     """Check the packing constraint: each clump's neighbor weights sum to
     at most 1.  Exact: the weights are scaled to integers over the lcm
-    of their denominators and summed by core.neighbor_sums."""
+    of their denominators and summed by core.neighbor_sum_range."""
     keys = [(i, c) for i, row in enumerate(graph.rows) for c in row]
     for key in keys:
         if key not in u:
@@ -145,9 +151,9 @@ def verify_packing(graph: WeightedClumpGraph, u: dict[ClumpKey, Fraction]) -> Pa
 
 def bound_from_certificate(cert: DualCertificate, n: int, delta: int) -> Fraction:
     """Diameter bound (1/u_tilde)(n/delta) + 1 implied by a feasible
-    certificate whose every layer total reaches u_tilde.  The totals are
-    compared with u_tilde in integers, cross-multiplied over the two
-    (positive) denominators.
+    certificate whose every layer total reaches u_tilde.  The least
+    total is compared with u_tilde in integers, cross-multiplied over
+    the certificate's scale and u_tilde's denominator, both positive.
 
     The bound holds only when delta is at most the minimum weighted
     degree of the certified graph of order n: the certificate is read
@@ -158,6 +164,6 @@ def bound_from_certificate(cert: DualCertificate, n: int, delta: int) -> Fractio
     if not cert.feasible:
         raise ValueError("certificate is infeasible")
     p, q = cert.u_tilde.numerator, cert.u_tilde.denominator
-    if any(t.numerator * q < p * t.denominator for t in cert.layer_totals):
+    if q * min(cert.totals) < p * cert.scale:
         raise ValueError("some layer total falls short of u_tilde")
     return Fraction(1, 1) / cert.u_tilde * Fraction(n, delta) + 1

@@ -12,17 +12,22 @@ from .core import WeightedClumpGraph
 
 def _greedy_colors(clump_counts: list[int], k: int) -> list[list[int]]:
     """Assign the smallest available colors layer by layer, avoiding all
-    colors used in the previous layer."""
+    colors used in the previous layer; each layer's scan stops at its
+    count-th free color."""
     out: list[list[int]] = []
     prev: set[int] = set()
     for count in clump_counts:
-        available = [c for c in range(k) if c not in prev]
-        if len(available) < count:
+        chosen: list[int] = []
+        for c in range(k):
+            if c not in prev:
+                chosen.append(c)
+                if len(chosen) == count:
+                    break
+        if len(chosen) < count:
             raise ValueError(
                 f"cannot color {count} clumps with {k} colors "
                 f"next to a layer using {sorted(prev)}"
             )
-        chosen = available[:count]
         out.append(chosen)
         prev = set(chosen)
     return out

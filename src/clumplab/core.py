@@ -10,8 +10,8 @@ derived from this rule, never stored.
 A graph is immutable.  It stores one table, `rows`: per layer the
 {color: weight} dict its checks built.  Everything else is derived from
 the rows, at most once per instance (WeightedClumpGraph._derive): the
-neighbor sums behind min_weighted_degree and blow_up_edge_count, the
-layer profile, whose n is total_weight, and the canonical violations.
+weighted degrees' range behind min_weighted_degree, the layer profile,
+whose n is total_weight, and the canonical violations.
 """
 
 from __future__ import annotations
@@ -200,10 +200,14 @@ def weighted_degree(graph: WeightedClumpGraph, layer: int, color: int) -> int:
     )
 
 
-def neighbor_sums(rows: Sequence[Mapping[int, int]]) -> list[dict[int, int]]:
-    """Each clump's neighbor sum of per-clump integers: rows[i] maps the
-    colors of layer i to their values, and out[i][c] is the total value
-    of the neighbors of clump (i, c).
+def neighbor_sum_range(
+    rows: Sequence[Mapping[int, int]], first: int = 0, stop: int | None = None
+) -> tuple[int, int]:
+    """(least, largest) neighbor sum of per-clump integers over the
+    clumps of layers first..stop-1 (to the last layer by default):
+    rows[i] maps the colors of layer i to their values, and the neighbor
+    sum of clump (i, c) is the total value of its neighbors.  Reads
+    layers first-1..stop and no others.
 
     The sum is the total of layers i-1, i and i+1, less the entries of
     color c in those three layers.  Exact under the saturation rule:
@@ -214,16 +218,17 @@ def neighbor_sums(rows: Sequence[Mapping[int, int]]) -> list[dict[int, int]]:
     subtracting them from the three-layer total leaves the neighbors'.
     weighted_degree, which walks the three rows, is the oracle for it.
     """
-    padded: list[Mapping[int, int]] = [{}, *rows, {}]
-    totals = [sum(row.values()) for row in padded]
-    out: list[dict[int, int]] = []
-    for i in range(1, len(padded) - 1):
-        above, row, below = padded[i - 1], padded[i], padded[i + 1]
-        window = totals[i - 1] + totals[i] + totals[i + 1]
-        out.append(
-            {c: window - v - above.get(c, 0) - below.get(c, 0) for c, v in row.items()}
-        )
-    return out
+    stop = len(rows) if stop is None else stop
+    # layers first-1..stop, those outside the graph empty
+    read = [rows[j] if 0 <= j < len(rows) else {} for j in range(first - 1, stop + 1)]
+    totals = [sum(row.values()) for row in read]
+    sums: list[int] = []
+    for j in range(1, len(read) - 1):
+        above, row, below = read[j - 1], read[j], read[j + 1]
+        window = totals[j - 1] + totals[j] + totals[j + 1]
+        for c, v in row.items():
+            sums.append(window - v - above.get(c, 0) - below.get(c, 0))
+    return min(sums), max(sums)
 
 
 def weight_rows(graph: WeightedClumpGraph) -> list[dict[int, int]]:
@@ -232,12 +237,12 @@ def weight_rows(graph: WeightedClumpGraph) -> list[dict[int, int]]:
     return [dict(row) for row in graph.rows]
 
 
-def _weighted_degrees(graph: WeightedClumpGraph) -> list[dict[int, int]]:
-    return neighbor_sums(graph.rows)
+def _degree_range(graph: WeightedClumpGraph) -> tuple[int, int]:
+    return neighbor_sum_range(graph.rows)
 
 
 def min_weighted_degree(graph: WeightedClumpGraph) -> int:
-    return min(min(row.values()) for row in graph._derive(_weighted_degrees))
+    return graph._derive(_degree_range)[0]
 
 
 def _layer_profile(graph: WeightedClumpGraph) -> LayerProfile:
@@ -296,9 +301,22 @@ MAX_BLOW_UP_EDGES = 1_000_000
 
 def blow_up_edge_count(graph: WeightedClumpGraph) -> int:
     """Edge count of blow_up(graph) without building it: w_u * w_v summed
-    over adjacent clump pairs, each pair seen from both ends."""
-    degrees = graph._derive(_weighted_degrees)
-    return sum(w * d[c] for row, d in zip(graph.rows, degrees) for c, w in row.items()) // 2
+    over adjacent clump pairs.  With T_i the total of layer i and w_ic
+    its color-c weight, layer i adds
+
+        (T_i^2 - sum_c w_ic^2)/2 + T_i T_{i+1} - sum_c w_ic w_{i+1,c}.
+
+    Exact under the saturation rule, which joins the clumps of one layer
+    or of consecutive layers whose colors differ: T_i^2 counts each
+    ordered pair in layer i, and as a layer holds one clump per color,
+    its equal-color pairs are the clumps with themselves; T_i T_{i+1}
+    counts each pair across, and its equal-color pairs are matched by c.
+    """
+    rows, ell = graph.rows, layer_profile(graph).ell
+    m = sum(t * t - sum(w * w for w in row.values()) for t, row in zip(ell, rows)) // 2
+    for i in range(len(rows) - 1):
+        m += ell[i] * ell[i + 1] - sum(w * rows[i + 1].get(c, 0) for c, w in rows[i].items())
+    return m
 
 
 def blow_up(graph: WeightedClumpGraph) -> SimpleGraph:

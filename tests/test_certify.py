@@ -27,7 +27,7 @@ def test_thin_layer_weights():
     cert = dual_certificate(g)
     # a two-clump layer shares 2/5 evenly
     assert cert.u[(1, 1)] == Fraction(1, 5)
-    assert cert.layer_totals[1] == Fraction(2, 5)
+    assert Fraction(cert.totals[1], cert.scale) == Fraction(2, 5)
     assert cert.u_tilde == Fraction(2, 5)
 
 
@@ -47,7 +47,7 @@ def test_full_layer_split_weights():
     cert = dual_certificate(g)
     assert cert.u[(2, 0)] == Fraction(1, 5)
     assert cert.u[(2, 1)] == cert.u[(2, 2)] == Fraction(1, 10)
-    assert cert.layer_totals[2] == Fraction(2, 5)
+    assert Fraction(cert.totals[2], cert.scale) == Fraction(2, 5)
     assert cert.feasible
 
 
@@ -57,7 +57,7 @@ def test_k4_layer_weights(corpus_by_k):
     # three-of-four-color layers would get 1/8 each; here layers hold two
     # clumps, each worth 3/16
     assert cert.u_tilde == Fraction(3, 8)
-    assert all(t == Fraction(3, 8) for t in cert.layer_totals)
+    assert all(Fraction(t, cert.scale) == Fraction(3, 8) for t in cert.totals)
 
 
 def test_certificates_feasible_on_corpus(corpus_by_k):
@@ -66,7 +66,7 @@ def test_certificates_feasible_on_corpus(corpus_by_k):
             cert = dual_certificate(graph)
             assert cert.feasible
             expected = Fraction(k - 1, 3 * k - 4)
-            assert all(t == expected for t in cert.layer_totals)
+            assert all(Fraction(t, cert.scale) == expected for t in cert.totals)
 
 
 def test_noncanonical_input_rejected():
@@ -139,17 +139,25 @@ def test_bound_requires_feasibility():
         bound_from_certificate(broken, 15, 4)
 
 
+def _over_one_scale(cert, *totals):
+    """cert with the given Fraction layer totals, as integers over the
+    least scale that is a multiple of cert's and holds all of them."""
+    scale = lcm(cert.scale, *(t.denominator for t in totals))
+    return replace(cert, scale=scale, totals=[int(t * scale) for t in totals])
+
+
 @pytest.mark.parametrize("k", [3, 4, 7])
 def test_bound_requires_every_layer_total_at_u_tilde(k):
     # the totals are compared with u_tilde by cross-multiplying; equal
-    # totals of any denominator pass, and one a hair short fails
+    # totals over any scale pass, and one a hair short fails
     cert = dual_certificate(WeightedClumpGraph(k, [[(0, 1)], [(1, 1)]]))
     u = Fraction(k - 1, 3 * k - 4)
     assert cert.u_tilde == u
-    ok = replace(cert, layer_totals=[u, u, Fraction(u.numerator * 6, u.denominator * 6) + 1])
-    assert bound_from_certificate(ok, 10, 2) == 1 / u * 5 + 1
+    scaled = replace(cert, scale=6 * cert.scale, totals=[6 * t for t in cert.totals])
+    for ok in (cert, scaled, _over_one_scale(cert, u, u, u + 1)):
+        assert bound_from_certificate(ok, 10, 2) == 1 / u * 5 + 1
     for short in (u - Fraction(1, 10**12), Fraction(u.numerator - 1, u.denominator), Fraction(0)):
-        broken = replace(cert, layer_totals=[u, short, u])
+        broken = _over_one_scale(cert, u, short, u)
         with pytest.raises(ValueError, match="^some layer total falls short of u_tilde$"):
             bound_from_certificate(broken, 10, 2)
 
@@ -256,13 +264,23 @@ def test_dual_certificate_matches_fraction_oracle():
     full_layers = Counter()
     for trial in range(360):
         k = 3 + trial % 3
-        graph, _ = canonical_pair(random_layered_graph(rng, k=k, max_depth=16))
+        graph, delta = canonical_pair(random_layered_graph(rng, k=k, max_depth=16))
         cert = dual_certificate(graph)
         u, totals, u_tilde, feasible = _fraction_dual_certificate(graph)
-        assert list(cert.u.items()) == list(u.items())
-        assert (cert.layer_totals, cert.u_tilde, cert.feasible) == (totals, u_tilde, feasible)
+        # the Fraction views, read twice, and the integers behind them
+        assert list(cert.u.items()) == list(u.items()) == list(cert.u.items())
+        assert [Fraction(t, cert.scale) for t in cert.totals] == totals
+        assert [sum(row.values()) for row in cert.rows] == cert.totals
+        assert (cert.u_tilde, cert.feasible) == (u_tilde, feasible)
         assert cert.feasible == verify_packing(graph, cert.u).feasible
-        assert cert.objective == sum(cert.u.values())
+        assert cert.objective == sum(u.values()) == verify_packing(graph, cert.u).objective
+        assert min(totals) >= u_tilde
+        if delta == 0:  # a lone root
+            with pytest.raises(ValueError, match="^delta=0 must be positive$"):
+                bound_from_certificate(cert, graph.total_weight, delta)
+        else:
+            bound = 1 / u_tilde * Fraction(graph.total_weight, delta) + 1
+            assert bound_from_certificate(cert, graph.total_weight, delta) == bound
         for i, row in enumerate(graph.rows):
             if len(row) == k:
                 heavy = max(u[(i, c)] for c in row)

@@ -322,9 +322,12 @@ def test_suite_derives_each_graph_fact_once(tmp_path, monkeypatch, capsys):
     sums_of: list = []
     scans_of: list = []
 
-    def spy_sums(rows):
-        sums_of.append([dict(row) for row in rows])
-        return neighbor_sums(rows)
+    def spy_sums(rows, *layer_range):
+        # canonicalize re-checks the degrees of each rewrite's layers with
+        # a range: only the passes over whole graphs count
+        if not layer_range:
+            sums_of.append([dict(row) for row in rows])
+        return neighbor_sum_range(rows, *layer_range)
 
     def spy_violations(k, rows, *layer_range):
         # canonicalize re-checks each rewrite's layers with a range: only
@@ -333,9 +336,9 @@ def test_suite_derives_each_graph_fact_once(tmp_path, monkeypatch, capsys):
             scans_of.append([dict(row) for row in rows])
         return violations(k, rows, *layer_range)
 
-    neighbor_sums, violations = core.neighbor_sums, canonical._violations
-    monkeypatch.setattr(core, "neighbor_sums", spy_sums)
-    monkeypatch.setattr(certify, "neighbor_sums", spy_sums)
+    neighbor_sum_range, violations = core.neighbor_sum_range, canonical._violations
+    for module in (core, canonical, certify):
+        monkeypatch.setattr(module, "neighbor_sum_range", spy_sums)
     monkeypatch.setattr(canonical, "_violations", spy_violations)
     code = main([
         "suite", "--s-values", "1", "--delta-span", "3", "--p-values", "2",
@@ -349,6 +352,8 @@ def test_suite_derives_each_graph_fact_once(tmp_path, monkeypatch, capsys):
     # between the two rewrites is re-checked on its changed layers only
     assert len(scans_of) == 5
     assert all(scans_of.count(rows) == 1 for rows in scans_of)
+    # and each of these five graphs gets one degree pass
+    assert all(sums_of.count(rows) == 1 for rows in scans_of)
 
 
 def test_slack_env_is_ignored(monkeypatch, tmp_path, capsys, psi_graph):

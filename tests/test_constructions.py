@@ -90,6 +90,24 @@ def test_graph_proper_coloring():
     assert all(colors[u] != colors[v] for u, v in blow_up(g).edges())
 
 
+def test_greedy_colors_take_the_smallest_free_colors_at_k_11():
+    assert _greedy_colors([1, 5, 5, 1, 10], 11) == [
+        [0], [1, 2, 3, 4, 5], [0, 6, 7, 8, 9], [1], [0, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+    ]
+    # s = 5: every layer of the 11-colored family holds the smallest colors
+    # its predecessor leaves free
+    g = counterexample_graph(5, 18, 2)
+    assert g.k == 11
+    prev: set[int] = set()
+    for row in g.rows:
+        assert list(row) == [c for c in range(11) if c not in prev][:len(row)]
+        prev = set(row)
+    with pytest.raises(ValueError, match=re.escape(
+        "cannot color 10 clumps with 11 colors next to a layer using [1, 2]"
+    )):
+        _greedy_colors([1, 2, 10], 11)
+
+
 def test_degenerate_delta_drops_reduced_clump():
     # at delta = 2s the second-layer reduction would leave a weight-0
     # clump; it is dropped and the degree guarantee still holds

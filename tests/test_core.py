@@ -20,7 +20,7 @@ from clumplab.core import (
     export_edge_list,
     layer_profile,
     min_weighted_degree,
-    neighbor_sums,
+    neighbor_sum_range,
     weight_rows,
     weighted_degree,
 )
@@ -234,31 +234,40 @@ def test_min_weighted_degree_matches_scan():
     assert min_weighted_degree(g) == min(weighted_degree(g, i, c) for i, c, _ in clumps(g))
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**9))
-def test_neighbor_sums_match_neighbor_walk(k, seed):
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.sampled_from([3, 4, 5, 7]),
+    max_depth=st.integers(0, 8),
+    seed=st.integers(0, 10**9),
+    data=st.data(),
+)
+def test_neighbor_sum_range_matches_neighbor_walk(k, max_depth, seed, data):
+    # max_depth 0 makes single-layer graphs, whose one clump has no neighbor
     rng = random.Random(seed)
-    g = random_layered_graph(rng, k=k, max_depth=8, max_weight=5)
-    degrees = neighbor_sums(g.rows)
-    assert [sorted(row) for row in degrees] == [sorted(row) for row in g.rows]
-    for i, c, _ in clumps(g):  # layer 0 (the root) through layer D
-        assert degrees[i][c] == weighted_degree(g, i, c)
-    assert min_weighted_degree(g) == min(weighted_degree(g, i, c) for i, c, _ in clumps(g))
+    g = random_layered_graph(rng, k=k, max_depth=max_depth, max_weight=5)
+    first = data.draw(st.integers(0, g.diameter_index), label="first")
+    stop = data.draw(st.integers(first + 1, g.diameter_index + 1), label="stop")
+    inside = [(i, c) for i, c, _ in clumps(g) if first <= i < stop]
+    degrees = [weighted_degree(g, i, c) for i, c in inside]
+    assert neighbor_sum_range(g.rows, first, stop) == (min(degrees), max(degrees))
+    everywhere = [weighted_degree(g, i, c) for i, c, _ in clumps(g)]
+    assert neighbor_sum_range(g.rows) == (min(everywhere), max(everywhere))
+    assert min_weighted_degree(g) == min(everywhere)
     assert blow_up_edge_count(g) == blow_up(g).m
     # any integers, zero and negative ones included, not only weights
     rows = [{c: rng.randint(-5, 9) for c in row} for row in g.rows]
-    sums = neighbor_sums(rows)
-    for i, c, _ in clumps(g):
-        assert sums[i][c] == sum(rows[j][d] for j, d, _ in neighbors(g, i, c))
+    sums = [sum(rows[j][d] for j, d, _ in neighbors(g, i, c)) for i, c in inside]
+    assert neighbor_sum_range(rows, first, stop) == (min(sums), max(sums))
 
 
-def test_neighbor_sums_root_and_last_layer():
+def test_neighbor_sum_range_root_and_last_layer():
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 2), (2, 3)], [(0, 4), (1, 5)]])
-    degrees = neighbor_sums(g.rows)
     # the root sees layer 1; the last layer sees layer 1 and itself
-    assert degrees == [{0: 5}, {1: 3 + 1 + 4, 2: 1 + 2 + 4 + 5}, {0: 2 + 3 + 5, 1: 3 + 4}]
-    assert neighbor_sums([{2: 1}]) == [{2: 0}]
+    assert neighbor_sum_range(g.rows, 0, 1) == (5, 5)
+    assert neighbor_sum_range(g.rows, 1, 2) == (3 + 1 + 4, 1 + 2 + 4 + 5)
+    assert neighbor_sum_range(g.rows, 2) == (3 + 4, 2 + 3 + 5)
+    assert neighbor_sum_range(g.rows) == (5, 1 + 2 + 4 + 5)
+    assert neighbor_sum_range([{2: 1}]) == (0, 0)
     assert min_weighted_degree(WeightedClumpGraph(3, [[(2, 1)]])) == 0
 
 

@@ -260,6 +260,21 @@ def test_neighbor_sum_range_matches_neighbor_walk(k, max_depth, seed, data):
     assert neighbor_sum_range(rows, first, stop) == (min(sums), max(sums))
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_neighbor_sums_match_neighbor_walk(k, seed):
+    # every single layer, root through layer D, against the neighbor walk
+    rng = random.Random(seed)
+    g = random_layered_graph(rng, k=k, max_depth=8, max_weight=5)
+    rows = [{c: rng.randint(-5, 9) for c in row} for row in g.rows]
+    for i, row in enumerate(g.rows):
+        degrees = [weighted_degree(g, i, c) for c in row]
+        assert neighbor_sum_range(g.rows, i, i + 1) == (min(degrees), max(degrees))
+        sums = [sum(rows[j][d] for j, d, _ in neighbors(g, i, c)) for c in row]
+        assert neighbor_sum_range(rows, i, i + 1) == (min(sums), max(sums))
+
+
 def test_neighbor_sum_range_root_and_last_layer():
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 2), (2, 3)], [(0, 4), (1, 5)]])
     # the root sees layer 1; the last layer sees layer 1 and itself

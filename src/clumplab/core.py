@@ -289,9 +289,6 @@ class SimpleGraph:
                 if u < v:
                     yield (u, v)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 # blow_up peaks near 200 bytes of Python objects per edge (the edge
 # tuple, two adjacency-set entries and two sorted-list slots), so this

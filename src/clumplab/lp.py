@@ -9,7 +9,9 @@ from layer color masks by one row builder (_mask_rows), their covering
 program's optimum (_solve_covering), then branch and bound from it
 (_branch_and_bound).  The search's walk keeps only each sequence's
 bounds on that optimum (_order_bounds) and builds rows again only for
-the sequences the bounds leave open.  A covering program minimizes, so
+the sequences the bounds leave open; whether a sequence's blow-up
+realizes its depth follows from the depth and the branch-and-bound
+total alone, so no graph is built.  A covering program minimizes, so
 it goes in as its packing dual (_packing_dual), which is in that form,
 and its optimum is the dual's LPSolution with x and y exchanged: x the
 free weights, y the duals of the covering rows and branch bounds.  A
@@ -22,10 +24,10 @@ updated by fraction-free (Bareiss) pivots, and an optimum comes out the
 same way: integer numerators over one positive denominator, checked
 exactly as a primal and dual pair, a resumed one on its own rows, before
 it is returned.  The covering path (_solve_covering, _branch_and_bound,
-min_order_lp's cap and extremal_search's budget and best tests) works
-on those integers; Fraction appears only at the API edge: LPSolution's
-value, x and y views, which min_order_lp's lp_value reads, and
-extremal_search's best_phi.  There is no floating point.
+min_order_lp's cap and extremal_search's budget, best and diameter
+tests) works on those integers; Fraction appears only at the API edge:
+LPSolution's value, x and y views, which min_order_lp's lp_value reads,
+and extremal_search's best_phi.  There is no floating point.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ from operator import itemgetter, mul
 from typing import AbstractSet, Mapping, Sequence
 
 from .canonical import is_canonical_pair
-from .core import WeightedClumpGraph, blow_up_diameter
+# no lp code calls blow_up_diameter: the name stays bound here only
+# because bench/tests/test_bench.py checks that the bench tracer wraps
+# and restores it in lp as in core and cli (ROADMAP item 7)
+from .core import WeightedClumpGraph, blow_up_diameter  # noqa: F401
 from .sieve import GLOBAL_PROGRAM
 
 Rational = int | Fraction
@@ -102,8 +107,6 @@ def _integer_row(values: list[Rational]) -> tuple[list[int], int]:
     for v in values:
         if v.denominator != 1:
             scale = lcm(scale, v.denominator)
-    if scale == 1:
-        return [v.numerator for v in values], 1
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
@@ -115,8 +118,8 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     row i becomes (row_i * p - row_i[c] * row_r) / d, which Sylvester's
     identity makes an exact division, and row r stays.  The denominator
     stays positive because p is: Bland's ratio test pivots only on a
-    positive entry of rows over d > 0.  With d = 1 the division is
-    skipped, and with p = 1 too the multiply: the same integers.
+    positive entry of rows over d > 0.  A row with row_i[c] = 0 is just
+    scaled by p / d, and left as it is when p = d.
     """
     pivot_row = rows[r]
     p = pivot_row[c]
@@ -124,15 +127,10 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
         if i == r:
             continue
         f = row[c]
-        if not f:
-            if p != d:
-                rows[i] = [a * p // d for a in row]
-        elif d != 1:
+        if f:
             rows[i] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
-        elif p != 1:
-            rows[i] = [a * p - f * b for a, b in zip(row, pivot_row)]
-        else:
-            rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+        elif p != d:
+            rows[i] = [a * p // d for a in row]
     return p
 
 
@@ -307,9 +305,6 @@ def min_order_lp(topology: WeightedClumpGraph, delta: int) -> MinOrderResult:
     colors = [topology.colors_of_layer(i) for i in range(topology.diameter_index + 1)]
     rows = _covering_rows(colors, delta)
     root = _solve_covering(rows)
-    # _covering_rows gave every positive-need row a free neighbor, so the
-    # covering program is feasible
-    assert root is not None
     lp_value = len(rows) + root.value
     value, x, d = root.value_num, root.x_num, root.scale
     if len(rows) > ILP_CLUMP_LIMIT and -(-value // d) < sum(-(-v // d) for v in x):
@@ -354,8 +349,8 @@ def _mask_rows(
 
 
 def _covering_rows(colors: Sequence[AbstractSet[int]], delta: int) -> list[CoverRow]:
-    """The covering rows of the layer color sets colors, by _mask_rows,
-    over the search's table _OTHER when every color is below 3: one per
+    """The covering rows of the layer color sets colors, by _mask_rows
+    over a table of _other_bits for the masks of those sets: one per
     clump, layer by layer and by ascending color, holding the mask of
     the clump's neighbors among the free weights (bit j for free weight
     j, every clump after the root in the same order) and its need, delta
@@ -365,7 +360,7 @@ def _covering_rows(colors: Sequence[AbstractSet[int]], delta: int) -> list[Cover
     no free neighbor: no weighting reaches delta."""
     masks = [sum(1 << c for c in cols) for cols in colors]
     k = max(masks).bit_length()
-    other = _OTHER if k <= 3 else {m: [_other_bits(m, c) for c in range(k)] for m in {0, *masks}}
+    other = {m: [_other_bits(m, c) for c in range(k)] for m in {0, *masks}}
     rows: list[CoverRow] = []
     start = 0
     for cols, prev, cur, nxt in zip(colors, [0, *masks], masks, [*masks[1:], 0]):
@@ -427,14 +422,18 @@ def _exchanged(sol: LPSolution | None) -> LPSolution | None:
     return sol
 
 
-def _solve_covering(rows: list[CoverRow]) -> LPSolution | None:
+def _solve_covering(rows: list[CoverRow]) -> LPSolution:
     """The optimum of the covering rows, least total free weight: x
-    holds the free weights and y the duals of the rows; None when it is
-    infeasible, as the packing dual is then unbounded.  simplex_solve
+    holds the free weights and y the duals of the rows.  simplex_solve
     proves it: for the packing dual, dual feasibility is exactly weights
     >= 0 that meet every row (and bound, for _resume), and primal
     feasibility a y >= 0 whose signed sum on each free weight is <= 1."""
-    return _exchanged(simplex_solve(_packing_dual(rows)))
+    sol = _exchanged(simplex_solve(_packing_dual(rows)))
+    # every positive-need row has a free neighbor, as _covering_rows raises
+    # on a dead row and the walk yields no dead sequence, so the program is
+    # feasible and its packing dual bounded
+    assert sol is not None
+    return sol
 
 
 def _resume(node: LPSolution, j: int, sign: int, b: int) -> LPSolution | None:
@@ -602,10 +601,13 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
       exceeds n_budget, and skipped when the rounded-up LP order
       reaches best, as it does when the lower bound does.  Otherwise it
       goes to _branch_and_bound from that relaxation, uncapped, the path
-      min_order_lp takes too.  Its free weights and the masks' colors give
-      the graph whose blow-up diameter must equal the depth: topologies
-      of depth 1 whose optimal weighting has a weight >= 2 are skipped,
-      as their diameter is 2.  The LP value comes as a numerator over a
+      min_order_lp takes too, and its order counts only when its blow-up
+      diameter is the depth.  That diameter is max(depth, 2) when some
+      clump weighs at least 2, else the depth (core.blow_up_diameter).
+      The root weighs 1 and free weight v is a clump of weight 1 + v,
+      with v >= 0 as _check_optimum proves, so the diameter is the depth
+      exactly when the depth is at least 2 or the integer total of the
+      free weights is 0.  The LP value comes as a numerator over a
       denominator d > 0, so the budget and best tests compare ints
       multiplied through by d.
 
@@ -621,11 +623,9 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
     - the root has color 0, and is_canonical_pair depends only on set
       sizes, so the swap maps canonical sequences onto canonical ones
       whose program is the same up to a permutation of rows and
-      variables: the same feasibility, LP value and integer order.  At
-      depth 1 the diameter is 1 exactly when that order is the clump
-      count (every weight 1), and at depth >= 2 it is the depth, so a
-      sequence and its swap also pass or fail the diameter test
-      together.
+      variables: the same feasibility, LP value and integer order, and
+      so the same diameter test, which reads only the depth and that
+      order.
     """
     if delta < 1:
         raise ValueError(f"delta={delta} must be positive")
@@ -646,20 +646,15 @@ def extremal_search(delta: int, d_max: int, n_budget: int) -> SearchResult:
             continue
         rows = _covering_rows([_COLORS[m] for m in seq], delta)
         root = _solve_covering(rows)
-        # the walk yields no sequence with a dead row, so every positive-need
-        # row has a free neighbor and the covering program is feasible
-        assert root is not None
         value, d = root.value_num, root.scale
         if value > (n_budget - len(rows)) * d:
             complete = False
             continue
         if best is not None and value > (best - len(rows) - 1) * d:
             continue
-        total, free = _branch_and_bound(root)
-        weights = iter([1, *(1 + v for v in free)])
-        graph = WeightedClumpGraph(3, [[(c, next(weights)) for c in _COLORS[m]] for m in seq])
+        total, _ = _branch_and_bound(root)
         order = len(rows) + total
-        if blow_up_diameter(graph) == depth and (best is None or order < best):
+        if (depth > 1 or not total) and (best is None or order < best):
             frontier[depth] = order
     best_phi = max(
         (Fraction(depth * delta, order) for depth, order in frontier.items()),

@@ -98,38 +98,6 @@ def test_global_program_optimum():
     assert sum(a * b for a, (_, _, b) in zip(sol.y, GLOBAL_PROGRAM)) == Fraction(57, 23)
 
 
-def _bareiss_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
-    """_pivot as it was before its d = 1 paths: the reference they must
-    equal."""
-    pivot_row = rows[r]
-    p = pivot_row[c]
-    for i, row in enumerate(rows):
-        if i == r:
-            continue
-        f = row[c]
-        if f:
-            rows[i] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
-        elif p != d:
-            rows[i] = [a * p // d for a in row]
-    return p
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    tableau=st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=4),
-    r=st.integers(0, 3),
-    c=st.integers(0, 3),
-    p=st.one_of(st.just(1), st.integers(2, 9)),
-)
-def test_pivot_fast_paths_match_the_bareiss_pivot(tableau, r, c, p):
-    # a first pivot has d = 1; a pivot p = 1 skips the multiply too
-    r %= len(tableau)
-    tableau[r][c] = p
-    fast, reference = [list(row) for row in tableau], [list(row) for row in tableau]
-    assert lp._pivot(fast, r, c, 1) == _bareiss_pivot(reference, r, c, 1) == p
-    assert fast == reference
-
-
 def test_simplex_checks_strong_duality(monkeypatch):
     # pivots that leave the objective entry a unit off make every Bland
     # choice as before, so only y . b = value can see it
@@ -1137,7 +1105,7 @@ def test_extremal_search_walks_once(monkeypatch, point, sequences):
 
 def test_extremal_search_prunes_by_lp_order(monkeypatch):
     sequences = sum(len(_pattern_sequences(depth)) for depth in range(1, 5))
-    calls = _count_calls(monkeypatch, "blow_up_diameter")
+    calls = _count_calls(monkeypatch, "_branch_and_bound")
     result = extremal_search(5, 4, 60)
     assert 4 * calls[0] < sequences == 174
     assert _matches_golden(result, _golden_search()["5,4"])
@@ -1161,6 +1129,30 @@ def test_extremal_search_keeps_bounds_not_rows():
     assert result.frontier == {2: 5, 3: 8, 4: 9, 5: 10, 6: 12, 7: 13}
     assert (result.best_phi, result.complete) == (Fraction(21, 13), True)
     assert peak < 1_500_000, peak
+
+
+def _search_menu() -> tuple[tuple[int, int], ...]:
+    """bench/generators.py's SEARCH_MENU, read from its source."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "generators.py").read_text())
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "SEARCH_MENU" for t in node.targets)
+    )
+
+
+def test_extremal_search_results_do_not_depend_on_call_order():
+    # the bench's seed picks the order of the menu points, so no order of
+    # calls may change a result; state kept on a function or a class,
+    # which the module tables' sizes below do not show, would show here
+    golden = _golden_search()
+    menu = _search_menu()
+    assert len(menu) == 4
+    for order in itertools.permutations(menu):
+        for delta, d_max in order:
+            result = extremal_search(delta, d_max, 60)
+            assert _matches_golden(result, golden[f"{delta},{d_max}"]), order
 
 
 def _module_state(module) -> dict:

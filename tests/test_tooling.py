@@ -142,15 +142,17 @@ def test_lp_makes_fractions_only_at_the_api_edge():
     }
 
 
-def _referenced_names(tree: ast.AST) -> Counter:
-    """How often each name is referenced in tree: as a Name, an
-    attribute or an imported alias."""
+def _referenced_names(tree: ast.AST, attributes_only: bool = False) -> Counter:
+    """How often each name is referenced in tree: as an attribute, and
+    unless attributes_only, as a Name or an imported alias too."""
     refs: Counter = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            refs[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             refs[node.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name):
+            refs[node.id] += 1
         elif isinstance(node, ast.alias):
             refs[node.name.rsplit(".", 1)[-1]] += 1
     return refs
@@ -167,20 +169,22 @@ _UNCALLED_IN_SRC = {
 
 def test_every_src_definition_has_a_src_caller_or_a_reason():
     # code that only tests use is debt unless a pinned reason keeps it;
-    # dunder methods are called by Python itself
-    refs: Counter = Counter()
-    defs: list[tuple[str, ast.AST]] = []
+    # dunder methods are called by Python itself, and any other method
+    # only through an attribute, so a local of its name does not count
+    refs = {False: Counter(), True: Counter()}  # by attributes_only
+    defs: list[tuple[str, ast.AST, bool]] = []  # name, node, is a method
     for path in sorted(Path(clumplab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        refs += _referenced_names(tree)
+        refs[False] += _referenced_names(tree)
+        refs[True] += _referenced_names(tree, attributes_only=True)
         for node in tree.body:
             if isinstance(node, ast.FunctionDef | ast.ClassDef):
-                defs.append((node.name, node))
+                defs.append((node.name, node, False))
             if isinstance(node, ast.ClassDef):
-                defs += [(item.name, item) for item in node.body if isinstance(item, ast.FunctionDef)]
+                defs += [(item.name, item, True) for item in node.body if isinstance(item, ast.FunctionDef)]
     unreferenced = {
-        name for name, node in defs
-        if not name.startswith("__") and not (refs - _referenced_names(node))[name]
+        name for name, node, method in defs
+        if not name.startswith("__") and not (refs[method] - _referenced_names(node, method))[name]
     }
     assert unreferenced == _UNCALLED_IN_SRC.keys()
 

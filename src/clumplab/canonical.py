@@ -100,11 +100,6 @@ def pair_violations(k: int, a: AbstractSet[int], b: AbstractSet[int]) -> list[st
     return out
 
 
-def is_canonical_pair(k: int, a: AbstractSet[int], b: AbstractSet[int]) -> bool:
-    """Whether consecutive layer color sets a, b may appear in a canonical graph."""
-    return not pair_violations(k, a, b)
-
-
 @cache
 def _pair_verdict(k: int, ca: int, cb: int, shared: int) -> tuple[str, ...]:
     """pair_violations(k, a, b) for the color sets a, b of ca and cb
@@ -112,6 +107,12 @@ def _pair_verdict(k: int, ca: int, cb: int, shared: int) -> tuple[str, ...]:
     |a | b| = ca + cb - shared.  Filled on demand, one entry per shape
     met, so a huge palette costs nothing."""
     return tuple(pair_violations(k, set(range(ca)), set(range(ca - shared, ca - shared + cb))))
+
+
+def is_canonical_pair(k: int, a: AbstractSet[int], b: AbstractSet[int]) -> bool:
+    """Whether consecutive layer color sets a, b may appear in a canonical
+    graph: the cached verdict of their shape, which is pair_violations'."""
+    return not _pair_verdict(k, len(a), len(b), len(a & b))
 
 
 def _violations(

@@ -95,20 +95,22 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
             f"of property ({prop}) at {where}"
         )
     # per layer: the denominator its weights need, and X for a full layer
-    shapes: list[tuple[int, frozenset[int] | None]] = []
-    for i, row in enumerate(graph.rows):
+    layers = graph.rows
+    shapes: list[tuple[int, set[int] | None]] = []
+    for i, row in enumerate(layers):
         if len(row) < k:
             shapes.append((len(row), None))
             continue
         # |X| <= k-2: a full layer is never layer 0, and (iii) puts two
         # clumps after it or, when it is last, (i) puts two before it
-        nearby = graph.colors_of_layer(i - 1) | graph.colors_of_layer(i + 1)
-        x_colors = graph.colors_of_layer(i) - nearby
+        x_colors = row.keys() - layers[i - 1].keys()
+        if i + 1 < len(layers):
+            x_colors -= layers[i + 1].keys()
         shapes.append((k - len(x_colors), x_colors))
     unit = lcm(*{d for d, _ in shapes})  # the weight 1/(3k-4), scaled
     scale = (3 * k - 4) * unit
     rows: list[dict[int, int]] = []
-    for row, (d, x_colors) in zip(graph.rows, shapes):
+    for row, (d, x_colors) in zip(layers, shapes):
         if x_colors is None:
             rows.append(dict.fromkeys(row, (k - 1) * (unit // d)))
         else:

@@ -161,8 +161,7 @@ def _cmd_sieve(args: argparse.Namespace) -> Output:
         raise ValueError(f"the sieve needs a 3-colored graph, got k={graph.k}")
     _require_min_degree(graph, args.delta)
     report = sieve.window_inequalities(layer_profile(graph), args.delta, args.slack)
-    windows_pass = sum(1 for w in report.windows if w.passes)
-    lines = [f"windows {windows_pass}/{len(report.windows)} pass"]
+    lines = [f"windows {report.windows_passing}/{len(report.lhs_scaled)} pass"]
     lines += [f"constraint {name} {'pass' if ok else 'fail'}" for name, ok in report.rows.items()]
     for name in ("mu", "alpha1", "alpha2", "psi", "phi"):
         lines.append(f"{name} {serialize.format_rational(getattr(report.stats, name))}")
@@ -239,8 +238,8 @@ def _cmd_suite(args: argparse.Namespace) -> Output:
                 windows_pass = windows_total = 0
                 if graph.k == 3:
                     report = sieve.window_inequalities(layer_profile(canon), delta, args.slack)
-                    windows_total = len(report.windows)
-                    windows_pass = sum(1 for w in report.windows if w.passes)
+                    windows_total = len(report.lhs_scaled)
+                    windows_pass = report.windows_passing
                     ok = ok and report.passes
                 all_ok = all_ok and ok
                 phi = Fraction(diam * delta, profile.n)

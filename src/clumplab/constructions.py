@@ -10,26 +10,33 @@ from math import ceil
 from .core import WeightedClumpGraph
 
 
-def _greedy_colors(clump_counts: list[int], k: int) -> list[list[int]]:
+def _greedy_colors(clump_counts: list[int], k: int) -> list[tuple[int, ...]]:
     """Assign the smallest available colors layer by layer, avoiding all
     colors used in the previous layer; each layer's scan stops at its
-    count-th free color."""
-    out: list[list[int]] = []
-    prev: set[int] = set()
+    count-th free color.  The choice depends only on the previous
+    layer's colors and the count, so each such state is scanned once per
+    call: a periodic construction's later blocks reuse the first one's."""
+    out: list[tuple[int, ...]] = []
+    chosen_for: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    prev: tuple[int, ...] = ()
     for count in clump_counts:
-        chosen: list[int] = []
-        for c in range(k):
-            if c not in prev:
-                chosen.append(c)
-                if len(chosen) == count:
-                    break
-        if len(chosen) < count:
-            raise ValueError(
-                f"cannot color {count} clumps with {k} colors "
-                f"next to a layer using {sorted(prev)}"
-            )
+        chosen = chosen_for.get((prev, count))
+        if chosen is None:
+            taken = set(prev)
+            scan: list[int] = []
+            for c in range(k):
+                if c not in taken:
+                    scan.append(c)
+                    if len(scan) == count:
+                        break
+            if len(scan) < count:
+                raise ValueError(
+                    f"cannot color {count} clumps with {k} colors "
+                    f"next to a layer using {sorted(prev)}"
+                )
+            chosen = chosen_for[prev, count] = tuple(scan)
         out.append(chosen)
-        prev = set(chosen)
+        prev = chosen
     return out
 
 

@@ -4,10 +4,13 @@ layer profiles, and the normalized global statistics they feed.
 Each window inequality bounds a short run of consecutive layer weights
 from below by a multiple of the minimum degree; which bound applies
 depends on where the single-clump layers sit.  The per-window forms are
-exact: each window keeps its two sides as integers over WINDOW_SCALE = 6
-(the coefficients 3/2 and 4/3 need no finer unit) and compares those,
-and each global statistic is one integer sum over n.  Fraction appears
-only at the interface, in Window.lhs/rhs and GlobalStats.
+exact: the sides are integers over WINDOW_SCALE = 6 (the coefficients
+3/2 and 4/3 need no finer unit), kept as two int columns on the report,
+and each global statistic is one integer sum over n.  The verdict and
+the passing count read the columns; a Window, which names a window and
+shows its sides as Fractions, is built only when report.windows is
+read.  Fraction appears only at the interface, in Window.lhs/rhs and
+GlobalStats.
 
 GLOBAL_PROGRAM holds the five normalized constraints on the global
 statistics (phi, mu, psi, alpha1, alpha2); check_aggregates evaluates
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 
 from .canonical import is_canonical_pair
 from .core import LayerProfile
@@ -60,6 +64,29 @@ GLOBAL_PROGRAM: tuple[tuple[str, tuple[int, ...], int], ...] = (
 
 
 WINDOW_SCALE = 6  # every window side is a multiple of 1/6: coefficients 3/2 and 4/3
+
+# two-layer windows over layers i, i+1, by which of the two is single:
+# the case and the coefficients of their weights in the lhs, in sixths
+_TWO_LAYER = {
+    (True, True): ("both-single", 6, 6),
+    (True, False): ("first-single", 6, 9),
+    (False, True): ("second-single", 9, 6),
+    (False, False): ("no-single", 8, 8),
+}
+# three-layer windows at layer i, by which of layers i-1, i, i+1 are
+# single: the rhs in sixths is d * delta - b * ell(i-1) - h * ell(i)
+# - a * ell(i+1), as (d, b, h, a)
+_THREE_LAYER_RHS = {
+    (True, False, True): (48, 12, 24, 12),
+    (True, False, False): (48, 12, 24, 12),
+    (False, False, True): (48, 12, 24, 12),
+    (True, True, True): (36, 0, 12, 0),
+    (True, True, False): (36, 0, 12, 6),
+    (False, True, True): (36, 6, 12, 0),
+    # a middle single flanked by non-singles, or no singles at all
+    (False, True, False): (36, 6, 12, 6),
+    (False, False, False): (36, 6, 12, 6),
+}
 
 
 @dataclass(slots=True)
@@ -94,18 +121,51 @@ class GlobalStats:
     delta: int
 
 
+def _layout(profile: LayerProfile) -> tuple[tuple[bool, ...], list[int]]:
+    """(single, one-layer indices): single[i + 1] tells whether layer i
+    holds one clump, padded with False for the empty layers -1 and D + 1;
+    the one-layer windows sit at the layers of one or two clumps."""
+    counts = profile.clump_counts
+    single = (False, *(c == 1 for c in counts), False)
+    return single, [i for i, c in enumerate(counts) if c <= 2]
+
+
 @dataclass
 class SieveReport:
-    """The sieve verdict on one profile: its windows, its global
-    statistics and the GLOBAL_PROGRAM rows they meet (check_aggregates)."""
+    """The sieve verdict on one profile: the sides of its windows as two
+    int columns in sixths (WINDOW_SCALE), one-layer windows first, then
+    two-layer, then three-layer, each by ascending index; its global
+    statistics; and the GLOBAL_PROGRAM rows they meet (check_aggregates)."""
 
-    windows: list[Window]
+    lhs_scaled: list[int]
+    rhs_scaled: list[int]
+    profile: LayerProfile  # names the windows
     stats: GlobalStats
     rows: dict[str, bool]
 
     @property
+    def windows_passing(self) -> int:
+        """The number of windows whose lhs reaches their rhs."""
+        return sum(map(ge, self.lhs_scaled, self.rhs_scaled))
+
+    @property
     def passes(self) -> bool:
-        return all(w.passes for w in self.windows) and all(self.rows.values())
+        return all(map(ge, self.lhs_scaled, self.rhs_scaled)) and all(self.rows.values())
+
+    @property
+    def windows(self) -> list[Window]:
+        """Each window, built on read: named from the profile, its sides
+        taken from the columns."""
+        D = self.profile.diameter_index
+        single, one_layer = _layout(self.profile)
+        names = [("one-layer", i, "single" if single[i + 1] else "double") for i in one_layer]
+        names += [("two-layer", i, _TWO_LAYER[single[i + 1:i + 3]][0]) for i in range(D)]
+        names += [
+            ("three-layer", i, "".join("s" if flag else "m" for flag in single[i:i + 3]))
+            for i in range(1, D)
+        ]
+        sides = zip(self.lhs_scaled, self.rhs_scaled, strict=True)
+        return [Window(*name, *side) for name, side in zip(names, sides, strict=True)]
 
 
 def _require_canonical_patterns(profile: LayerProfile) -> None:
@@ -145,56 +205,26 @@ def window_inequalities(
         raise ValueError(f"slack_c={slack_c} must be nonnegative")
     _require_canonical_patterns(profile)
     D = profile.diameter_index
-    # e[i + 1] is the weight of layer i and single[i + 1] whether it holds
-    # one clump; the padding stands for the empty layers -1 and D + 1
+    single, one_layer = _layout(profile)
+    # e[i + 1] is the weight of layer i, the padding the empty layers
+    # -1 and D + 1; every side is in sixths (WINDOW_SCALE)
     e = (0, *profile.ell, 0)
-    single = (False, *(c == 1 for c in profile.clump_counts), False)
-    windows: list[Window] = []  # sides in sixths (WINDOW_SCALE)
+    lhs = [12 * (e[i] + e[i + 1] + e[i + 2]) for i in one_layer]
+    rhs = [12 * delta + (12 if single[i + 1] else 6) * e[i + 1] for i in one_layer]
 
-    for i in range(D + 1):
-        c = profile.clump_counts[i]
-        if c > 2:
-            continue
-        lhs = 12 * (e[i] + e[i + 1] + e[i + 2])
-        rhs = 12 * delta + (12 if c == 1 else 6) * e[i + 1]
-        windows.append(Window("one-layer", i, "single" if c == 1 else "double", lhs, rhs))
+    two = [_TWO_LAYER[single[i + 1:i + 3]] for i in range(D)]
+    lhs += [6 * (e[i] + e[i + 3]) + a * e[i + 1] + b * e[i + 2] for i, (_, a, b) in enumerate(two)]
+    rhs += [12 * delta] * D
 
-    for i in range(D):
-        a, b = single[i + 1], single[i + 2]
-        outer = 6 * (e[i] + e[i + 3])
-        if a and b:
-            lhs = outer + 6 * (e[i + 1] + e[i + 2])
-            case = "both-single"
-        elif a:
-            lhs = outer + 6 * e[i + 1] + 9 * e[i + 2]
-            case = "first-single"
-        elif b:
-            lhs = outer + 9 * e[i + 1] + 6 * e[i + 2]
-            case = "second-single"
-        else:
-            lhs = outer + 8 * (e[i + 1] + e[i + 2])
-            case = "no-single"
-        windows.append(Window("two-layer", i, case, lhs, 12 * delta))
-
-    for i in range(1, D):
-        pattern = single[i:i + 3]  # layers i - 1, i, i + 1
-        before, here, after = e[i], e[i + 1], e[i + 2]
-        lhs = 12 * (e[i - 1] + before + here + after + e[i + 3])
-        if pattern in {(True, False, True), (True, False, False), (False, False, True)}:
-            rhs = 6 * (8 * delta - 4 * here - 2 * before - 2 * after)
-        elif pattern == (True, True, True):
-            rhs = 6 * (6 * delta - 2 * here)
-        elif pattern == (True, True, False):
-            rhs = 6 * (6 * delta - 2 * here - after)
-        elif pattern == (False, True, True):
-            rhs = 6 * (6 * delta - 2 * here - before)
-        else:  # middle single flanked by non-singles, or no singles at all
-            rhs = 6 * (6 * delta - 2 * here - before - after)
-        case = "".join("s" if flag else "m" for flag in pattern)
-        windows.append(Window("three-layer", i, case, lhs, rhs))
+    three = [_THREE_LAYER_RHS[single[i:i + 3]] for i in range(1, D)]
+    lhs += [12 * (e[i - 1] + e[i] + e[i + 1] + e[i + 2] + e[i + 3]) for i in range(1, D)]
+    rhs += [
+        d * delta - b * e[i] - h * e[i + 1] - a * e[i + 2]
+        for i, (d, b, h, a) in enumerate(three, 1)
+    ]
 
     stats = global_stats(profile, delta)
-    return SieveReport(windows, stats, check_aggregates(stats, slack_c))
+    return SieveReport(lhs, rhs, profile, stats, check_aggregates(stats, slack_c))
 
 
 def global_stats(profile: LayerProfile, delta: int) -> GlobalStats:

@@ -315,6 +315,18 @@ def test_k3_pair_grammar_is_the_seven_shapes():
     }
 
 
+@pytest.mark.parametrize("k", range(2, 6))
+def test_is_canonical_pair_is_the_absence_of_pair_violations(k):
+    # is_canonical_pair reads the cached verdict of the pair's shape;
+    # pair_violations, on the sets themselves, is its oracle
+    subsets = [
+        frozenset(s) for r in range(1, k + 1) for s in itertools.combinations(range(k), r)
+    ]
+    for a in subsets:
+        for b in subsets:
+            assert is_canonical_pair(k, a, b) == (not canonical.pair_violations(k, a, b))
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_violations_give_the_pair_verdicts(k):
     # _violations reads each pair's verdict from a memo keyed by the

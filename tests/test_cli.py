@@ -836,3 +836,27 @@ def test_canonicalize_output_is_pinned(tmp_path, capsys, k, seed):
     for name in ("canon.json", "log.json"):
         digest.update((tmp_path / name).read_bytes() + b"\0")
     assert digest.hexdigest() == _PINNED_CANONICALIZE[k, seed]
+
+
+# clumplab search stdout at points beside the bench's golden ones: deeper
+# walks at delta 2 and 3, larger delta at depth 4, and a budget small
+# enough to drop sequences and leave the result incomplete
+_PINNED_SEARCH = {
+    ("2", "7", "60"): (
+        "D 1 min-n 3\nD 2 min-n 4\nD 3 min-n 6\nD 4 min-n 7\nD 5 min-n 8\n"
+        "D 6 min-n 9\nD 7 min-n 10\nbest-phi 7/5\ncomplete yes\n"
+    ),
+    ("3", "6", "60"): (
+        "D 2 min-n 5\nD 3 min-n 8\nD 4 min-n 9\nD 5 min-n 10\nD 6 min-n 12\n"
+        "best-phi 3/2\ncomplete yes\n"
+    ),
+    ("9", "4", "60"): "D 2 min-n 14\nD 3 min-n 20\nD 4 min-n 24\nbest-phi 3/2\ncomplete yes\n",
+    ("10", "4", "60"): "D 2 min-n 15\nD 3 min-n 22\nD 4 min-n 26\nbest-phi 20/13\ncomplete yes\n",
+    ("5", "3", "12"): "D 2 min-n 8\nD 3 min-n 12\nbest-phi 5/4\ncomplete no\n",
+}
+
+
+@pytest.mark.parametrize("delta, dmax, budget", list(_PINNED_SEARCH))
+def test_search_output_is_pinned(capsys, delta, dmax, budget):
+    assert main(["search", "--delta", delta, "--dmax", dmax, "--budget", budget]) == 0
+    assert capsys.readouterr() == (_PINNED_SEARCH[delta, dmax, budget], "")

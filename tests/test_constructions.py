@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -92,7 +93,7 @@ def test_graph_proper_coloring():
 
 def test_greedy_colors_take_the_smallest_free_colors_at_k_11():
     assert _greedy_colors([1, 5, 5, 1, 10], 11) == [
-        [0], [1, 2, 3, 4, 5], [0, 6, 7, 8, 9], [1], [0, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+        (0,), (1, 2, 3, 4, 5), (0, 6, 7, 8, 9), (1,), (0, 2, 3, 4, 5, 6, 7, 8, 9, 10),
     ]
     # s = 5: every layer of the 11-colored family holds the smallest colors
     # its predecessor leaves free
@@ -106,6 +107,43 @@ def test_greedy_colors_take_the_smallest_free_colors_at_k_11():
         "cannot color 10 clumps with 11 colors next to a layer using [1, 2]"
     )):
         _greedy_colors([1, 2, 10], 11)
+
+
+def _greedy_scan(clump_counts, k):
+    """Oracle: each layer takes the smallest colors its predecessor leaves
+    free, scanned afresh per layer."""
+    out, prev = [], set()
+    for count in clump_counts:
+        free = [c for c in range(k) if c not in prev]
+        if count > len(free):
+            raise ValueError(
+                f"cannot color {count} clumps with {k} colors next to a layer using {sorted(prev)}"
+            )
+        out.append(tuple(free[:count]))
+        prev = set(free[:count])
+    return out
+
+
+def test_greedy_colors_match_a_per_layer_scan():
+    # a random block of counts repeated, as the periodic family repeats its
+    # blocks, sometimes ending in a count no free colors can take
+    rng = random.Random(34)
+    raised = 0
+    for k in range(3, 12):
+        for _ in range(40):
+            block = [rng.randint(1, k // 2) for _ in range(rng.randint(1, 8))]
+            counts = [1] + block * rng.randint(1, 4)
+            if rng.random() < 0.3:
+                counts.append(rng.randint(k // 2 + 1, k))
+            try:
+                expected = _greedy_scan(counts, k)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    _greedy_colors(counts, k)
+                raised += 1
+                continue
+            assert _greedy_colors(counts, k) == expected
+    assert raised > 20
 
 
 def test_degenerate_delta_drops_reduced_clump():

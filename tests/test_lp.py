@@ -457,6 +457,54 @@ def _lp_order(seq: list[frozenset[int]], delta: int) -> Fraction:
     return len(rows) + _covering_value(rows)
 
 
+def _brute_min_order(seq: list[frozenset[int]], delta: int) -> int | None:
+    """Oracle: the least total weight over weights 1..delta on the clumps
+    after the root, the root weighing 1, that puts every clump's weighted
+    degree at delta or more; None when none does.  A weight above delta
+    never helps: each clump's need is below delta, so capping a weight at
+    delta keeps every degree it fed at delta or more."""
+    clumps = [(i, c) for i, cols in enumerate(seq) for c in sorted(cols)]
+    near = [
+        [j for j, (i2, c2) in enumerate(clumps) if abs(i2 - i) <= 1 and c2 != c]
+        for i, c in clumps
+    ]
+    best = None
+    for free in itertools.product(range(1, delta + 1), repeat=len(clumps) - 1):
+        weights = (1, *free)
+        total = sum(weights)
+        if best is not None and total >= best:
+            continue
+        if all(sum(weights[j] for j in nb) >= delta for nb in near):
+            best = total
+    return best
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+def test_min_order_matches_brute_force_enumeration(delta):
+    # every canonical 3-colored topology of depth 1 to 3: min_order_lp's
+    # integer order is the least total of an integer weighting reaching
+    # delta, and the weights it returns reach delta at that total
+    checked = 0
+    for depth in (1, 2, 3):
+        for seq in _pattern_sequences(depth):
+            topology = _unit_topology(seq)
+            brute = _brute_min_order(seq, delta)
+            if brute is None:
+                with pytest.raises(ValueError, match="cannot reach the degree bound"):
+                    min_order_lp(topology, delta)
+                continue
+            result = min_order_lp(topology, delta)
+            assert result.int_value == brute
+            weighted = WeightedClumpGraph(3, [
+                [(c, result.weights[i, c]) for c in sorted(cols)] for i, cols in enumerate(seq)
+            ])
+            assert weighted.total_weight == brute
+            assert min_weighted_degree(weighted) >= delta
+            assert result.lp_value <= brute
+            checked += 1
+    assert checked > 20
+
+
 @pytest.mark.parametrize("delta", [2, 5, 8])
 def test_integer_tableau_matches_fraction_tableau_on_min_order(delta):
     # the packing duals that min_order_lp and extremal_search solve, and

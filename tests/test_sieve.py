@@ -1,6 +1,11 @@
+import contextlib
+import hashlib
+import io
 import random
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 
 from clumplab.canonical import check_canonical, is_canonical_pair
 from clumplab.certify import dual_certificate
+from clumplab.cli import main
 from clumplab.constructions import counterexample_block, counterexample_graph
 from clumplab.core import (
     WeightedClumpGraph,
@@ -17,6 +23,7 @@ from clumplab.core import (
     layer_profile,
     min_weighted_degree,
 )
+from clumplab.serialize import dump_clump_json
 from clumplab.sieve import (
     GlobalStats,
     check_aggregates,
@@ -321,10 +328,23 @@ def _fraction_windows(profile, delta):
     return [(*w, w[3] >= w[4]) for w in windows], stats
 
 
+def _cli_window_line(graph, delta):
+    """The `windows <pass>/<total> pass` line of `clumplab sieve`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_text(dump_clump_json(graph))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["sieve", "--in", str(path), "--delta", str(delta)])
+    return out.getvalue().splitlines()[0]
+
+
 def _assert_windows_match_oracle(graph, deltas):
-    """Compare window_inequalities with _fraction_windows at each delta;
-    the number of failing windows seen."""
+    """Compare window_inequalities with _fraction_windows at each delta,
+    and the CLI's window count at each delta the CLI accepts (at most the
+    minimum degree); the number of failing windows seen."""
     profile = layer_profile(graph)
+    degree = min_weighted_degree(graph)
     failing = 0
     for delta in deltas:
         report = window_inequalities(profile, delta)
@@ -334,7 +354,11 @@ def _assert_windows_match_oracle(graph, deltas):
         assert report.stats == stats
         assert report.rows == check_aggregates(stats)
         assert global_stats(profile, delta) == stats
-        failing += sum(1 for w in windows if not w[5])
+        passing = sum(1 for w in windows if w[5])
+        assert report.passes == (passing == len(windows) and all(report.rows.values()))
+        if delta <= degree:
+            assert _cli_window_line(graph, delta) == f"windows {passing}/{len(windows)} pass"
+        failing += len(windows) - passing
     return failing
 
 
@@ -356,3 +380,41 @@ def test_windows_match_fraction_oracle_on_families():
     for p in (1, 5, 50):
         failing += _assert_windows_match_oracle(_periodic_graph(p), (4, 5, 9))
     assert failing > 100
+
+
+# `clumplab sieve --report` on three counterexample instances and on the
+# periodic canonical graphs above: at p = 5 every row passes, at p = 50
+# the psi and triple rows fail and the delta-2 graph fails the psi row,
+# so both exit codes are pinned.  Each digest covers the exit code,
+# stdout, stderr and the --report file, so any change to a window, its
+# order or its sides shows here
+_PINNED_SIEVE = [
+    ("H(1,4,2)", counterexample_graph(1, 4, 2), 4,
+     "719b74c39a194551d64bee7573defa8ecb2a76d9e8a6fdb1cb399af0098f69b0"),
+    ("H(1,7,20)", counterexample_graph(1, 7, 20), 7,
+     "15e7dfc86de1ef037473f039b6c48b28e452edbe4fd90749ad6cbc3ee2f6e076"),
+    ("H(1,12,40)", counterexample_graph(1, 12, 40), 12,
+     "d2c36e1bd90ec9e2813aa1d166f59bc35e8553fb74f428ff727543905037a437"),
+    ("periodic-5", _periodic_graph(5), 4,
+     "06b8a67f36f15a219b3ded4abb3554b82305c9bab6909f77707191300e94e541"),
+    ("periodic-50", _periodic_graph(50), 4,
+     "2ec668b941cf45dab8a60666bef1550c02ab37992c1f0a8b950fab197c66cb85"),
+    ("delta2-periodic", _delta2_periodic_graph(), 2,
+     "c81d88b3faf9559dc418fd16f8193433d252ea6e07ca529cbe25e7c26e646eaa"),
+]
+
+
+@pytest.mark.parametrize(
+    "graph, delta, expected", [pytest.param(*case[1:], id=case[0]) for case in _PINNED_SIEVE]
+)
+def test_sieve_output_is_pinned(tmp_path, capsys, graph, delta, expected):
+    path = tmp_path / "graph.json"
+    path.write_text(dump_clump_json(graph))
+    report = tmp_path / "report.json"
+    code = main(["sieve", "--in", str(path), "--delta", str(delta), "--report", str(report)])
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256()
+    for part in (str(code), out, err):
+        digest.update(part.encode() + b"\0")
+    digest.update(report.read_bytes() + b"\0")
+    assert digest.hexdigest() == expected

@@ -21,16 +21,30 @@ the layer above, and a clump's weighted degree at layer i, the pair
 verdicts of layers i, i+1 and the (iv) verdict at i read only layers
 i-1..i+1, so a rewrite that changed layers lo..hi moves a rule's verdict
 only at layers lo..hi+1, and a degree or a violation only at layers
-lo-1..hi+1.  The result is built into a graph once, which validates it
-whole, and audited once.
+lo-1..hi+1.
+
+Most repairs exchange two colors x, y through a run of layers a..b.  A
+swap is a bijection on colors, so applied to both layers of a pair it
+keeps each layer's validity and total weight, the rooting rule, the
+pair's shape (|A|, |B|, |A & B|) and so its verdict, every (iv) verdict
+(which reads clump counts and weights only) and the neighbor sum of
+every clump whose three layers it all covers.  Inside a run nothing
+moves; only the pairs (a-1, a), (b, b+1) and the degrees of layers
+a-1, a, b, b+1 can.  Each rule reports its runs, and a guard checks
+that every layer of a run is exactly the swap image of its validated
+row; then the checks read only the edited layers and the run ends, and
+when it fails they read the whole changed span.  The result is built
+into a graph once, which validates it whole, audited once and checked
+canonical once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import compress
 from operator import ne
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .core import (
     SimpleGraph,
@@ -45,6 +59,10 @@ from .core import (
 
 # internal working form: one dict color -> weight per layer (core.weight_rows)
 Layers = list[dict[int, int]]
+# colors x and y exchanged in layers a..b, as (a, b, x, y); a > b is no layer
+Run = tuple[int, int, int, int]
+# what a rule returns: its log entry and the runs it swapped
+Step = tuple[str, tuple[Run, ...]]
 
 
 class CanonicalizationError(Exception):
@@ -151,8 +169,9 @@ def check_canonical(graph: WeightedClumpGraph) -> CanonicalReport:
 # -- rewrites ------------------------------------------------------------
 
 
-def _switch_colors(layers: Layers, x: int, y: int, start: int, stop: int | None = None) -> None:
-    """Exchange colors x and y in layers start..stop (inclusive)."""
+def _switch_colors(layers: Layers, x: int, y: int, start: int, stop: int | None = None) -> Run:
+    """Exchange colors x and y in layers start..stop (inclusive, the last
+    layer by default); returns the run swapped."""
     if stop is None:
         stop = len(layers) - 1
     for j in range(start, stop + 1):
@@ -162,6 +181,7 @@ def _switch_colors(layers: Layers, x: int, y: int, start: int, stop: int | None 
             layer[y] = wx
         if wy is not None:
             layer[x] = wy
+    return start, stop, x, y
 
 
 def _free_color(k: int, used: AbstractSet[int]) -> int:
@@ -173,7 +193,7 @@ def _free_color(k: int, used: AbstractSet[int]) -> int:
     raise CanonicalizationError(f"no free color: all {k} colors are in use")
 
 
-def _fix_shared_color(k: int, layers: Layers, i: int) -> str:
+def _fix_shared_color(k: int, layers: Layers, i: int) -> Step:
     """Property (ii) repair: push a color shared by L_i and L_{i+1} out of
     the tail of the graph, making the pair use one more color."""
     a, b = set(layers[i]), set(layers[i + 1])
@@ -181,11 +201,11 @@ def _fix_shared_color(k: int, layers: Layers, i: int) -> str:
     # most k colors in all already use c(i) + c(i+1) colors
     x = min(a & b)
     y = _free_color(k, a | b)
-    _switch_colors(layers, x, y, i + 1)
-    return f"color-switch({x},{y})@{i + 1}.."
+    run = _switch_colors(layers, x, y, i + 1)
+    return f"color-switch({x},{y})@{i + 1}..", (run,)
 
 
-def _resolve_k1(k: int, layers: Layers, i: int) -> str:
+def _resolve_k1(k: int, layers: Layers, i: int) -> Step:
     """Property (iii) repair at layer i: c(i) = k followed by a single."""
     D = len(layers) - 1
     if not (len(layers[i]) == k and i + 1 <= D and len(layers[i + 1]) == 1):
@@ -197,13 +217,14 @@ def _resolve_k1(k: int, layers: Layers, i: int) -> str:
         # move the clump of the follower's color back one layer; when
         # L_{i-2} is that color alone, first free a color below for it
         rule = f"move-clump({x})@{i}"
+        runs: tuple[Run, ...] = ()
         if below == {x}:
             y = _free_color(k, below | set(layers[i - 1]))
-            _switch_colors(layers, x, y, 0, i - 2)
+            runs = (_switch_colors(layers, x, y, 0, i - 2),)
             rule = f"switch-below({x},{y})+{rule}"
         w = layers[i].pop(x)
         layers[i - 1][x] = layers[i - 1].get(x, 0) + w
-        return rule
+        return rule, runs
 
     if k != 3:
         raise CanonicalizationError(
@@ -239,29 +260,30 @@ def _resolve_k1(k: int, layers: Layers, i: int) -> str:
         layers[i] = {x: y3 + x3, z: z3}
         rule = "redistribute-case-4"
     layers[i + 1] = {y: layers[i + 1][x]}
-    _switch_colors(layers, x, y, i + 2)
-    return f"{rule}@{i}"
+    run = _switch_colors(layers, x, y, i + 2)
+    return f"{rule}@{i}", (run,)
 
 
-def _fix_duplicate_weight(k: int, layers: Layers, i: int) -> str:
+def _fix_duplicate_weight(k: int, layers: Layers, i: int) -> Step:
     """Property (iv) repair: carve a unit off a heavy clump of L_i into a
     clump of a color missing from all three surrounding layers."""
     D = len(layers) - 1
     left = set(layers[i - 1]) | set(layers[i])
     after = set(layers[i + 1]) if i < D else set()
     note = ""
+    runs: tuple[Run, ...] = ()
     if len(left | after) == k:
         x = _free_color(k, left)
         y = _free_color(k, set(layers[i]) | after)
         if x != y:
-            _switch_colors(layers, x, y, i + 1)
+            runs = (_switch_colors(layers, x, y, i + 1),)
             note = f"switch({x},{y})@{i + 1}..+"
             after = set(layers[i + 1]) if i < D else set()
     free = _free_color(k, left | after)
     color = min(c for c, w in sorted(layers[i].items()) if w > 1)
     layers[i][color] -= 1
     layers[i][free] = 1
-    return f"{note}recolor-duplicate({color}->{free})@{i}"
+    return f"{note}recolor-duplicate({color}->{free})@{i}", runs
 
 
 def _audit(before: WeightedClumpGraph, after: WeightedClumpGraph, delta: int) -> None:
@@ -273,24 +295,87 @@ def _audit(before: WeightedClumpGraph, after: WeightedClumpGraph, delta: int) ->
         raise CanonicalizationError("rewrite dropped the minimum weighted degree")
 
 
+def _spans(at: Iterable[int], before: int, after: int, last: int) -> list[range]:
+    """Layers j-before..j+after of each j of the ascending `at`, within
+    0..last, as ascending disjoint ranges."""
+    spans: list[range] = []
+    for j in at:
+        lo, stop = max(j - before, 0), min(j + after, last) + 1
+        if spans and lo <= spans[-1].stop:
+            spans[-1] = range(spans[-1].start, max(stop, spans[-1].stop))
+        else:
+            spans.append(range(lo, stop))
+    return spans
+
+
+def _swapped_rows(
+    k: int, rows: list[dict[int, int]], layers: Layers, runs: Sequence[Run]
+) -> tuple[dict[int, dict[int, int]], list[int]] | None:
+    """The guard of a step whose rule reported `runs`: the new validated
+    rows of the layers of the runs, by layer, and the ends of the runs;
+    None when a run leaves the graph or the palette, or some layer of a
+    run is not the swap image of its validated row.  The image of a
+    validated row under a swap of two colors of range(k) keeps its
+    weights and its clump count, so it is a validated row too, put in
+    ascending color order; a row without either color is its own image."""
+    images: dict[int, dict[int, int]] = {}
+    ends: list[int] = []
+    for a, b, x, y in runs:
+        if a > b:
+            continue
+        if not (0 <= a and b < len(rows) and 0 <= x < k and 0 <= y < k):
+            return None
+        swap = {x: y, y: x}
+        for j in range(a, b + 1):
+            row = rows[j]
+            if x in row or y in row:
+                row = dict(sorted((swap.get(c, c), w) for c, w in row.items()))
+            if layers[j] != row:
+                return None
+            images[j] = row
+        ends += (a, b)
+    return images, ends
+
+
 def _check_span(
-    k: int, rows: list[dict[int, int]], layers: Layers, lo: int, stop: int, delta: int
-) -> None:
+    k: int,
+    rows: list[dict[int, int]],
+    layers: Layers,
+    edited: Sequence[int],
+    ends: Sequence[int],
+    delta: int,
+) -> list[range]:
     """Check the rewrite that took `rows`, the validated rows of the step
-    before it, to `layers`, which differ from them only at layers
-    lo..stop-1, and put the validated rows of those layers into `rows`.
+    before it, to `layers`.  The ascending layers `edited` are validated
+    and their rows put into `rows`.  Every other layer that changed is a
+    swap image whose row the guard (_swapped_rows) has put there already,
+    and `ends` holds the ends of those runs; a step whose guard fails
+    passes its whole changed span lo..stop-1 as `edited` and no ends.
     Raises what WeightedClumpGraph(k, layers) would, then what _audit
-    would, in that order.  Only layers lo..stop-1 can change their
-    weight, only lo..stop a structural verdict and only lo-1..stop a
-    degree, so the checks read those layers alone."""
-    weight = sum(map(sum, map(dict.values, rows[lo:stop])))
-    rows[lo:stop] = _layer_rows(k, (layer.items() for layer in layers[lo:stop]), lo)
-    _check_rooted(rows, range(lo, min(stop + 1, len(rows))))
-    if sum(map(sum, map(dict.values, rows[lo:stop]))) != weight:
+    would, in that order, and returns the spans of layers whose
+    violations may have moved.
+
+    By locality a layer's structural rules read it and the layer above,
+    and a degree or a violation at layer i reads layers i-1..i+1.  A swap
+    applied to both layers i-1, i (or to i-1..i+1) keeps every one of
+    these verdicts, and the total weight of each layer.  So only an
+    edited layer can change its weight or break a per-layer rule, only an
+    edited layer or an end j can move the rooting rule of layers j, j+1,
+    and only those can move the degrees and violations of layers
+    j-1..j+1; the checks read those layers alone."""
+    last = len(rows) - 1
+    weight = sum(sum(rows[j].values()) for j in edited)
+    for span in _spans(edited, 0, 0, last):
+        rows[span.start:span.stop] = _layer_rows(k, (layers[j].items() for j in span), span.start)
+    dirty = sorted({*edited, *ends})
+    for span in _spans(dirty, 0, 1, last):
+        _check_rooted(rows, span)
+    if sum(sum(rows[j].values()) for j in edited) != weight:
         raise CanonicalizationError("rewrite changed the total weight")
-    # the degrees of layers lo-1..stop, which read layers lo-2..stop+1
-    if neighbor_sum_range(rows, max(lo - 1, 0), min(stop + 1, len(rows)))[0] < delta:
+    near = _spans(dirty, 1, 1, last)
+    if min(neighbor_sum_range(rows, span.start, span.stop)[0] for span in near) < delta:
         raise CanonicalizationError("rewrite dropped the minimum weighted degree")
+    return near
 
 
 def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGraph, TransformLog]:
@@ -300,14 +385,22 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
     layer first, restarting after each one.  The violations are scanned
     in full once, from check_canonical; a graph with none is returned as
     it is, with an empty log.  Each step is diffed against the validated
-    rows of the step before it.  The layers lo..hi that changed are
-    validated (with the rooting rule of layer hi+1) and must keep their
-    total weight, and the degrees of layers lo-1..hi+1 must stay >= delta;
-    then only the verdicts of layers lo-1..hi+1 are checked again.  Each
-    of these reads only its own layer and the two beside it, so the others
-    stand.  A step that changes the layer count is built into a graph and
-    fails _audit.  The result is built once, which validates it whole,
-    and gets one full _audit.
+    rows of the step before it, which catches a rule that changes a layer
+    it does not report.  Each rule reports the runs of layers a..b in
+    which it swapped two colors.  The guard (_swapped_rows) checks, with
+    one dict ==, that every layer of a run is the swap image of its
+    validated row; then that image is its new row, and every check inside
+    the run stands, as a swap keeps each layer's validity and weight, the
+    rooting rule, every pair shape, every (iv) verdict and every degree.
+    The edited layers, the changed layers outside the runs, are validated
+    (with the rooting rule of the layer after each) and must keep their
+    total weight; the edited layers and the run ends are the dirty ones,
+    the degrees of the layers beside them must stay >= delta, and only
+    the verdicts beside them are checked again (_check_span).  When the
+    guard fails, the whole changed span lo..hi is checked that way, as
+    edited layers.  A step that changes the layer count is built into a
+    graph and fails _audit.  The result is built once, which validates
+    it whole, gets one full _audit and must pass check_canonical.
     """
     if min_weighted_degree(graph) < delta:
         raise CanonicalizationError(f"input min weighted degree below delta={delta}")
@@ -316,7 +409,7 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
         return graph, TransformLog()
     k = graph.k
     layers = weight_rows(graph)
-    rows = list(graph.rows)  # its dicts never change: a step replaces its span's
+    rows = list(graph.rows)  # its dicts never change: a step replaces the ones it checks
     log = TransformLog()
     cap = 4 * len(layers) * k
     # the violated layers of each property, in repair order; no graph
@@ -332,25 +425,36 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
             )
         i = min(todo[prop])
         if prop == "ii":
-            rule = _fix_shared_color(k, layers, i)
+            rule, runs = _fix_shared_color(k, layers, i)
         elif prop == "iii":
-            rule = _resolve_k1(k, layers, i)
+            rule, runs = _resolve_k1(k, layers, i)
         else:
-            rule = _fix_duplicate_weight(k, layers, i)
+            rule, runs = _fix_duplicate_weight(k, layers, i)
         if len(layers) != len(rows):
             _audit(graph, _to_graph(k, layers), delta)  # raises, as the layer count changed
         changed = list(map(ne, rows, layers))
         if True in changed:
-            lo, stop = changed.index(True), len(changed) - changed[::-1].index(True)
-            _check_span(k, rows, layers, lo, stop, delta)
-            near = range(max(lo - 1, 0), stop + 1)
-            for at in todo.values():
-                at.difference_update(near)
-            for j, found in _violations(k, rows, near):
-                todo[found].add(j)
+            swapped = _swapped_rows(k, rows, layers, runs)
+            if swapped is None:
+                lo, stop = changed.index(True), len(changed) - changed[::-1].index(True)
+                near = _check_span(k, rows, layers, range(lo, stop), (), delta)
+            else:
+                images, ends = swapped
+                for j, image in images.items():
+                    rows[j] = image
+                edited = [j for j in compress(range(len(rows)), changed) if j not in images]
+                near = _check_span(k, rows, layers, edited, ends, delta)
+            for span in near:
+                for at in todo.values():
+                    at.difference_update(span)
+                for j, found in _violations(k, rows, span):
+                    todo[found].add(j)
         log.entries.append(RewriteEntry(rule=rule, layer=i))
     result = _to_graph(k, layers)
     _audit(graph, result, delta)
+    report = check_canonical(result)
+    if not report.passes:
+        raise CanonicalizationError(f"result is not canonical: {report.violations}")
     return result, log
 
 

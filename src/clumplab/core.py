@@ -34,7 +34,8 @@ class LayerProfile:
 
     ell[i] is the total weight of layer i (the order of the layer after
     blow-up), clump_counts[i] the number of clumps, colors[i] the color
-    set.  Out-of-range layers count as empty.
+    set, and singles the layers of one clump.  Out-of-range layers count
+    as empty.
     """
 
     ell: tuple[int, ...]
@@ -42,10 +43,7 @@ class LayerProfile:
     colors: tuple[frozenset[int], ...]
     n: int
     diameter_index: int
-
-    @property
-    def singles(self) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.clump_counts) if c == 1)
+    singles: frozenset[int]
 
 
 def _validated_rows(
@@ -247,12 +245,14 @@ def min_weighted_degree(graph: WeightedClumpGraph) -> int:
 
 def _layer_profile(graph: WeightedClumpGraph) -> LayerProfile:
     ell = tuple(sum(row.values()) for row in graph.rows)
+    counts = tuple(map(len, graph.rows))
     return LayerProfile(
         ell=ell,
-        clump_counts=tuple(map(len, graph.rows)),
+        clump_counts=counts,
         colors=tuple(map(frozenset, graph.rows)),
         n=sum(ell),
         diameter_index=graph.diameter_index,
+        singles=frozenset(i for i, c in enumerate(counts) if c == 1),
     )
 
 

@@ -32,7 +32,7 @@ from clumplab.core import (
     weighted_degree,
 )
 
-from conftest import clumps, random_layered_graph
+from conftest import clumps, random_layered_graph, random_layers
 
 
 def resolve_k1_violation(graph: WeightedClumpGraph, i: int, delta: int) -> WeightedClumpGraph:
@@ -292,7 +292,7 @@ def test_rewrite_that_changes_nothing_hits_the_iteration_cap(monkeypatch):
     # violation standing, and the loop must stop at the cap
     steps = []
     monkeypatch.setattr(
-        canonical, "_fix_duplicate_weight", lambda k, layers, i: steps.append(i) or "no-op"
+        canonical, "_fix_duplicate_weight", lambda k, layers, i: (steps.append(i) or "no-op", ())
     )
     cap = r"iteration cap 48 exceeded; applied \['no-op'"
     with pytest.raises(CanonicalizationError, match=cap):
@@ -478,11 +478,11 @@ def full_rescan_canonicalize(
             raise CanonicalizationError(f"iteration cap {cap} exceeded; applied {log.rules()}")
         i, prop = min(todo, key=lambda v: (["ii", "iii", "iv", "i"].index(v[1]), v[0]))
         if prop == "ii":
-            rule = canonical._fix_shared_color(k, layers, i)
+            rule, _ = canonical._fix_shared_color(k, layers, i)
         elif prop == "iii":
-            rule = canonical._resolve_k1(k, layers, i)
+            rule, _ = canonical._resolve_k1(k, layers, i)
         elif prop == "iv":
-            rule = canonical._fix_duplicate_weight(k, layers, i)
+            rule, _ = canonical._fix_duplicate_weight(k, layers, i)
         else:
             raise CanonicalizationError(f"layer {i}: single followed by a full-palette layer")
         result = canonical._to_graph(k, layers)
@@ -516,6 +516,160 @@ def test_canonicalize_matches_full_rescan_deep(k, seed):
     assert 200 <= g.diameter_index <= 260
     delta = min_weighted_degree(g)
     assert _outcome(canonicalize, g, delta) == _outcome(full_rescan_canonicalize, g, delta)
+
+
+def _add_a_unit_at(layers, j):
+    layers[j][min(layers[j])] += 1
+
+
+def _move_a_unit_at(layers, j):
+    # from the heaviest clump of layer j to its lightest: the total stays
+    heavy = max(layers[j], key=layers[j].get)
+    light = min(layers[j], key=layers[j].get)
+    if layers[j][heavy] > 1:
+        layers[j][heavy] -= 1
+        layers[j][light] += 1
+
+
+@pytest.mark.parametrize("rows", [
+    LONG, *(random_layers(random.Random(seed), max_depth=260) for seed in (12, 50)),
+], ids=["long", "deep-12", "deep-50"])
+@pytest.mark.parametrize("lie", [_add_a_unit_at, _move_a_unit_at])
+def test_a_switch_that_lies_is_caught(monkeypatch, rows, lie):
+    # a swap run whose middle layer also changes is no swap image there:
+    # the guard fails and the step checks the whole changed span, so the
+    # outcome is the full rescan's, whatever the lie does
+    g = WeightedClumpGraph(3, rows)
+    delta = min_weighted_degree(g)
+    switch = canonical._switch_colors
+    lies = []
+
+    def lying(layers, x, y, start, stop=None):
+        a, b, x, y = run = switch(layers, x, y, start, stop)
+        if b - a >= 2:
+            lies.append(run)
+            lie(layers, (a + b) // 2)
+        return run
+
+    monkeypatch.setattr(canonical, "_switch_colors", lying)
+    audits = []
+    audit = canonical._audit
+    monkeypatch.setattr(canonical, "_audit", lambda *args: audits.append(args) or audit(*args))
+    outcome = _outcome(canonicalize, g, delta)
+    assert lies
+    if lie is _add_a_unit_at:
+        # caught at the lying step, not by the result's audit
+        assert outcome == "rewrite changed the total weight"
+        assert len(lies) == 1 and audits == []
+    assert outcome == _outcome(full_rescan_canonicalize, g, delta)
+
+
+def test_a_violation_the_loop_misses_fails_the_final_check(monkeypatch):
+    # rescans that find nothing leave the violations the repairs make in
+    # the result; the result's one full scan raises them
+    g = WeightedClumpGraph(3, LONG)
+    violations = canonical._violations
+    monkeypatch.setattr(
+        canonical, "_violations",
+        lambda k, layers, at=None: violations(k, layers, at) if at is None else [],
+    )
+    missed = r"^result is not canonical: \[\(12, 'iv'\), \(13, 'iv'\)\]$"
+    with pytest.raises(CanonicalizationError, match=missed):
+        canonicalize(g, min_weighted_degree(g))
+
+
+# two-clump layers of weight 1, each sharing one color with the next
+CHAIN = [(0, 1), (0, 2), (1, 2)]
+# (ii) at layer 1, then a chain
+SHARED_HEAD = [[(0, 1)], [(1, 1), (2, 1)], [(1, 1), (2, 1)]]
+
+
+def _chain_after(head, depth):
+    return head + [[(c, 1) for c in CHAIN[j % 3]] for j in range(depth + 1 - len(head))]
+
+
+def test_a_switch_out_of_the_palette_is_caught_at_its_step(monkeypatch):
+    # a free color of k swaps color 1 of layers 2..D into color 3, which
+    # k = 3 does not have: the guard refuses a run outside the palette,
+    # and the step raises WeightedClumpGraph's message for its layers
+    g = WeightedClumpGraph(3, _chain_after(SHARED_HEAD, 12))
+    switch = canonical._switch_colors
+    switched = []
+
+    def recorded(layers, *args):
+        run = switch(layers, *args)
+        switched.append(copy.deepcopy(layers))
+        return run
+
+    monkeypatch.setattr(canonical, "_free_color", lambda k, used: k)
+    monkeypatch.setattr(canonical, "_switch_colors", recorded)
+    builds = []
+    validated_rows = core._validated_rows
+    monkeypatch.setattr(
+        core, "_validated_rows", lambda *args: builds.append(args) or validated_rows(*args)
+    )
+    with pytest.raises(ClumpGraphError) as caught:
+        canonicalize(g, min_weighted_degree(g))
+    assert builds == [] and len(switched) == 1
+    with pytest.raises(ClumpGraphError, match=r"^layer 2: color 3 outside \[0, 3\)$") as built:
+        WeightedClumpGraph(3, [layer.items() for layer in switched[0]])
+    assert str(caught.value) == str(built.value)
+
+
+def _layers_read(head, depth):
+    """The rule log of canonicalize on head and a chain to layer `depth`,
+    with the layer counts it passes to _layer_rows, neighbor_sum_range
+    and _violations while it rewrites, then those of the full scans."""
+    g = WeightedClumpGraph(3, _chain_after(head, depth))
+    delta = min_weighted_degree(g)
+    check_canonical(g)  # the input's own scan, kept on the graph
+    windows, full = [], []
+
+    def spy(name, count):
+        real = getattr(canonical, name)
+
+        def counted(*args):
+            args = list(args)
+            if name == "_layer_rows":
+                args[1] = list(args[1])
+            n, whole = count(*args)
+            (full if whole else windows).append((name, n))
+            return real(*args)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canonical, "_layer_rows", spy(
+            "_layer_rows", lambda k, layers, start=0: (len(layers), False)))
+        mp.setattr(canonical, "neighbor_sum_range", spy(
+            "neighbor_sum_range",
+            lambda rows, first=0, stop=None: (
+                (len(rows) if stop is None else stop) - first, stop is None)))
+        mp.setattr(canonical, "_violations", spy(
+            "_violations",
+            lambda k, layers, at=None: (
+                len(layers) if at is None else len(range(at.start, min(at.stop, len(layers)))),
+                at is None)))
+        out, log = canonicalize(g, delta)
+    assert (out.rows, log.entries) == _outcome(full_rescan_canonicalize, g, delta)
+    return log.rules(), windows, full
+
+
+@pytest.mark.parametrize("head, rule, reads", [
+    # (ii) at layer 1: layers 2..D swap colors 1 and 0
+    (SHARED_HEAD, "color-switch(1,0)@2..", 10),
+    # (iv) at layer 1: layers 2..D swap colors 2 and 0, and layer 1 splits
+    ([[(0, 1)], [(1, 2)], [(2, 1)]], "switch(2,0)@2..+recolor-duplicate(1->2)@1", 13),
+], ids=["ii", "iv"])
+def test_a_color_switch_is_checked_at_its_ends(head, rule, reads):
+    # one switch through 2,000 or 4,000 layers: the loop reads a few
+    # layers at each end of the run and the one it edits, however deep
+    # the graph; the result's check_canonical is the one full scan
+    for depth in (2_000, 4_000):
+        rules, windows, full = _layers_read(head, depth)
+        assert rules == [rule]
+        assert sum(n for _, n in windows) == reads
+        assert full == [("_violations", depth + 1)]
 
 
 def test_canonicalize_rejects_degree_misdeclaration():

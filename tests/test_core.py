@@ -187,6 +187,15 @@ def test_layer_profile_counts_large_block():
     assert prof.clump_counts == prof.clump_counts[::-1]
 
 
+def test_layer_profile_singles_are_built_once():
+    # the layers of one clump, a field of the profile: every read gives
+    # the one frozenset built with it
+    prof = layer_profile(counterexample_block(5, 11))
+    assert isinstance(prof.singles, frozenset)
+    assert prof.singles == {i for i, c in enumerate(prof.clump_counts) if c == 1}
+    assert prof.singles is prof.singles
+
+
 def test_adjacency_symmetric_irreflexive():
     g = counterexample_block(2, 5)
     for i, c, _ in clumps(g):

@@ -30,12 +30,15 @@ pair's shape (|A|, |B|, |A & B|) and so its verdict, every (iv) verdict
 (which reads clump counts and weights only) and the neighbor sum of
 every clump whose three layers it all covers.  Inside a run nothing
 moves; only the pairs (a-1, a), (b, b+1) and the degrees of layers
-a-1, a, b, b+1 can.  Each rule reports its runs, and a guard checks
-that every layer of a run is exactly the swap image of its validated
-row; then the checks read only the edited layers and the run ends, and
-when it fails they read the whole changed span.  The result is built
-into a graph once, which validates it whole, audited once and checked
-canonical once.
+a-1, a, b, b+1 can.  Each rule reports its runs, and the loop swaps
+them in its own copy of the validated rows too, so a layer of a run
+equals its row exactly when it is the swap image of a validated row.
+The diff of every layer against its row then finds the layers a rule
+edited otherwise, and the checks read only those and the run ends.
+The rows belong to the loop: a swapped row is no longer in ascending
+color order, and nothing in the loop reads that order.  The result is
+built into a graph once, which validates it whole, audited once and
+checked canonical once.
 """
 
 from __future__ import annotations
@@ -174,6 +177,12 @@ def _switch_colors(layers: Layers, x: int, y: int, start: int, stop: int | None 
     layer by default); returns the run swapped."""
     if stop is None:
         stop = len(layers) - 1
+    _swap(layers, x, y, start, stop)
+    return start, stop, x, y
+
+
+def _swap(layers: Layers, x: int, y: int, start: int, stop: int) -> None:
+    """Exchange colors x and y in layers start..stop, in place."""
     for j in range(start, stop + 1):
         layer = layers[j]
         wx, wy = layer.pop(x, None), layer.pop(y, None)
@@ -181,7 +190,6 @@ def _switch_colors(layers: Layers, x: int, y: int, start: int, stop: int | None 
             layer[y] = wx
         if wy is not None:
             layer[x] = wy
-    return start, stop, x, y
 
 
 def _free_color(k: int, used: AbstractSet[int]) -> int:
@@ -308,35 +316,6 @@ def _spans(at: Iterable[int], before: int, after: int, last: int) -> list[range]
     return spans
 
 
-def _swapped_rows(
-    k: int, rows: list[dict[int, int]], layers: Layers, runs: Sequence[Run]
-) -> tuple[dict[int, dict[int, int]], list[int]] | None:
-    """The guard of a step whose rule reported `runs`: the new validated
-    rows of the layers of the runs, by layer, and the ends of the runs;
-    None when a run leaves the graph or the palette, or some layer of a
-    run is not the swap image of its validated row.  The image of a
-    validated row under a swap of two colors of range(k) keeps its
-    weights and its clump count, so it is a validated row too, put in
-    ascending color order; a row without either color is its own image."""
-    images: dict[int, dict[int, int]] = {}
-    ends: list[int] = []
-    for a, b, x, y in runs:
-        if a > b:
-            continue
-        if not (0 <= a and b < len(rows) and 0 <= x < k and 0 <= y < k):
-            return None
-        swap = {x: y, y: x}
-        for j in range(a, b + 1):
-            row = rows[j]
-            if x in row or y in row:
-                row = dict(sorted((swap.get(c, c), w) for c, w in row.items()))
-            if layers[j] != row:
-                return None
-            images[j] = row
-        ends += (a, b)
-    return images, ends
-
-
 def _check_span(
     k: int,
     rows: list[dict[int, int]],
@@ -346,14 +325,14 @@ def _check_span(
     delta: int,
 ) -> list[range]:
     """Check the rewrite that took `rows`, the validated rows of the step
-    before it, to `layers`.  The ascending layers `edited` are validated
-    and their rows put into `rows`.  Every other layer that changed is a
-    swap image whose row the guard (_swapped_rows) has put there already,
-    and `ends` holds the ends of those runs; a step whose guard fails
-    passes its whole changed span lo..stop-1 as `edited` and no ends.
-    Raises what WeightedClumpGraph(k, layers) would, then what _audit
-    would, in that order, and returns the spans of layers whose
-    violations may have moved.
+    before it, with its swap runs applied, to `layers`.  The ascending
+    layers `edited`, those that differ from their rows, are validated and
+    their rows put into `rows`.  Every other layer equals its row, which
+    is a validated row or its swap image, and `ends` holds the ends of
+    the runs.  The rows need not be in ascending color order, and no
+    check here reads that order.  Raises what WeightedClumpGraph(k,
+    layers) would, then what _audit would, in that order, and returns the
+    spans of layers whose violations may have moved.
 
     By locality a layer's structural rules read it and the layer above,
     and a degree or a violation at layer i reads layers i-1..i+1.  A swap
@@ -384,23 +363,24 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
     Rewrites are applied in property order (ii), (iii), (iv), smallest
     layer first, restarting after each one.  The violations are scanned
     in full once, from check_canonical; a graph with none is returned as
-    it is, with an empty log.  Each step is diffed against the validated
-    rows of the step before it, which catches a rule that changes a layer
-    it does not report.  Each rule reports the runs of layers a..b in
-    which it swapped two colors.  The guard (_swapped_rows) checks, with
-    one dict ==, that every layer of a run is the swap image of its
-    validated row; then that image is its new row, and every check inside
-    the run stands, as a swap keeps each layer's validity and weight, the
-    rooting rule, every pair shape, every (iv) verdict and every degree.
-    The edited layers, the changed layers outside the runs, are validated
-    (with the rooting rule of the layer after each) and must keep their
-    total weight; the edited layers and the run ends are the dirty ones,
-    the degrees of the layers beside them must stay >= delta, and only
-    the verdicts beside them are checked again (_check_span).  When the
-    guard fails, the whole changed span lo..hi is checked that way, as
-    edited layers.  A step that changes the layer count is built into a
-    graph and fails _audit.  The result is built once, which validates
-    it whole, gets one full _audit and must pass check_canonical.
+    it is, with an empty log.  The loop keeps its own copy of the
+    validated rows.  Each rule reports the runs of layers a..b in which it
+    swapped two colors, and when every run lies in the graph and in the
+    palette, the loop swaps the same colors in the same rows, in place;
+    otherwise it ignores the step's runs.  Each layer is then diffed
+    against its row: a layer of a run that equals its row is the swap
+    image of a validated row, so every check inside the run stands, as a
+    swap keeps each layer's validity and weight, the rooting rule, every
+    pair shape, every (iv) verdict and every degree.  The edited layers,
+    those the diff flags, are validated (with the rooting rule of the
+    layer after each) and must keep their total weight; the edited
+    layers and the run ends are the dirty ones, the degrees of the layers
+    beside them must stay >= delta, and only the verdicts beside them are
+    checked again (_check_span).  A swapped row is not in ascending color
+    order, and nothing in the loop reads that order.  A step that changes
+    the layer count is built into a graph and fails _audit.  The result
+    is built once, from the layers, which validates it whole, gets one
+    full _audit and must pass check_canonical.
     """
     if min_weighted_degree(graph) < delta:
         raise CanonicalizationError(f"input min weighted degree below delta={delta}")
@@ -409,7 +389,7 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
         return graph, TransformLog()
     k = graph.k
     layers = weight_rows(graph)
-    rows = list(graph.rows)  # its dicts never change: a step replaces the ones it checks
+    rows = weight_rows(graph)  # the loop's own: it swaps them in place
     log = TransformLog()
     cap = 4 * len(layers) * k
     # the violated layers of each property, in repair order; no graph
@@ -432,19 +412,18 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
             rule, runs = _fix_duplicate_weight(k, layers, i)
         if len(layers) != len(rows):
             _audit(graph, _to_graph(k, layers), delta)  # raises, as the layer count changed
-        changed = list(map(ne, rows, layers))
-        if True in changed:
-            swapped = _swapped_rows(k, rows, layers, runs)
-            if swapped is None:
-                lo, stop = changed.index(True), len(changed) - changed[::-1].index(True)
-                near = _check_span(k, rows, layers, range(lo, stop), (), delta)
-            else:
-                images, ends = swapped
-                for j, image in images.items():
-                    rows[j] = image
-                edited = [j for j in compress(range(len(rows)), changed) if j not in images]
-                near = _check_span(k, rows, layers, edited, ends, delta)
-            for span in near:
+        # runs of layers a <= b of the graph in two colors of the palette
+        # swap the rows too; any other run voids the step's runs, and the
+        # diff then takes every layer the step changed as edited
+        if all(0 <= a <= b < len(rows) and 0 <= x < k and 0 <= y < k for a, b, x, y in runs):
+            for a, b, x, y in runs:
+                _swap(rows, x, y, a, b)
+        else:
+            runs = ()
+        edited = list(compress(range(len(rows)), map(ne, rows, layers)))
+        if edited or runs:
+            ends = [j for a, b, _, _ in runs for j in (a, b)]
+            for span in _check_span(k, rows, layers, edited, ends, delta):
                 for at in todo.values():
                     at.difference_update(span)
                 for j, found in _violations(k, rows, span):

@@ -9,10 +9,11 @@ the texts sent to stdout by a `-` path, then the stderr note.  An
 output file that is new, or a regular file, is written beside its real
 path first, keeping an existing file's mode, and those targets are
 replaced only once all are written; any other target (a device, a pipe)
-is then written as it is.  Bad input, an option the command rejects or a
-file that cannot be read or written exits 2 with one `error:` line on
-stderr and nothing on stdout.  A missing directory, a directory target
-or a read-only file leaves every target unchanged.
+is then written as it is.  Bad input, an option the command rejects,
+two output targets with one real path (`-` aside) or a file that cannot
+be read or written exits 2 with one `error:` line on stderr and nothing
+on stdout.  A missing directory, a directory target or a read-only
+file leaves every target unchanged.
 """
 
 from __future__ import annotations
@@ -370,6 +371,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         output = args.func(args)
+        # one file takes one text: two targets with one real path would
+        # keep only the text written last; "-" may take several
+        reals: set[str] = set()
+        for target, _ in output.texts:
+            if target == "-":
+                continue
+            real = os.path.realpath(target)
+            if real in reals:
+                raise ValueError(f"two outputs name the same file: {target}")
+            reals.add(real)
         # a new or plain file goes to a new file beside it first, and those
         # targets are replaced only once every one of them is written; any
         # other target is written as it is, last

@@ -537,8 +537,8 @@ def _move_a_unit_at(layers, j):
 @pytest.mark.parametrize("lie", [_add_a_unit_at, _move_a_unit_at])
 def test_a_switch_that_lies_is_caught(monkeypatch, rows, lie):
     # a swap run whose middle layer also changes is no swap image there:
-    # the guard fails and the step checks the whole changed span, so the
-    # outcome is the full rescan's, whatever the lie does
+    # that layer differs from its swapped row, so the diff takes it as
+    # edited, and the outcome is the full rescan's, whatever the lie does
     g = WeightedClumpGraph(3, rows)
     delta = min_weighted_degree(g)
     switch = canonical._switch_colors
@@ -562,6 +562,69 @@ def test_a_switch_that_lies_is_caught(monkeypatch, rows, lie):
         assert outcome == "rewrite changed the total weight"
         assert len(lies) == 1 and audits == []
     assert outcome == _outcome(full_rescan_canonicalize, g, delta)
+
+
+# runs a rule reports beside, or instead of, the ones it swapped; D is
+# the last layer
+def _phantom_run(runs, D):
+    return (*runs, (1, D, 0, 1))
+
+
+def _run_past_the_last_layer(runs, D):
+    return tuple((a, D + 1, x, y) for a, b, x, y in runs)
+
+
+def _run_reversed(runs, D):
+    return tuple((b, a, x, y) for a, b, x, y in runs)
+
+
+@pytest.mark.parametrize("rows", [
+    LONG, *(random_layers(random.Random(seed), max_depth=260) for seed in (12, 50)),
+], ids=["long", "deep-12", "deep-50"])
+@pytest.mark.parametrize("lie", [_phantom_run, _run_past_the_last_layer, _run_reversed])
+def test_a_run_that_lies_the_other_way_gives_the_full_rescan_outcome(monkeypatch, rows, lie):
+    # a reported run the rule did not swap leaves its layers unlike their
+    # swapped rows, so the diff takes them as edited; a run past the last
+    # layer or with a > b voids the step's runs, so the diff takes every
+    # swapped layer as edited: the outcome is the full rescan's
+    g = WeightedClumpGraph(3, rows)
+    delta = min_weighted_degree(g)
+    lies = []
+
+    def lying(rule):
+        def reported(k, layers, i):
+            name, runs = rule(k, layers, i)
+            if any(a < b for a, b, _, _ in runs):
+                lies.append(runs)
+            return name, lie(runs, len(layers) - 1)
+
+        return reported
+
+    for name in ("_fix_shared_color", "_resolve_k1", "_fix_duplicate_weight"):
+        monkeypatch.setattr(canonical, name, lying(getattr(canonical, name)))
+    outcome = _outcome(canonicalize, g, delta)
+    assert lies
+    assert outcome == _outcome(full_rescan_canonicalize, g, delta)
+
+
+@pytest.mark.parametrize("k, rows", [
+    (3, LONG),
+    *((k, random_layers(random.Random(seed), k, max_depth=260))
+      for k, seed in [(3, 12), (3, 50), (4, 27), (5, 17), (5, 40)]),
+], ids=["long", "k3-12", "k3-50", "k4-27", "k5-17", "k5-40"])
+def test_canonicalize_leaves_its_input_unchanged(k, rows):
+    # the loop swaps its rows in place, so they must be its own: the
+    # input's rows, its hash and the report of a graph built from its
+    # rows are those of before the call
+    g = WeightedClumpGraph(k, rows)
+    before = copy.deepcopy(g.rows)
+    digest = hash(g)
+    report = check_canonical(WeightedClumpGraph(k, [row.items() for row in before]))
+    assert report.violations  # so the loop runs
+    _outcome(canonicalize, g, min_weighted_degree(g))
+    assert g.rows == before and hash(g) == digest
+    rebuilt = check_canonical(WeightedClumpGraph(k, [row.items() for row in g.rows]))
+    assert rebuilt.violations == report.violations
 
 
 def test_a_violation_the_loop_misses_fails_the_final_check(monkeypatch):
@@ -590,8 +653,9 @@ def _chain_after(head, depth):
 
 def test_a_switch_out_of_the_palette_is_caught_at_its_step(monkeypatch):
     # a free color of k swaps color 1 of layers 2..D into color 3, which
-    # k = 3 does not have: the guard refuses a run outside the palette,
-    # and the step raises WeightedClumpGraph's message for its layers
+    # k = 3 does not have: the loop swaps no row for a run outside the
+    # palette, so the diff takes each swapped layer as edited, and the
+    # step raises WeightedClumpGraph's message for its layers
     g = WeightedClumpGraph(3, _chain_after(SHARED_HEAD, 12))
     switch = canonical._switch_colors
     switched = []

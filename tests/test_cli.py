@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -441,6 +442,40 @@ def test_output_naming_a_directory_writes_no_target(tmp_path, capsys):
 _GENERATE = ["generate", "counterexample", "--s", "1", "--delta", "4", "--p", "2"]
 
 
+@pytest.mark.parametrize("args, named", [
+    (["canonicalize", "--in", "{graph}", "--delta", "4",
+      "--out", "{tmp}/x.json", "--log", "{tmp}/x.json"], "{tmp}/x.json"),
+    ([*_GENERATE, "--out", "{tmp}/e.txt", "--export-edges", "{tmp}/./e.txt"], "{tmp}/./e.txt"),
+    # a symlink and its target are one file
+    (["canonicalize", "--in", "{graph}", "--delta", "4",
+      "--out", "{tmp}/link.json", "--log", "{tmp}/real.json"], "{tmp}/real.json"),
+    # the input may be an output, but only once
+    (["canonicalize", "--in", "{graph}", "--delta", "4",
+      "--out", "{graph}", "--log", "{graph}"], "{graph}"),
+], ids=["canonicalize", "generate", "symlink", "input"])
+def test_two_outputs_naming_one_file_write_nothing(tmp_path, capsys, args, named):
+    # one file would keep only the text written last, so main refuses the
+    # pair before it writes any target
+    graph = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
+    (tmp_path / "real.json").write_text("old")
+    (tmp_path / "link.json").symlink_to("real.json")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([a.format(graph=graph, tmp=tmp_path) for a in args]) == 2
+    target = named.format(graph=graph, tmp=tmp_path)
+    assert capsys.readouterr() == ("", f"error: two outputs name the same file: {target}\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_two_outputs_may_both_go_to_stdout(tmp_path, capsys):
+    graph = _write_graph(tmp_path, core.WeightedClumpGraph(3, [[(0, 1)], [(1, 2)], [(2, 2)]]))
+    assert main(["canonicalize", "--in", graph, "--delta", "2", "--out", "-", "--log", "-"]) == 0
+    out, err = capsys.readouterr()
+    result, log = canonical.canonicalize(parse_clump_json(Path(graph).read_text()), 2)
+    entries = [{"rule": e.rule, "layer": e.layer} for e in log.entries]
+    assert log and out == dump_clump_json(result) + json.dumps(entries, indent=2) + "\n"
+    assert err == f"rewrites {len(log)}\n"
+
+
 def test_device_target_is_written_as_it_is(tmp_path, capsys):
     # only new or regular files are staged, so /dev/null stays a device
     assert main([*_GENERATE, "--out", str(tmp_path / "g.json"),
@@ -836,6 +871,40 @@ def test_canonicalize_output_is_pinned(tmp_path, capsys, k, seed):
     for name in ("canon.json", "log.json"):
         digest.update((tmp_path / name).read_bytes() + b"\0")
     assert digest.hexdigest() == _PINNED_CANONICALIZE[k, seed]
+
+
+def _bench_generators():
+    """bench/generators.py, loaded by path: it needs only json and random."""
+    path = Path(__file__).parents[1] / "bench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("bench_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rewrite_workload_output_is_pinned(tmp_path, capsys):
+    # the 48 graphs of the bench's rewrite pool at seed 1, each through
+    # clumplab canonicalize --out/--log; the digest covers the exit code,
+    # stdout, stderr and both files of every graph, in pool order
+    generators = _bench_generators()
+    digest = hashlib.sha256()
+    pool = generators.rewrite_inputs(1)
+    for j, item in enumerate(pool):
+        graph = tmp_path / f"g{j}.json"
+        graph.write_text(generators.graph_json(item["layers"]))
+        out, log = tmp_path / f"canon{j}.json", tmp_path / f"log{j}.json"
+        code = main([
+            "canonicalize", "--in", str(graph), "--delta", str(item["delta"]),
+            "--out", str(out), "--log", str(log),
+        ])
+        for part in (str(code), *capsys.readouterr()):
+            digest.update(part.encode() + b"\0")
+        for path in (out, log):
+            digest.update((path.read_bytes() if path.exists() else b"missing") + b"\0")
+    assert len(pool) == 48
+    assert digest.hexdigest() == (
+        "43cf3f75c40ea12ee6b30e2a0ca9260b280cda8bb684966808d152911b5e9c2e"
+    )
 
 
 # clumplab search stdout at points beside the bench's golden ones: deeper

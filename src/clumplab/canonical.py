@@ -157,16 +157,11 @@ def _violations(
     return out
 
 
-def _graph_violations(graph: WeightedClumpGraph) -> tuple[tuple[int, str], ...]:
-    return tuple(_violations(graph.k, graph.rows))
-
-
 def check_canonical(graph: WeightedClumpGraph) -> CanonicalReport:
     """Evaluate canonical properties (i)-(iv).  Every consecutive layer
     pair is held to pair_violations, so for k = 3 this also confines the
-    pairs to the seven admissible color-set shapes.  The scan runs once
-    per graph (WeightedClumpGraph._derive); each report gets its own list."""
-    return CanonicalReport(violations=list(graph._derive(_graph_violations)))
+    pairs to the seven admissible color-set shapes."""
+    return CanonicalReport(violations=_violations(graph.k, graph.rows))
 
 
 # -- rewrites ------------------------------------------------------------
@@ -381,6 +376,12 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
     the layer count is built into a graph and fails _audit.  The result
     is built once, from the layers, which validates it whole, gets one
     full _audit and must pass check_canonical.
+
+    One (iii) shape is repaired only at k = 3: a full layer i after
+    L_{i-2} = {x} and L_{i-1} = every color but x, followed by
+    L_{i+1} = {x}.  For k >= 4 it raises CanonicalizationError.  A
+    certificate does not need canonical form, so certify takes such a
+    graph as it is; only the sieve and this command are limited.
     """
     if min_weighted_degree(graph) < delta:
         raise CanonicalizationError(f"input min weighted degree below delta={delta}")

@@ -1,7 +1,9 @@
 """Packing certificates: nonnegative dual weights on clumps whose
 neighborhood sums stay at most 1.  Scaled by the degree bound, their
 total lower-bounds the order of any blow-up, which converts a per-layer
-weight guarantee into a diameter upper bound.
+weight guarantee into a diameter upper bound.  dual_certificate's
+uniform weights are feasible on every rooted clump graph, canonical or
+not (its docstring has the proof), so this module reads only core.
 
 A clump's neighborhood sum needs no walk over its neighbors:
 
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .canonical import check_canonical
 from .core import WeightedClumpGraph, neighbor_sum_range
 
 ClumpKey = tuple[int, int]  # (layer, color)
@@ -69,13 +70,32 @@ def _packing_verdict(rows: list[dict[int, int]], scale: int) -> tuple[bool, int]
 
 
 def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
-    """The uniform-by-layer dual weights for a canonical graph.
+    """The uniform-by-layer dual weights of a rooted graph with k >= 3.
 
     Layers of fewer than k clumps share (k-1)/(3k-4) evenly.  A layer of
     k clumps splits: clumps whose color misses both neighbor layers (the
     set X; they see everything next door) get 1/(3k-4) and the rest get
     1/(3k-4) - 1/((3k-4)(k-|X|)), keeping the layer total at
-    (k-1)/(3k-4).
+    (k-1)/(3k-4) = u_tilde.
+
+    These weights are feasible on every rooted graph; canonical form is
+    not needed.  Count in units of 1/(3k-4).  A short layer of m < k
+    clumps gives each (k-1)/m >= 1.  A full layer is never layer 0, and
+    the layer above it holds two clumps or more, as a single's color is
+    absent from the layer after it; their colors are not in X, so
+    |X| <= k-2, and the layer gives 1 to each clump of X and
+    1 - 1/(k-|X|) > 0 to the others.  Every layer totals k-1 units and
+    an absent layer 0, so a clump (i, c) has neighbor sum at most 3k-3
+    units less the weights of color c in layers i-1, i and i+1, and that
+    is at most 3k-4 units, that is 1, when those weights reach one unit:
+      - its own weight is >= 1 unless layer i is full and c is not in X;
+      - then c also sits in a neighbor layer, whose clump of color c
+        weighs >= 1 if that layer is short;
+      - if it is full too, X is empty in both layers, and the two
+        clumps weigh 2 - 2/k >= 1.
+    The claim reads only the color sets, so it holds for every weighting.
+    dual_certificate still takes the largest neighbor sum, and
+    bound_from_certificate checks it and every layer total exactly.
 
     Exact in integers: every weight is a multiple of 1/S for
     S = (3k-4) L, with L the lcm of the denominators that occur (the
@@ -85,15 +105,6 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
     k = graph.k
     if k < 3:
         raise ValueError(f"k={k} must be at least 3")
-    report = check_canonical(graph)
-    if not report.passes:
-        n = len(report.violations)
-        i, prop = report.violations[0]
-        where = f"layer {i}" if prop == "iv" else f"layer pair ({i}, {i + 1})"
-        raise ValueError(
-            f"graph is not canonical: {n} violation{'s' * (n > 1)}, the first "
-            f"of property ({prop}) at {where}"
-        )
     # per layer: the denominator its weights need, and X for a full layer
     layers = graph.rows
     shapes: list[tuple[int, set[int] | None]] = []
@@ -101,8 +112,9 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
         if len(row) < k:
             shapes.append((len(row), None))
             continue
-        # |X| <= k-2: a full layer is never layer 0, and (iii) puts two
-        # clumps after it or, when it is last, (i) puts two before it
+        # |X| <= k-2, so d >= 2 and the light weight is positive: a full
+        # layer is never layer 0, and the layer above it holds two clumps
+        # or more, as a single's color is absent from the layer after it
         x_colors = row.keys() - layers[i - 1].keys()
         if i + 1 < len(layers):
             x_colors -= layers[i + 1].keys()

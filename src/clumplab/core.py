@@ -10,8 +10,8 @@ derived from this rule, never stored.
 A graph is immutable.  It stores one table, `rows`: per layer the
 {color: weight} dict its checks built.  Everything else is derived from
 the rows, at most once per instance (WeightedClumpGraph._derive): the
-weighted degrees' range behind min_weighted_degree, the layer profile,
-whose n is total_weight, and the canonical violations.
+weighted degrees' range behind min_weighted_degree and the layer
+profile, whose n is total_weight.
 """
 
 from __future__ import annotations

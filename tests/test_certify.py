@@ -2,10 +2,13 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from clumplab.canonical import CanonicalizationError, canonicalize, check_canonical
 from clumplab.certify import (
     bound_from_certificate,
     dual_certificate,
@@ -19,7 +22,7 @@ from clumplab.core import (
     weighted_degree,
 )
 
-from conftest import canonical_pair, clumps, neighbors, random_layered_graph
+from conftest import canonical_pair, clumps, neighbors, random_layered_graph, random_layers
 
 
 def test_thin_layer_weights():
@@ -69,15 +72,80 @@ def test_certificates_feasible_on_corpus(corpus_by_k):
             assert all(Fraction(t, cert.scale) == expected for t in cert.totals)
 
 
-def test_noncanonical_input_rejected():
+def test_noncanonical_input_certified():
+    # singles of weight 2 break (iv) at every layer; the certificate
+    # needs no canonical form
     g = WeightedClumpGraph(3, [[(0, 1)], [(1, 2)], [(2, 2)], [(0, 2)]])
-    with pytest.raises(ValueError):
-        dual_certificate(g)
+    assert not check_canonical(g).passes
+    cert = dual_certificate(g)
+    assert cert.feasible and cert.objective == 4 * cert.u_tilde == Fraction(8, 5)
+    assert bound_from_certificate(cert, g.total_weight, 2) == Fraction(5, 2) * Fraction(7, 2) + 1
+
+
+def _rooted_color_sets(k, max_depth):
+    """Every rooted sequence of layer color sets of depth 0..max_depth:
+    the root {0}, then nonempty subsets of range(k), a single's color
+    absent from the layer after it."""
+    palette = [set(c) for r in range(1, k + 1) for c in combinations(range(k), r)]
+    todo = [[{0}]]
+    while todo:
+        seq = todo.pop()
+        yield seq
+        if len(seq) <= max_depth:
+            todo += [seq + [b] for b in palette if len(seq[-1]) > 1 or not seq[-1] <= b]
+
+
+def test_uniform_certificate_holds_on_every_small_rooted_graph():
+    # the certificate reads only the color sets, so weight 1 stands for
+    # every weighting; bound_from_certificate raises on an infeasible
+    # certificate or a layer total short of u_tilde.  No weight is 0: a
+    # full layer follows two clumps or more, so |X| <= k-2
+    counts = Counter()
+    for k, max_depth in ((3, 5), (4, 3)):
+        u_tilde = Fraction(k - 1, 3 * k - 4)
+        for seq in _rooted_color_sets(k, max_depth):
+            g = WeightedClumpGraph(k, [[(c, 1) for c in layer] for layer in seq])
+            cert = dual_certificate(g)
+            n = g.total_weight
+            assert bound_from_certificate(cert, n, 1) == n / u_tilde + 1
+            assert cert.objective == len(seq) * u_tilde
+            assert all(w > 0 for row in cert.rows for w in row.values())
+            counts[k, check_canonical(g).passes] += 1
+    assert counts == {(3, True): 635, (3, False): 1321, (4, True): 397, (4, False): 707}
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(3, 8), seed=st.integers(0, 10**9))
+def test_uniform_certificate_holds_on_random_rooted_graphs(k, seed):
+    g = WeightedClumpGraph(k, random_layers(random.Random(seed), k=k, max_depth=60))
+    cert = dual_certificate(g)
+    assert cert.feasible
+    assert all(total * (3 * k - 4) == (k - 1) * cert.scale for total in cert.totals)
+
+
+def test_certificate_on_a_graph_canonicalize_refuses():
+    # L_0 = {x}, L_1 = every color but x, L_2 full and L_3 = {x}: the
+    # (iii) repair needs k = 3, but the certificate holds at any k
+    g = WeightedClumpGraph(
+        4, [[(0, 1)], [(1, 1), (2, 1), (3, 1)], [(c, 1) for c in range(4)], [(0, 1)]]
+    )
+    with pytest.raises(
+        CanonicalizationError,
+        match="^full-palette layer 2 followed by a single needs the three-color "
+        "weight redistribution, but k=4$",
+    ):
+        canonicalize(g, min_weighted_degree(g))
+    cert = dual_certificate(g)
+    assert cert.feasible and cert.u_tilde == Fraction(3, 8)
+    assert [cert.u[(2, c)] for c in range(4)] == [Fraction(3, 32)] * 4  # X is empty
+    assert bound_from_certificate(cert, g.total_weight, 3) == 9
 
 
 def test_full_layers_have_at_most_k_minus_2_dominating_clumps():
-    # dual_certificate's weight 1/(3k-4) - 1/((3k-4)(k-|X|)) needs |X| < k;
-    # canonical form gives |X| <= k-2 without a check
+    # dual_certificate's weight 1/(3k-4) - 1/((3k-4)(k-|X|)) needs only
+    # |X| < k, and every rooted graph has |X| <= k-2 (the layer above a
+    # full one holds two clumps or more); here it is pinned on canonical
+    # graphs, a fact no code rests on
     rng = random.Random(20261020)
     reached, last = Counter(), Counter()
     for k in range(3, 7):
@@ -238,7 +306,7 @@ def test_verify_packing_bad_weight_messages(edit, message):
 
 def _fraction_dual_certificate(graph):
     """dual_certificate's weights built in Fractions, clump by clump:
-    (u, layer_totals, u_tilde, feasible) for a canonical graph."""
+    (u, layer_totals, u_tilde, feasible)."""
     k = graph.k
     u = {}
     totals = []

@@ -154,24 +154,42 @@ def test_certify_command(tmp_path, capsys):
     assert "feasible yes" in out
 
 
-def test_certify_non_canonical_graph_names_the_first_violation(tmp_path, capsys):
-    # 259 single heavy clumps each break (iv); the error stays one short line
+def test_certify_non_canonical_graph_prints_its_bound(tmp_path, capsys):
+    # 259 single heavy clumps each break (iv); the certificate needs no
+    # canonical form, and each of the 260 layers totals 2/5
     graph = core.WeightedClumpGraph(3, [[(0, 1)], *([(i % 3, 2)] for i in range(1, 260))])
     path = _write_graph(tmp_path, graph)
-    assert main(["certify", "--in", path, "--delta", "2"]) == 2
+    assert main(["certify", "--in", path, "--delta", "2"]) == 0
     assert capsys.readouterr() == (
-        "",
-        "error: graph is not canonical: 259 violations, the first of property (iv) "
-        "at layer 1\n",
+        "feasible yes\nu-tilde 2/5\nobjective 104\ndiameter-bound 2599/4\n", ""
     )
     graph = core.WeightedClumpGraph(3, [[(0, 1)], [(1, 1), (2, 1)], [(1, 1)]])
+    assert check_canonical(graph).violations == [(1, "ii")]
     path = _write_graph(tmp_path, graph)
-    assert main(["certify", "--in", path]) == 2
+    assert main(["certify", "--in", path]) == 0
+    assert capsys.readouterr() == ("feasible yes\nu-tilde 2/5\nobjective 6/5\n", "")
+
+
+def test_certify_graph_that_canonicalize_refuses(tmp_path, capsys):
+    # L_0 = {0}, L_1 = {1, 2, 3}, L_2 full, L_3 = {0}: the (iii) repair
+    # needs k = 3, but the certificate holds at k = 4
+    graph = core.WeightedClumpGraph(
+        4, [[(0, 1)], [(1, 1), (2, 1), (3, 1)], [(0, 1), (1, 1), (2, 1), (3, 1)], [(0, 1)]]
+    )
+    path = _write_graph(tmp_path, graph)
+    assert main(["canonicalize", "--in", path, "--delta", "3"]) == 2
     assert capsys.readouterr() == (
         "",
-        "error: graph is not canonical: 1 violation, the first of property (ii) "
-        "at layer pair (1, 2)\n",
+        "error: full-palette layer 2 followed by a single needs the three-color "
+        "weight redistribution, but k=4\n",
     )
+    dump = str(tmp_path / "u.json")
+    assert main(["certify", "--in", path, "--delta", "3", "--dump", dump]) == 0
+    assert capsys.readouterr() == (
+        "feasible yes\nu-tilde 3/8\nobjective 3/2\ndiameter-bound 9\n", ""
+    )
+    assert main(["certify", "--in", path, "--weights", dump]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "feasible yes"
 
 
 @pytest.mark.parametrize("field, value", [("layer", [0]), ("layer", "0"), ("color", True)])
@@ -317,8 +335,8 @@ def test_suite_command(tmp_path, capsys):
 
 def test_suite_derives_each_graph_fact_once(tmp_path, monkeypatch, capsys):
     # the suite reads each graph's minimum degree twice (itself and in
-    # canonicalize) and its canonical violations twice (canonicalize and
-    # dual_certificate); the graph computes each once
+    # canonicalize), and the graph computes it once; canonicalize is the
+    # one reader of the canonical violations, and scans each graph once
     target = core.weight_rows(counterexample_graph(1, 5, 2))
     sums_of: list = []
     scans_of: list = []
@@ -349,7 +367,7 @@ def test_suite_derives_each_graph_fact_once(tmp_path, monkeypatch, capsys):
     assert sums_of.count(target) == 1
     assert scans_of.count(target) == 1
     # the four graphs are scanned whole once each, and so is the result of
-    # H(1,2,2)'s two rewrites, when dual_certificate checks it; the graph
+    # H(1,2,2)'s two rewrites, when canonicalize checks it; the graph
     # between the two rewrites is re-checked on its changed layers only
     assert len(scans_of) == 5
     assert all(scans_of.count(rows) == 1 for rows in scans_of)

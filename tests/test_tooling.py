@@ -31,6 +31,35 @@ def test_src_imports_only_the_standard_library():
     assert {name: roots for name, roots in foreign.items() if roots} == {}
 
 
+def _clumplab_modules(tree: ast.Module) -> set[str]:
+    """The clumplab modules that tree imports: `from .core import x`,
+    `from clumplab.core import x` and `import clumplab.core` give core,
+    and `from . import lp` gives lp."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["clumplab" if node.level else None, node.module]))
+            names = [
+                f"{base}.{alias.name}" if base == "clumplab" else base for alias in node.names
+            ]
+        else:
+            continue
+        modules.update(name.split(".")[1] for name in names if name.startswith("clumplab."))
+    return modules
+
+
+def test_certify_imports_only_core():
+    # the certificate needs no canonical form, and a small checker of
+    # printed bounds can then take certify with core alone
+    src = Path(clumplab.__file__).parent
+    assert _clumplab_modules(ast.parse((src / "certify.py").read_text())) == {"core"}
+    assert _clumplab_modules(ast.parse((src / "cli.py").read_text())) >= {
+        "canonical", "certify", "core", "lp",
+    }
+
+
 # the os calls that write, move, remove or chmod a file, and the tempfile
 # constructors, which create one
 _WRITING_NAMES = {

@@ -373,7 +373,7 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
     beside them must stay >= delta, and only the verdicts beside them are
     checked again (_check_span).  A swapped row is not in ascending color
     order, and nothing in the loop reads that order.  A step that changes
-    the layer count is built into a graph and fails _audit.  The result
+    the layer count raises CanonicalizationError at once.  The result
     is built once, from the layers, which validates it whole, gets one
     full _audit and must pass check_canonical.
 
@@ -412,7 +412,7 @@ def canonicalize(graph: WeightedClumpGraph, delta: int) -> tuple[WeightedClumpGr
         else:
             rule, runs = _fix_duplicate_weight(k, layers, i)
         if len(layers) != len(rows):
-            _audit(graph, _to_graph(k, layers), delta)  # raises, as the layer count changed
+            raise CanonicalizationError("rewrite changed the layer count")
         # runs of layers a <= b of the graph in two colors of the palette
         # swap the rows too; any other run voids the step's runs, and the
         # diff then takes every layer the step changed as edited

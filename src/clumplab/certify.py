@@ -70,7 +70,7 @@ def _packing_verdict(rows: list[dict[int, int]], scale: int) -> tuple[bool, int]
 
 
 def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
-    """The uniform-by-layer dual weights of a rooted graph with k >= 3.
+    """The uniform-by-layer dual weights of a rooted graph, any k >= 2.
 
     Layers of fewer than k clumps share (k-1)/(3k-4) evenly.  A layer of
     k clumps splits: clumps whose color misses both neighbor layers (the
@@ -94,6 +94,10 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
       - if it is full too, X is empty in both layers, and the two
         clumps weigh 2 - 2/k >= 1.
     The claim reads only the color sets, so it holds for every weighting.
+    At k = 2 every layer is a single (the root is one, and a single's
+    color is absent from the layer after it), so each clump weighs one
+    unit, 1/2, and every neighbor sum is at most 1: u_tilde = 1/2 and
+    the bound reads D <= 2n/delta + 1.
     dual_certificate still takes the largest neighbor sum, and
     bound_from_certificate checks it and every layer total exactly.
 
@@ -103,8 +107,6 @@ def dual_certificate(graph: WeightedClumpGraph) -> DualCertificate:
     scale stays small however large k is.
     """
     k = graph.k
-    if k < 3:
-        raise ValueError(f"k={k} must be at least 3")
     # per layer: the denominator its weights need, and X for a full layer
     layers = graph.rows
     shapes: list[tuple[int, set[int] | None]] = []

@@ -157,9 +157,11 @@ def _cmd_certify(args: argparse.Namespace) -> Output:
 
 
 def _cmd_sieve(args: argparse.Namespace) -> Output:
+    """The window inequalities on a graph of any k whose layer pairs fit
+    the three-color pair grammar, which window_inequalities checks: such
+    a graph has an isomorphic 3-coloring (sieve module docstring), so it
+    reads exactly as that one."""
     graph = _read_graph(args.infile)
-    if graph.k != 3:
-        raise ValueError(f"the sieve needs a 3-colored graph, got k={graph.k}")
     _require_min_degree(graph, args.delta)
     report = sieve.window_inequalities(layer_profile(graph), args.delta, args.slack)
     lines = [f"windows {report.windows_passing}/{len(report.lhs_scaled)} pass"]
@@ -236,7 +238,9 @@ def _cmd_suite(args: argparse.Namespace) -> Output:
                 bound = certify.bound_from_certificate(cert, profile.n, delta)
                 ok = ok and cert.feasible and diam <= bound
                 windows_pass = windows_total = 0
-                if graph.k == 3:  # the sieve reads a canonical graph
+                # the sieve reads a canonical graph; at s >= 2 (k = 2s + 1)
+                # a canonical layer pair falls outside its three-color grammar
+                if graph.k == 3:
                     canon, _ = canonical.canonicalize(graph, delta)
                     report = sieve.window_inequalities(layer_profile(canon), delta, args.slack)
                     windows_total = len(report.lhs_scaled)
@@ -301,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_cmd_verify)
 
     can = sub.add_parser(
-        "canonicalize", parents=[graph_in, delta, out], help="rewrite into canonical form"
+        "canonicalize", parents=[graph_in, delta, out], help="rewrite into canonical form",
+        description="rewrite into canonical form; only k = 3 repairs the (iii) shape L_{i-2} = "
+        "{x}, L_{i-1} = every color but x, L_i full, L_{i+1} = {x}, and k >= 4 exits 2 on it",
     )
     can.add_argument("--log", default=None)
     can.set_defaults(func=_cmd_canonicalize)
@@ -315,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     cer.set_defaults(func=_cmd_certify)
 
     sie = sub.add_parser(
-        "sieve", parents=[graph_in, delta, slack], help="run the 3-color window inequalities"
+        "sieve", parents=[graph_in, delta, slack],
+        help="run the window inequalities on any graph whose layer pairs fit the 3-color grammar",
     )
     sie.add_argument("--report", default=None)
     sie.set_defaults(func=_cmd_sieve)

@@ -1,6 +1,19 @@
 """Inclusion-exclusion ("sieve") inequalities on 3-colorable canonical
 layer profiles, and the normalized global statistics they feed.
 
+The one gate is the pair grammar: every consecutive pair of layer color
+sets must have one of the seven shapes of a canonical 3-colored profile
+(is_canonical_pair at k = 3), or ValueError names the pair and its
+shape.  A profile of any palette that passes it has an isomorphic
+3-coloring, so no palette check is needed: color the layers in order,
+let a clump whose color the layer above shares keep its partner's new
+color, and give every other clump a color the layer above lacks.  A
+passing pair spans at most three colors, so enough are free, and the
+map is one-to-one on each layer.  Adjacency reads only which colors of
+a layer and its neighbor layers coincide, so the weights, the degrees,
+the windows, the statistics and the verdict are those of the 3-colored
+profile.
+
 Each window inequality bounds a short run of consecutive layer weights
 from below by a multiple of the minimum degree; which bound applies
 depends on where the single-clump layers sit.  The per-window forms are

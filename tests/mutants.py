@@ -5,9 +5,10 @@ on it.
 Run from anywhere as `python tests/mutants.py`; it needs only the
 standard library and the test dependencies of the project.  For each
 mutant it copies src/, tests/ and pyproject.toml to a temporary
-directory, applies the one replacement there and runs
-`python -m pytest -x -q <test file>` in that directory, so the copy is
-what the tests import and Hypothesis keeps its database there too.
+directory, with bench/ read-only beside them (the lp tests read its
+golden values and generators), applies the one replacement there and
+runs `python -m pytest -x -q <test file>` in that directory, so the copy
+is what the tests import and Hypothesis keeps its database there too.
 Each test file first runs on the unchanged copy and must pass.  A
 snippet that no longer occurs exactly once is reported as stale, so a
 change to a module has to update this table on purpose.  Exits 1 on a
@@ -27,6 +28,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CANONICAL = ("canonical", "tests/test_canonical.py")
 CERTIFY = ("certify", "tests/test_certify.py")
+SIEVE = ("sieve", "tests/test_sieve.py")
+CORE = ("core", "tests/test_core.py")
+LP = ("lp", "tests/test_lp.py")
 
 # ((module, test file), snippet, replacement, what the tests must catch)
 MUTANTS = [
@@ -85,6 +89,12 @@ MUTANTS = [
         "no final check_canonical of the result",
     ),
     (
+        CANONICAL,
+        "if len(layers) != len(rows):",
+        "if False:",
+        "a rewrite that adds a layer goes on to the next step",
+    ),
+    (
         CERTIFY,
         "return worst <= scale, worst",
         "return True, worst",
@@ -132,6 +142,126 @@ MUTANTS = [
         "scale = (3 * k - 3) * unit",
         "every weight read over the scale of 1/(3k-3)",
     ),
+    (
+        SIEVE,
+        "if not is_canonical_pair(3, a, b):",
+        "if False:",
+        "no pair grammar: a profile of any shape, a layer of four clumps too, gets windows",
+    ),
+    (
+        SIEVE,
+        "(True, False, True): (48, 12, 24, 12),",
+        "(True, False, True): (48, 12, 24, 6),",
+        "a three-layer window between two singles subtracts half its next layer",
+    ),
+    (
+        SIEVE,
+        '(True, False): ("first-single", 6, 9),',
+        '(True, False): ("first-single", 6, 8),',
+        "a two-layer window after a single weighs its second layer 4/3, not 3/2",
+    ),
+    (
+        SIEVE,
+        "<= rhs + eps",
+        "< rhs + eps",
+        "a GLOBAL_PROGRAM row met with equality fails",
+    ),
+    (
+        SIEVE,
+        "(i + 1 in singles)] += profile.ell[i]",
+        "(i in singles)] += profile.ell[i]",
+        "alpha1 and alpha2 count only the single above a 2-clump layer",
+    ),
+    (
+        SIEVE,
+        "(12 if single[i + 1] else 6) * e[i + 1]",
+        "(6 if single[i + 1] else 12) * e[i + 1]",
+        "the one-layer rhs weighs a single's layer as a double's and back",
+    ),
+    (
+        CORE,
+        "if k < 2:",
+        "if k < 1:",
+        "a one-color palette is taken",
+    ),
+    (
+        CORE,
+        "if color in row:",
+        "if False:",
+        "a duplicate color overwrites the first clump of its layer",
+    ),
+    (
+        CORE,
+        "if weight < 1:",
+        "if weight < 0:",
+        "a weight-0 clump is taken",
+    ),
+    (
+        CORE,
+        "next(iter(rows[0].values())) != 1",
+        "next(iter(rows[0].values())) < 1",
+        "a root of weight 2 is taken",
+    ),
+    (
+        CORE,
+        "if color in prev:",
+        "if False:",
+        "a clump may share the color of the single above it",
+    ),
+    (
+        CORE,
+        " - below.get(c, 0)",
+        "",
+        "a neighbor sum counts the clump of its own color in the layer below",
+    ),
+    (
+        CORE,
+        "2 if heavy else 0",
+        "1 if heavy else 0",
+        "two copies of a heavy clump are 1 apart in the closed-form diameter",
+    ),
+    (
+        LP,
+        "if any(v < 0 for v in x):",
+        "if False:",
+        "an optimal x with a negative entry passes",
+    ),
+    (
+        LP,
+        "if any(sum(map(mul, a, x)) > b * d for a, b in rows):",
+        "if False:",
+        "an optimal x that breaks a row passes",
+    ),
+    (
+        LP,
+        "if any(v < 0 for v in y):",
+        "if False:",
+        "an optimal y with a negative entry passes",
+    ),
+    (
+        LP,
+        "if any(s < c * d for s, c in zip(dual, costs)):",
+        "if False:",
+        "an optimal y below a cost passes",
+    ),
+    (
+        LP,
+        "if sum(map(mul, costs, x)) != value or",
+        "if False and",
+        "x and y of different values pass as optimal",
+    ),
+    (
+        LP,
+        "if not used & free:",
+        "if True:",
+        "the lower order bound adds the needs of rows that share a free variable",
+    ),
+    (
+        LP,
+        "(depth > 1 or not total)",
+        "(depth > 1 or total > 0)",
+        "the frontier takes a depth-1 sequence only when it needs free weight",
+    ),
 ]
 
 
@@ -141,8 +271,11 @@ def _run_tests(module: str, tests: str, source: str) -> bool:
     path = Path(f"src/clumplab/{module}.py")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "bench"):
             shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__"))
+        for file in (work / "bench").rglob("*"):
+            if file.is_file():
+                file.chmod(0o444)
         shutil.copy(ROOT / "pyproject.toml", work)
         (work / path).write_text(source)
         env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}

@@ -99,9 +99,10 @@ def test_uniform_certificate_holds_on_every_small_rooted_graph():
     # the certificate reads only the color sets, so weight 1 stands for
     # every weighting; bound_from_certificate raises on an infeasible
     # certificate or a layer total short of u_tilde.  No weight is 0: a
-    # full layer follows two clumps or more, so |X| <= k-2
+    # full layer follows two clumps or more, so |X| <= k-2.  At k = 2
+    # the graphs are the alternating paths, every layer a single
     counts = Counter()
-    for k, max_depth in ((3, 5), (4, 3)):
+    for k, max_depth in ((2, 6), (3, 5), (4, 3)):
         u_tilde = Fraction(k - 1, 3 * k - 4)
         for seq in _rooted_color_sets(k, max_depth):
             g = WeightedClumpGraph(k, [[(c, 1) for c in layer] for layer in seq])
@@ -111,11 +112,13 @@ def test_uniform_certificate_holds_on_every_small_rooted_graph():
             assert cert.objective == len(seq) * u_tilde
             assert all(w > 0 for row in cert.rows for w in row.values())
             counts[k, check_canonical(g).passes] += 1
-    assert counts == {(3, True): 635, (3, False): 1321, (4, True): 397, (4, False): 707}
+    assert counts == {
+        (2, True): 7, (3, True): 635, (3, False): 1321, (4, True): 397, (4, False): 707
+    }
 
 
 @settings(max_examples=100, deadline=None)
-@given(k=st.integers(3, 8), seed=st.integers(0, 10**9))
+@given(k=st.integers(2, 8), seed=st.integers(0, 10**9))
 def test_uniform_certificate_holds_on_random_rooted_graphs(k, seed):
     g = WeightedClumpGraph(k, random_layers(random.Random(seed), k=k, max_depth=60))
     cert = dual_certificate(g)

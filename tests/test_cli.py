@@ -192,6 +192,19 @@ def test_certify_graph_that_canonicalize_refuses(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "feasible yes"
 
 
+def test_certify_two_colored_graph(tmp_path, capsys):
+    # at k = 2 every layer is a single, weighing u_tilde = 1/2: the bound
+    # reads 2n/delta + 1
+    path = _write_graph(tmp_path, core.WeightedClumpGraph(2, [[(0, 1)], [(1, 2)]]))
+    dump = str(tmp_path / "u.json")
+    assert main(["certify", "--in", path, "--delta", "1", "--dump", dump]) == 0
+    assert capsys.readouterr() == (
+        "feasible yes\nu-tilde 1/2\nobjective 1\ndiameter-bound 7\n", ""
+    )
+    assert main(["certify", "--in", path, "--weights", dump]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "feasible yes"
+
+
 @pytest.mark.parametrize("field, value", [("layer", [0]), ("layer", "0"), ("color", True)])
 def test_dual_weight_keys_must_be_integers(tmp_path, capsys, field, value):
     path = _write_graph(tmp_path, counterexample_graph(1, 4, 2))
@@ -264,6 +277,28 @@ def test_sieve_command(tmp_path, capsys):
     assert len(payload["windows"]) == 39 and all(w["pass"] for w in payload["windows"])
     assert payload["constraints"] == dict.fromkeys(
         ("mass", "psi", "pair", "triple", "partition"), True
+    )
+
+
+def test_sieve_on_a_two_colored_path(tmp_path, capsys):
+    # every layer pair has the shape (1, 1, 0), which the three-color
+    # grammar takes, so the sieve reads the graph as a 3-colored one
+    graph = core.WeightedClumpGraph(2, [[(0, 1)], [(1, 3)], [(0, 2)], [(1, 3)], [(0, 2)]])
+    path = _write_graph(tmp_path, graph)
+    assert main(["sieve", "--in", path, "--delta", "3"]) == 0
+    assert capsys.readouterr() == (
+        "windows 12/12 pass\n"
+        "constraint mass pass\n"
+        "constraint psi pass\n"
+        "constraint pair pass\n"
+        "constraint triple pass\n"
+        "constraint partition pass\n"
+        "mu 1\n"
+        "alpha1 0\n"
+        "alpha2 0\n"
+        "psi 0\n"
+        "phi 12/11\n",
+        "",
     )
 
 
@@ -611,17 +646,22 @@ def test_bad_integer_list_names_the_option_and_item(capsys, option):
 
 
 @pytest.mark.parametrize("family", [
-    ["counterexample", "--s", "2", "--delta", "5", "--p", "1"],  # k = 5
-    ["eppt-odd", "--r", "2", "--delta", "5", "--diam", "4"],  # k = 4
+    # (generate arguments, the first layer pair outside the grammar, its shape)
+    (["counterexample", "--s", "2", "--delta", "5", "--p", "1"], (0, 1), (1, 4, 0)),  # k = 5
+    (["eppt-odd", "--r", "2", "--delta", "5", "--diam", "4"], (1, 2), (2, 2, 0)),  # k = 4
 ])
 def test_sieve_rejects_graph_not_3_colored(tmp_path, capsys, family):
+    # the sieve takes any k, and its pair grammar refuses these graphs
+    args, pair, shape = family
     path = str(tmp_path / "g.json")
-    assert main(["generate", *family, "--out", path]) == 0
-    k = parse_clump_json(Path(path).read_text()).k
+    assert main(["generate", *args, "--out", path]) == 0
     report = tmp_path / "report.json"
     assert main(["sieve", "--in", path, "--delta", "4", "--report", str(report)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: the sieve needs a 3-colored graph, got k={k}\n"
+    assert captured.err == (
+        f"error: layer pair {pair} has color shape {shape}, which no canonical "
+        "3-colored profile produces\n"
+    )
     assert captured.out == ""
     assert not report.exists()
 
@@ -846,8 +886,11 @@ _U = {"layer": 0, "color": 0, "value": "1/5"}
     (["certify", "--in", "{graph}", "--weights", "{bad}"], {"u": [_U, _U]},
      "u[1] duplicates clump (0, 0)"),
     (["lp", "min-order", "--in", "{graph}", "--delta", "0"], None, "delta=0 must be positive"),
-    (["certify", "--in", "{bad}"], {"k": 2, "layers": [[_ROOT], [{"color": 1, "weight": 1}]]},
-     "k=2 must be at least 3"),
+    # the sieve's pair grammar, at any k: a single then three clumps
+    (["sieve", "--in", "{bad}", "--delta", "2"],
+     {"k": 4, "layers": [[_ROOT], [{"color": c, "weight": 1} for c in (1, 2, 3)]]},
+     "layer pair (0, 1) has color shape (1, 3, 0), which no canonical 3-colored "
+     "profile produces"),
     # the graph's minimum weighted degree is 4
     (["sieve", "--in", "{graph}", "--delta", "5"], None, "min weighted degree 4 is below delta=5"),
     (["certify", "--in", "{graph}", "--delta", "5"], None, "min weighted degree 4 is below delta=5"),

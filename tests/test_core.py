@@ -59,6 +59,7 @@ def test_rooted_needs_unit_root():
 @pytest.mark.parametrize("k, layers, message", [
     (1, [[(0, 1)]], "color count k=1 must be at least 2"),
     (3, [], "graph must have at least one layer"),
+    (3, [[(0, 1)], [(1, 0)]], "layer 1: weight 0 < 1"),
 ])
 def test_palette_and_layer_count_rejected(k, layers, message):
     with pytest.raises(ClumpGraphError, match=message):

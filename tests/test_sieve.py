@@ -256,6 +256,26 @@ def test_canonical_graphs_meet_every_window(graph):
     assert report.passes == all(report.rows.values())
 
 
+@settings(max_examples=100, deadline=None)
+@given(graph=_pair_canonical_graphs(), k=st.integers(4, 7), data=st.data())
+def test_relabeled_graph_reads_as_its_3_colored_one(graph, k, data):
+    # layer by layer, a color the layer above shares keeps its partner's
+    # label and every other color takes a label the layer above lacks:
+    # the same clump graph, in up to k colors
+    layers, above = [], {}
+    for row in graph.rows:
+        fresh = data.draw(st.permutations([c for c in range(k) if c not in above.values()]))
+        above = {c: above[c] if c in above else fresh.pop() for c in row}
+        layers.append([(above[c], w) for c, w in row.items()])
+    relabeled = WeightedClumpGraph(k, layers)
+    delta = min_weighted_degree(graph)
+    assert min_weighted_degree(relabeled) == delta
+    want = window_inequalities(layer_profile(graph), delta)
+    got = window_inequalities(layer_profile(relabeled), delta)
+    assert (got.lhs_scaled, got.rhs_scaled) == (want.lhs_scaled, want.rhs_scaled)
+    assert (got.stats, got.rows) == (want.stats, want.rows)
+
+
 def _fraction_windows(profile, delta):
     """The window loop and global statistics in Fractions, read through
     an ell() that returns 0 outside 0..D: the sides of every window as

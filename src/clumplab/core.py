@@ -8,10 +8,9 @@ consecutive layers and carry different colors.  Adjacency is always
 derived from this rule, never stored.
 
 A graph is immutable.  It stores one table, `rows`: per layer the
-{color: weight} dict its checks built.  Everything else is derived from
-the rows, at most once per instance (WeightedClumpGraph._derive): the
-weighted degrees' range behind min_weighted_degree and the layer
-profile, whose n is total_weight.
+{color: weight} dict its checks built.  When it is built it also
+computes two facts of the rows: the layer profile, whose n is
+total_weight, and the minimum weighted degree.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class ClumpGraphError(ValueError):
@@ -116,11 +113,12 @@ class WeightedClumpGraph:
     {color: weight} dict that validation built, in ascending color
     order.  The rows define ==, hash and the pickled form.  They are
     shared by every reader, so read them and never change them;
-    weight_rows gives fresh copies to change.  Everything else is
-    derived from the rows on first use and kept (_derive).
+    weight_rows gives fresh copies to change.  The layer profile and
+    the minimum weighted degree are computed from the rows when the
+    graph is built; layer_profile and min_weighted_degree read them.
     """
 
-    __slots__ = ("k", "rows", "_derived")
+    __slots__ = ("k", "rows", "_profile", "_min_degree")
 
     k: int
     rows: tuple[dict[int, int], ...]
@@ -130,7 +128,8 @@ class WeightedClumpGraph:
         init = object.__setattr__
         init(self, "k", k)
         init(self, "rows", rows)
-        init(self, "_derived", {})
+        init(self, "_profile", _layer_profile(rows))
+        init(self, "_min_degree", neighbor_sum_range(rows)[0])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"WeightedClumpGraph is immutable: cannot set {name!r}")
@@ -143,17 +142,6 @@ class WeightedClumpGraph:
         # (color, weight) pairs: dict_items cannot be pickled
         return (type(self), (self.k, [list(row.items()) for row in self.rows]))
 
-    def _derive(self, build: Callable[[WeightedClumpGraph], T]) -> T:
-        """build(self), computed at the first call with this build and
-        kept on the graph.  build is a module-level function of the graph
-        alone: the graph never changes, so a second call would compute
-        the same value."""
-        try:
-            return self._derived[build]
-        except KeyError:
-            fact = self._derived[build] = build(self)
-            return fact
-
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -163,11 +151,11 @@ class WeightedClumpGraph:
 
     @property
     def total_weight(self) -> int:
-        return layer_profile(self).n
+        return self._profile.n
 
     def colors_of_layer(self, i: int) -> frozenset[int]:
         if 0 <= i <= self.diameter_index:
-            return layer_profile(self).colors[i]
+            return self._profile.colors[i]
         return frozenset()
 
     def __eq__(self, other: object) -> bool:
@@ -235,29 +223,25 @@ def weight_rows(graph: WeightedClumpGraph) -> list[dict[int, int]]:
     return [dict(row) for row in graph.rows]
 
 
-def _degree_range(graph: WeightedClumpGraph) -> tuple[int, int]:
-    return neighbor_sum_range(graph.rows)
-
-
 def min_weighted_degree(graph: WeightedClumpGraph) -> int:
-    return graph._derive(_degree_range)[0]
+    return graph._min_degree
 
 
-def _layer_profile(graph: WeightedClumpGraph) -> LayerProfile:
-    ell = tuple(sum(row.values()) for row in graph.rows)
-    counts = tuple(map(len, graph.rows))
+def _layer_profile(rows: Sequence[Mapping[int, int]]) -> LayerProfile:
+    ell = tuple(sum(row.values()) for row in rows)
+    counts = tuple(map(len, rows))
     return LayerProfile(
         ell=ell,
         clump_counts=counts,
-        colors=tuple(map(frozenset, graph.rows)),
+        colors=tuple(map(frozenset, rows)),
         n=sum(ell),
-        diameter_index=graph.diameter_index,
+        diameter_index=len(rows) - 1,
         singles=frozenset(i for i, c in enumerate(counts) if c == 1),
     )
 
 
 def layer_profile(graph: WeightedClumpGraph) -> LayerProfile:
-    return graph._derive(_layer_profile)
+    return graph._profile
 
 
 # -- simple graphs and blow-up ------------------------------------------

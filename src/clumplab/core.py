@@ -48,6 +48,10 @@ def _validated_rows(
 ) -> tuple[dict[int, int], ...]:
     """One {color: weight} dict per layer, in ascending color order;
     ClumpGraphError when the layers break a structural rule."""
+    # type(), not isinstance(), as the parser reads k, colors and weights:
+    # a bool or a float would be written as JSON no parser takes back
+    if type(k) is not int:
+        raise ClumpGraphError(f"color count k={k!r} is not an integer")
     if k < 2:
         raise ClumpGraphError(f"color count k={k} must be at least 2")
     if not layers:
@@ -66,11 +70,19 @@ def _layer_rows(
     it the first color, that breaks a rule."""
     rows: list[dict[int, int]] = []
     for i, layer in enumerate(layers, start):
-        pairs = sorted(layer, key=itemgetter(0))
+        pairs = list(layer)
+        try:
+            pairs.sort(key=itemgetter(0))
+        except TypeError:
+            pass  # two colors that do not compare: the loop names the one not an int
         if not pairs:
             raise ClumpGraphError(f"layer {i} is empty")
         row: dict[int, int] = {}
         for color, weight in pairs:
+            if type(color) is not int:
+                raise ClumpGraphError(f"layer {i}: color {color!r} is not an integer")
+            if type(weight) is not int:
+                raise ClumpGraphError(f"layer {i}: weight {weight!r} is not an integer")
             if not 0 <= color < k:
                 raise ClumpGraphError(f"layer {i}: color {color} outside [0, {k})")
             if color in row:

@@ -4,11 +4,12 @@ on it.
 
 Run from anywhere as `python tests/mutants.py`; it needs only the
 standard library and the test dependencies of the project.  For each
-mutant it copies src/, tests/ and pyproject.toml to a temporary
-directory, with bench/ read-only beside them (the lp tests read its
-golden values and generators), applies the one replacement there and
-runs `python -m pytest -x -q <test file>` in that directory, so the copy
-is what the tests import and Hypothesis keeps its database there too.
+mutant it copies src/, tests/, pyproject.toml and README.md (the cli
+tests run its examples) to a temporary directory, with bench/ read-only
+beside them (the lp and cli tests read its golden values and
+generators), applies the one replacement there and runs
+`python -m pytest -x -q <test file>` in that directory, so the copy is
+what the tests import and Hypothesis keeps its database there too.
 Each test file first runs on the unchanged copy and must pass.  A
 snippet that no longer occurs exactly once is reported as stale, so a
 change to a module has to update this table on purpose.  Exits 1 on a
@@ -31,6 +32,8 @@ CERTIFY = ("certify", "tests/test_certify.py")
 SIEVE = ("sieve", "tests/test_sieve.py")
 CORE = ("core", "tests/test_core.py")
 LP = ("lp", "tests/test_lp.py")
+SERIALIZE = ("serialize", "tests/test_cli.py")
+CLI = ("cli", "tests/test_cli.py")
 
 # ((module, test file), snippet, replacement, what the tests must catch)
 MUTANTS = [
@@ -222,6 +225,24 @@ MUTANTS = [
     ),
     (
         CORE,
+        "if type(color) is not int:",
+        "if False:",
+        "a bool color is taken, and written as JSON false or true",
+    ),
+    (
+        CORE,
+        "if type(weight) is not int:",
+        "if False:",
+        "a bool weight is taken, and written as JSON true",
+    ),
+    (
+        CORE,
+        "if type(k) is not int:",
+        "if False:",
+        "a float palette is taken, and written as a JSON float",
+    ),
+    (
+        CORE,
         "if color in prev:",
         "if False:",
         "a clump may share the color of the single above it",
@@ -286,6 +307,42 @@ MUTANTS = [
         "(depth > 1 or total > 0)",
         "the frontier takes a depth-1 sequence only when it needs free weight",
     ),
+    (
+        SERIALIZE,
+        r'+ ",\n".join(',
+        r'+ ",".join(',
+        "clumps of a layer joined without a newline: still JSON, not json.dumps's bytes",
+    ),
+    (
+        SERIALIZE,
+        r'"color": {c},\n        "weight": {w}',
+        r'"color": {w},\n        "weight": {c}',
+        "each clump written with its color and weight swapped",
+    ),
+    (
+        SERIALIZE,
+        r'  ]\n}}\n',
+        r'  ]\n}}',
+        "a graph file without its final newline",
+    ),
+    (
+        SERIALIZE,
+        '\n                or type(entry.get("weight")) is not int',
+        "",
+        "a bool weight passes the entry test and is refused by the constructor's message",
+    ),
+    (
+        CLI,
+        "{json.dumps(e.rule)}",
+        '"{e.rule}"',
+        "a rule text written unescaped into the --log JSON",
+    ),
+    (
+        CLI,
+        r'if entries else "[]\n"',
+        r'if entries else "[\n\n]\n"',
+        "an empty --log written unlike json.dumps([], indent=2)",
+    ),
 ]
 
 
@@ -300,7 +357,8 @@ def _run_tests(module: str, tests: str, source: str) -> bool:
         for file in (work / "bench").rglob("*"):
             if file.is_file():
                 file.chmod(0o444)
-        shutil.copy(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, work)
         (work / path).write_text(source)
         env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         imported = subprocess.run(

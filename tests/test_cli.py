@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clumplab
 from clumplab import canonical, certify, core
@@ -38,6 +40,31 @@ def test_graph_round_trip():
     assert parse_clump_json(dump_clump_json(g)) == g
     g = eppt_odd(2, 5, 4)
     assert parse_clump_json(dump_clump_json(g)) == g
+
+
+def _graph_dict_json(graph):
+    """dump_clump_json's oracle: the graph's dict through json.dumps."""
+    layers = [[{"color": c, "weight": w} for c, w in row.items()] for row in graph.rows]
+    return json.dumps({"k": graph.k, "layers": layers}, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(2, 8), depth=st.integers(0, 60), max_weight=st.integers(1, 10**30),
+    seed=st.integers(0, 10**9),
+)
+def test_graph_writer_matches_json_dumps(k, depth, max_weight, seed):
+    layers = random_layers(random.Random(seed), k, max_depth=depth, max_weight=max_weight)
+    graph = core.WeightedClumpGraph(k, layers)
+    text = dump_clump_json(graph)
+    expected = _graph_dict_json(graph)
+    # not `assert text == expected`: pytest's diff of two long texts takes
+    # seconds, and a shrinking Hypothesis run makes one per failing example
+    if text != expected:
+        lines, want = text.splitlines(True), expected.splitlines(True)
+        i = next(i for i, pair in enumerate(zip(lines + [""], want + [""])) if len(set(pair)) > 1)
+        raise AssertionError(f"line {i + 1}: {lines[i:i + 1]} != {want[i:i + 1]}")
+    assert parse_clump_json(text) == graph
 
 
 def test_missing_field_names_the_field():
@@ -141,6 +168,49 @@ def test_canonicalize_command(tmp_path):
     result = parse_clump_json(Path(out_path).read_text())
     assert check_canonical(result).passes
     assert json.loads(Path(log_path).read_text())
+
+
+def _log_json(log):
+    """The --log writer's oracle: the entries through json.dumps."""
+    entries = [{"rule": e.rule, "layer": e.layer} for e in log.entries]
+    return json.dumps(entries, indent=2) + "\n"
+
+
+def _canonicalize_log(tmp_path, graph, delta):
+    """The --log text of clumplab canonicalize on graph."""
+    path = _write_graph(tmp_path, graph)
+    log = tmp_path / "log.json"
+    argv = ["canonicalize", "--in", path, "--delta", str(delta), "--out", "-", "--log", str(log)]
+    assert main(argv) == 0
+    return log.read_text(encoding="utf-8")
+
+
+def test_rewrite_log_matches_json_dumps(tmp_path):
+    rng = random.Random(20261022)
+    rewrites = 0
+    for _ in range(40):
+        graph = core.WeightedClumpGraph(3, random_layers(rng, 3, max_depth=60))
+        delta = core.min_weighted_degree(graph)
+        if delta < 1:
+            continue
+        canon, log = canonical.canonicalize(graph, delta)
+        assert _canonicalize_log(tmp_path, graph, delta) == _log_json(log)
+        rewrites += len(log)
+        # a canonical graph takes no rewrite: the empty log
+        assert _canonicalize_log(tmp_path, canon, delta) == "[]\n" == _log_json(
+            canonical.TransformLog()
+        )
+    assert rewrites > 100
+
+
+def test_rewrite_log_escapes_rule_text_as_json_dumps(tmp_path, monkeypatch):
+    graph = counterexample_graph(1, 4, 1)
+    log = canonical.TransformLog([
+        canonical.RewriteEntry('quote " and backslash \\ in a rule', 0),
+        canonical.RewriteEntry("d\u00e9j\u00e0 vu \u2713 \U0001d4b3 \t\n", 12),
+    ])
+    monkeypatch.setattr(canonical, "canonicalize", lambda graph, delta: (graph, log))
+    assert _canonicalize_log(tmp_path, graph, 4) == _log_json(log)
 
 
 def test_certify_command(tmp_path, capsys):
@@ -990,3 +1060,51 @@ _PINNED_SEARCH = {
 def test_search_output_is_pinned(capsys, delta, dmax, budget):
     assert main(["search", "--delta", delta, "--dmax", dmax, "--budget", budget]) == 0
     assert capsys.readouterr() == (_PINNED_SEARCH[delta, dmax, budget], "")
+
+
+# the usage: line of every command and subcommand at COLUMNS=200, so a
+# change to how the parser is built cannot move an option
+_USAGE = {
+    "": "usage: clumplab [-h] {generate,verify,canonicalize,certify,sieve,lp,search,suite} ...",
+    "generate": "usage: clumplab generate [-h] {counterexample,eppt-odd,eppt-even} ...",
+    "generate counterexample": (
+        "usage: clumplab generate counterexample [-h] --s S --delta DELTA --p P [--out OUT] "
+        "[--export-edges EXPORT_EDGES]"
+    ),
+    "generate eppt-odd": (
+        "usage: clumplab generate eppt-odd [-h] --r R --delta DELTA --diam DIAM [--out OUT] "
+        "[--export-edges EXPORT_EDGES]"
+    ),
+    "generate eppt-even": (
+        "usage: clumplab generate eppt-even [-h] --r R --delta DELTA --diam DIAM [--out OUT] "
+        "[--export-edges EXPORT_EDGES]"
+    ),
+    "verify": "usage: clumplab verify [-h] --in INFILE --delta DELTA",
+    "canonicalize": (
+        "usage: clumplab canonicalize [-h] --in INFILE --delta DELTA [--out OUT] [--log LOG]"
+    ),
+    "certify": (
+        "usage: clumplab certify [-h] --in INFILE [--delta DELTA] [--weights WEIGHTS] "
+        "[--dump DUMP]"
+    ),
+    "sieve": (
+        "usage: clumplab sieve [-h] --in INFILE --delta DELTA [--slack SLACK] [--report REPORT]"
+    ),
+    "lp": "usage: clumplab lp [-h] {epsz,min-order} ...",
+    "lp epsz": "usage: clumplab lp epsz [-h]",
+    "lp min-order": "usage: clumplab lp min-order [-h] --in INFILE --delta DELTA",
+    "search": "usage: clumplab search [-h] --delta DELTA --dmax DMAX [--budget BUDGET]",
+    "suite": (
+        "usage: clumplab suite [-h] [--s-values S_VALUES] [--delta-span DELTA_SPAN] "
+        "[--p-values P_VALUES] [--slack SLACK] [--csv CSV]"
+    ),
+}
+
+
+def test_usage_lines_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    for command, usage in _USAGE.items():
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command.split(), "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.splitlines()[0] == usage, command

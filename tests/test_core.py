@@ -66,6 +66,22 @@ def test_palette_and_layer_count_rejected(k, layers, message):
         WeightedClumpGraph(k, layers)
 
 
+@pytest.mark.parametrize("k, layers, message", [
+    (3, [[(0, True)], [(1, 2), (2, True)]], "layer 0: weight True is not an integer"),
+    (3, [[(0, 1)], [(1, 2), (2, 2.0)]], "layer 1: weight 2.0 is not an integer"),
+    (3, [[(0, 1)], [(True, 2), (2, 1)]], "layer 1: color True is not an integer"),
+    (3, [[(False, 1)]], "layer 0: color False is not an integer"),
+    # colors that do not compare, so the layer cannot be sorted first
+    (3, [[(0, 1)], [(1, 1), ("2", 1)]], "layer 1: color '2' is not an integer"),
+    (3.0, [[(0, 1)]], "color count k=3.0 is not an integer"),
+])
+def test_non_integer_palette_color_or_weight_rejected(k, layers, message):
+    # a bool or a float would be written as JSON true or 2.0, which
+    # parse_clump_json refuses, so the graph could not round-trip
+    with pytest.raises(ClumpGraphError, match=message):
+        WeightedClumpGraph(k, layers)
+
+
 @pytest.mark.parametrize("edge, message", [
     ((1, 1), "self-loop at vertex 1"),
     ((0, 2), r"edge \(0, 2\) outside vertex range"),

@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
-from operator import ne
+from operator import and_, ne
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .core import (
@@ -136,6 +136,20 @@ def is_canonical_pair(k: int, a: AbstractSet[int], b: AbstractSet[int]) -> bool:
     return not _pair_verdict(k, len(a), len(b), len(a & b))
 
 
+def _failing_pairs(
+    k: int, sets: Sequence[AbstractSet[int]], counts: Sequence[int]
+) -> list[tuple[int, tuple[str, ...]]]:
+    """(j, verdict) for each pair sets[j], sets[j + 1] of consecutive
+    layer color sets whose pair verdict is not empty, by ascending j;
+    counts[j] is len(sets[j]).  The shapes of all pairs are taken in one
+    pass, and _pair_verdict is read once per distinct shape."""
+    shapes = list(zip(counts, counts[1:], map(len, map(and_, sets, sets[1:]))))
+    verdicts = {shape: _pair_verdict(k, *shape) for shape in set(shapes)}
+    if not any(verdicts.values()):
+        return []
+    return [(j, verdicts[s]) for j, s in enumerate(shapes) if verdicts[s]]
+
+
 def _violations(
     k: int, layers: Sequence[Mapping[int, int]], at: range | None = None
 ) -> list[tuple[int, str]]:
@@ -145,15 +159,21 @@ def _violations(
     1, so (iv) starts at layer 1."""
     D = len(layers) - 1
     lo, stop = (0, D + 1) if at is None else (at.start, min(at.stop, D + 1))
-    out: list[tuple[int, str]] = []
-    for i in range(lo, min(stop, D)):
-        a, b = layers[i].keys(), layers[i + 1].keys()
-        for prop in _pair_verdict(k, len(a), len(b), len(a & b)):
-            out.append((i, prop))
-    for i in range(max(lo, 1), stop):
-        nxt = len(layers[i + 1]) if i < D else 0
-        if len(layers[i]) + max(len(layers[i - 1]), nxt) < k and max(layers[i].values()) > 1:
-            out.append((i, "iv"))
+    # layers max(lo-1, 0)..min(stop, D), whose clump counts are padded
+    # with the empty layer after them; the pairs start at layer lo
+    rows = layers[max(lo - 1, 0):stop + 1]
+    counts = [*map(len, rows), 0]
+    skip = 1 if lo else 0
+    out = [
+        (lo + j, prop)
+        for j, verdict in _failing_pairs(k, [row.keys() for row in rows[skip:]], counts[skip:-1])
+        for prop in verdict
+    ]
+    out += [
+        (i, "iv")
+        for i, above, here, below in zip(range(max(lo, 1), stop), counts, counts[1:], counts[2:])
+        if here + max(above, below) < k and max(layers[i].values()) > 1
+    ]
     return out
 
 

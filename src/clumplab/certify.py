@@ -170,6 +170,8 @@ def bound_from_certificate(cert: DualCertificate, n: int, delta: int) -> Fractio
     certificate whose every layer total reaches u_tilde.  The least
     total is compared with u_tilde in integers, cross-multiplied over
     the certificate's scale and u_tilde's denominator, both positive.
+    With u_tilde = p/q the bound is built as the one Fraction
+    (q n + p delta) / (p delta).
 
     The bound holds only when delta is at most the minimum weighted
     degree of the certified graph of order n: the certificate is read
@@ -182,4 +184,4 @@ def bound_from_certificate(cert: DualCertificate, n: int, delta: int) -> Fractio
     p, q = cert.u_tilde.numerator, cert.u_tilde.denominator
     if q * min(cert.totals) < p * cert.scale:
         raise ValueError("some layer total falls short of u_tilde")
-    return Fraction(1, 1) / cert.u_tilde * Fraction(n, delta) + 1
+    return Fraction(q * n + p * delta, p * delta)

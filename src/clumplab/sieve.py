@@ -3,16 +3,16 @@ layer profiles, and the normalized global statistics they feed.
 
 The one gate is the pair grammar: every consecutive pair of layer color
 sets must have one of the seven shapes of a canonical 3-colored profile
-(is_canonical_pair at k = 3), or ValueError names the pair and its
-shape.  A profile of any palette that passes it has an isomorphic
-3-coloring, so no palette check is needed: color the layers in order,
-let a clump whose color the layer above shares keep its partner's new
-color, and give every other clump a color the layer above lacks.  A
-passing pair spans at most three colors, so enough are free, and the
-map is one-to-one on each layer.  Adjacency reads only which colors of
-a layer and its neighbor layers coincide, so the weights, the degrees,
-the windows, the statistics and the verdict are those of the 3-colored
-profile.
+(canonical's pair verdicts at k = 3, read once per distinct shape), or
+ValueError names the first pair that fails and its shape.  A profile of
+any palette that passes it has an isomorphic 3-coloring, so no palette
+check is needed: color the layers in order, let a clump whose color the
+layer above shares keep its partner's new color, and give every other
+clump a color the layer above lacks.  A passing pair spans at most
+three colors, so enough are free, and the map is one-to-one on each
+layer.  Adjacency reads only which colors of a layer and its neighbor
+layers coincide, so the weights, the degrees, the windows, the
+statistics and the verdict are those of the 3-colored profile.
 
 Each window inequality bounds a short run of consecutive layer weights
 from below by a multiple of the minimum degree; which bound applies
@@ -23,7 +23,8 @@ and each global statistic is one integer sum over n.  The verdict and
 the passing count read the columns; a Window, which names a window and
 shows its sides as Fractions, is built only when report.windows is
 read.  Fraction appears only at the interface, in Window.lhs/rhs and
-GlobalStats.
+GlobalStats: check_aggregates reads the statistics' numerators and
+denominators and compares every row in integers over one scale.
 
 GLOBAL_PROGRAM holds the five normalized constraints on the global
 statistics (phi, mu, psi, alpha1, alpha2); check_aggregates evaluates
@@ -58,9 +59,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge
+from math import lcm
+from operator import ge, mul
 
-from .canonical import is_canonical_pair
+from .canonical import _failing_pairs
 from .core import LayerProfile
 
 DEFAULT_SLACK = 12
@@ -182,14 +184,15 @@ class SieveReport:
 
 
 def _require_canonical_patterns(profile: LayerProfile) -> None:
-    for i in range(profile.diameter_index):
+    failing = _failing_pairs(3, profile.colors, profile.clump_counts)
+    if failing:
+        i = failing[0][0]
         a, b = profile.colors[i], profile.colors[i + 1]
-        if not is_canonical_pair(3, a, b):
-            shape = (len(a), len(b), len(a & b))
-            raise ValueError(
-                f"layer pair ({i}, {i + 1}) has color shape {shape}, which no "
-                f"canonical 3-colored profile produces"
-            )
+        shape = (len(a), len(b), len(a & b))
+        raise ValueError(
+            f"layer pair ({i}, {i + 1}) has color shape {shape}, which no "
+            f"canonical 3-colored profile produces"
+        )
 
 
 def singular_triplet_count(profile: LayerProfile) -> int:
@@ -267,12 +270,19 @@ def check_aggregates(
 ) -> dict[str, bool]:
     """The rows of GLOBAL_PROGRAM, each allowed slack_c * delta / n.  A
     negative slack_c is refused: the pair-sum bound follows from the
-    two-layer windows only for slack_c >= 0 (module docstring)."""
+    two-layer windows only for slack_c >= 0 (module docstring).
+
+    Exact in integers for any GlobalStats: with S the lcm of n and the
+    five statistics' denominators, a row a . x <= rhs + slack_c delta / n
+    is tested as sum a (x S) <= rhs S + slack_c delta (S / n), where
+    every term is an integer."""
     if slack_c < 0:
         raise ValueError(f"slack_c={slack_c} must be nonnegative")
-    eps = Fraction(slack_c * stats.delta, stats.n)
     x = (stats.phi, stats.mu, stats.psi, stats.alpha1, stats.alpha2)
+    scale = lcm(stats.n, *(v.denominator for v in x))
+    scaled = [v.numerator * (scale // v.denominator) for v in x]
+    slack = slack_c * stats.delta * (scale // stats.n)
     return {
-        name: sum(a * v for a, v in zip(coeffs, x)) <= rhs + eps
+        name: sum(map(mul, coeffs, scaled)) <= rhs * scale + slack
         for name, coeffs, rhs in GLOBAL_PROGRAM
     }

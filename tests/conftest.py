@@ -78,9 +78,18 @@ def tight_rows(lp: RationalLP, x: list[Fraction]) -> list[int]:
 
 def module_state(module) -> dict:
     """module's names, each with the len of a dict, list, set or tuple
-    value and None for any other value."""
+    value, the entry count of a functools cache, and None for any other
+    value."""
     sized = (dict, list, set, tuple)
-    return {name: len(v) if isinstance(v, sized) else None for name, v in vars(module).items()}
+
+    def size(value):
+        if isinstance(value, sized):
+            return len(value)
+        if hasattr(value, "cache_info"):
+            return value.cache_info().currsize
+        return None
+
+    return {name: size(value) for name, value in vars(module).items()}
 
 
 def canonical_pair(graph: WeightedClumpGraph) -> tuple[WeightedClumpGraph, int]:

@@ -10,7 +10,9 @@ beside them (the lp and cli tests read its golden values and
 generators), applies the one replacement there and runs
 `python -m pytest -x -q <test file>` in that directory, so the copy is
 what the tests import and Hypothesis keeps its database there too.
-Each test file first runs on the unchanged copy and must pass.  A
+Each test file also runs on the unchanged copy and must pass.  The
+copies run on a pool of os.cpu_count() threads, each waiting on its own
+pytest process, and the results print in table order.  A
 snippet that no longer occurs exactly once is reported as stale, so a
 change to a module has to update this table on purpose.  Exits 1 on a
 survivor, a stale snippet or a failing unchanged copy, and 0 when every
@@ -24,6 +26,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,6 +90,12 @@ MUTANTS = [
     ),
     (
         CANONICAL,
+        "verdicts[s]) for j, s in enumerate(shapes) if verdicts[s]]",
+        "verdicts[shapes[0]]) for j, s in enumerate(shapes) if verdicts[shapes[0]]]",
+        "the first pair's verdict applied to every pair",
+    ),
+    (
+        CANONICAL,
         "    if not report.passes:\n",
         "    if False:\n",
         "no final check_canonical of the result",
@@ -141,6 +150,12 @@ MUTANTS = [
     ),
     (
         CERTIFY,
+        "Fraction(q * n + p * delta, p * delta)",
+        "Fraction(q * n + q * delta, q * delta)",
+        "the bound built with q * delta for p * delta: n/delta + 1 in place of n/(u_tilde delta) + 1",
+    ),
+    (
+        CERTIFY,
         "            x_colors -= layers[i + 1].keys()",
         "            pass",
         "X built without the layer after: a color the next layer holds weighs 1/(3k-4)",
@@ -165,8 +180,8 @@ MUTANTS = [
     ),
     (
         SIEVE,
-        "if not is_canonical_pair(3, a, b):",
-        "if False:",
+        "    if failing:\n",
+        "    if False:\n",
         "no pair grammar: a profile of any shape, a layer of four clumps too, gets windows",
     ),
     (
@@ -183,9 +198,15 @@ MUTANTS = [
     ),
     (
         SIEVE,
-        "<= rhs + eps",
-        "< rhs + eps",
+        "<= rhs * scale + slack",
+        "< rhs * scale + slack",
         "a GLOBAL_PROGRAM row met with equality fails",
+    ),
+    (
+        SIEVE,
+        "scale = lcm(stats.n, *(v.denominator for v in x))",
+        "scale = stats.n",
+        "the rows scaled by n alone: a statistic whose denominator does not divide n is floored",
     ),
     (
         SIEVE,
@@ -375,23 +396,30 @@ def _run_tests(module: str, tests: str, source: str) -> bool:
 
 
 def main() -> int:
-    sources = {}
-    for module, tests in dict.fromkeys(target for target, *_ in MUTANTS):
-        sources[module] = (ROOT / f"src/clumplab/{module}.py").read_text()
-        if not _run_tests(module, tests, sources[module]):
-            print(f"FAIL unchanged: {tests} fails on the unchanged source")
-            return 1
-    bad = 0
-    for (module, tests), snippet, replacement, why in MUTANTS:
-        source = sources[module]
-        if source.count(snippet) != 1:
-            print(f"STALE {module} {snippet!r}: found {source.count(snippet)} times")
-            bad += 1
-        elif _run_tests(module, tests, source.replace(snippet, replacement)):
-            print(f"SURVIVED {module}: {why}")
-            bad += 1
-        else:
-            print(f"killed {module}: {why}")
+    targets = list(dict.fromkeys(target for target, *_ in MUTANTS))
+    sources = {module: (ROOT / f"src/clumplab/{module}.py").read_text() for module, _ in targets}
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        unchanged = [pool.submit(_run_tests, module, tests, sources[module]) for module, tests in targets]
+        runs = [
+            pool.submit(_run_tests, module, tests, sources[module].replace(snippet, replacement))
+            if sources[module].count(snippet) == 1 else None
+            for (module, tests), snippet, replacement, _ in MUTANTS
+        ]
+        for (_, tests), passed in zip(targets, unchanged):
+            if not passed.result():
+                print(f"FAIL unchanged: {tests} fails on the unchanged source")
+                pool.shutdown(cancel_futures=True)
+                return 1
+        bad = 0
+        for ((module, _), snippet, _, why), run in zip(MUTANTS, runs):
+            if run is None:
+                print(f"STALE {module} {snippet!r}: found {sources[module].count(snippet)} times")
+                bad += 1
+            elif run.result():
+                print(f"SURVIVED {module}: {why}")
+                bad += 1
+            else:
+                print(f"killed {module}: {why}")
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 

@@ -339,6 +339,36 @@ def test_violations_give_the_pair_verdicts(k):
             assert canonical._violations(k, rows) == expected
 
 
+def _walk_violations(k, layers, at):
+    """_violations(k, layers, at) as a walk: pair_violations of each pair
+    i, i + 1 with i in at, in order, then (iv) layer by layer."""
+    D = len(layers) - 1
+    at = range(D + 1) if at is None else at
+    out = [
+        (i, prop)
+        for i in at if i < D
+        for prop in canonical.pair_violations(k, set(layers[i]), set(layers[i + 1]))
+    ]
+    for i in at:
+        if 1 <= i <= D and max(layers[i].values()) > 1:
+            nxt = len(layers[i + 1]) if i < D else 0
+            if len(layers[i]) + max(len(layers[i - 1]), nxt) < k:
+                out.append((i, "iv"))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(2, 6), seed=st.integers(0, 10**9), data=st.data())
+def test_violations_match_a_walk_over_the_pairs(k, seed, data):
+    # _violations takes every pair's shape in one pass and reads one
+    # verdict per distinct shape; the walk asks pair_violations of each
+    # pair, over the whole graph or a random range of layers
+    layers = random_layered_graph(random.Random(seed), k=k, max_depth=30).rows
+    lo = data.draw(st.integers(0, len(layers) + 1))
+    at = data.draw(st.sampled_from([None, range(lo, data.draw(st.integers(lo, len(layers) + 2)))]))
+    assert canonical._violations(k, layers, at) == _walk_violations(k, layers, at)
+
+
 def test_canonicalize_fixpoint_on_canonical_input():
     g = counterexample_graph(1, 4, 2)
     out, log = canonicalize(g, 4)

@@ -118,12 +118,19 @@ def test_uniform_certificate_holds_on_every_small_rooted_graph():
 
 
 @settings(max_examples=100, deadline=None)
-@given(k=st.integers(2, 8), seed=st.integers(0, 10**9))
-def test_uniform_certificate_holds_on_random_rooted_graphs(k, seed):
+@given(
+    k=st.integers(2, 8), seed=st.integers(0, 10**9),
+    n=st.integers(1, 10**6), delta=st.integers(1, 10**4),
+)
+def test_uniform_certificate_holds_on_random_rooted_graphs(k, seed, n, delta):
+    # bound_from_certificate builds (q n + p delta) / (p delta) for
+    # u_tilde = p/q as one Fraction; the bound's formula is its oracle,
+    # at any n and delta, as the certificate does not know the graph
     g = WeightedClumpGraph(k, random_layers(random.Random(seed), k=k, max_depth=60))
     cert = dual_certificate(g)
     assert cert.feasible
     assert all(total * (3 * k - 4) == (k - 1) * cert.scale for total in cert.totals)
+    assert bound_from_certificate(cert, n, delta) == 1 / cert.u_tilde * Fraction(n, delta) + 1
 
 
 def test_certificate_on_a_graph_canonicalize_refuses():

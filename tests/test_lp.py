@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -1022,6 +1023,65 @@ def test_extremal_search_small_frontier():
     assert result.frontier == {1: 3, 2: 4, 3: 6}
     assert result.complete
     assert result.best_phi <= Fraction(5, 2)
+
+
+def _brute_frontier(delta: int, d_max: int) -> dict[int, int]:
+    """Oracle for extremal_search's frontier: the least order of a rooted
+    3-colored clump graph of each depth 1..d_max whose minimum weighted
+    degree is at least delta and whose blow-up diameter is its depth.
+    It walks every rooted sequence of color sets, under the rooting rule
+    alone (the root is one clump of weight 1, and a layer after a single
+    avoids its color), with every integer weight 1..delta after the root;
+    a weight above delta never helps, as capping it at delta keeps every
+    degree it fed at delta or more.  A layer's degrees are final once the
+    layer after it is placed, so a prefix is cut when one of them falls
+    short, or when no depth it can reach has room below its best so far.
+    Each closed prefix is checked through WeightedClumpGraph,
+    min_weighted_degree and blow_up_diameter."""
+    choices = [
+        dict(zip(colors, weights))
+        for r in (1, 2, 3)
+        for colors in itertools.combinations(range(3), r)
+        for weights in itertools.product(range(1, delta + 1), repeat=r)
+    ]
+    best: dict[int, int] = {}
+
+    def reaches(above, row, below):
+        # every clump of row sees each clump of another color in the
+        # layers above, beside and below it
+        return all(
+            sum(w for layer in (above, row, below) for c2, w in layer.items() if c2 != c) >= delta
+            for c in row
+        )
+
+    def extend(layers, total):
+        depth = len(layers) - 1
+        if depth and reaches(layers[-2], layers[-1], {}) and total < best.get(depth, math.inf):
+            graph = WeightedClumpGraph(3, [row.items() for row in layers])
+            if min_weighted_degree(graph) >= delta and blow_up_diameter(graph) == depth:
+                best[depth] = total
+        if all(total + d - depth >= best.get(d, math.inf) for d in range(depth + 1, d_max + 1)):
+            return
+        above = layers[-2] if depth else {}
+        for row in choices:
+            if len(layers[-1]) == 1 and layers[-1].keys() & row.keys():
+                continue
+            if reaches(above, layers[-1], row):
+                extend([*layers, row], total + sum(row.values()))
+
+    extend([{0: 1}], 1)
+    return best
+
+
+@pytest.mark.parametrize("delta, d_max", [(2, 6), (3, 5), (4, 3)])
+def test_extremal_search_frontier_matches_a_brute_force_over_rooted_sequences(delta, d_max):
+    # the frontier walks only sequences whose layer pairs pass the pair
+    # rule; the brute force takes every rooted sequence, so the two agree
+    # only if no other sequence is smaller: the frontier does not rest on
+    # the canonical-form lemma at these points
+    result = extremal_search(delta, d_max, n_budget=60)
+    assert result.complete
+    assert result.frontier == _brute_frontier(delta, d_max)
 
 
 def test_extremal_search_budget_flag():

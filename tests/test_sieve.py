@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clumplab.canonical import check_canonical, is_canonical_pair
@@ -25,6 +25,7 @@ from clumplab.core import (
 )
 from clumplab.serialize import dump_clump_json
 from clumplab.sieve import (
+    GLOBAL_PROGRAM,
     GlobalStats,
     check_aggregates,
     global_stats,
@@ -166,6 +167,53 @@ def test_global_optimum_meets_every_row():
     assert all(check_aggregates(stats, 0).values())
     raised = replace(stats, phi=stats.phi + Fraction(1, 1000))
     assert not all(check_aggregates(raised, 0).values())
+
+
+def _fraction_aggregates(stats, slack_c):
+    """GLOBAL_PROGRAM's rows on stats in Fractions, each allowed
+    slack_c * delta / n: the oracle for check_aggregates' integer rows."""
+    eps = Fraction(slack_c * stats.delta, stats.n)
+    x = (stats.phi, stats.mu, stats.psi, stats.alpha1, stats.alpha2)
+    return {
+        name: sum(a * v for a, v in zip(coeffs, x)) <= rhs + eps
+        for name, coeffs, rhs in GLOBAL_PROGRAM
+    }
+
+
+@st.composite
+def _stats_and_slack(draw):
+    """A GlobalStats of small Fractions, their denominators drawn apart
+    from n, and a slack; in half the draws one statistic is solved for
+    so that one row holds with equality."""
+    n, delta, slack_c = draw(st.integers(1, 40)), draw(st.integers(1, 12)), draw(st.integers(0, 12))
+    x = [Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 30))) for _ in range(5)]
+    if draw(st.booleans()):
+        _, coeffs, rhs = draw(st.sampled_from(GLOBAL_PROGRAM))
+        j = draw(st.sampled_from([j for j, a in enumerate(coeffs) if a]))
+        rest = sum(a * v for i, (a, v) in enumerate(zip(coeffs, x)) if i != j)
+        x[j] = (rhs + Fraction(slack_c * delta, n) - rest) / coeffs[j]
+    phi, mu, psi, alpha1, alpha2 = x
+    stats = GlobalStats(mu=mu, alpha1=alpha1, alpha2=alpha2, phi=phi, psi=psi, n=n, delta=delta)
+    return stats, slack_c
+
+
+_THIRDS = GlobalStats(
+    mu=Fraction(2, 3), alpha1=Fraction(1, 3), alpha2=Fraction(0), phi=Fraction(0),
+    psi=Fraction(0), n=2, delta=1,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_stats_and_slack())
+# thirds against n = 2: the mass row is met with equality at slack 0,
+# and broken by 1/3 in the second case
+@example(case=(_THIRDS, 0))
+@example(case=(replace(_THIRDS, alpha1=Fraction(2, 3)), 0))
+def test_check_aggregates_matches_the_fraction_rows(case):
+    # check_aggregates scales every row to integers over the lcm of n and
+    # the statistics' denominators; the rows in Fractions are its oracle
+    stats, slack_c = case
+    assert check_aggregates(stats, slack_c) == _fraction_aggregates(stats, slack_c)
 
 
 def _periodic_graph(p):

@@ -178,6 +178,14 @@ def test_lp_makes_fractions_only_at_the_api_edge():
     }
 
 
+def test_sieve_makes_fractions_only_at_the_interface():
+    # the windows are int columns in sixths and check_aggregates compares
+    # its rows in integers; only a Window's sides and GlobalStats are
+    # Fractions
+    tree = ast.parse((Path(clumplab.__file__).parent / "sieve.py").read_text())
+    assert _fraction_callers(tree) == {"Window.lhs", "Window.rhs", "global_stats"}
+
+
 def _referenced_names(tree: ast.AST, attributes_only: bool = False) -> Counter:
     """How often each name is referenced in tree: as an attribute, and
     unless attributes_only, as a Name or an imported alias too."""
@@ -258,15 +266,29 @@ def test_tracer_targets_resolve_in_src():
     assert missing == _STALE_TRACER_TARGETS
 
 
+# memos that may grow with use, each with the most entries the calls of
+# test_no_module_keeps_state_across_calls may add, and its reason
+_GROWING_MEMOS = {
+    ("clumplab.canonical", "_pair_verdict"): (
+        4**3,
+        "one pair verdict per shape (k, |A|, |B|, |A & B|) met, so at most "
+        "(k+1)^3 entries per palette k met; every graph of the test has k = 3",
+    ),
+}
+
+
 def test_no_module_keeps_state_across_calls(tmp_path):
     # a memo that grew across calls would raise the bench's peak RSS with
-    # its op count, so no module's tables may change with use: the bench's
-    # search menu points, min_order_lp, a suite grid row, and a
-    # canonicalize, certify and sieve round through the cli
+    # its op count, so no module's tables may change with use, but for
+    # the bounded _GROWING_MEMOS: the bench's search menu points,
+    # min_order_lp, a suite grid row, and a canonicalize, certify and
+    # sieve round through the cli
     modules = [clumplab] + [
         importlib.import_module(f"clumplab.{info.name}")
         for info in pkgutil.iter_modules(clumplab.__path__)
     ]
+    for module_name, name in _GROWING_MEMOS:
+        getattr(sys.modules[module_name], name).cache_clear()  # so the calls fill it
     before = [module_state(module) for module in modules]
     for point in ((2, 5), (5, 4), (6, 4), (8, 4)):
         extremal_search(*point, 60)
@@ -278,4 +300,8 @@ def test_no_module_keeps_state_across_calls(tmp_path):
     assert main(["certify", "--in", canon, "--delta", "2"]) == 0
     assert main(["sieve", "--in", canon, "--delta", "2"]) == 0
     assert clumplab.core in modules and clumplab.sieve in modules
-    assert [module_state(module) for module in modules] == before
+    after = [module_state(module) for module in modules]
+    for (module_name, name), (bound, _) in _GROWING_MEMOS.items():
+        i = modules.index(sys.modules[module_name])
+        assert before[i].pop(name) == 0 < after[i].pop(name) <= bound
+    assert after == before
